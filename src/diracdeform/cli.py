@@ -76,16 +76,20 @@ def _render_table(obj, prefix=""):
     return lines
 
 
-def _emit(report, args):
-    if args.format == "table":
-        text = "\n".join(_render_table(report)) + "\n"
-    else:
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+def _write(text, args):
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(report, args):
+    if args.format == "table":
+        text = "\n".join(_render_table(report)) + "\n"
+    else:
+        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    _write(text, args)
 
 
 def _envelope(command, input_hash, body, ok, seed=None):
@@ -105,14 +109,17 @@ def _envelope(command, input_hash, body, ok, seed=None):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_check_jacobi(args):
+def _load_structure(args):
+    """Structure constants from args.input, plus the input's digest."""
     data, digest = _load_json(args.input)
-    _require(data, args.input, "dim", int)
-    _require(data, args.input, "c", list)
     try:
-        mu = structure_constants_from_json(data)
-    except (ValueError, TypeError, IndexError) as e:
-        raise SchemaError(f"{args.input}.c", str(e))
+        return structure_constants_from_json(data), digest
+    except ValueError as e:
+        raise SchemaError(args.input, str(e))
+
+
+def cmd_check_jacobi(args):
+    mu, digest = _load_structure(args)
     ok = nr_bracket(mu, mu).is_zero()
     body = {"dim": mu.dim, "jacobi": ok}
     if not ok:
@@ -125,8 +132,9 @@ def cmd_check_jacobi(args):
 
 
 def cmd_ce_cohomology(args):
-    data, digest = _load_json(args.input)
-    mu = structure_constants_from_json(data)
+    if min(args.degrees) < 0:
+        raise SchemaError("--degrees", "degrees must be non-negative")
+    mu, digest = _load_structure(args)
     if not is_lie(mu):
         body = {"error": "structure constants do not satisfy Jacobi"}
         _emit(_envelope("ce-cohomology", digest, body, False), args)
@@ -141,8 +149,9 @@ def cmd_ce_cohomology(args):
 
 
 def cmd_deform_lie(args):
-    data, digest = _load_json(args.input)
-    mu = structure_constants_from_json(data)
+    if args.order < 0:
+        raise SchemaError("--order", "order must be non-negative")
+    mu, digest = _load_structure(args)
     if not is_lie(mu):
         body = {"error": "order-0 structure is not a Lie bracket"}
         _emit(_envelope("deform-lie", digest, body, False), args)
@@ -334,12 +343,7 @@ def cmd_ihs_run(args):
         lines = [",".join(header)]
         for row in rows:
             lines.append(",".join(f"{v:.12g}" for v in row))
-        text = "\n".join(lines) + "\n"
-        if args.output:
-            with open(args.output, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write("\n".join(lines) + "\n", args)
         return 0
     body = {"steps": args.steps, "h": args.h if args.h else sys_.h,
             "max_drift": traj.max_drift,

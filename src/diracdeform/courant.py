@@ -599,10 +599,10 @@ def quasi_lemma_check(inp, raise_on_fail=False):
         for b in forms:
             for c in forms:
                 for e in forms:
-                    lhs = anchor_apply_fun(th, a, _psi_eval(th, b, c, e)) \
-                        - anchor_apply_fun(th, b, _psi_eval(th, a, c, e)) \
-                        + anchor_apply_fun(th, c, _psi_eval(th, a, b, e)) \
-                        - anchor_apply_fun(th, e, _psi_eval(th, a, b, c))
+                    lhs = anchor_apply(th, a, _psi_eval(th, b, c, e)) \
+                        - anchor_apply(th, b, _psi_eval(th, a, c, e)) \
+                        + anchor_apply(th, c, _psi_eval(th, a, b, e)) \
+                        - anchor_apply(th, e, _psi_eval(th, a, b, c))
                     lhs = lhs \
                         - _psi_eval(th, dual_bracket(th, a, b), c, e) \
                         + _psi_eval(th, dual_bracket(th, a, c), b, e) \
@@ -624,11 +624,6 @@ def quasi_lemma_check(inp, raise_on_fail=False):
         bad = [n for n, v in report["identities"].items() if not v["ok"]]
         raise AxiomViolation(", ".join(bad))
     return report
-
-
-def anchor_apply_fun(th, e, f):
-    """rho(e) f for a chi-degree-1 element e and base function f."""
-    return anchor_apply(th, e, f)
 
 
 # ---------------------------------------------------------------------------

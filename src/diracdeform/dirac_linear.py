@@ -10,13 +10,13 @@ two-form omega is {(x, omega x)} with (omega x)_j = sum_i omega[j][i] x_i,
 and the graph of a bivector pi is {(pi eta, eta)}.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import eigh, cholesky, solve_triangular
 
 from . import ratlin
-from .ratlin import Fraction as _F, Subspace, frac
+from .ratlin import Subspace, frac
 
 
 class NotAntisymmetric(Exception):
@@ -485,16 +485,13 @@ def hyperbolic_completion(G, W):
 
 
 def _rational_sqrt(q):
+    """Exact square root of a rational, or None if it is not a square."""
     if q < 0:
         return None
-    num, den = q.numerator, q.denominator
-    a = int(round(num ** 0.5))
-    b = int(round(den ** 0.5))
-    for da in (a - 1, a, a + 1):
-        for db in (b - 1, b, b + 1):
-            if da >= 0 and db > 0 and da * da == num and db * db == den:
-                return Fraction(da, db)
-    return None
+    a, b = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    if a * a != q.numerator or b * b != q.denominator:
+        return None
+    return Fraction(a, b)
 
 
 def extend_isotropic(G, W):
@@ -572,11 +569,11 @@ def numeric_compatible_structure(G, k, tol=1e-9):
     n = G.shape[0]
     if G.shape != (n, n) or k.shape != (n, n):
         raise ShapeMismatch("matrices must be square of equal size")
-    L = cholesky(k, lower=True)
-    Li = solve_triangular(L, np.eye(n), lower=True)
+    L = np.linalg.cholesky(k)
+    Li = np.linalg.solve(L, np.eye(n))
     S = Li @ G @ Li.T
     S = (S + S.T) / 2
-    w, Q = eigh(S)
+    w, Q = np.linalg.eigh(S)
     if np.min(np.abs(w)) < tol * np.max(np.abs(w)):
         raise IllConditioned("pairing is numerically degenerate")
     Jt = Q @ np.diag(np.sign(w)) @ Q.T

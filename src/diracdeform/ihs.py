@@ -8,16 +8,23 @@ Poisson bracket on functions whose differential lies in the covector
 projection of L) is computed exactly on polynomials with rational
 coefficients.
 
-Polynomials are sparse dicts {exponent_tuple: Fraction}.
+Polynomials are SuperElements over the even generators x1..xn
+(IHSystem.gens).
 """
 
-import re
 from fractions import Fraction
 
 import numpy as np
 
 from . import ratlin
-from .dirac_linear import LinearDirac, dirac_from_json, dirac_to_json
+from .dirac_linear import (
+    LinearDirac,
+    dirac_from_json,
+    dirac_to_json,
+    from_bivector,
+)
+from .multilinear import base_gens
+from .superalg import SuperElement
 
 
 class NotAdmissible(Exception):
@@ -37,128 +44,22 @@ class BadPolynomial(Exception):
     pass
 
 
-# ---------------------------------------------------------------------------
-# Sparse rational polynomials in x1..xn
-# ---------------------------------------------------------------------------
-
-def poly_zero():
-    return {}
-
-
-def poly_const(n, c):
-    c = Fraction(c)
-    return {} if c == 0 else {(0,) * n: c}
+def _float_terms(p):
+    """Compile p to [(float coeff, ((index, power), ...))] in term order,
+    so that float evaluation builds no Fraction."""
+    return [(float(c), tuple((i, k) for i, k in enumerate(e) if k))
+            for (e, _), c in p.terms.items()]
 
 
-def poly_var(n, i):
-    e = [0] * n
-    e[i] = 1
-    return {tuple(e): Fraction(1)}
-
-
-def poly_add(p, q):
-    out = dict(p)
-    for e, c in q.items():
-        s = out.get(e, Fraction(0)) + c
-        if s:
-            out[e] = s
-        elif e in out:
-            del out[e]
-    return out
-
-
-def poly_scale(c, p):
-    c = Fraction(c)
-    if c == 0:
-        return {}
-    return {e: c * v for e, v in p.items()}
-
-
-def poly_mul(p, q):
-    out = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            s = out.get(e, Fraction(0)) + c1 * c2
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
-    return out
-
-
-def poly_diff(p, i):
-    out = {}
-    for e, c in p.items():
-        if e[i] == 0:
-            continue
-        f = list(e)
-        f[i] -= 1
-        out[tuple(f)] = c * e[i]
-    return out
-
-
-def poly_eval(p, x):
-    """Float evaluation at the point x."""
+def _float_eval(terms, x):
+    """Value of compiled terms at x, a list of floats.  Terms are summed
+    in order so that trajectory reports do not change in the last bit."""
     total = 0.0
-    for e, c in p.items():
-        term = float(c)
-        for xi, ei in zip(x, e):
-            if ei:
-                term *= float(xi) ** ei
-        total += term
+    for c, powers in terms:
+        for i, k in powers:
+            c *= x[i] ** k
+        total += c
     return total
-
-
-def poly_grad(p, n):
-    return [poly_diff(p, i) for i in range(n)]
-
-
-_MONO = re.compile(r"x(\d+)(?:\^(\d+))?$")
-
-
-def poly_parse(n, text):
-    """Parse '1/2 x1^2 + -1 x1 x2' into a sparse polynomial."""
-    out = {}
-    text = text.strip()
-    if not text:
-        return out
-    for chunk in text.split("+"):
-        parts = chunk.split()
-        if not parts:
-            raise BadPolynomial(f"empty term in {text!r}")
-        try:
-            coeff = Fraction(parts[0])
-            factors = parts[1:]
-        except ValueError:
-            coeff = Fraction(1)
-            factors = parts
-        e = [0] * n
-        for f in factors:
-            mm = _MONO.match(f)
-            if not mm:
-                raise BadPolynomial(f"bad factor {f!r}")
-            idx = int(mm.group(1)) - 1
-            if not 0 <= idx < n:
-                raise BadPolynomial(f"variable index out of range in {f!r}")
-            e[idx] += int(mm.group(2) or 1)
-        out = poly_add(out, {tuple(e): coeff})
-    return out
-
-
-def poly_to_text(p):
-    if not p:
-        return "0"
-    terms = []
-    for e, c in sorted(p.items()):
-        factors = [str(c)]
-        for i, ei in enumerate(e):
-            if ei == 1:
-                factors.append(f"x{i + 1}")
-            elif ei > 1:
-                factors.append(f"x{i + 1}^{ei}")
-        terms.append(" ".join(factors))
-    return " + ".join(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +91,10 @@ class Trajectory:
 
 
 class IHSystem:
-    """Constant linear Dirac structure + polynomial Hamiltonian."""
+    """Constant linear Dirac structure + polynomial Hamiltonian.
+
+    H is a SuperElement over base_gens(n), the generators x1..xn.
+    """
 
     def __init__(self, L, H, h=1e-3, tol=1e-9):
         if not isinstance(L, LinearDirac):
@@ -199,25 +103,28 @@ class IHSystem:
             L = LinearDirac(L.ambient_dim // 2, L)
         self.L = L            # exact, validated maximal isotropic
         self.n = L.n
-        self.H = {tuple(e): Fraction(c) for e, c in H.items()}
-        for e in self.H:
-            if len(e) != self.n:
-                raise BadPolynomial("Hamiltonian arity does not match n")
+        self.gens = base_gens(self.n)
+        if H.gens != self.gens:
+            raise BadPolynomial("Hamiltonian arity does not match n")
+        self.H = H
         self.h = h
         self.tol = tol
         basis = [list(map(float, row)) for row in L.subspace.basis]
         B = np.array(basis, dtype=float).reshape(len(basis), 2 * self.n)
         self.vec_part = B[:, :self.n]      # a-components of the L basis
         self.cov_part = B[:, self.n:]      # alpha-components
-        self.gradH = poly_grad(self.H, self.n)
+        self._H_terms = _float_terms(H)
+        self._dH_terms = [_float_terms(H.partial_even(v))
+                          for v in self.gens.even]
 
     # -- dynamics -------------------------------------------------------
 
     def dH(self, x):
-        return np.array([poly_eval(g, x) for g in self.gradH])
+        x = list(map(float, x))
+        return np.array([_float_eval(t, x) for t in self._dH_terms])
 
     def energy(self, x):
-        return poly_eval(self.H, x)
+        return _float_eval(self._H_terms, list(map(float, x)))
 
     def velocity_solve(self, x):
         """Least-norm xdot with (xdot, dH(x)) in L, plus gauge basis."""
@@ -284,30 +191,34 @@ class IHSystem:
         rows = [list(row)[self.n:] for row in self.L.subspace.basis]
         return ratlin.Subspace(self.n, rows)
 
+    def _covector_matrix(self):
+        """n x dim L matrix; column j is the covector part of basis row j."""
+        return [[row[self.n + i] for row in self.L.subspace.basis]
+                for i in range(self.n)]
+
+    def _vector_part(self, y):
+        """Vector part of the combination sum_j y_j (basis row j) of L."""
+        basis = self.L.subspace.basis
+        return [sum((yj * row[i] for yj, row in zip(y, basis)), Fraction(0))
+                for i in range(self.n)]
+
     def kernel_directions(self):
         """L cap V: exact basis of the gauge directions."""
-        rows = [list(row) for row in self.L.subspace.basis]
-        mt = [[rows[j][self.n + i] for j in range(len(rows))]
-              for i in range(self.n)]
-        combos = ratlin.kernel_basis(
-            [[mt[i][j] for j in range(len(rows))] for i in range(self.n)])
-        out = []
-        for y in combos.basis:
-            u = [sum((y[j] * rows[j][i] for j in range(len(rows))),
-                     Fraction(0)) for i in range(self.n)]
-            out.append(u)
-        return out
+        combos = ratlin.kernel_basis(self._covector_matrix())
+        return [self._vector_part(y) for y in combos.basis]
+
+    def _gradient_columns(self, f):
+        """(m, [coefficient of monomial m in df/dx_i]) over the sorted
+        monomials of df."""
+        grads = [f.partial_even(v).terms for v in self.gens.even]
+        for m in sorted({m for g in grads for m in g}):
+            yield m, [g.get(m, Fraction(0)) for g in grads]
 
     def is_admissible(self, f):
         """Exact coefficient-wise membership of df in pr_{V*}(L)."""
         W = self.covector_projection()
-        grads = poly_grad(f, self.n)
-        exps = sorted({e for g in grads for e in g})
-        for e in exps:
-            c = [g.get(e, Fraction(0)) for g in grads]
-            if not W.contains_vector(c):
-                return False
-        return True
+        return all(W.contains_vector(c)
+                   for _, c in self._gradient_columns(f))
 
     def hamiltonian_field(self, f):
         """A polynomial vector field X_f with (X_f, df) in L pointwise.
@@ -316,52 +227,32 @@ class IHSystem:
         bracket does not depend on it.  Raises NotAdmissible if df
         leaves the covector projection of L.
         """
-        rows = [list(row) for row in self.L.subspace.basis]
-        ncols = len(rows)
-        M = [[rows[j][self.n + i] for j in range(ncols)]
-             for i in range(self.n)]
-        grads = poly_grad(f, self.n)
-        exps = sorted({e for g in grads for e in g})
-        field = [poly_zero() for _ in range(self.n)]
-        for e in exps:
-            c = [g.get(e, Fraction(0)) for g in grads]
+        M = self._covector_matrix()
+        field = [{} for _ in range(self.n)]
+        for m, c in self._gradient_columns(f):
             status, y = ratlin.solve(M, c)
             if status != "SOLUTION":
                 raise NotAdmissible(
                     "differential leaves the covector projection")
-            u = [sum((y[j] * rows[j][i] for j in range(ncols)),
-                     Fraction(0)) for i in range(self.n)]
-            for i in range(self.n):
-                if u[i]:
-                    field[i] = poly_add(field[i], {e: u[i]})
-        return field
+            for i, ui in enumerate(self._vector_part(y)):
+                if ui:
+                    field[i][m] = ui
+        return [SuperElement(self.gens, t) for t in field]
 
     def admissible_bracket(self, f, g):
         """{f, g} = X_f(g), exact on rational polynomials."""
         if not self.is_admissible(g):
             raise NotAdmissible("second argument is not admissible")
         X = self.hamiltonian_field(f)
-        out = poly_zero()
-        for i in range(self.n):
-            out = poly_add(out, poly_mul(X[i], poly_diff(g, i)))
+        out = self.gens.zero()
+        for Xi, v in zip(X, self.gens.even):
+            out = out + Xi * g.partial_even(v)
         return out
 
 
 # ---------------------------------------------------------------------------
 # Stock structures and serialization
 # ---------------------------------------------------------------------------
-
-def graph_of_bivector(pi):
-    """L = {(pi @ eta, eta)} for an antisymmetric n x n matrix pi."""
-    n = len(pi)
-    rows = []
-    for j in range(n):
-        eta = [Fraction(0)] * n
-        eta[j] = Fraction(1)
-        vec = [Fraction(pi[i][j]) for i in range(n)]
-        rows.append(vec + eta)
-    return LinearDirac(n, ratlin.Subspace(2 * n, rows))
-
 
 def canonical_symplectic(d):
     """Canonical structure on (q_1..q_d, p_1..p_d) with
@@ -371,20 +262,27 @@ def canonical_symplectic(d):
     for i in range(d):
         pi[i][d + i] = Fraction(1)
         pi[d + i][i] = Fraction(-1)
-    return graph_of_bivector(pi)
+    return from_bivector(pi)
 
 
 def system_to_json(sys_):
     return {
         "n": sys_.n,
         "L": dirac_to_json(sys_.L),
-        "H": [[list(e), str(c)] for e, c in sorted(sys_.H.items())],
+        "H": [[list(e), str(c)] for (e, _), c in sorted(sys_.H.terms.items())],
         "h": sys_.h,
         "tol": sys_.tol,
     }
 
 
 def system_from_json(obj):
+    """Inverse of system_to_json.  H is a list of [exponents, coeff]; a
+    repeated exponent vector keeps its last coefficient."""
     L = dirac_from_json(obj["L"])
-    H = {tuple(e): Fraction(c) for e, c in obj["H"]}
+    terms = {}
+    for e, c in obj["H"]:
+        if len(e) != L.n or any(type(k) is not int or k < 0 for k in e):
+            raise BadPolynomial(f"bad exponent vector {e!r} for n = {L.n}")
+        terms[(tuple(e), ())] = Fraction(c)
+    H = SuperElement(base_gens(L.n), {m: c for m, c in terms.items() if c})
     return IHSystem(L, H, h=obj.get("h", 1e-3), tol=obj.get("tol", 1e-9))

@@ -455,21 +455,45 @@ def gerstenhaber_bracket(f, g):
 
 def structure_constants_from_json(data):
     """Load {"dim": n, "c": [[alpha, beta, gamma, value], ...]} into a
-    2-ary MultiMap, enforcing antisymmetry."""
+    2-ary MultiMap, enforcing antisymmetry.
+
+    Malformed input raises ValueError whose message starts with the JSON
+    path of the offending value ($.dim, $.c, $.c[i] or $.c[i][j]).
+    """
     if isinstance(data, str):
         data = json.loads(data)
-    dim = int(data["dim"])
+    if not isinstance(data, dict):
+        raise ValueError("$: expected an object with keys dim and c")
+    dim = data.get("dim")
+    if type(dim) is not int or dim < 0:
+        raise ValueError(f"$.dim: expected a non-negative integer, "
+                         f"got {dim!r}")
+    rows = data.get("c")
+    if not isinstance(rows, list):
+        raise ValueError(f"$.c: expected a list, got {rows!r}")
     entries = {}
-    for alpha, beta, gamma, value in data["c"]:
-        value = Fraction(value)
+    for r, row in enumerate(rows):
+        path = f"$.c[{r}]"
+        if not isinstance(row, list) or len(row) != 4:
+            raise ValueError(f"{path}: expected [alpha, beta, gamma, value]")
+        for j, idx in enumerate(row[:3]):
+            if type(idx) is not int or not 0 <= idx < dim:
+                raise ValueError(f"{path}[{j}]: expected an index in "
+                                 f"range({dim}), got {idx!r}")
+        alpha, beta, gamma, value = row
+        try:
+            value = Fraction(value)
+        except (TypeError, ValueError, ArithmeticError) as e:
+            raise ValueError(f"{path}[3]: {e}")
         if alpha == beta:
             if value != 0:
-                raise ValueError("nonzero diagonal structure constant")
+                raise ValueError(f"{path}: nonzero diagonal structure "
+                                 "constant")
             continue
         key = (min(alpha, beta), max(alpha, beta), gamma)
         signed = value if alpha < beta else -value
         if key in entries and entries[key] != signed:
-            raise ValueError(f"antisymmetry conflict at {key}")
+            raise ValueError(f"{path}: antisymmetry conflict at {key}")
         entries[key] = signed
     c = {}
     for (a, b, g), v in entries.items():
@@ -495,10 +519,6 @@ def structure_constants_to_json(mu):
 def base_gens(m):
     """Polynomial functions on the base: even generators x1..xm."""
     return GeneratorSet([f"x{i + 1}" for i in range(m)], [])
-
-
-def _poly_zero(gens):
-    return gens.zero()
 
 
 def _vf_commutator(gens, m, X, Y):
@@ -834,11 +854,6 @@ def cm_bracket(D1, D2):
     if r == -1:
         return MultiDerivation(gens, m, k, -1, frame)
     return MultiDerivation(gens, m, k, r, frame, symbol)
-
-
-def cm_differential(m_struct, D):
-    """delta_m D = [m_struct, D]."""
-    return cm_bracket(m_struct, D)
 
 
 def tensorial_of_symbol(D):

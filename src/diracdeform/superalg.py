@@ -4,19 +4,9 @@ Elements are sparse maps {(even_exponents, odd_index_tuple): Fraction}.
 Odd index tuples are kept strictly increasing; the Koszul sign of every
 reordering is absorbed into the coefficient at construction time, so
 equality is plain dict comparison.
-
-The monomial-merge inner loop lives in a small kernel; a compiled
-version is used when available, with a pure-Python fallback.
 """
 
 from fractions import Fraction
-
-try:
-    from ._mulkernel import merge_monomials
-    KERNEL = "compiled"
-except ImportError:  # pragma: no cover - depends on build environment
-    from ._kernel_py import merge_monomials
-    KERNEL = "pure"
 
 
 class GeneratorMismatch(Exception):
@@ -37,6 +27,41 @@ class NotHomogeneous(Exception):
 
 class ParseError(ValueError):
     pass
+
+
+def merge_monomials(e1, o1, e2, o2):
+    """Product of the monomials (e1, o1) and (e2, o2).
+
+    `e` is a tuple of even exponents, `o` a strictly increasing tuple of
+    odd indices.  Returns (even, odd, sign), where sign is the Koszul
+    sign of interleaving o1 and o2, or None when an odd index repeats
+    (odd square = 0).
+    """
+    even = tuple(a + b for a, b in zip(e1, e2))
+    if not o1:
+        return even, o2, 1
+    if not o2:
+        return even, o1, 1
+    # Count inversions: pairs (a in o1, b in o2) with a > b.  Each such
+    # pair contributes one transposition when sorting o1 ++ o2.
+    inversions = 0
+    merged = []
+    i = j = 0
+    n1, n2 = len(o1), len(o2)
+    while i < n1 and j < n2:
+        a, b = o1[i], o2[j]
+        if a == b:
+            return None
+        if a < b:
+            merged.append(a)
+            i += 1
+        else:
+            merged.append(b)
+            j += 1
+            inversions += n1 - i
+    merged.extend(o1[i:])
+    merged.extend(o2[j:])
+    return even, tuple(merged), (-1 if inversions & 1 else 1)
 
 
 class GeneratorSet:
@@ -331,10 +356,6 @@ def euler_weight(a, fiber_even, conjugate_odd):
 
 # -- text grammar -------------------------------------------------------
 
-def _fmt_frac(c):
-    return str(c)
-
-
 def to_text(a):
     """Print in the grammar `3/2 q1^2 p_1 a_1 a^2`; terms joined by ' + '.
 
@@ -346,7 +367,7 @@ def to_text(a):
     parts = []
     for (e, o) in sorted(a.terms):
         c = a.terms[(e, o)]
-        toks = [_fmt_frac(c)]
+        toks = [str(c)]
         for i, p in enumerate(e):
             if p == 1:
                 toks.append(a.gens.even[i])

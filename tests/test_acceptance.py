@@ -33,7 +33,7 @@ from diracdeform.multilinear import (
     nr_bracket,
     structure_constants_from_json,
 )
-from diracdeform.superalg import ConnectionData, phase_generators
+from diracdeform.superalg import ConnectionData, parse, phase_generators
 
 EPS3 = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1}
 
@@ -721,7 +721,7 @@ class TestNumericSuite:
 
     def test_harmonic_oscillator_drift(self):
         sys_ = ihs.IHSystem(ihs.canonical_symplectic(1),
-                            ihs.poly_parse(2, "1/2 x1^2 + 1/2 x2^2"))
+                            parse(base_gens(2), "1/2 x1^2 + 1/2 x2^2"))
         traj = sys_.integrate([1.0, 0.0], 1000, h=1e-3)
         assert traj.max_drift < 1e-6
 

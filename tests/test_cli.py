@@ -2,15 +2,23 @@
 determinism, and the CSV trajectory output."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from diracdeform import cli, courant, ihs
+from diracdeform.multilinear import base_gens
+from diracdeform.superalg import parse
 
 
 SO3 = {"dim": 3, "c": [[0, 1, 2, "1"], [1, 2, 0, "1"], [2, 0, 1, "1"]]}
 NONJACOBI = {"dim": 3, "c": [[0, 1, 2, "1"], [1, 2, 0, "1"],
                              [2, 0, 0, "1"]]}
+SUBPROCESS_ENV = dict(os.environ, PYTHONPATH=str(
+    Path(__file__).resolve().parents[1] / "src"))
 
 
 def write(tmp_path, name, obj):
@@ -195,7 +203,7 @@ class TestCourantCommands:
 class TestIhsRun:
     def osc_path(self, tmp_path):
         sys_ = ihs.IHSystem(ihs.canonical_symplectic(1),
-                            ihs.poly_parse(2, "1/2 x1^2 + 1/2 x2^2"))
+                            parse(base_gens(2), "1/2 x1^2 + 1/2 x2^2"))
         return write(tmp_path, "osc.json", ihs.system_to_json(sys_))
 
     def test_csv_output(self, tmp_path, capsys):
@@ -220,7 +228,7 @@ class TestIhsRun:
 
     def test_left_admissible_set(self, tmp_path, capsys):
         from diracdeform.dirac_linear import space_V
-        sys_ = ihs.IHSystem(space_V(2), ihs.poly_parse(2, "1 x1"))
+        sys_ = ihs.IHSystem(space_V(2), parse(base_gens(2), "1 x1"))
         path = write(tmp_path, "sys.json", ihs.system_to_json(sys_))
         code, out, _ = run(["ihs-run", "--system", path, "--x0", "0,0",
                             "--steps", "5"], capsys)
@@ -249,3 +257,34 @@ class TestTableFormat:
         _, tb, _ = run(["check-jacobi", path, "--format", "table"], capsys)
         rep = json.loads(js)
         assert f"report.dim = {rep['report']['dim']}" in tb
+
+
+@pytest.mark.parametrize("command, data, extra, path", [
+    ("check-jacobi", {"dim": 3, "c": "x"}, [], "$.c"),
+    ("ce-cohomology", {"dim": 3, "c": "x"}, [], "$.c"),
+    ("deform-lie", {"dim": 3, "c": "x"}, [], "$.c"),
+    ("ce-cohomology", {"dim": -1, "c": []}, [], "$.dim"),
+    ("ce-cohomology", {"dim": 3, "c": [[0, 1, 2]]}, [], "$.c[0]"),
+    ("ce-cohomology", {"dim": 3, "c": [[0, 1, 5, 1]]}, [], "$.c[0][2]"),
+    ("deform-lie", {"dim": 3, "c": [[0, -2, -1, 1]]}, [], "$.c[0][1]"),
+    ("check-jacobi", {"dim": 3, "c": [[0, 1, 2, "1/0"]]}, [], "$.c[0][3]"),
+    ("ce-cohomology", SO3, ["--degrees", "-1"], "--degrees"),
+    ("deform-lie", SO3, ["--order", "-3"], "--order"),
+])
+def test_input_errors_exit_2_naming_path(tmp_path, command, data, extra,
+                                        path):
+    p = subprocess.run(
+        [sys.executable, "-m", "diracdeform.cli", command,
+         write(tmp_path, "in.json", data)] + extra,
+        capture_output=True, text=True, env=SUBPROCESS_ENV)
+    assert p.returncode == 2
+    assert "Traceback" not in p.stderr
+    assert f"{path}:" in p.stderr
+
+
+def test_import_does_not_load_scipy():
+    p = subprocess.run(
+        [sys.executable, "-c", "import sys, diracdeform.cli; "
+         "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"],
+        capture_output=True, text=True, env=SUBPROCESS_ENV, check=True)
+    assert p.stdout.strip() == "False"

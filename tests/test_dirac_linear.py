@@ -326,6 +326,27 @@ class TestHyperbolic:
         with pytest.raises(dl.NotIsotropic):
             dl.hyperbolic_completion(G, Subspace(2, [[1, 0]]))
 
+    def test_extend_with_large_square_ratio(self):
+        c = 10**20 + 7
+        G = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(-c * c, 9)]]
+        ext = dl.extend_isotropic(G, Subspace(2, []))
+        assert ext.dim == 1
+        u = ext.basis[0]
+        assert dl._form_value(G, u, u) == 0
+
+    @pytest.mark.parametrize("q, root", [
+        (Fraction((10**20 + 7) ** 2, 9), Fraction(10**20 + 7, 3)),
+        (Fraction(10**400), Fraction(10**200)),
+        (Fraction(0), Fraction(0)),
+        (Fraction(4, 9), Fraction(2, 3)),
+        (Fraction(2), None),
+        (Fraction(4, 3), None),
+        (Fraction(10**400 + 1), None),
+        (Fraction(-4), None),
+    ])
+    def test_rational_sqrt(self, q, root):
+        assert dl._rational_sqrt(q) == root
+
 
 class TestGauge:
     def test_zero_gauge(self):

@@ -9,12 +9,18 @@ import numpy as np
 import pytest
 
 from diracdeform import ihs, ratlin
-from diracdeform.dirac_linear import LinearDirac, space_V
+from diracdeform.dirac_linear import LinearDirac, from_bivector, space_V
+from diracdeform.multilinear import base_gens
+from diracdeform.superalg import SuperElement, parse
+
+
+def poly(n, text):
+    return parse(base_gens(n), text)
 
 
 def oscillator():
     L = ihs.canonical_symplectic(1)
-    H = ihs.poly_parse(2, "1/2 x1^2 + 1/2 x2^2")
+    H = poly(2, "1/2 x1^2 + 1/2 x2^2")
     return ihs.IHSystem(L, H)
 
 
@@ -27,35 +33,35 @@ def kernel_structure():
 
 
 def rand_poly(rng, n, degree=2):
-    out = ihs.poly_zero()
+    gens = base_gens(n)
+    out = gens.zero()
     for _ in range(4):
         e = [0] * n
         for _ in range(rng.randint(0, degree)):
             e[rng.randrange(n)] += 1
-        out = ihs.poly_add(out, {tuple(e): Fraction(rng.randint(-3, 3))})
+        mono = SuperElement(gens, {(tuple(e), ()): Fraction(1)})
+        out = out + rng.randint(-3, 3) * mono
     return out
 
 
-class TestPoly:
-    def test_parse_round_trip(self):
-        p = ihs.poly_parse(3, "1/2 x1^2 + -3 x2 x3 + 5")
-        assert ihs.poly_parse(3, ihs.poly_to_text(p)) == p
+def exact_value(p, x):
+    total = Fraction(0)
+    for (e, _), c in p.terms.items():
+        for xi, k in zip(x, e):
+            c *= xi ** k
+        total += c
+    return total
 
-    def test_diff_and_mul(self):
-        p = ihs.poly_parse(2, "1 x1^2 x2")
-        assert ihs.poly_diff(p, 0) == ihs.poly_parse(2, "2 x1 x2")
-        q = ihs.poly_parse(2, "1 x2")
-        assert ihs.poly_mul(p, q) == ihs.poly_parse(2, "1 x1^2 x2^2")
 
-    def test_eval(self):
-        p = ihs.poly_parse(2, "1/2 x1^2 + 1 x2")
-        assert ihs.poly_eval(p, [2.0, 3.0]) == pytest.approx(5.0)
-
-    def test_bad_input(self):
-        with pytest.raises(ihs.BadPolynomial):
-            ihs.poly_parse(2, "1 x3")
-        with pytest.raises(ihs.BadPolynomial):
-            ihs.poly_parse(2, "1 y1")
+def test_float_evaluation_matches_exact():
+    H = poly(3, "1/3 x1^3 x2 + -5/7 x2^2 x3 + 2 x3 + -9/4")
+    sys_ = ihs.IHSystem(space_V(3), H)
+    x = [Fraction(3, 2), Fraction(-2, 3), Fraction(5, 4)]
+    xf = np.array([float(v) for v in x])
+    assert sys_.energy(xf) == pytest.approx(float(exact_value(H, x)),
+                                           rel=1e-14)
+    grad = [float(exact_value(H.partial_even(v), x)) for v in sys_.gens.even]
+    assert np.allclose(sys_.dH(xf), grad, rtol=1e-14, atol=0)
 
 
 class TestVelocitySolve:
@@ -71,7 +77,7 @@ class TestVelocitySolve:
         # L = V: the constraint is dH = 0, so only critical points are
         # admissible, with fully undetermined velocity
         L = space_V(2)
-        H = ihs.poly_parse(2, "1/2 x1^2 + 1/2 x2^2")
+        H = poly(2, "1/2 x1^2 + 1/2 x2^2")
         sys_ = ihs.IHSystem(L, H)
         assert sys_.velocity_solve([1.0, 0.0]).status == "INADMISSIBLE"
         r = sys_.velocity_solve([0.0, 0.0])
@@ -82,7 +88,7 @@ class TestVelocitySolve:
     def test_one_constraint_rank_count(self):
         rows = [[1, 0, 0, 0], [0, 0, 0, 1]]   # span{(e1, 0), (0, e2*)}
         L = LinearDirac(2, ratlin.Subspace(4, ratlin.mat(rows)))
-        H = ihs.poly_parse(2, "1/2 x2^2")
+        H = poly(2, "1/2 x2^2")
         sys_ = ihs.IHSystem(L, H)
         r = sys_.velocity_solve([3.0, 4.0])
         assert r.status == "OK"
@@ -91,14 +97,14 @@ class TestVelocitySolve:
         assert len(r.gauge) == 1
         assert abs(r.gauge[0][1]) < 1e-12
         # H depending on the constrained direction is inadmissible
-        bad = ihs.IHSystem(L, ihs.poly_parse(2, "1 x1"))
+        bad = ihs.IHSystem(L, poly(2, "1 x1"))
         assert bad.velocity_solve([0.0, 0.0]).status == "INADMISSIBLE"
 
     def test_energy_derivative_zero_at_solve_points(self):
         rng = random.Random(3)
         sys_ = oscillator()
         ker = ihs.IHSystem(kernel_structure(),
-                           ihs.poly_parse(3, "1/2 x1^2 + 1/2 x2^2"))
+                           poly(3, "1/2 x1^2 + 1/2 x2^2"))
         for _ in range(25):
             x = [rng.uniform(-2, 2) for _ in range(2)]
             assert abs(sys_.energy_derivative(x)) < 1e-12
@@ -119,7 +125,7 @@ class TestIntegrate:
 
     def test_constant_hamiltonian_is_stationary(self):
         sys_ = ihs.IHSystem(ihs.canonical_symplectic(1),
-                            ihs.poly_const(2, Fraction(7, 2)))
+                            poly(2, "7/2"))
         traj = sys_.integrate([1.0, 2.0], 50)
         assert np.allclose(traj.points[-1], [1.0, 2.0])
         assert traj.max_drift == 0.0
@@ -128,8 +134,8 @@ class TestIntegrate:
         # canonical on (x1, x3) = (q1, p1); (x2, x4) frozen
         pi = [[0, 0, 1, 0], [0, 0, 0, 0],
               [-1, 0, 0, 0], [0, 0, 0, 0]]
-        L = ihs.graph_of_bivector(ratlin.mat(pi))
-        H = ihs.poly_parse(4, "1/2 x1^2 + 1/2 x2^2 + 1/2 x3^2")
+        L = from_bivector(ratlin.mat(pi))
+        H = poly(4, "1/2 x1^2 + 1/2 x2^2 + 1/2 x3^2")
         sys_ = ihs.IHSystem(L, H)
         traj = sys_.integrate([1.0, 0.5, 0.0, 0.25], 1000, h=1e-3)
         assert traj.max_drift < 1e-6
@@ -142,7 +148,7 @@ class TestIntegrate:
 
     def test_left_admissible_set(self):
         L = space_V(2)
-        H = ihs.poly_parse(2, "1/2 x1^2")
+        H = poly(2, "1/2 x1^2")
         sys_ = ihs.IHSystem(L, H)
         with pytest.raises(ihs.LeftAdmissibleSet):
             sys_.integrate([1.0, 0.0], 10)
@@ -154,35 +160,34 @@ class TestAdmissibleBracket:
         # the classical one: {q, p} = 1
         d = 1
         pi = [[0, -1], [1, 0]]
-        L = ihs.graph_of_bivector(ratlin.mat(pi))
-        sys_ = ihs.IHSystem(L, ihs.poly_zero())
-        q = ihs.poly_var(2, 0)
-        p = ihs.poly_var(2, 1)
-        assert sys_.admissible_bracket(q, p) == ihs.poly_const(2, 1)
-        assert sys_.admissible_bracket(p, q) == ihs.poly_const(2, -1)
+        L = from_bivector(ratlin.mat(pi))
+        sys_ = ihs.IHSystem(L, poly(2, "0"))
+        q = sys_.gens.gen("x1")
+        p = sys_.gens.gen("x2")
+        assert sys_.admissible_bracket(q, p) == 1
+        assert sys_.admissible_bracket(p, q) == -1
 
     def test_antisymmetry_on_diagonal(self):
         rng = random.Random(5)
         sys_ = oscillator()
         for _ in range(10):
             f = rand_poly(rng, 2)
-            assert sys_.admissible_bracket(f, f) == ihs.poly_zero()
+            assert sys_.admissible_bracket(f, f).is_zero()
 
     def test_leibniz(self):
         rng = random.Random(6)
         sys_ = oscillator()
         for _ in range(10):
             f, g, h = (rand_poly(rng, 2) for _ in range(3))
-            lhs = sys_.admissible_bracket(ihs.poly_mul(f, g), h)
-            rhs = ihs.poly_add(
-                ihs.poly_mul(g, sys_.admissible_bracket(f, h)),
-                ihs.poly_mul(f, sys_.admissible_bracket(g, h)))
+            lhs = sys_.admissible_bracket(f * g, h)
+            rhs = (g * sys_.admissible_bracket(f, h)
+                   + f * sys_.admissible_bracket(g, h))
             assert lhs == rhs
 
     def test_jacobi_constant_L(self):
         rng = random.Random(7)
         for sys_ in (oscillator(),
-                     ihs.IHSystem(kernel_structure(), ihs.poly_zero())):
+                     ihs.IHSystem(kernel_structure(), poly(3, "0"))):
             n = sys_.n
             for _ in range(8):
                 polys = []
@@ -192,15 +197,13 @@ class TestAdmissibleBracket:
                         polys.append(cand)
                 f, g, h = polys
                 br = sys_.admissible_bracket
-                jac = ihs.poly_add(
-                    ihs.poly_add(br(f, br(g, h)), br(g, br(h, f))),
-                    br(h, br(f, g)))
-                assert jac == ihs.poly_zero()
+                jac = br(f, br(g, h)) + br(g, br(h, f)) + br(h, br(f, g))
+                assert jac.is_zero()
 
     def test_kernel_structure_admissibility(self):
-        sys_ = ihs.IHSystem(kernel_structure(), ihs.poly_zero())
-        x1 = ihs.poly_var(3, 0)
-        x3 = ihs.poly_var(3, 2)
+        sys_ = ihs.IHSystem(kernel_structure(), poly(3, "0"))
+        x1 = sys_.gens.gen("x1")
+        x3 = sys_.gens.gen("x3")
         assert sys_.is_admissible(x1)
         assert not sys_.is_admissible(x3)
         with pytest.raises(ihs.NotAdmissible):
@@ -212,16 +215,15 @@ class TestAdmissibleBracket:
         # admissible functions are those constant along the kernel;
         # their bracket is the canonical bracket of the (x1, x2) plane
         rng = random.Random(8)
-        sys_ = ihs.IHSystem(kernel_structure(), ihs.poly_zero())
+        sys_ = ihs.IHSystem(kernel_structure(), poly(3, "0"))
 
         def lift(p2):
-            return {e + (0,): c for e, c in p2.items()}
+            return SuperElement(sys_.gens, {(e + (0,), o): c
+                                            for (e, o), c in p2.terms.items()})
 
         def oracle(f2, g2):
-            return ihs.poly_add(
-                ihs.poly_mul(ihs.poly_diff(f2, 0), ihs.poly_diff(g2, 1)),
-                ihs.poly_scale(-1, ihs.poly_mul(ihs.poly_diff(f2, 1),
-                                                ihs.poly_diff(g2, 0))))
+            return (f2.partial_even("x1") * g2.partial_even("x2")
+                    - f2.partial_even("x2") * g2.partial_even("x1"))
 
         for _ in range(10):
             f2, g2 = rand_poly(rng, 2), rand_poly(rng, 2)
@@ -230,24 +232,23 @@ class TestAdmissibleBracket:
 
     def test_bracket_independent_of_field_choice(self):
         rng = random.Random(9)
-        sys_ = ihs.IHSystem(kernel_structure(), ihs.poly_zero())
+        sys_ = ihs.IHSystem(kernel_structure(), poly(3, "0"))
         kers = sys_.kernel_directions()
         assert kers == [[Fraction(0), Fraction(0), Fraction(1)]]
-        f = ihs.poly_parse(3, "1 x1 x2")
-        g = ihs.poly_parse(3, "1 x2^2")
+        f = poly(3, "1 x1 x2")
+        g = poly(3, "1 x2^2")
         X = sys_.hamiltonian_field(f)
         base = sys_.admissible_bracket(f, g)
         # shift X_f by a kernel direction times any polynomial factor
         shift = rand_poly(rng, 3)
-        Xp = [ihs.poly_add(X[i], ihs.poly_scale(kers[0][i], shift))
-              for i in range(3)]
-        alt = ihs.poly_zero()
-        for i in range(3):
-            alt = ihs.poly_add(alt, ihs.poly_mul(Xp[i], ihs.poly_diff(g, i)))
+        Xp = [X[i] + shift * kers[0][i] for i in range(3)]
+        alt = sys_.gens.zero()
+        for Xi, v in zip(Xp, sys_.gens.even):
+            alt = alt + Xi * g.partial_even(v)
         assert alt == base
 
     def test_covector_projection(self):
-        sys_ = ihs.IHSystem(kernel_structure(), ihs.poly_zero())
+        sys_ = ihs.IHSystem(kernel_structure(), poly(3, "0"))
         W = sys_.covector_projection()
         assert W.dim == 2
         assert W.contains_vector([Fraction(1), Fraction(0), Fraction(0)])
@@ -265,3 +266,12 @@ class TestSerialization:
         assert back.L.subspace == sys_.L.subspace
         r = back.velocity_solve([1.0, 2.0])
         assert np.allclose(r.xdot, [2.0, -1.0])
+
+    def test_hamiltonian_terms(self):
+        obj = ihs.system_to_json(oscillator())
+        obj["H"] = [[[2, 0], "1"], [[0, 1], "0"], [[2, 0], "1/2"]]
+        assert ihs.system_from_json(obj).H == poly(2, "1/2 x1^2")
+        for bad in ([1, 0, 0], [-1, 2], [1.5, 0]):
+            obj["H"] = [[bad, "1"]]
+            with pytest.raises(ihs.BadPolynomial):
+                ihs.system_from_json(obj)

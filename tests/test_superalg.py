@@ -312,21 +312,11 @@ class TestConnectionData:
             ConnectionData(G, 2, 2, {(0, 0, 0): g("p_1")})
 
 
-def test_kernel_flag():
-    assert superalg.KERNEL in ("compiled", "pure")
-
-
-def test_kernels_agree():
-    from diracdeform import _kernel_py
-    try:
-        from diracdeform import _mulkernel
-    except ImportError:
-        pytest.skip("compiled kernel not built")
-    cases = [
-        ((1, 0), (0, 2), (0, 1), (1, 3)),
-        ((0, 0), (2, 0, 1), (0, 0), (3,)),
-        ((1, 1), (0,), (1, 1), (0,)),
-        ((0, 0), (), (0, 0), (1, 2)),
-    ]
-    for args in cases:
-        assert _kernel_py.merge_monomials(*args) == _mulkernel.merge_monomials(*args)
+@pytest.mark.parametrize("args, expected", [
+    (((1, 0), (0, 2), (0, 1), (1, 3)), ((1, 1), (0, 1, 2, 3), -1)),
+    (((0, 0), (2, 0, 1), (0, 0), (3,)), ((0, 0), (2, 0, 1, 3), 1)),
+    (((1, 1), (0,), (1, 1), (0,)), None),
+    (((0, 0), (), (0, 0), (1, 2)), ((0, 0), (1, 2), 1)),
+], ids=["interleave", "left-run", "odd-square", "empty-left"])
+def test_merge_monomials(args, expected):
+    assert superalg.merge_monomials(*args) == expected
