@@ -55,12 +55,23 @@ def _hash_params(*parts):
 
 
 def _require(obj, path, key, types):
+    if not isinstance(obj, dict):
+        raise SchemaError(path, "expected a JSON object, got "
+                          f"{type(obj).__name__}")
     if key not in obj:
         raise SchemaError(f"{path}.{key}", "missing required field")
     if not isinstance(obj[key], types):
         raise SchemaError(f"{path}.{key}",
                           f"expected {types}, got {type(obj[key]).__name__}")
     return obj[key]
+
+
+def _require_counts(*options):
+    """Reject negative counts; each option is a pair (name, value), and a
+    value of None means the option was not given."""
+    for name, value in options:
+        if value is not None and value < 0:
+            raise SchemaError(name, "must be non-negative")
 
 
 def _render_table(obj, prefix=""):
@@ -132,8 +143,7 @@ def cmd_check_jacobi(args):
 
 
 def cmd_ce_cohomology(args):
-    if min(args.degrees) < 0:
-        raise SchemaError("--degrees", "degrees must be non-negative")
+    _require_counts(("--degrees", min(args.degrees)))
     mu, digest = _load_structure(args)
     if not is_lie(mu):
         body = {"error": "structure constants do not satisfy Jacobi"}
@@ -149,8 +159,7 @@ def cmd_ce_cohomology(args):
 
 
 def cmd_deform_lie(args):
-    if args.order < 0:
-        raise SchemaError("--order", "order must be non-negative")
+    _require_counts(("--order", args.order))
     mu, digest = _load_structure(args)
     if not is_lie(mu):
         body = {"error": "order-0 structure is not a Lie bracket"}
@@ -204,6 +213,8 @@ def cmd_dirac_linear(args):
 
 
 def cmd_courant_verify(args):
+    _require_counts(("--degree", args.degree),
+                    ("--section-limit", args.section_limit))
     data, digest = _load_json(args.input)
     try:
         inp = courant.CourantInput.from_json(data)
@@ -237,6 +248,8 @@ def cmd_theta_master(args):
 
 
 def cmd_deform_dirac(args):
+    _require_counts(("--order", args.order),
+                    ("--degree-cap", args.degree_cap))
     data, digest = _load_json(args.input)
     cdata = _require(data, args.input, "courant", dict)
     try:
@@ -280,6 +293,7 @@ def _random_connection(rng, gens, m, k, degree=2):
 
 
 def cmd_rothstein_check(args):
+    _require_counts(("--m", args.m), ("--k", args.k))
     rng = random.Random(args.seed)
     gens = phase_generators(args.m, args.k)
     conn = _random_connection(rng, gens, args.m, args.k)
@@ -315,6 +329,7 @@ def cmd_rothstein_check(args):
 
 
 def cmd_ihs_run(args):
+    _require_counts(("--steps", args.steps))
     data, digest = _load_json(args.system)
     try:
         sys_ = ihs.system_from_json(data)

@@ -3,8 +3,11 @@
 The even super-Poisson bracket from `brackets` carries everything: the
 charge Theta = phi + mu + gamma + psi encodes anchor and structure
 functions, its master equation {Theta, Theta} = 0 encodes the axioms,
-and the graph deformation equation together with its order-by-order
-obstruction theory is expressed through derived brackets.
+and the graph deformation equation is expressed through derived
+brackets.  Its order-by-order solve is `lie_deform.mc_extend`, the loop
+shared with the Lie and linear-Poisson engines, over d = d_L on a
+q-polynomial basis of 2-forms; each order yields one
+`lie_deform.ObstructionCertificate`.
 
 Conventions.  Base coordinates q1..qm, frame sections of the two
 half-rank summands written as the lower odd generators a_1..a_k and the
@@ -14,11 +17,11 @@ JSON are 0-based.
 """
 
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 
 from .brackets import BracketContext, master_residuals
-from .lie_deform import FormalSeries, PreconditionMC
-from . import ratlin
+from .lie_deform import Differential, FormalSeries, mc_extend
 from .superalg import (
     ConnectionData,
     NotHomogeneous,
@@ -630,28 +633,6 @@ def quasi_lemma_check(inp, raise_on_fail=False):
 # Graph deformation: order-by-order solver
 # ---------------------------------------------------------------------------
 
-class DiracObstruction:
-    """Per-order verdict of the graph deformation solve.
-
-    Exactly one of `solution` and `witness` is set; `status` is
-    "EXTENDS", "OBSTRUCTED" (constant case, certified H^3 class) or
-    "NO_SOLUTION_UP_TO_DEGREE" (polynomial case, degree-capped solve).
-    """
-
-    def __init__(self, order, cocycle, status, solution=None, witness=None):
-        if (solution is None) == (witness is None):
-            raise ValueError("exactly one of solution/witness required")
-        self.order = order
-        self.cocycle = cocycle
-        self.status = status
-        self.solution = solution
-        self.witness = witness
-
-    @property
-    def extends(self):
-        return self.solution is not None
-
-
 def _two_form_basis(th, degree_cap):
     """Basis 2-forms q^e a^alpha a^beta with |e| <= degree_cap."""
     k = th.input.k
@@ -662,92 +643,32 @@ def _two_form_basis(th, degree_cap):
     return out
 
 
-def _se_coords(elements):
-    """Common coordinates of SuperElements on the union of their keys."""
-    keys = sorted({kk for el in elements for kk in el.terms})
-    index = {kk: i for i, kk in enumerate(keys)}
-    vecs = []
-    for el in elements:
-        v = [Fraction(0)] * len(keys)
-        for kk, cval in el.terms.items():
-            v[index[kk]] = cval
-        vecs.append(v)
-    return keys, vecs
-
-
-def deform_extend_dirac(inp_or_theta, prefix, degree_cap=2):
-    """Solve the next order of the graph deformation equation.
-
-    prefix = [omega_1, ..., omega_N] (2-forms, order = position + 1),
-    already satisfying the deformation equation through order N; raises
-    PreconditionMC otherwise.  Returns a DiracObstruction for order
-    N + 1: the closedness of the right-hand side is asserted, and the
-    solve for omega_{N+1} runs over q-polynomial 2-forms of degree
-    <= degree_cap (exact and certified when m = 0).
-    """
-    th = inp_or_theta if isinstance(inp_or_theta, ThetaStructure) \
-        else build_theta(inp_or_theta)
-    coeffs = [th.zero()] + list(prefix)
-    N = len(prefix)
-    for n in range(1, N + 1):
-        if not mc_residual_one(th, coeffs, n).is_zero():
-            raise PreconditionMC(f"deformation equation fails at order {n}")
-    br = th.ctx.bracket
-    half = Fraction(1, 2)
-    sixth = Fraction(1, 6)
-
-    def om(i):
-        return coeffs[i] if 0 <= i < len(coeffs) else th.zero()
-
-    n = N + 1
-    R = th.zero()
-    for i in range(1, n):
-        R = R - half * br(br(om(i), th.gamma), om(n - i))
-    for i in range(1, n - 1):
-        for j in range(1, n - i):
-            kk = n - i - j
-            if kk >= 1:
-                R = R - sixth * psi_triple(th, om(i), om(j), om(kk))
-    closed = d_L(th, R)
-    if not closed.is_zero():
-        raise AxiomViolation("right-hand side is not closed; "
-                             "the input charge is not square-zero")
-
-    basis = _two_form_basis(th, degree_cap)
-    images = [d_L(th, b) for b in basis]
-    keys, vecs = _se_coords(images + [R])
-    M = [[vecs[j][i] for j in range(len(basis))] for i in range(len(keys))]
-    b = vecs[-1]
-    status, x = ratlin.solve(M, b)
-    if status == "SOLUTION":
-        sol = th.zero()
-        for cval, bel in zip(x, basis):
-            if cval:
-                sol = sol + cval * bel
-        assert d_L(th, sol) == R
-        return DiracObstruction(n, R, "EXTENDS", solution=sol)
-    verdict = "OBSTRUCTED" if th.input.m == 0 else \
-        "NO_SOLUTION_UP_TO_DEGREE"
-    return DiracObstruction(n, R, verdict, witness=x)
-
-
 def deform_series_dirac(inp_or_theta, prefix, order, degree_cap=2):
     """Extend a deformation prefix order by order up to `order`.
 
+    prefix = [omega_1, ..., omega_N] (2-forms, order = position + 1) must
+    satisfy the deformation equation through order N; PreconditionMC is
+    raised otherwise.  Order n solves d_L omega_n = R_n, with
+    R_n = -mc_residual_one(th, [0, omega_1, ..., omega_{n-1}], n), over
+    q-polynomial 2-forms of degree <= degree_cap: the basis spans every
+    2-form, and a failed solve certifies an obstruction, only when m = 0.
     Returns (coefficients, certificates); stops at the first
     non-extendable order.
     """
     th = inp_or_theta if isinstance(inp_or_theta, ThetaStructure) \
         else build_theta(inp_or_theta)
-    coeffs = list(prefix)
-    certs = []
-    while len(coeffs) < order:
-        cert = deform_extend_dirac(th, coeffs, degree_cap=degree_cap)
-        certs.append(cert)
-        if not cert.extends:
-            break
-        coeffs.append(cert.solution)
-    return coeffs, certs
+    d = Differential(partial(d_L, th), _two_form_basis(th, degree_cap),
+                     th.zero(), spans=th.input.m == 0)
+    coeffs, certs = mc_extend(
+        d, lambda coeffs, n: -mc_residual_one(th, coeffs, n),
+        [th.zero()] + list(prefix), order, AxiomViolation)
+    return coeffs[1:], certs
+
+
+def deform_extend_dirac(inp_or_theta, prefix, degree_cap=2):
+    """The certificate of order len(prefix) + 1 (see deform_series_dirac)."""
+    return deform_series_dirac(inp_or_theta, prefix, len(prefix) + 1,
+                               degree_cap=degree_cap)[1][-1]
 
 
 # ---------------------------------------------------------------------------

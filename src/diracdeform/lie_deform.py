@@ -1,32 +1,34 @@
-"""Order-by-order formal deformation engine for Lie algebra structures
-and their linear-Poisson mirror.
+"""Order-by-order formal deformation engine: one Maurer-Cartan extension
+loop shared by Lie brackets, linear Poisson structures and Dirac graphs.
 
-A deformation mu_t = mu_0 + t mu_1 + ... of a Lie bracket satisfies the
-Jacobi identity iff its Nijenhuis-Richardson square vanishes; order by
-order this reads
+A deformation x_t = x_0 + t x_1 + ... solves a Maurer-Cartan equation
+whose order-n part reads
 
-    delta mu_k = 1/2 sum_{i=1}^{k-1} [mu_i, mu_{k-i}]_NR  =: R_k
+    d x_n = R_n(x_1, ..., x_{n-1})
 
-with delta the Chevalley-Eilenberg differential of mu_0.  R_k is always
-delta-closed; extending the series one order amounts to an exact linear
-solve, and a failure produces a certified nonzero class in H^3.
+with d the differential of the order-0 structure.  For a Lie bracket mu_t
+this is delta mu_n = 1/2 sum_{i=1}^{n-1} [mu_i, mu_{n-i}]_NR with delta
+the Chevalley-Eilenberg differential of mu_0; `linear_poisson_deform`
+and `courant.deform_series_dirac` supply the Schouten and
+Liu-Weinstein-Xu versions.  `mc_extend` is the one loop: given a
+`Differential` (d on a finite basis of its domain) and R_n, it solves
+each order exactly or certifies that R_n is not exact.  Every order
+yields one `ObstructionCertificate`, which `verify()` re-checks from
+scratch.
 """
 
 import itertools
 from fractions import Fraction
+from functools import partial
 
 from . import ratlin
 from .multilinear import (
     MultiMap,
-    _cochain_basis,
-    _delta_matrix,
-    _from_vector,
-    _to_vector,
+    _ce_differential,
+    _unit_cochains,
     _zvec,
-    ce_differential,
     cohomology,
     is_lie,
-    iso_I,
     multivector_generators,
     nr_bracket,
 )
@@ -160,6 +162,132 @@ def series_logarithm(a, mul, unit):
 
 
 # ---------------------------------------------------------------------------
+# Maurer-Cartan extension: one loop, one certificate
+# ---------------------------------------------------------------------------
+
+def _linear_system(images, R):
+    """Matrix of the images (columns) and the vector of R, on the sorted
+    coordinate keys that occur in any of them.  Elements expose their
+    nonzero coordinates as the dict `terms`."""
+    r = R.terms
+    rows = sorted({key for img in images for key in img} | set(r))
+    M = [[img.get(key, 0) for img in images] for key in rows]
+    return M, [r.get(key, 0) for key in rows]
+
+
+class Differential:
+    """A linear operator d given on a finite basis of its domain.
+
+    `spans` says whether the basis spans the whole domain: only then does
+    a failed solve certify an obstruction rather than the absence of a
+    solution inside the span.  The basis images are computed once, here.
+    """
+
+    __slots__ = ("op", "basis", "zero", "spans", "images")
+
+    def __init__(self, op, basis, zero, spans):
+        self.op = op
+        self.basis = basis
+        self.zero = zero
+        self.spans = spans
+        self.images = [op(b).terms for b in basis]
+
+    def solve(self, order, R):
+        """Certificate of d x = R: a solution over the basis, or a
+        witness y with y^T d = 0 and y^T R != 0."""
+        M, b = _linear_system(self.images, R)
+        status, v = ratlin.solve(M, b)
+        if status != "SOLUTION":
+            return ObstructionCertificate(self, order, R, witness=v)
+        x = self.zero
+        for coeff, elt in zip(v, self.basis):
+            if coeff:
+                x = x + coeff * elt
+        return ObstructionCertificate(self, order, R, solution=x)
+
+
+class ObstructionCertificate:
+    """Outcome of one extension order: the closed right-hand side R_n
+    (`cocycle`) together with either a solution x_n of d x_n = R_n or an
+    inconsistency witness proving that no x_n in the span of the basis of
+    d solves it.
+
+    `status` is "EXTENDS", "OBSTRUCTED" (the basis spans the domain, so
+    R_n is a certified nonzero cohomology class) or
+    "NO_SOLUTION_UP_TO_DEGREE" (the basis is a truncated one).
+    """
+
+    def __init__(self, differential, order, cocycle, solution=None,
+                 witness=None):
+        if (solution is None) == (witness is None):
+            raise ValueError("exactly one of solution/witness required")
+        self.differential = differential
+        self.order = order
+        self.cocycle = cocycle
+        self.solution = solution
+        self.witness = witness
+
+    @property
+    def extends(self):
+        return self.solution is not None
+
+    @property
+    def status(self):
+        if self.extends:
+            return "EXTENDS"
+        return "OBSTRUCTED" if self.differential.spans \
+            else "NO_SOLUTION_UP_TO_DEGREE"
+
+    def verify(self):
+        """Re-check the stored evidence from scratch: d R = 0, and
+        d x = R for a solution, or y^T d = 0 and y^T R != 0 for a
+        witness y on freshly computed basis images."""
+        op = self.differential.op
+        if not op(self.cocycle).is_zero():
+            return False
+        if self.solution is not None:
+            return (op(self.solution) - self.cocycle).is_zero()
+        images = [op(b).terms for b in self.differential.basis]
+        M, r = _linear_system(images, self.cocycle)
+        y = self.witness
+        if len(y) != len(M):
+            return False
+        return (all(sum(a * m for a, m in zip(y, col)) == 0
+                    for col in zip(*M))
+                and sum(a * b for a, b in zip(y, r)) != 0)
+
+
+def mc_extend(d, rhs, prefix, order, not_closed):
+    """Extend the coefficients x_0..x_{N-1} in `prefix` order by order up
+    to the truncation `order`.
+
+    At order n the equation is d x_n = rhs(coeffs[:n], n).  The prefix
+    is checked once, on entry (PreconditionMC); a right-hand side that is
+    not d-closed means the order-0 structure is broken and raises
+    `not_closed`.  Returns (coefficients, certificates) and stops at the
+    first order that does not extend.
+    """
+    for j in range(1, len(prefix)):
+        if not (d.op(prefix[j]) - rhs(prefix[:j], j)).is_zero():
+            raise PreconditionMC(f"deformation equation fails at order {j}")
+    coeffs = list(prefix)
+    certs = []
+    while len(coeffs) <= order:
+        n = len(coeffs)
+        R = rhs(coeffs, n)
+        if not d.op(R).is_zero():
+            raise not_closed(f"right-hand side of order {n} is not "
+                             "closed; the order-0 structure is not "
+                             "square-zero")
+        cert = d.solve(n, R)
+        certs.append(cert)
+        if not cert.extends:
+            break
+        coeffs.append(cert.solution)
+    return coeffs, certs
+
+
+# ---------------------------------------------------------------------------
 # linear-map series helpers (arity-1 MultiMaps)
 # ---------------------------------------------------------------------------
 
@@ -240,7 +368,7 @@ def _pre_compose2(f, phi_a, phi_b):
 
 
 # ---------------------------------------------------------------------------
-# Maurer-Cartan machinery
+# Lie brackets (Nijenhuis-Richardson bracket)
 # ---------------------------------------------------------------------------
 
 def mc_residual_lie(mu_series):
@@ -260,77 +388,27 @@ def mc_residual_lie(mu_series):
     return FormalSeries(n, out, MultiMap.zero(3, dim))
 
 
-class ObstructionCertificate:
-    """Outcome of one extension order: the closed cocycle R_k together
-    with either a solution mu_k of delta mu_k = R_k or an inconsistency
-    witness proving R_k is not exact."""
+def _lie_differential(mu0, k):
+    """CE differential of mu0 on the unit k-cochains, Jacobi checked once."""
+    if not is_lie(mu0):
+        raise Order0NotLie("order-0 term violates the Jacobi identity")
+    return Differential(partial(_ce_differential, mu0),
+                        _unit_cochains(k, mu0.dim),
+                        MultiMap.zero(k, mu0.dim), spans=True)
 
-    def __init__(self, order, cocycle, closedness, solution=None,
-                 witness=None):
-        if (solution is None) == (witness is None):
-            raise ValueError("exactly one of solution/witness required")
-        self.order = order
-        self.cocycle = cocycle
-        self.closedness = closedness
-        self.solution = solution
-        self.witness = witness
 
-    @property
-    def extends(self):
-        return self.solution is not None
-
-    def verify(self, mu0):
-        """Re-check the stored evidence from scratch."""
-        assert self.closedness.is_zero()
-        assert ce_differential(mu0, self.cocycle) == self.closedness
-        if self.solution is not None:
-            assert ce_differential(mu0, self.solution) == self.cocycle
-            return True
-        # witness y: y^T delta = 0 and y^T R != 0
-        dim = mu0.dim
-        M = _delta_matrix(mu0, 2)
-        cod = _cochain_basis(3, dim)
-        r = _to_vector(self.cocycle, cod)
-        y = self.witness
-        for col in zip(*M):
-            assert sum(a * b for a, b in zip(y, col)) == 0
-        assert sum(a * b for a, b in zip(y, r)) != 0
-        return True
+def _lie_rhs(coeffs, n):
+    """R_n = 1/2 sum_{i=1}^{n-1} [mu_i, mu_{n-i}]_NR."""
+    R = MultiMap.zero(3, coeffs[0].dim)
+    for i in range(1, n):
+        R = R + nr_bracket(coeffs[i], coeffs[n - i])
+    return Fraction(1, 2) * R
 
 
 def extend_one_order(prefix):
     """Given mu_0..mu_{k-1} satisfying MC through order k-1, solve for
     mu_k or certify the obstruction class."""
-    k = len(prefix)
-    if k == 0:
-        raise ValueError("need at least mu_0")
-    mu0 = prefix[0]
-    dim = mu0.dim
-    series = FormalSeries(k - 1, list(prefix), MultiMap.zero(2, dim))
-    residual = mc_residual_lie(series)
-    for j in range(1, k):
-        if not residual[j].is_zero():
-            raise PreconditionMC(f"MC fails already at order {j}")
-    # R_k = 1/2 sum_{i=1}^{k-1} [mu_i, mu_{k-i}]
-    R = MultiMap.zero(3, dim)
-    for i in range(1, k):
-        R = R + nr_bracket(prefix[i], prefix[k - i])
-    R = Fraction(1, 2) * R
-    closed = ce_differential(mu0, R)
-    assert closed.is_zero(), "obstruction cocycle is not closed"
-    M = _delta_matrix(mu0, 2)
-    cod = _cochain_basis(3, dim)
-    dom = _cochain_basis(2, dim)
-    b = _to_vector(R, cod)
-    if M and M[0]:
-        status, w = ratlin.solve(M, b)
-    else:
-        status, w = ("SOLUTION", [Fraction(0)] * len(dom)) if not any(b) \
-            else ("INCONSISTENT", None)
-    if status == "SOLUTION":
-        return ObstructionCertificate(k, R, closed,
-                                      solution=_from_vector(w, 2, dim, dom))
-    return ObstructionCertificate(k, R, closed, witness=w)
+    return extend_series(prefix, len(prefix))[1][-1]
 
 
 def extend_series(prefix, order=DEFAULT_ORDER):
@@ -338,15 +416,10 @@ def extend_series(prefix, order=DEFAULT_ORDER):
 
     Returns (coefficients, certificates); stops early at the first
     obstruction."""
-    coeffs = list(prefix)
-    certs = []
-    while len(coeffs) <= order:
-        cert = extend_one_order(coeffs)
-        certs.append(cert)
-        if not cert.extends:
-            break
-        coeffs.append(cert.solution)
-    return coeffs, certs
+    if not prefix:
+        raise ValueError("need at least mu_0")
+    return mc_extend(_lie_differential(prefix[0], 2), _lie_rhs, prefix,
+                     order, Order0NotLie)
 
 
 def apply_equivalence(phi_series, mu_series):
@@ -379,14 +452,10 @@ def gerstenhaber_normalize(mu_series, order):
     the order-n term removed; otherwise return None."""
     mu0 = mu_series[0]
     dim = mu0.dim
-    M = _delta_matrix(mu0, 1)
-    dom = _cochain_basis(1, dim)
-    cod = _cochain_basis(2, dim)
-    b = _to_vector(mu_series[order], cod)
-    status, w = ratlin.solve(M, b)
-    if status != "SOLUTION":
+    cert = _lie_differential(mu0, 1).solve(order, mu_series[order])
+    if not cert.extends:
         return None
-    phi_n = _from_vector(w, 1, dim, dom)
+    phi_n = cert.solution
     coeffs = [identity_map(dim)]
     coeffs += [MultiMap.zero(1, dim)] * (order - 1)
     # mu'_1..: removing t^n mu_n needs phi_t = id - t^n phi_n since
@@ -438,18 +507,15 @@ def _linear_multivector_basis(gens, k, deg):
     return out
 
 
-def _se_coords(elt, keys):
-    return [elt.terms.get(key, Fraction(0)) for key in keys]
-
-
 def linear_poisson_deform(prefix, k, order=None):
     """Order-by-order extension of a linear Poisson structure pi_t on
     the dual of a k-dimensional Lie algebra; mirrors extend_series.
 
     prefix is a list of SuperElements over multivector_generators(0, k),
-    each a fiber-weight -1 bivector.  Returns (coefficients,
-    certificates) where each certificate carries the Schouten-side
-    cocycle and either a homogeneous solution or a witness.
+    each a fiber-weight -1 bivector.  The order-n equation is
+    [pi_0, pi_n] = -1/2 sum_{i=1}^{n-1} [pi_i, pi_{n-i}] (Schouten), solved
+    over the constant-coefficient linear bivectors.  Returns
+    (coefficients, certificates).
     """
     gens, ctx = poisson_context(k)
     for P in prefix:
@@ -457,64 +523,18 @@ def linear_poisson_deform(prefix, k, order=None):
     pi0 = prefix[0]
     if not ctx.schouten(pi0, pi0).is_zero():
         raise Order0NotLie("pi_0 is not Poisson")
-    if order is None:
-        order = DEFAULT_ORDER
-    dom = _linear_multivector_basis(gens, k, 2)
-    images = [ctx.schouten(pi0, b) for b in dom]
-    keys = sorted({key for img in images for key in img.terms})
-    M = [[img.terms.get(key, Fraction(0)) for img in images]
-         for key in keys]
-    coeffs = list(prefix)
-    certs = []
-    while len(coeffs) <= order:
-        n = len(coeffs)
+    d = Differential(partial(ctx.schouten, pi0),
+                     _linear_multivector_basis(gens, k, 2), gens.zero(),
+                     spans=True)
+
+    def rhs(coeffs, n):
         R = gens.zero()
         for i in range(1, n):
             R = R + ctx.schouten(coeffs[i], coeffs[n - i])
-        R = Fraction(1, 2) * R
-        closed = ctx.schouten(pi0, R)
-        assert closed.is_zero(), "obstruction cocycle is not closed"
-        extra = [key for key in R.terms if key not in keys]
-        if extra:
-            cert = ObstructionPoisson(n, R, closed, witness="OUT_OF_IMAGE")
-            certs.append(cert)
-            break
-        b = _se_coords(R, keys)
-        if M and M[0]:
-            status, w = ratlin.solve(M, b)
-        else:
-            status, w = ("SOLUTION", [Fraction(0)] * len(dom)) \
-                if not any(b) else ("INCONSISTENT", [])
-        if status == "SOLUTION":
-            sol = gens.zero()
-            for coeff, basis_elt in zip(w, dom):
-                if coeff:
-                    sol = sol + coeff * basis_elt
-            cert = ObstructionPoisson(n, R, closed, solution=sol)
-            certs.append(cert)
-            coeffs.append(sol)
-        else:
-            certs.append(ObstructionPoisson(n, R, closed, witness=w))
-            break
-    return coeffs, certs
+        return Fraction(-1, 2) * R
 
-
-class ObstructionPoisson:
-    """Schouten-side analogue of ObstructionCertificate."""
-
-    def __init__(self, order, cocycle, closedness, solution=None,
-                 witness=None):
-        if (solution is None) == (witness is None):
-            raise ValueError("exactly one of solution/witness required")
-        self.order = order
-        self.cocycle = cocycle
-        self.closedness = closedness
-        self.solution = solution
-        self.witness = witness
-
-    @property
-    def extends(self):
-        return self.solution is not None
+    return mc_extend(d, rhs, prefix,
+                     DEFAULT_ORDER if order is None else order, Order0NotLie)
 
 
 def poisson_apply_equivalence(pi_series, X_series, k):

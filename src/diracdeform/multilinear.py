@@ -129,6 +129,13 @@ class MultiMap:
     def is_zero(self):
         return not self.c
 
+    @property
+    def terms(self):
+        """Nonzero coordinates keyed by (index tuple, output index), the
+        shape of SuperElement.terms."""
+        return {(idx, t): v for idx, vec in self.c.items()
+                for t, v in enumerate(vec) if v}
+
     def __eq__(self, other):
         return (isinstance(other, MultiMap) and self.n == other.n
                 and self.dim == other.dim and self.c == other.c)
@@ -314,8 +321,18 @@ def ce_differential(mu, f):
     """
     if mu.dim != f.dim:
         raise DimMismatch("maps over different spaces")
+    _require_lie(mu)
+    return _ce_differential(mu, f)
+
+
+def _require_lie(mu):
     if not nr_bracket(mu, mu).is_zero():
         raise NotLie("mu does not satisfy the Jacobi identity")
+
+
+def _ce_differential(mu, f):
+    """ce_differential without the Jacobi check, for callers that have
+    checked mu once."""
     n, dim = f.n, f.dim
     out = {}
     for idx in itertools.combinations(range(dim), n + 1):
@@ -366,18 +383,23 @@ def _from_vector(vec, k, dim, basis):
     return MultiMap(k, dim, c)
 
 
+def _unit_cochains(k, dim):
+    """The k-cochains with a single coefficient 1, in _cochain_basis
+    order."""
+    return [MultiMap(k, dim, {idx: tuple(Fraction(int(t == g))
+                                         for t in range(dim))})
+            for idx, g in _cochain_basis(k, dim)]
+
+
 def _delta_matrix(mu, k):
     """Matrix of the CE differential A^k -> A^{k+1} in the canonical
     cochain bases (columns indexed by the domain basis)."""
     dim = mu.dim
     dom = _cochain_basis(k, dim)
     cod = _cochain_basis(k + 1, dim)
-    cols = []
-    for idx, g in dom:
-        vec = [Fraction(0)] * dim
-        vec[g] = Fraction(1)
-        f = MultiMap(k, dim, {idx: tuple(vec)})
-        cols.append(_to_vector(ce_differential(mu, f), cod))
+    _require_lie(mu)
+    cols = [_to_vector(_ce_differential(mu, f), cod)
+            for f in _unit_cochains(k, dim)]
     if not cod:
         return [[] for _ in range(0)]
     return [[cols[c][r] for c in range(len(dom))] for r in range(len(cod))]

@@ -1,6 +1,7 @@
 """Tests for the command-line front end: exit codes, report envelopes,
 determinism, and the CSV trajectory output."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -17,6 +18,9 @@ from diracdeform.superalg import parse
 SO3 = {"dim": 3, "c": [[0, 1, 2, "1"], [1, 2, 0, "1"], [2, 0, 1, "1"]]}
 NONJACOBI = {"dim": 3, "c": [[0, 1, 2, "1"], [1, 2, 0, "1"],
                              [2, 0, 0, "1"]]}
+FILIFORM_6 = {"dim": 6, "c": [[0, i, i + 1, "1"] for i in range(1, 5)]}
+EPS = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1}
+STD1 = courant.standard_courant(1).to_json()
 SUBPROCESS_ENV = dict(os.environ, PYTHONPATH=str(
     Path(__file__).resolve().parents[1] / "src"))
 
@@ -189,8 +193,7 @@ class TestCourantCommands:
         assert all(r["status"] == "EXTENDS" for r in rows)
 
     def test_deform_dirac_obstruction(self, tmp_path, capsys):
-        eps = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1}
-        inp = courant.lie_bialgebra({}, eps, 3)
+        inp = courant.lie_bialgebra({}, EPS, 3)
         path = write(tmp_path, "dd.json",
                      {"courant": inp.to_json(), "prefix": ["1 a^1 a^2"]})
         code, out, _ = run(["deform-dirac", path, "--order", "3"], capsys)
@@ -198,6 +201,18 @@ class TestCourantCommands:
         rows = json.loads(out)["report"]["certificates"]
         assert rows[-1]["status"] == "OBSTRUCTED"
         assert rows[-1]["cocycle"] != "0"
+
+
+    @pytest.mark.parametrize("order", ["0", "1", "2"])
+    def test_deform_dirac_checks_prefix_at_every_order(self, tmp_path,
+                                                       capsys, order):
+        # q3 a^1 a^2 is not d_L-closed, so the order-1 equation fails
+        path = write(tmp_path, "dd.json",
+                     {"courant": courant.standard_courant(3).to_json(),
+                      "prefix": ["q3 a^1 a^2"]})
+        code, out, _ = run(["deform-dirac", path, "--order", order], capsys)
+        assert code == 1
+        assert json.loads(out)["report"]["violation"] == "PreconditionMC"
 
 
 class TestIhsRun:
@@ -270,12 +285,25 @@ class TestTableFormat:
     ("check-jacobi", {"dim": 3, "c": [[0, 1, 2, "1/0"]]}, [], "$.c[0][3]"),
     ("ce-cohomology", SO3, ["--degrees", "-1"], "--degrees"),
     ("deform-lie", SO3, ["--order", "-3"], "--order"),
+    ("dirac-linear", 5, [], "in.json"),
+    ("deform-dirac", 5, [], "in.json"),
+    ("deform-dirac", {"courant": STD1, "prefix": []}, ["--order", "-2"],
+     "--order"),
+    ("deform-dirac", {"courant": STD1, "prefix": []},
+     ["--degree-cap", "-1"], "--degree-cap"),
+    ("courant-verify", STD1, ["--degree", "-1"], "--degree"),
+    ("courant-verify", STD1, ["--section-limit", "-1"], "--section-limit"),
+    ("rothstein-check", None, ["--m", "-1"], "--m"),
+    ("rothstein-check", None, ["--k", "-1"], "--k"),
+    ("ihs-run", None, ["--system", "sys.json", "--x0", "0,0",
+                       "--steps", "-3"], "--steps"),
 ])
 def test_input_errors_exit_2_naming_path(tmp_path, command, data, extra,
                                         path):
+    # data None: the command takes no input file
+    inputs = [] if data is None else [write(tmp_path, "in.json", data)]
     p = subprocess.run(
-        [sys.executable, "-m", "diracdeform.cli", command,
-         write(tmp_path, "in.json", data)] + extra,
+        [sys.executable, "-m", "diracdeform.cli", command] + inputs + extra,
         capture_output=True, text=True, env=SUBPROCESS_ENV)
     assert p.returncode == 2
     assert "Traceback" not in p.stderr
@@ -288,3 +316,26 @@ def test_import_does_not_load_scipy():
          "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"],
         capture_output=True, text=True, env=SUBPROCESS_ENV, check=True)
     assert p.stdout.strip() == "False"
+
+
+# SHA-256 of json.dumps(report body, sort_keys=True) for the deformation
+# reports; the same values are recorded in perfbench/workloads.py (BODY).
+@pytest.mark.parametrize("command, data, extra, digest", [
+    ("deform-lie", SO3, [],
+     "ad4474f9849ce494ef44197ee9839bba61c3817d046dceca36a940c956f03909"),
+    ("deform-lie", FILIFORM_6, ["--order", "3"],
+     "44c79b2d313bb28f4b5eeb95fa4046b82c2d418fcecb2f49c01ac0bb5532eab8"),
+    ("deform-dirac", {"courant": courant.so3_double().to_json(),
+                      "prefix": ["a^1 a^2"]}, ["--order", "3"],
+     "6ad3f2c6cd1d2e1f0bdad38d10a61770b45858a3bbc9149ff9937b2ee8cabd09"),
+    ("deform-dirac", {"courant": courant.lie_bialgebra({}, EPS, 3).to_json(),
+                      "prefix": ["a^1 a^2"]}, ["--order", "3"],
+     "3d6e863b211379f801ebb4348180a3b712749ffe5f412d2b4ebe744bbb8ab80c"),
+])
+def test_deform_report_bodies_pinned(tmp_path, capsys, command, data, extra,
+                                     digest):
+    _, out, _ = run([command, write(tmp_path, "in.json", data)] + extra,
+                    capsys)
+    body = json.loads(out)["report"]
+    assert hashlib.sha256(json.dumps(body, sort_keys=True).encode()
+                          ).hexdigest() == digest

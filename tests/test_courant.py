@@ -8,7 +8,11 @@ import pytest
 
 from diracdeform import courant as co
 from diracdeform.brackets import master_residuals
-from diracdeform.lie_deform import FormalSeries, PreconditionMC
+from diracdeform.lie_deform import (
+    FormalSeries,
+    ObstructionCertificate,
+    PreconditionMC,
+)
 from diracdeform.superalg import to_text
 
 EPS = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1}
@@ -350,6 +354,7 @@ class TestDeform:
         assert cert.order == 2
         assert not cert.cocycle.is_zero()
         assert cert.witness is not None and cert.solution is None
+        assert cert.verify()
 
     def test_obstruction_matches_rank_oracle(self):
         # with mu = 0 the image of d_L is zero, so extendability is
@@ -362,6 +367,7 @@ class TestDeform:
             cert = co.deform_extend_dirac(th, [om])
             quad = co.dual_bracket(th, om, om)
             assert cert.extends == quad.is_zero()
+            assert cert.verify()
             verdicts.add(cert.status)
         assert "OBSTRUCTED" in verdicts
 
@@ -384,11 +390,13 @@ class TestDeform:
                 assert co.d_L(th, cert.cocycle).is_zero()
 
     def test_certificate_exclusivity(self):
-        z = co.build_theta(co.so3_double()).zero()
+        th = co.build_theta(co.so3_double())
+        z = th.zero()
+        d = co.deform_extend_dirac(th, []).differential
         with pytest.raises(ValueError):
-            co.DiracObstruction(2, z, "EXTENDS")
+            ObstructionCertificate(d, 2, z)
         with pytest.raises(ValueError):
-            co.DiracObstruction(2, z, "EXTENDS", solution=z, witness=[])
+            ObstructionCertificate(d, 2, z, solution=z, witness=[])
 
 
 class TestReparametrize:

@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from diracdeform import courant as co
 from diracdeform import lie_deform as ld
+from diracdeform import multilinear as ml
 from diracdeform import ratlin
 from diracdeform.lie_deform import (
     FormalSeries,
@@ -37,6 +39,7 @@ from diracdeform.multilinear import (
     multimap_of_multiderivation,
     nr_bracket,
 )
+from diracdeform.superalg import parse
 
 
 def so3():
@@ -133,14 +136,14 @@ class TestMCResidual:
 def random_cocycle(rng, mu0, k=2):
     """Random element of ker(delta^k)."""
     dim = mu0.dim
-    M = ld._delta_matrix(mu0, k)
+    M = ml._delta_matrix(mu0, k)
     ker = ratlin.kernel_basis(M)
-    dom = ld._cochain_basis(k, dim)
+    dom = ml._cochain_basis(k, dim)
     acc = [Fraction(0)] * len(dom)
     for v in ker.basis:
         c = Fraction(rng.randint(-2, 2))
         acc = [a + c * x for a, x in zip(acc, v)]
-    return ld._from_vector(acc, k, dim, dom)
+    return ml._from_vector(acc, k, dim, dom)
 
 
 class TestExtend:
@@ -150,7 +153,7 @@ class TestExtend:
         assert cert.extends
         assert cert.cocycle.is_zero()
         assert cert.solution.is_zero()
-        assert cert.verify(so3())
+        assert cert.verify()
 
     def test_so3_extends_to_default_order(self):
         rng = random.Random(0)
@@ -168,12 +171,12 @@ class TestExtend:
         mu1 = reps[0]
         coeffs, certs = extend_series([mu0, mu1], order=4)
         for cert in certs:
-            assert cert.verify(mu0)
+            assert cert.verify()
         if not certs[-1].extends:
             # brute-force confirmation: no mu_k solves delta mu_k = R_k
             cert = certs[-1]
-            M = ld._delta_matrix(mu0, 2)
-            b = ld._to_vector(cert.cocycle, ld._cochain_basis(3, 3))
+            M = ml._delta_matrix(mu0, 2)
+            b = ml._to_vector(cert.cocycle, ml._cochain_basis(3, 3))
             status, _ = ratlin.solve(M, b)
             assert status == "INCONSISTENT"
         else:
@@ -200,9 +203,13 @@ class TestExtend:
                 assert ce_differential(mu0, cert2.cocycle).is_zero()
 
     def test_certificate_exclusivity(self):
+        d = extend_one_order([so3()]).differential
+        z = MultiMap.zero(3, 3)
         with pytest.raises(ValueError):
-            ObstructionCertificate(1, MultiMap.zero(3, 2),
-                                   MultiMap.zero(4, 2))
+            ObstructionCertificate(d, 1, z)
+        with pytest.raises(ValueError):
+            ObstructionCertificate(d, 1, z, solution=MultiMap.zero(2, 3),
+                                   witness=[])
 
 
 class TestEquivalence:
@@ -289,9 +296,9 @@ class TestRigidity:
         verdict, h2 = rigidity_check(aff1())
         assert (verdict == "RIGID") == (h2 == 0)
         # independent rank oracle
-        M1 = ld._delta_matrix(aff1(), 1)
-        M2 = ld._delta_matrix(aff1(), 2)
-        ndom = len(ld._cochain_basis(2, 2))
+        M1 = ml._delta_matrix(aff1(), 1)
+        M2 = ml._delta_matrix(aff1(), 2)
+        ndom = len(ml._cochain_basis(2, 2))
         assert h2 == ndom - ratlin.rank(M2) - ratlin.rank(M1)
 
 
@@ -300,7 +307,39 @@ def lie_to_poisson(mu):
     return iso_I_inv(multiderivation_of_multimap(mu))
 
 
+FIL4 = MultiMap(2, 4, {(0, 1): (0, 0, 1, 0), (0, 2): (0, 0, 0, 1)})
+SO3_PLUS_R = MultiMap(2, 4, {(0, 1): (0, 0, 1, 0), (0, 2): (0, -1, 0, 0),
+                             (1, 2): (1, 0, 0, 0)})
+
+
+def exact_poisson_prefix(mu0, seed):
+    """[pi_0, [pi_0, X]] for a random fiber-weight-0 vector field X."""
+    k = mu0.dim
+    gens, ctx = poisson_context(k)
+    rng = random.Random(seed)
+    X = gens.zero()
+    for a in range(k):
+        for b in range(k):
+            X = X + Fraction(rng.randint(-2, 2)) \
+                * gens.monomial(1, {f"v{b + 1}": 1}, [f"vh{a + 1}"])
+    pi0 = lie_to_poisson(mu0)
+    return [pi0, ctx.schouten(pi0, X)]
+
+
 class TestLinearPoisson:
+    @pytest.mark.parametrize("mu0", [FIL4, SO3_PLUS_R])
+    def test_extension_is_poisson_at_every_order(self, mu0):
+        k = mu0.dim
+        gens, ctx = poisson_context(k)
+        coeffs, certs = linear_poisson_deform(exact_poisson_prefix(mu0, 0),
+                                              k, order=3)
+        assert len(coeffs) == 4 and all(c.extends for c in certs)
+        for n in range(4):
+            acc = gens.zero()
+            for i in range(n + 1):
+                acc = acc + ctx.schouten(coeffs[i], coeffs[n - i])
+            assert acc.is_zero(), f"[pi_t, pi_t] != 0 at order {n}"
+
     def test_abelian_base(self):
         k = 3
         gens, ctx = poisson_context(k)
@@ -384,3 +423,83 @@ class TestLinearPoisson:
         out = poisson_apply_equivalence(pi_series, X_series, k)
         assert out[0] == pi0
         assert out[1] - pi_series[1] == ctx.schouten(pi0, X0)
+
+
+def exact_lie_prefix(mu0, seed):
+    """[mu_0, delta X] for a random linear map X."""
+    rng = random.Random(seed)
+    X = MultiMap(1, mu0.dim, {(i,): tuple(rng.randint(-2, 2)
+                                          for _ in range(mu0.dim))
+                              for i in range(mu0.dim)})
+    return [mu0, ce_differential(mu0, X)]
+
+
+def _heisenberg_obstructed_prefix():
+    _, reps = cohomology(heisenberg(), 2)
+    return [heisenberg(), reps[0] + reps[2]]
+
+
+def _twisted_dirac_certs(degree_cap):
+    """Graph deformations on R^3 with the Poisson bivector
+    q1 d/dq1 ^ d/dq2 on the dual summand: a polynomial model (m > 0)
+    whose orders have nonzero solutions once the degree cap allows
+    them."""
+    th = co.build_theta(co.CourantInput(
+        3, 3, rho={(i, i): 1 for i in range(3)},
+        rho_bar={(1, 0): "q1", (0, 1): "-1 q1"}, c_bar={(0, 1, 0): 1}))
+    omega = parse(th.gens, "a^2 a^3 + -1 q1 a^1 a^2")
+    return co.deform_series_dirac(th, [omega], 3, degree_cap=degree_cap)[1]
+
+
+CERTIFICATE_CASES = {
+    "lie solution": lambda: extend_series(exact_lie_prefix(FIL4, 0),
+                                          order=3)[1],
+    "lie witness": lambda: extend_series(_heisenberg_obstructed_prefix(),
+                                         order=3)[1],
+    "poisson solution": lambda: linear_poisson_deform(
+        exact_poisson_prefix(FIL4, 0), 4, order=3)[1],
+    "poisson witness": lambda: linear_poisson_deform(
+        [lie_to_poisson(m) for m in _heisenberg_obstructed_prefix()], 3,
+        order=3)[1],
+    "dirac solution": lambda: _twisted_dirac_certs(2),
+    "dirac witness": lambda: _twisted_dirac_certs(1),
+}
+
+
+def tampered(cert):
+    """The certificate with its evidence altered so that verify() must
+    reject it: the solution with one nonzero basis coefficient negated,
+    or the witness with one entry flipped on a row where d does not
+    vanish (so y^T d = 0 breaks)."""
+    d = cert.differential
+    if cert.extends:
+        x = cert.solution
+        for b in d.basis:
+            (key, unit), = b.terms.items()
+            if key in x.terms:
+                x = x - 2 * (x.terms[key] / unit) * b
+                return ObstructionCertificate(d, cert.order, cert.cocycle,
+                                              solution=x)
+        raise AssertionError("zero solution: nothing to flip")
+    M, _ = ld._linear_system([d.op(b).terms for b in d.basis], cert.cocycle)
+    i = next(i for i, row in enumerate(M) if any(row))
+    y = list(cert.witness)
+    y[i] = -y[i] if y[i] else Fraction(1)
+    return ObstructionCertificate(d, cert.order, cert.cocycle, witness=y)
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("case, status", [
+        ("lie solution", "EXTENDS"),
+        ("lie witness", "OBSTRUCTED"),
+        ("poisson solution", "EXTENDS"),
+        ("poisson witness", "OBSTRUCTED"),
+        ("dirac solution", "EXTENDS"),
+        ("dirac witness", "NO_SOLUTION_UP_TO_DEGREE"),
+    ])
+    def test_verify_accepts_and_rejects_tampering(self, case, status):
+        certs = CERTIFICATE_CASES[case]()
+        assert all(c.verify() for c in certs)
+        assert certs[-1].status == status
+        last = [c for c in certs if not c.cocycle.is_zero()][-1]
+        assert not tampered(last).verify()
