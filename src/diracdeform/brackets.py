@@ -1,12 +1,19 @@
 """Graded brackets on SuperElements.
 
-Three bracket kinds share one context object:
+Every bracket here is a biderivation, fixed by its values on pairs of
+generators: {f, g} = sum_ab (f <-d_a) P_ab (d_b-> g), P_ab = {x_a, x_b},
+with right derivatives of f and left derivatives of g.  A BracketContext
+tabulates the nonzero P_ab once, in closed form, and `bracket` is the
+one bracket body for all three kinds:
 
-* SCHOUTEN - the odd Poisson bracket on conjugate pairs (coordinate c
-  paired with an odd symbol for d/dc), realizing the Schouten bracket
-  of multivector fields with polynomial coefficients.
+* SCHOUTEN - the odd Poisson bracket on conjugate pairs (coordinate c,
+  odd symbol dc for d/dc): {dc, c} = 1, {c, dc} = -1.  It realizes the
+  Schouten bracket of multivector fields with polynomial coefficients.
 * ROTHSTEIN - the even super-Poisson bracket on (q, p; lower/upper odd)
-  twisted by a connection, in its cotangent-base specialization.
+  twisted by a connection Gamma with curvature R: {q_i, p_j} = delta_ij,
+  {a_alpha, a^beta} = delta_alpha^beta, {p_i, a_alpha} =
+  -Gamma_{i alpha}^beta a_beta, {p_i, a^alpha} = Gamma_{i beta}^alpha
+  a^beta, {p_i, p_j} = R^beta_{alpha i j} a_alpha a^beta.
 * POINT_BIG - the same bracket over a point (no even generators, no
   connection): the big bracket on Lambda(V + V*).
 """
@@ -14,7 +21,6 @@ Three bracket kinds share one context object:
 from fractions import Fraction
 
 from .superalg import (
-    ConnectionData,
     GeneratorSet,
     SuperElement,
     bidegree,
@@ -52,36 +58,39 @@ class BracketContext:
     """Carrier for one of the three brackets.
 
     SCHOUTEN contexts pair even generator i with odd generator
-    `conjugate[i]`; ROTHSTEIN/POINT_BIG contexts run over the phase
-    generator layout (see superalg.phase_generators) with `m` base
-    coordinates and `k` dual pairs of odd generators.
+    `conjugate[i]`, a bijection of range(n_even) onto range(n_odd);
+    ROTHSTEIN/POINT_BIG contexts run over the phase generator layout
+    (see superalg.phase_generators) with `m` base coordinates and `k`
+    dual pairs of odd generators.  Malformed layouts raise ValueError.
     """
 
     def __init__(self, kind, gens, connection=None, conjugate=None,
                  m=None, k=None):
-        self.kind = kind
-        self.gens = gens
-        self.connection = connection
-        self.m = m
-        self.k = k
+        self.kind, self.gens, self.connection = kind, gens, connection
+        self.m, self.k = m, k
+        n_even, n_odd = len(gens.even), len(gens.odd)
         if kind == SCHOUTEN:
-            if conjugate is None:
-                conjugate = {i: i for i in range(len(gens.even))}
-            self.conjugate = dict(conjugate)
-            if sorted(self.conjugate.values()) != list(range(len(gens.odd))):
-                raise ValueError("conjugate map must pair every odd generator")
+            c = self.conjugate = dict(
+                enumerate(range(n_even)) if conjugate is None else conjugate)
+            if not (all(type(x) is int for x in (*c, *c.values()))
+                    and sorted(c) == list(range(n_even))
+                    and sorted(c.values()) == list(range(n_odd))):
+                raise ValueError("conjugate map must be a bijection of "
+                                 "range(n_even) onto range(n_odd)")
         elif kind == ROTHSTEIN:
             if connection is None:
                 raise MissingConnection("ROTHSTEIN context needs ConnectionData")
-            self.m = connection.m
-            self.k = connection.k
+            self.m, self.k = connection.m, connection.k
         elif kind == POINT_BIG:
-            self.m = 0
-            if k is None:
-                k = len(gens.odd) // 2
-            self.k = k
+            self.m, self.k = 0, n_odd // 2 if k is None else k
         else:
             raise ValueError(f"unknown bracket kind {kind!r}")
+        if kind != SCHOUTEN and not (
+                all(type(x) is int and x >= 0 for x in (self.m, self.k))
+                and n_even == 2 * self.m and n_odd == 2 * self.k):
+            raise ValueError(f"{kind} context needs 2m even and 2k odd "
+                             f"generators, got {n_even} and {n_odd}")
+        self._rows = self._table()
 
     # -- constructors ---------------------------------------------------
 
@@ -98,128 +107,108 @@ class BracketContext:
     def point_big(cls, k):
         return cls(POINT_BIG, phase_generators(0, k), k=k)
 
-    # -- dispatch -------------------------------------------------------
+    # -- the table P_ab = {x_a, x_b} ------------------------------------
 
-    def bracket(self, a, b):
+    def _table(self):
+        """Rows [(x_a, x_a is odd, [(x_b, x_b is odd, P_ab)])] of the
+        nonzero entries.  A constant P_ab is a Fraction, or None for 1;
+        the connection entries are elements."""
+        gens, m, k, conn = self.gens, self.m, self.k, self.connection
+        g, zero = gens.gen, gens.zero()
+        rows = {}
+
+        def put(a, b, value):
+            if isinstance(value, int):
+                value = None if value == 1 else Fraction(value)
+            elif value.is_zero():
+                return
+            rows.setdefault(a, []).append(b + (value,))
+
         if self.kind == SCHOUTEN:
-            return self.schouten(a, b)
-        return self.rothstein(a, b)
+            for ci, oi in self.conjugate.items():
+                x, dx = (gens.even[ci], False), (gens.odd[oi], True)
+                put(dx, x, 1)
+                put(x, dx, -1)
+            return [a + (cols,) for a, cols in rows.items()]
+        q = [(gens.even[i], False) for i in range(m)]
+        p = [(gens.even[m + i], False) for i in range(m)]
+        lo = [(gens.odd[a], True) for a in range(k)]
+        up = [(gens.odd[k + a], True) for a in range(k)]
+        for a in range(k):
+            put(lo[a], up[a], 1)
+            put(up[a], lo[a], 1)
+        for i in range(m):
+            put(q[i], p[i], 1)
+            put(p[i], q[i], -1)
+            for a in range(k):
+                rot_lo = sum((conn.christoffel(i, a, b) * g(lo[b][0])
+                              for b in range(k)), zero)
+                rot_up = sum((conn.christoffel(i, b, a) * g(up[b][0])
+                              for b in range(k)), zero)
+                put(p[i], lo[a], -rot_lo)
+                put(lo[a], p[i], rot_lo)
+                put(p[i], up[a], rot_up)
+                put(up[a], p[i], -rot_up)
+            for j in range(m):
+                if j != i:
+                    put(p[i], p[j], sum(
+                        (conn.curvature(i, j, b, a) * g(lo[a][0])
+                         * g(up[b][0]) for a in range(k) for b in range(k)),
+                        zero))
+        return [a + (cols,) for a, cols in rows.items()]
 
-    # -- Schouten -------------------------------------------------------
+    # -- the bracket ----------------------------------------------------
+
+    def bracket(self, f, g):
+        """{f, g} = sum_ab (f <-d_a) P_ab (d_b-> g): one right derivative
+        of f per table row; each left derivative of g computed once."""
+        terms, dg = {}, {}
+        for a, a_odd, cols in self._rows if g.terms else ():
+            df = f.partial_odd(a, "right") if a_odd else f.partial_even(a)
+            if not df.terms:
+                continue
+            acc = None
+            for b, b_odd, coeff in cols:
+                d = dg.get(b)
+                if d is None:
+                    d = dg[b] = g.partial_odd(b, "left") if b_odd \
+                        else g.partial_even(b)
+                if d.terms:
+                    d = d if coeff is None else coeff * d
+                    acc = d if acc is None else acc + d
+            if acc is None:
+                continue
+            for mono, c in (df * acc).terms.items():
+                s = terms.get(mono, 0) + c
+                if s:
+                    terms[mono] = s
+                else:
+                    del terms[mono]
+        return SuperElement(self.gens, terms)
 
     def schouten(self, P, Q):
-        """Odd Poisson bracket; graded antisymmetric with degree shift 1:
-        [P,Q] = -(-1)^{(p-1)(q-1)} [Q,P] for odd degrees p, q."""
+        """The bracket of a SCHOUTEN context; graded antisymmetric with
+        degree shift 1: [P,Q] = -(-1)^{(p-1)(q-1)} [Q,P]."""
         if self.kind != SCHOUTEN:
             raise WrongContext(self.kind)
-        out = self.gens.zero()
-        for p, Pp in _split_odd(P).items():
-            for q, Qq in _split_odd(Q).items():
-                t1 = self._schouten_half(Pp, Qq)
-                t2 = self._schouten_half(Qq, Pp)
-                sign = (-1) ** ((p - 1) * (q - 1))
-                out = out + t1 - sign * t2
-        return out
-
-    def _schouten_half(self, P, Q):
-        out = self.gens.zero()
-        for ci, oi in self.conjugate.items():
-            dP = P.partial_odd(self.gens.odd[oi], "right")
-            if dP.is_zero():
-                continue
-            dQ = Q.partial_even(self.gens.even[ci])
-            if dQ.is_zero():
-                continue
-            out = out + dP * dQ
-        return out
-
-    # -- Rothstein / big bracket ---------------------------------------
-
-    def _lower(self, alpha):
-        return self.gens.odd[alpha]
-
-    def _upper(self, alpha):
-        return self.gens.odd[self.k + alpha]
-
-    def nabla(self, i, phi):
-        """Covariant q^i-derivative: rotates lower odd generators by
-        +Gamma and upper ones by -Gamma^T."""
-        out = phi.partial_even(self.gens.even[i])
-        conn = self.connection
-        if conn is None:
-            return out
-        for alpha in range(self.k):
-            dlo = phi.partial_odd(self._lower(alpha), "left")
-            dup = phi.partial_odd(self._upper(alpha), "left")
-            for beta in range(self.k):
-                gam = conn.christoffel(i, alpha, beta)
-                if not gam.is_zero() and not dlo.is_zero():
-                    out = out + gam * self.gens.gen(self._lower(beta)) * dlo
-                gam2 = conn.christoffel(i, beta, alpha)
-                if not gam2.is_zero() and not dup.is_zero():
-                    out = out - gam2 * self.gens.gen(self._upper(beta)) * dup
-        return out
+        return self.bracket(P, Q)
 
     def rothstein(self, phi, psi):
-        """Five-term even super-Poisson bracket {phi, psi}."""
+        """The even super-Poisson bracket of a ROTHSTEIN/POINT_BIG
+        context."""
         if self.kind not in (ROTHSTEIN, POINT_BIG):
             raise WrongContext(self.kind)
-        gens = self.gens
-        out = gens.zero()
-        m, k = self.m, self.k
-        dp_phi = [phi.partial_even(gens.even[m + i]) for i in range(m)]
-        dp_psi = [psi.partial_even(gens.even[m + i]) for i in range(m)]
-        for i in range(m):
-            out = out + self.nabla(i, phi) * dp_psi[i]
-            out = out - dp_phi[i] * self.nabla(i, psi)
-        if self.connection is not None:
-            for i in range(m):
-                if dp_phi[i].is_zero():
-                    continue
-                for j in range(m):
-                    if dp_psi[j].is_zero():
-                        continue
-                    for alpha in range(k):
-                        for beta in range(k):
-                            R = self.connection.curvature(i, j, beta, alpha)
-                            if R.is_zero():
-                                continue
-                            out = out + (R * gens.gen(self._lower(alpha))
-                                         * gens.gen(self._upper(beta))
-                                         * dp_phi[i] * dp_psi[j])
-        for alpha in range(k):
-            jlo = phi.partial_odd(self._lower(alpha), "right")
-            if not jlo.is_zero():
-                out = out + jlo * psi.partial_odd(self._upper(alpha), "left")
-            jup = phi.partial_odd(self._upper(alpha), "right")
-            if not jup.is_zero():
-                out = out + jup * psi.partial_odd(self._lower(alpha), "left")
-        return out
+        return self.bracket(phi, psi)
 
     def darboux_momenta(self):
         """r_i = p_i - Gamma_{i alpha}^beta a^alpha a_beta."""
         if self.kind != ROTHSTEIN:
             raise WrongContext(self.kind)
-        gens = self.gens
-        out = []
-        for i in range(self.m):
-            r = gens.gen(gens.even[self.m + i])
-            for alpha in range(self.k):
-                for beta in range(self.k):
-                    gam = self.connection.christoffel(i, alpha, beta)
-                    if not gam.is_zero():
-                        r = r - (gam * gens.gen(self._upper(alpha))
-                                 * gens.gen(self._lower(beta)))
-            out.append(r)
-        return out
-
-
-def _split_odd(a):
-    """Decompose into odd-homogeneous components {degree: element}."""
-    comps = {}
-    for (e, o), c in a.terms.items():
-        comps.setdefault(len(o), {})[(e, o)] = c
-    return {d: SuperElement(a.gens, t) for d, t in comps.items()}
+        gens, m, k, g = self.gens, self.m, self.k, self.gens.gen
+        return [g(gens.even[m + i]) - sum(
+            (self.connection.christoffel(i, a, b) * g(gens.odd[k + a])
+             * g(gens.odd[b]) for a in range(k) for b in range(k)),
+            gens.zero()) for i in range(m)]
 
 
 def derived_bracket(ctx, theta, x, y):

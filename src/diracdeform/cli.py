@@ -305,20 +305,20 @@ def cmd_rothstein_check(args):
         for j in range(args.m):
             want = gens.scalar(1 if i == j else 0)
             residuals[f"{{q{i+1},r{j+1}}}"] = to_text(
-                ctx.rothstein(g(gens.even[i]), r[j]) - want)
+                ctx.bracket(g(gens.even[i]), r[j]) - want)
             residuals[f"{{r{i+1},r{j+1}}}"] = to_text(
-                ctx.rothstein(r[i], r[j]))
+                ctx.bracket(r[i], r[j]))
         for a in range(args.k):
             residuals[f"{{r{i+1},a_{a+1}}}"] = to_text(
-                ctx.rothstein(r[i], g(gens.odd[a])))
+                ctx.bracket(r[i], g(gens.odd[a])))
             residuals[f"{{r{i+1},a^{a+1}}}"] = to_text(
-                ctx.rothstein(r[i], g(gens.odd[args.k + a])))
+                ctx.bracket(r[i], g(gens.odd[args.k + a])))
     for a in range(args.k):
         for b in range(args.k):
             want = gens.scalar(1 if a == b else 0)
             residuals[f"{{a^{a+1},a_{b+1}}}"] = to_text(
-                ctx.rothstein(g(gens.odd[args.k + a]),
-                              g(gens.odd[b])) - want)
+                ctx.bracket(g(gens.odd[args.k + a]),
+                            g(gens.odd[b])) - want)
     ok = all(v == "0" for v in residuals.values())
     body = {"m": args.m, "k": args.k, "residuals": residuals,
             "all_zero": ok}

@@ -18,7 +18,7 @@ JSON are 0-based.
 
 from fractions import Fraction
 from functools import partial
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 from .brackets import BracketContext, master_residuals
 from .lie_deform import Differential, FormalSeries, mc_extend
@@ -110,6 +110,10 @@ class CourantInput:
 
     def __init__(self, m, k, rho=None, rho_bar=None, c=None, c_bar=None,
                  psi=None, phi=None, gamma_conn=None):
+        for name, v in (("m", m), ("k", k)):
+            if type(v) is not int or v < 0:
+                raise ShapeError(f"$.{name}: must be a non-negative "
+                                 f"integer, got {v!r}")
         self.m = m
         self.k = k
         self.gens = phase_generators(m, k)
@@ -451,17 +455,17 @@ def universal_identity_check(th, omega):
 # ---------------------------------------------------------------------------
 
 def _q_monomials(gens, m, degree):
-    """All q-monomials of total degree <= degree."""
-    out = [gens.one()]
-    frontier = [gens.one()]
-    for _ in range(degree):
-        nxt = []
-        for f in frontier:
-            for i in range(m):
-                nxt.append(f * gens.gen(gens.even[i]))
-        frontier = nxt
-        out.extend(nxt)
+    """All q-monomials of total degree <= degree, each once: by degree,
+    then in lexicographic order of their sorted index words."""
+    out = []
+    for d in range(degree + 1):
+        for word in combinations_with_replacement(range(m), d):
+            f = gens.one()
+            for i in word:
+                f = f * gens.gen(gens.even[i])
+            out.append(f)
     return out
+
 
 def _section_family(th, degree):
     """Frame sections times q-monomials up to the given degree."""
@@ -507,23 +511,27 @@ def verify_courant(inp, degree=1, section_limit=None, raise_on_fail=False):
         if not ok:
             report["ok"] = False
 
+    # D_i = {e_i, Theta}, B_ij = [e_i, e_j] = {D_i, e_j},
+    # P_ij = <e_i, e_j>, DB_ij = {B_ij, Theta}: each computed once.
+    n = len(secs)
+    D = [br(e, th.theta) for e in secs]
+    B = [[br(D[i], e) for e in secs] for i in range(n)]
+    P = [[br(e1, e2) for e2 in secs] for e1 in secs]
+    DB = [[br(B[i][j], th.theta) for j in range(n)] for i in range(n)]
     fail_jac, fail_inv, fail_def, fail_rd = [], [], [], []
-    for i1, e1 in enumerate(secs):
+    for i1 in range(n):
         for i2, e2 in enumerate(secs):
-            b12 = courant_bracket(th, e1, e2)
-            b21 = courant_bracket(th, e2, e1)
-            d = b12 + b21 - d_fun(th, pairing(th, e1, e2))
+            b12 = B[i1][i2]
+            d = b12 + B[i2][i1] - br(th.theta, P[i1][i2])
             if not d.is_zero():
                 fail_def.append((i1, i2, to_text(d)))
             for i3, e3 in enumerate(secs):
-                jac = courant_bracket(th, e1, courant_bracket(th, e2, e3)) \
-                    - courant_bracket(th, b12, e3) \
-                    - courant_bracket(th, e2, courant_bracket(th, e1, e3))
+                jac = br(D[i1], B[i2][i3]) - br(DB[i1][i2], e3) \
+                    - br(D[i2], B[i1][i3])
                 if not jac.is_zero():
                     fail_jac.append((i1, i2, i3, to_text(jac)))
-                inv = br(br(e1, th.theta), pairing(th, e2, e3)) \
-                    - pairing(th, b12, e3) \
-                    - pairing(th, e2, courant_bracket(th, e1, e3))
+                inv = br(D[i1], P[i2][i3]) - br(b12, e3) \
+                    - br(e2, B[i1][i3])
                 if not inv.is_zero():
                     fail_inv.append((i1, i2, i3, to_text(inv)))
     for f in funs:

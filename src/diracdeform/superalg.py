@@ -460,16 +460,12 @@ class ConnectionData:
                     raise ValueError("Christoffel entries must be "
                                      "polynomials in the base coordinates")
             self.gamma[key] = val
-        self._curv = {}
 
     def christoffel(self, i, alpha, beta):
         return self.gamma.get((i, alpha, beta), self.gens.zero())
 
     def curvature(self, i, j, alpha, beta):
         """R^beta_{alpha i j}; antisymmetric in (i, j)."""
-        key = (i, j, alpha, beta)
-        if key in self._curv:
-            return self._curv[key]
         qi = self.gens.even[i]
         qj = self.gens.even[j]
         val = (self.christoffel(j, alpha, beta).partial_even(qi)
@@ -477,5 +473,4 @@ class ConnectionData:
         for g in range(self.k):
             val = val + self.christoffel(i, g, beta) * self.christoffel(j, alpha, g)
             val = val - self.christoffel(j, g, beta) * self.christoffel(i, alpha, g)
-        self._curv[key] = val
         return val

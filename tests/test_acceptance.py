@@ -14,7 +14,7 @@ from diracdeform import dirac_linear as dl
 from diracdeform import ihs, ratlin
 from diracdeform import lie_deform as ld
 from diracdeform import multilinear as ml
-from diracdeform.brackets import BracketContext, master_residuals, _split_odd
+from diracdeform.brackets import BracketContext, master_residuals
 from diracdeform.lie_deform import FormalSeries
 from diracdeform.multilinear import (
     MultiMap,

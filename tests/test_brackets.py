@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diracdeform.brackets import (
+    POINT_BIG,
     SCHOUTEN,
     BracketContext,
     MissingConnection,
@@ -14,7 +15,15 @@ from diracdeform.brackets import (
     derived_diff,
     master_residuals,
 )
-from diracdeform.superalg import ConnectionData, SuperElement, phase_generators
+from diracdeform.superalg import (
+    ConnectionData,
+    GeneratorSet,
+    SuperElement,
+    phase_generators,
+)
+
+import bracket_oracles as oracle
+from bracket_oracles import split_odd
 
 # ---------------------------------------------------------------------
 # Schouten bracket on polynomial multivector fields over Q^2 / Q^3
@@ -22,6 +31,7 @@ from diracdeform.superalg import ConnectionData, SuperElement, phase_generators
 
 SC = BracketContext.schouten_on(["x1", "x2", "x3"])
 SG = SC.gens
+PERM_GENS = GeneratorSet(["x", "y", "z"], ["dx", "dy", "dz"])
 
 
 def sg(name):
@@ -149,18 +159,16 @@ class TestSchouten:
     @given(multivectors(SG), multivectors(SG))
     @settings(max_examples=30, deadline=None)
     def test_graded_antisymmetry(self, P, Q):
-        from diracdeform.brackets import _split_odd
-        for p, Pp in _split_odd(P).items():
-            for q, Qq in _split_odd(Q).items():
+        for p, Pp in split_odd(P).items():
+            for q, Qq in split_odd(Q).items():
                 sign = (-1) ** ((p - 1) * (q - 1))
                 assert SC.schouten(Pp, Qq) == -sign * SC.schouten(Qq, Pp)
 
     @given(multivectors(SG), multivectors(SG), multivectors(SG))
     @settings(max_examples=25, deadline=None)
     def test_super_leibniz(self, P, Q, R):
-        from diracdeform.brackets import _split_odd
-        for p, Pp in _split_odd(P).items():
-            for q, Qq in _split_odd(Q).items():
+        for p, Pp in split_odd(P).items():
+            for q, Qq in split_odd(Q).items():
                 lhs = SC.schouten(Pp, Qq * R)
                 rhs = (SC.schouten(Pp, Qq) * R
                        + (-1) ** ((p - 1) * q) * Qq * SC.schouten(Pp, R))
@@ -169,9 +177,8 @@ class TestSchouten:
     @given(multivectors(SG, 2), multivectors(SG, 2), multivectors(SG, 2))
     @settings(max_examples=20, deadline=None)
     def test_super_jacobi(self, P, Q, R):
-        from diracdeform.brackets import _split_odd
-        for p, Pp in _split_odd(P).items():
-            for q, Qq in _split_odd(Q).items():
+        for p, Pp in split_odd(P).items():
+            for q, Qq in split_odd(Q).items():
                 lhs = SC.schouten(Pp, SC.schouten(Qq, R))
                 rhs = (SC.schouten(SC.schouten(Pp, Qq), R)
                        + (-1) ** ((p - 1) * (q - 1))
@@ -300,9 +307,8 @@ class TestRothsteinLaws:
     @settings(max_examples=25, deadline=None)
     def test_graded_antisymmetry(self, seed, a, b):
         ctx = BracketContext.rothstein_on(random_connection(seed, gens=PG))
-        from diracdeform.brackets import _split_odd
-        for p, ap in _split_odd(a).items():
-            for q, bq in _split_odd(b).items():
+        for p, ap in split_odd(a).items():
+            for q, bq in split_odd(b).items():
                 sign = (-1) ** (p * q)
                 assert ctx.rothstein(ap, bq) == -sign * ctx.rothstein(bq, ap)
 
@@ -311,9 +317,8 @@ class TestRothsteinLaws:
     @settings(max_examples=15, deadline=None)
     def test_graded_leibniz(self, seed, a, b, c):
         ctx = BracketContext.rothstein_on(random_connection(seed, gens=PG))
-        from diracdeform.brackets import _split_odd
-        for p, ap in _split_odd(a).items():
-            for q, bq in _split_odd(b).items():
+        for p, ap in split_odd(a).items():
+            for q, bq in split_odd(b).items():
                 lhs = ctx.rothstein(ap, bq * c)
                 rhs = (ctx.rothstein(ap, bq) * c
                        + (-1) ** (p * q) * bq * ctx.rothstein(ap, c))
@@ -324,9 +329,8 @@ class TestRothsteinLaws:
     @settings(max_examples=10, deadline=None)
     def test_graded_jacobi(self, seed, a, b, c):
         ctx = BracketContext.rothstein_on(random_connection(seed, gens=PG))
-        from diracdeform.brackets import _split_odd
-        for p, ap in _split_odd(a).items():
-            for q, bq in _split_odd(b).items():
+        for p, ap in split_odd(a).items():
+            for q, bq in split_odd(b).items():
                 lhs = ctx.rothstein(ap, ctx.rothstein(bq, c))
                 rhs = (ctx.rothstein(ctx.rothstein(ap, bq), c)
                        + (-1) ** (p * q) * ctx.rothstein(bq, ctx.rothstein(ap, c)))
@@ -352,6 +356,112 @@ class TestRothsteinLaws:
         x = PG.gen("p_1") * PG.gen("a_1") + PG.gen("q2") * PG.gen("a^2")
         y = PG.gen("p_2") + PG.gen("q1") * PG.gen("a_2") * PG.gen("a^1")
         assert relabel(ctx.rothstein(x, y)) == ctx2.rothstein(relabel(x), relabel(y))
+
+
+# ---------------------------------------------------------------------
+# The tabulated bracket against the bracket bodies it replaced
+# ---------------------------------------------------------------------
+
+def base_poly(gens, m, draws):
+    """sum c * q^e over draws [(c, exponents)], in the first m evens."""
+    out = gens.zero()
+    for c, exps in draws:
+        term = gens.scalar(c)
+        for i, p in enumerate(exps[:m]):
+            term = term * gens.gen(gens.even[i]) ** p
+        out = out + term
+    return out
+
+
+@st.composite
+def polynomial_connections(draw, max_m=3, max_k=3):
+    m = draw(st.integers(1, max_m))
+    k = draw(st.integers(1, max_k))
+    gens = phase_generators(m, k)
+    poly = st.lists(st.tuples(st.integers(-2, 2),
+                              st.lists(st.integers(0, 2), min_size=m,
+                                       max_size=m)), max_size=2)
+    gamma = {}
+    for i in range(m):
+        for a in range(k):
+            for b in range(k):
+                gamma[(i, a, b)] = base_poly(gens, m, draw(poly))
+    return ConnectionData(gens, m, k, gamma)
+
+
+class TestOracles:
+    """`bracket` agrees with the five-term Rothstein body (covariant
+    derivative plus curvature) and with the Schouten body assembled from
+    odd-homogeneous components, on inhomogeneous pairs."""
+
+    @given(polynomial_connections(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_rothstein(self, conn, data):
+        ctx = BracketContext.rothstein_on(conn)
+        for _ in range(3):
+            a = data.draw(phase_elements(ctx.gens))
+            b = data.draw(phase_elements(ctx.gens))
+            assert ctx.bracket(a, b) == oracle.rothstein(ctx, a, b)
+
+    @given(st.integers(1, 3), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_point_big(self, k, data):
+        ctx = BracketContext.point_big(k)
+        a = data.draw(phase_elements(ctx.gens, 4))
+        b = data.draw(phase_elements(ctx.gens, 4))
+        assert ctx.bracket(a, b) == oracle.rothstein(ctx, a, b)
+
+    @given(st.permutations(range(3)), multivectors(PERM_GENS, 4),
+           multivectors(PERM_GENS, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_schouten_permuted_conjugates(self, perm, P, Q):
+        ctx = BracketContext(SCHOUTEN, PERM_GENS,
+                             conjugate=dict(enumerate(perm)))
+        assert ctx.bracket(P, Q) == oracle.schouten(ctx, P, Q)
+
+    def test_schouten_table_follows_conjugate_map(self):
+        ctx = BracketContext(SCHOUTEN, PERM_GENS, conjugate={0: 2, 1: 0,
+                                                             2: 1})
+        g = PERM_GENS.gen
+        assert ctx.bracket(g("dz"), g("x")) == PERM_GENS.one()
+        assert ctx.bracket(g("x"), g("dz")) == -PERM_GENS.one()
+        assert ctx.bracket(g("dx"), g("x")).is_zero()
+
+
+class TestLayoutValidation:
+    @pytest.mark.parametrize("conjugate", [
+        {-1: 0, 0: 1},     # wraps around to the last even generator
+        {5: 0, 1: 1},      # out of range
+        {0: 0, 1: 0},      # not injective
+        {0: 0},            # not onto
+        {0: 0, 1: 1, 2: 1},
+        {0: True, 1: 0},   # not an int
+        {0.0: 0, 1: 1},
+    ])
+    def test_conjugate_must_be_a_bijection(self, conjugate):
+        gens = GeneratorSet(["x", "y"], ["dx", "dy"])
+        with pytest.raises(ValueError):
+            BracketContext(SCHOUTEN, gens, conjugate=conjugate)
+
+    def test_default_conjugate_needs_equal_counts(self):
+        with pytest.raises(ValueError):
+            BracketContext(SCHOUTEN, GeneratorSet(["x", "y"], ["dx"]))
+
+    @pytest.mark.parametrize("gens, k", [
+        (GeneratorSet([], ["a", "b", "c"]), None),    # odd count
+        (phase_generators(0, 2), 1),                  # 4 odd, k = 1
+        (phase_generators(1, 1), None),               # even generators
+        (phase_generators(0, 1), -1),
+    ])
+    def test_point_big_layout(self, gens, k):
+        with pytest.raises(ValueError):
+            BracketContext(POINT_BIG, gens, k=k)
+
+    def test_rothstein_layout(self):
+        conn = ConnectionData(phase_generators(1, 1), 1, 1)
+        with pytest.raises(ValueError):
+            BracketContext("ROTHSTEIN", phase_generators(2, 1),
+                           connection=conn)
 
 
 class TestDarboux:

@@ -297,6 +297,14 @@ class TestTableFormat:
     ("rothstein-check", None, ["--k", "-1"], "--k"),
     ("ihs-run", None, ["--system", "sys.json", "--x0", "0,0",
                        "--steps", "-3"], "--steps"),
+    ("courant-verify", {"m": -1, "k": 2}, [], "$.m"),
+    ("courant-verify", {"m": 0, "k": -2}, [], "$.k"),
+    ("courant-verify", {"m": True, "k": 1}, [], "$.m"),
+    ("theta-master", {"m": -1, "k": 2}, [], "$.m"),
+    ("theta-master", {"m": 0, "k": -2}, [], "$.k"),
+    ("theta-master", {"m": True, "k": 1}, [], "$.m"),
+    ("deform-dirac", {"courant": {"m": 1, "k": 2.0}, "prefix": []}, [],
+     "$.k"),
 ])
 def test_input_errors_exit_2_naming_path(tmp_path, command, data, extra,
                                         path):
@@ -339,3 +347,27 @@ def test_deform_report_bodies_pinned(tmp_path, capsys, command, data, extra,
     body = json.loads(out)["report"]
     assert hashlib.sha256(json.dumps(body, sort_keys=True).encode()
                           ).hexdigest() == digest
+
+
+# Complete courant-verify reports of failing inputs, recorded from the
+# unmemoized axiom loops: the memoized loops must keep every failure list
+# and its order byte for byte.
+BROKEN_ANCHOR = {"m": 1, "k": 1, "rho": [[0, 0, "1"]],
+                 "rho_bar": [[0, 0, "1 q1"]]}
+NONJACOBI_SO3 = courant.CourantInput(
+    0, 3, c={(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 0): 1}).to_json()
+DATA = Path(__file__).resolve().parent / "data"
+
+
+@pytest.mark.parametrize("data, extra, expected", [
+    (NONJACOBI_SO3, [], "courant_verify_nonjacobi_so3.json"),
+    (BROKEN_ANCHOR, ["--degree", "2"], "courant_verify_broken_anchor.json"),
+    (BROKEN_ANCHOR, ["--degree", "2", "--section-limit", "3"],
+     "courant_verify_broken_anchor_limit3.json"),
+])
+def test_failing_courant_reports_pinned(tmp_path, capsys, data, extra,
+                                        expected):
+    code, out, _ = run(["courant-verify", write(tmp_path, "in.json", data)]
+                       + extra, capsys)
+    assert code == 1
+    assert out == (DATA / expected).read_text()

@@ -13,7 +13,7 @@ from diracdeform.lie_deform import (
     ObstructionCertificate,
     PreconditionMC,
 )
-from diracdeform.superalg import to_text
+from diracdeform.superalg import phase_generators, to_text
 
 EPS = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1}
 
@@ -72,6 +72,16 @@ class TestInputValidation:
         g = inp.gens
         q1, q2 = g.gen(g.even[0]), g.gen(g.even[1])
         assert inp.rho[(0, 0)] == q1 * q1 + Fraction(1, 2) * q2
+
+    @pytest.mark.parametrize("m, k, name", [
+        (-1, 2, "$.m"), (0, -2, "$.k"), (True, 1, "$.m"), (1, False, "$.k"),
+        (1.0, 1, "$.m"), ("2", 1, "$.m"),
+    ])
+    def test_counts_must_be_non_negative_ints(self, m, k, name):
+        with pytest.raises(co.ShapeError, match=rf"^\{name}:"):
+            co.CourantInput(m, k)
+        with pytest.raises(co.ShapeError, match=rf"^\{name}:"):
+            co.CourantInput.from_json({"m": m, "k": k})
 
     def test_psi_totally_antisymmetric(self):
         inp = co.CourantInput(0, 3, psi={(0, 1, 2): 1})
@@ -159,6 +169,28 @@ class TestVerify:
                                        (2, 0, 0): 1})
         with pytest.raises(co.AxiomViolation):
             co.verify_courant(bad, raise_on_fail=True)
+
+
+class TestSectionFamily:
+    @pytest.mark.parametrize("m, degree, count", [
+        (0, 3, 1), (1, 3, 4), (2, 1, 3), (2, 2, 6), (2, 3, 10), (3, 2, 10),
+    ])
+    def test_q_monomials_are_distinct(self, m, degree, count):
+        gens = phase_generators(m, 1)
+        monos = co._q_monomials(gens, m, degree)
+        texts = [to_text(f) for f in monos]
+        assert len(texts) == len(set(texts)) == count
+
+    def test_q_monomial_order(self):
+        gens = phase_generators(2, 1)
+        assert [to_text(f) for f in co._q_monomials(gens, 2, 3)] == [
+            "1", "1 q1", "1 q2", "1 q1^2", "1 q1 q2", "1 q2^2", "1 q1^3",
+            "1 q1^2 q2", "1 q1 q2^2", "1 q2^3"]
+
+    def test_sections_on_a_plane_at_degree_three(self):
+        th = co.build_theta(co.standard_courant(2))
+        assert len(co._section_family(th, 3)) == 40
+        assert len(co._two_form_basis(th, 3)) == 10
 
 
 class TestDerivedBracket:
