@@ -10,6 +10,7 @@ import argparse
 import hashlib
 import itertools
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -72,6 +73,12 @@ def _require_counts(*options):
     for name, value in options:
         if value is not None and value < 0:
             raise SchemaError(name, "must be non-negative")
+
+
+def _require_positive(name, value):
+    """Reject a float option that is given but not finite and > 0."""
+    if value is not None and not (math.isfinite(value) and value > 0):
+        raise SchemaError(name, "must be a finite number > 0")
 
 
 def _render_table(obj, prefix=""):
@@ -330,6 +337,7 @@ def cmd_rothstein_check(args):
 
 def cmd_ihs_run(args):
     _require_counts(("--steps", args.steps))
+    _require_positive("--h", args.h)
     data, digest = _load_json(args.system)
     try:
         sys_ = ihs.system_from_json(data)
@@ -338,20 +346,19 @@ def cmd_ihs_run(args):
         raise SchemaError(args.system, f"bad system data ({e})")
     try:
         x0 = [float(Fraction(x)) for x in args.x0.split(",")]
-    except ValueError as e:
+    except (ValueError, ZeroDivisionError, OverflowError) as e:
         raise SchemaError("--x0", str(e))
     if len(x0) != sys_.n:
         raise SchemaError("--x0", f"expected {sys_.n} components")
+    h = sys_.h if args.h is None else args.h
     try:
-        traj = sys_.integrate(x0, args.steps, h=args.h)
+        traj = sys_.integrate(x0, args.steps, h=h)
     except ihs.LeftAdmissibleSet as e:
         body = {"status": "LEFT_ADMISSIBLE_SET", "step": e.step, "t": e.t}
         _emit(_envelope("ihs-run", digest, body, False), args)
         return 1
-    rows = []
-    for t, x, e in zip(traj.times, traj.points, traj.energies):
-        res = sys_.velocity_solve(x).residual
-        rows.append([t] + list(x) + [e, res])
+    rows = [[t] + list(x) + [e, res] for t, x, e, res in
+            zip(traj.times, traj.points, traj.energies, traj.residuals)]
     if args.format == "csv":
         header = ["t"] + [f"x{i+1}" for i in range(sys_.n)] \
             + ["H", "residual"]
@@ -360,7 +367,7 @@ def cmd_ihs_run(args):
             lines.append(",".join(f"{v:.12g}" for v in row))
         _write("\n".join(lines) + "\n", args)
         return 0
-    body = {"steps": args.steps, "h": args.h if args.h else sys_.h,
+    body = {"steps": args.steps, "h": h,
             "max_drift": traj.max_drift,
             "max_residual": traj.max_residual,
             "trajectory": [[f"{v:.12g}" for v in row] for row in rows]}

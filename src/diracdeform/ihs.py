@@ -12,6 +12,7 @@ Polynomials are SuperElements over the even generators x1..xn
 (IHSystem.gens).
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -82,12 +83,17 @@ class VelocityResult:
 
 
 class Trajectory:
-    def __init__(self, times, points, energies, max_drift, max_residual):
+    """RK4 trajectory.  max_residual is the largest stage residual;
+    residuals[i] is the residual of the velocity solve at points[i]."""
+
+    def __init__(self, times, points, energies, max_drift, max_residual,
+                 residuals):
         self.times = times
         self.points = points
         self.energies = energies
         self.max_drift = max_drift
         self.max_residual = max_residual
+        self.residuals = residuals
 
 
 class IHSystem:
@@ -113,6 +119,15 @@ class IHSystem:
         B = np.array(basis, dtype=float).reshape(len(basis), 2 * self.n)
         self.vec_part = B[:, :self.n]      # a-components of the L basis
         self.cov_part = B[:, self.n:]      # alpha-components
+        # L is constant, so the constraint matrix is factored once: one
+        # SVD gives the least-norm pseudo-inverse V_r S_r^-1 U_r^T and the
+        # gauge basis (rows r.. of vt) from the same rank decision
+        M = self.cov_part
+        u, s, vt = np.linalg.svd(M)
+        rank = int(np.sum(s > max(M.shape) * np.finfo(float).eps
+                          * (s[0] if len(s) else 1.0)))
+        self._pinv = vt[:rank].T @ (u[:, :rank] / s[:rank]).T
+        self._gauge = [vt[i] for i in range(rank, vt.shape[0])]
         self._H_terms = _float_terms(H)
         self._dH_terms = [_float_terms(H.partial_even(v))
                           for v in self.gens.even]
@@ -127,21 +142,16 @@ class IHSystem:
         return _float_eval(self._H_terms, list(map(float, x)))
 
     def velocity_solve(self, x):
-        """Least-norm xdot with (xdot, dH(x)) in L, plus gauge basis."""
-        dh = self.dH(x)
-        M = self.cov_part
-        b = -self.vec_part @ dh
-        xdot, *_ = np.linalg.lstsq(M, b, rcond=None)
-        residual = float(np.linalg.norm(M @ xdot - b, np.inf))
-        scale = 1.0 + float(np.linalg.norm(b, np.inf))
-        if residual > self.tol * scale:
+        """Least-norm xdot with (xdot, dH(x)) in L, plus gauge basis.
+
+        A NaN residual (a non-finite state) counts as inadmissible."""
+        b = -self.vec_part @ self.dH(x)
+        xdot = self._pinv @ b
+        residual = float(np.abs(self.cov_part @ xdot - b).max(initial=0.0))
+        scale = 1.0 + float(np.abs(b).max(initial=0.0))
+        if not residual <= self.tol * scale:
             return VelocityResult("INADMISSIBLE", residual=residual)
-        # gauge freedom: null space of the constraint matrix
-        u, s, vt = np.linalg.svd(M)
-        rank = int(np.sum(s > max(M.shape) * np.finfo(float).eps
-                          * (s[0] if len(s) else 1.0)))
-        gauge = [vt[i] for i in range(rank, vt.shape[0])]
-        return VelocityResult("OK", xdot=xdot, gauge=gauge,
+        return VelocityResult("OK", xdot=xdot, gauge=self._gauge,
                               residual=residual)
 
     def energy_derivative(self, x):
@@ -154,13 +164,16 @@ class IHSystem:
 
     def integrate(self, x0, steps, h=None):
         """RK4 trajectory; raises LeftAdmissibleSet if a stage leaves
-        the admissible set."""
+        the admissible set.  The k1 stage solves at the current point,
+        so it supplies that point's residual; the final point gets one
+        more solve."""
         h = self.h if h is None else h
         x = np.array(x0, dtype=float)
         times = [0.0]
         points = [x.copy()]
         e0 = self.energy(x)
         energies = [e0]
+        residuals = []
         max_res = 0.0
 
         def f(step, t, y):
@@ -169,20 +182,23 @@ class IHSystem:
             if r.status != "OK":
                 raise LeftAdmissibleSet(step, t, y)
             max_res = max(max_res, r.residual)
-            return r.xdot
+            return r
 
         for s in range(steps):
             t = s * h
-            k1 = f(s, t, x)
-            k2 = f(s, t + h / 2, x + h / 2 * k1)
-            k3 = f(s, t + h / 2, x + h / 2 * k2)
-            k4 = f(s, t + h, x + h * k3)
+            r1 = f(s, t, x)
+            residuals.append(r1.residual)
+            k1 = r1.xdot
+            k2 = f(s, t + h / 2, x + h / 2 * k1).xdot
+            k3 = f(s, t + h / 2, x + h / 2 * k2).xdot
+            k4 = f(s, t + h, x + h * k3).xdot
             x = x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
             times.append((s + 1) * h)
             points.append(x.copy())
             energies.append(self.energy(x))
+        residuals.append(self.velocity_solve(x).residual)
         drift = max(abs(e - e0) for e in energies)
-        return Trajectory(times, points, energies, drift, max_res)
+        return Trajectory(times, points, energies, drift, max_res, residuals)
 
     # -- admissible-function algebra (exact) ----------------------------
 
@@ -275,14 +291,36 @@ def system_to_json(sys_):
     }
 
 
+def _positive_number(obj, key, default):
+    """obj[key] (default if absent), which must be a finite number > 0."""
+    v = obj.get(key, default)
+    if type(v) not in (int, float) or not (math.isfinite(v) and v > 0):
+        raise ValueError(f"$.{key}: must be a finite number > 0, got {v!r}")
+    return v
+
+
 def system_from_json(obj):
     """Inverse of system_to_json.  H is a list of [exponents, coeff]; a
-    repeated exponent vector keeps its last coefficient."""
+    repeated exponent vector keeps its last coefficient.  Errors name
+    their JSON path."""
     L = dirac_from_json(obj["L"])
+    h = _positive_number(obj, "h", 1e-3)
+    tol = _positive_number(obj, "tol", 1e-9)
     terms = {}
-    for e, c in obj["H"]:
-        if len(e) != L.n or any(type(k) is not int or k < 0 for k in e):
-            raise BadPolynomial(f"bad exponent vector {e!r} for n = {L.n}")
-        terms[(tuple(e), ())] = Fraction(c)
+    for i, term in enumerate(obj["H"]):
+        if not (type(term) is list and len(term) == 2
+                and type(term[0]) is list and len(term[0]) == L.n
+                and all(type(k) is int and k >= 0 for k in term[0])):
+            raise BadPolynomial(f"$.H[{i}]: expected [exponents, coeff] "
+                                f"with {L.n} natural exponents, got "
+                                f"{term!r}")
+        e, c = term
+        try:
+            coeff = Fraction(c)
+            float(coeff)    # RK4 evaluates H in floats
+        except (ValueError, TypeError, ZeroDivisionError,
+                OverflowError) as err:
+            raise BadPolynomial(f"$.H[{i}]: bad coefficient {c!r} ({err})")
+        terms[(tuple(e), ())] = coeff
     H = SuperElement(base_gens(L.n), {m: c for m, c in terms.items() if c})
-    return IHSystem(L, H, h=obj.get("h", 1e-3), tol=obj.get("tol", 1e-9))
+    return IHSystem(L, H, h=h, tol=tol)

@@ -21,6 +21,8 @@ NONJACOBI = {"dim": 3, "c": [[0, 1, 2, "1"], [1, 2, 0, "1"],
 FILIFORM_6 = {"dim": 6, "c": [[0, i, i + 1, "1"] for i in range(1, 5)]}
 EPS = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1}
 STD1 = courant.standard_courant(1).to_json()
+OSC = ihs.system_to_json(ihs.IHSystem(
+    ihs.canonical_symplectic(1), parse(base_gens(2), "1/2 x1^2 + 1/2 x2^2")))
 SUBPROCESS_ENV = dict(os.environ, PYTHONPATH=str(
     Path(__file__).resolve().parents[1] / "src"))
 
@@ -257,6 +259,38 @@ class TestIhsRun:
         assert code == 2
 
 
+def strict_json(text):
+    """json.loads that rejects NaN and Infinity, which are not JSON."""
+    def reject(name):
+        raise ValueError(f"{name} is not valid JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("system, extra", [
+    (OSC, []),
+    (OSC, ["--h", "0.01"]),
+    ({**OSC, "h": 0.005}, []),
+    (OSC, ["--h", "0"]),
+    (OSC, ["--h", "nan"]),
+    (OSC, ["--h", "inf"]),
+    (OSC, ["--h", "-1"]),
+    ({**OSC, "tol": float("nan")}, []),
+    ({**OSC, "h": float("nan")}, []),
+])
+def test_ihs_run_output_is_strict_json(tmp_path, capsys, system, extra):
+    argv = ["ihs-run", "--system", write(tmp_path, "sys.json", system),
+            "--x0", "1,0", "--steps", "20"] + extra
+    code, out, _ = run(argv, capsys)
+    if code == 2:
+        assert out == ""
+        return
+    body = strict_json(out)["report"]
+    # the report names the step the trajectory was integrated with
+    h = float(extra[1]) if extra else system["h"]
+    assert body["h"] == h
+    assert float(body["trajectory"][1][0]) == pytest.approx(h, rel=1e-11)
+
+
 class TestTableFormat:
     def test_table_rendering(self, tmp_path, capsys):
         path = write(tmp_path, "so3.json", SO3)
@@ -305,11 +339,37 @@ class TestTableFormat:
     ("theta-master", {"m": True, "k": 1}, [], "$.m"),
     ("deform-dirac", {"courant": {"m": 1, "k": 2.0}, "prefix": []}, [],
      "$.k"),
+    ("ihs-run", {**OSC, "h": "abc"}, ["--x0", "0,0"], "$.h"),
+    ("ihs-run", {**OSC, "h": -0.001}, ["--x0", "0,0"], "$.h"),
+    ("ihs-run", {**OSC, "h": 0}, ["--x0", "0,0"], "$.h"),
+    ("ihs-run", {**OSC, "h": True}, ["--x0", "0,0"], "$.h"),
+    ("ihs-run", {**OSC, "h": float("inf")}, ["--x0", "0,0"], "$.h"),
+    ("ihs-run", {**OSC, "tol": "x"}, ["--x0", "0,0"], "$.tol"),
+    ("ihs-run", {**OSC, "tol": float("nan")}, ["--x0", "0,0"], "$.tol"),
+    ("ihs-run", {**OSC, "H": [[[2, 0], "1/2"], [[0, 2], "1/0"]]},
+     ["--x0", "0,0"], "$.H[1]"),
+    ("ihs-run", {**OSC, "H": [[[2, 0], None]]}, ["--x0", "0,0"], "$.H[0]"),
+    ("ihs-run", {**OSC, "H": [[[2, 0], "1e400"]]}, ["--x0", "0,0"],
+     "$.H[0]"),
+    ("ihs-run", {**OSC, "H": [[[2, 0, 1], "1"]]}, ["--x0", "0,0"],
+     "$.H[0]"),
+    ("ihs-run", {**OSC, "H": [[[2, 0]]]}, ["--x0", "0,0"], "$.H[0]"),
+    ("ihs-run", {**OSC, "H": [[[0, 1], "1"], [2, "1"]]}, ["--x0", "0,0"],
+     "$.H[1]"),
+    ("ihs-run", OSC, ["--x0=1e400,0"], "--x0"),
+    ("ihs-run", OSC, ["--x0=1/0,0"], "--x0"),
+    ("ihs-run", OSC, ["--x0", "0,0", "--h", "0"], "--h"),
+    ("ihs-run", OSC, ["--x0", "0,0", "--h", "-1"], "--h"),
+    ("ihs-run", OSC, ["--x0", "0,0", "--h", "nan"], "--h"),
+    ("ihs-run", OSC, ["--x0", "0,0", "--h", "inf"], "--h"),
 ])
 def test_input_errors_exit_2_naming_path(tmp_path, command, data, extra,
                                         path):
-    # data None: the command takes no input file
+    # data None: the command takes no input file; ihs-run takes its
+    # input file as --system
     inputs = [] if data is None else [write(tmp_path, "in.json", data)]
+    if command == "ihs-run" and inputs:
+        inputs.insert(0, "--system")
     p = subprocess.run(
         [sys.executable, "-m", "diracdeform.cli", command] + inputs + extra,
         capture_output=True, text=True, env=SUBPROCESS_ENV)

@@ -7,9 +7,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from diracdeform import ihs, ratlin
-from diracdeform.dirac_linear import LinearDirac, from_bivector, space_V
+from diracdeform.dirac_linear import (
+    LinearDirac,
+    from_bivector,
+    from_R_Omega,
+    from_two_form,
+    space_V,
+    space_V_star,
+)
 from diracdeform.multilinear import base_gens
 from diracdeform.superalg import SuperElement, parse
 
@@ -112,7 +120,162 @@ class TestVelocitySolve:
             assert abs(ker.energy_derivative(x3)) < 1e-12
 
 
+def lstsq_velocity_solve(sys_, x):
+    """The per-call solve that the factored one replaces: lstsq for xdot,
+    then an SVD of the constraint matrix for the gauge basis."""
+    dh = sys_.dH(x)
+    M = sys_.cov_part
+    b = -sys_.vec_part @ dh
+    xdot, *_ = np.linalg.lstsq(M, b, rcond=None)
+    residual = float(np.linalg.norm(M @ xdot - b, np.inf))
+    scale = 1.0 + float(np.linalg.norm(b, np.inf))
+    if residual > sys_.tol * scale:
+        return ihs.VelocityResult("INADMISSIBLE", residual=residual)
+    u, s, vt = np.linalg.svd(M)
+    rank = int(np.sum(s > max(M.shape) * np.finfo(float).eps
+                      * (s[0] if len(s) else 1.0)))
+    gauge = [vt[i] for i in range(rank, vt.shape[0])]
+    return ihs.VelocityResult("OK", xdot=xdot, gauge=gauge,
+                              residual=residual)
+
+
+SMALL = st.integers(-3, 3)
+
+
+@st.composite
+def antisymmetric(draw, n):
+    A = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            A[i][j] = Fraction(draw(SMALL), draw(st.integers(1, 3)))
+            A[j][i] = -A[i][j]
+    return A
+
+
+@st.composite
+def lagrangians(draw):
+    """Graphs of bivectors and two-forms, and mixed structures with a
+    random range R and form on R (neither graph is global)."""
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["bivector", "two_form", "mixed", "V",
+                                 "V*"]))
+    if kind == "bivector":
+        return from_bivector(draw(antisymmetric(n)))
+    if kind == "two_form":
+        return from_two_form(draw(antisymmetric(n)))
+    if kind == "V":
+        return space_V(n)
+    if kind == "V*":
+        return space_V_star(n)
+    rows = draw(st.lists(st.lists(SMALL, min_size=n, max_size=n),
+                         max_size=n))
+    R = ratlin.Subspace(n, rows)
+    return from_R_Omega(R, draw(antisymmetric(R.dim)))
+
+
+@st.composite
+def systems(draw):
+    """A random Hamiltonian, or one built from squares and multiples of
+    linear forms w.x with w in pr_{V*}(L), which is admissible
+    everywhere."""
+    L = draw(lagrangians())
+    rng = random.Random(draw(st.integers(0, 2 ** 16)))
+    gens = base_gens(L.n)
+    if not draw(st.booleans()):
+        return ihs.IHSystem(L, rand_poly(rng, L.n))
+    H = gens.zero()
+    for w in ihs.IHSystem(L, H).covector_projection().basis:
+        form = gens.zero()
+        for wi, v in zip(w, gens.even):
+            form = form + wi * gens.gen(v)
+        H = H + rng.randint(-3, 3) * form * form + rng.randint(-3, 3) * form
+    return ihs.IHSystem(L, H)
+
+
+POINTS = st.floats(-2, 2, allow_nan=False, allow_infinity=False)
+
+
+class TestFactoredSolve:
+    @given(systems(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_lstsq_oracle(self, sys_, data):
+        exact_rank = ratlin.rank([list(row)[sys_.n:]
+                                  for row in sys_.L.subspace.basis])
+        gauges = []
+        for _ in range(3):
+            x = data.draw(st.lists(POINTS, min_size=sys_.n,
+                                   max_size=sys_.n))
+            want = lstsq_velocity_solve(sys_, x)
+            scale = 1.0 + float(np.max(np.abs(
+                sys_.vec_part @ sys_.dH(x)), initial=0.0))
+            # a residual right at the threshold may fall either way
+            assume(abs(want.residual - sys_.tol * scale)
+                   > 1e-6 * sys_.tol * scale)
+            got = sys_.velocity_solve(x)
+            assert got.status == want.status
+            if got.status != "OK":
+                assert got.gauge == []
+                continue
+            size = max(1.0, float(np.max(np.abs(want.xdot), initial=0.0)))
+            assert np.max(np.abs(got.xdot - want.xdot),
+                          initial=0.0) <= 1e-12 * size
+            G = np.array(got.gauge).reshape(len(got.gauge), sys_.n)
+            assert len(got.gauge) == sys_.n - exact_rank == len(want.gauge)
+            assert np.allclose(G @ G.T, np.eye(len(G)), atol=1e-12)
+            assert np.allclose(sys_.cov_part @ G.T, 0.0, atol=1e-12)
+            gauges.append(got.gauge)
+        assert all(g is gauges[0] for g in gauges)
+
+    def test_no_factorization_after_construction(self, monkeypatch):
+        systems_ = [oscillator(),
+                    ihs.IHSystem(kernel_structure(),
+                                 poly(3, "1/2 x1^2 + 1/2 x2^2"))]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("factorization inside the solve")
+
+        for name in ("lstsq", "svd", "pinv", "norm"):
+            monkeypatch.setattr(np.linalg, name, forbidden)
+        for sys_ in systems_:
+            x0 = [1.0] + [0.5] * (sys_.n - 1)
+            traj = sys_.integrate(x0, 200)
+            assert len(traj.residuals) == 201
+            assert abs(sys_.energy_derivative(x0)) < 1e-12
+
+    def test_non_finite_state_is_inadmissible(self):
+        sys_ = oscillator()
+        assert sys_.velocity_solve([math.nan, 0.0]).status == "INADMISSIBLE"
+
+    def test_zero_dimensional_system(self):
+        sys_ = ihs.IHSystem(space_V(0), base_gens(0).zero())
+        r = sys_.velocity_solve([])
+        assert (r.status, r.gauge, r.residual) == ("OK", [], 0.0)
+        assert sys_.integrate([], 3).residuals == [0.0] * 4
+
+
 class TestIntegrate:
+    def test_residuals_are_those_of_the_points(self):
+        # entries of 1/3 make the pseudo-inverse inexact, so the
+        # residuals of the first system are not all zero
+        pi = [[0, Fraction(1, 3), 1, 0], [Fraction(-1, 3), 0, 0, 2],
+              [-1, 0, 0, Fraction(1, 3)], [0, -2, Fraction(-1, 3), 0]]
+        cases = [
+            (from_bivector(pi),
+             poly(4, "1/2 x1^2 + 1/3 x2 x3 + 1/2 x4^2 + 1/5 x1 x3"),
+             [0.3, -0.7, 0.2, 0.9]),
+            (kernel_structure(), poly(3, "1/2 x1^2 + 1/2 x2^2"),
+             [0.3, -0.7, 0.2]),
+        ]
+        for L, H, x0 in cases:
+            sys_ = ihs.IHSystem(L, H)
+            traj = sys_.integrate(x0, 300, h=1e-2)
+            assert len(traj.residuals) == len(traj.points) == 301
+            for res, x in zip(traj.residuals, traj.points):
+                assert res == sys_.velocity_solve(x).residual
+            assert traj.max_residual >= max(traj.residuals[:-1])
+            if L.n == 4:
+                assert any(traj.residuals)
+
     def test_harmonic_oscillator_circle(self):
         sys_ = oscillator()
         traj = sys_.integrate([1.0, 0.0], 1000, h=1e-3)
