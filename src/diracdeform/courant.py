@@ -41,10 +41,6 @@ class AxiomViolation(Exception):
     pass
 
 
-class DegreeCapExceeded(Exception):
-    pass
-
-
 def _frac(x):
     return x if isinstance(x, Fraction) else Fraction(x)
 
@@ -665,8 +661,10 @@ def deform_series_dirac(inp_or_theta, prefix, order, degree_cap=2):
     """
     th = inp_or_theta if isinstance(inp_or_theta, ThetaStructure) \
         else build_theta(inp_or_theta)
-    d = Differential(partial(d_L, th), _two_form_basis(th, degree_cap),
-                     th.zero(), spans=th.input.m == 0)
+    op = partial(d_L, th)
+    basis = _two_form_basis(th, degree_cap)
+    d = Differential(op, basis, th.zero(), spans=th.input.m == 0,
+                     images=[op(b).terms for b in basis])
     coeffs, certs = mc_extend(
         d, lambda coeffs, n: -mc_residual_one(th, coeffs, n),
         [th.zero()] + list(prefix), order, AxiomViolation)

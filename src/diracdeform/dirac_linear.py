@@ -247,9 +247,8 @@ def from_R_Omega(R, Omega):
         if status != "SOLUTION":
             raise ShapeMismatch("form is not representable on R")
         basis.append(list(R.basis[a]) + eta)
-    ann = ratlin.kernel_basis(rows) if k else Subspace(n, ratlin.identity(n))
-    for v in ann.basis:
-        basis.append([Fraction(0)] * n + list(v))
+    for v in R.echelon.kernel(n):
+        basis.append([Fraction(0)] * n + v)
     return LinearDirac(n, Subspace(2 * n, basis))
 
 
@@ -277,10 +276,7 @@ def from_K_pi(K, corange, pi):
 
 def _constraint_rows(S):
     """Rows C with S = ker C."""
-    if not S.basis:
-        return ratlin.identity(S.ambient_dim)
-    ker = ratlin.kernel_basis([list(v) for v in S.basis])
-    return [list(v) for v in ker.basis]
+    return S.echelon.kernel(S.ambient_dim)
 
 
 def _phi_t(phi):
@@ -303,10 +299,8 @@ def forward_map(phi, L):
         for a in range(nw):
             row.append(sum(crow[nv + i] * phit[i][a] for i in range(nv)))
         rows.append(row)
-    ker = ratlin.kernel_basis(rows) if rows else \
-        Subspace(nv + nw, ratlin.identity(nv + nw))
     out = []
-    for v in ker.basis:
+    for v in ratlin.Echelon(map(ratlin.sparse_row, rows)).kernel(nv + nw):
         x, eta = v[:nv], v[nv:]
         px = [sum(frac(phi[j][i]) * x[i] for i in range(nv))
               for j in range(nw)]
@@ -328,10 +322,8 @@ def backward_map(phi, L):
                for i in range(nv)]
         row += list(crow[nw:])
         rows.append(row)
-    ker = ratlin.kernel_basis(rows) if rows else \
-        Subspace(nv + nw, ratlin.identity(nv + nw))
     out = []
-    for v in ker.basis:
+    for v in ratlin.Echelon(map(ratlin.sparse_row, rows)).kernel(nv + nw):
         x, eta = v[:nv], v[nv:]
         pe = [sum(phit[i][a] * eta[a] for a in range(nw)) for i in range(nv)]
         out.append(list(x) + pe)
@@ -409,9 +401,8 @@ def compose_relations(L1, L2):
         rows.append(list(c[:d1]) + list(c[d1:]) + [Fraction(0)] * d3)
     for c in C2:
         rows.append([Fraction(0)] * d1 + list(c[:d2]) + list(c[d2:]))
-    ker = ratlin.kernel_basis(rows) if rows else \
-        Subspace(d1 + d2 + d3, ratlin.identity(d1 + d2 + d3))
-    out = [list(v[:d1]) + list(v[d1 + d2:]) for v in ker.basis]
+    ker = ratlin.Echelon(map(ratlin.sparse_row, rows)).kernel(d1 + d2 + d3)
+    out = [v[:d1] + v[d1 + d2:] for v in ker]
     return CanonicalRelation(n1, n3, Subspace(d1 + d3, out))
 
 
@@ -655,14 +646,6 @@ def subspace_to_json(S):
 def subspace_from_json(obj):
     return Subspace(obj["ambient"],
                     [[Fraction(x) for x in v] for v in obj["basis"]])
-
-
-def matrix_to_json(M):
-    return [[_frac_str(x) for x in row] for row in M]
-
-
-def matrix_from_json(rows):
-    return [[Fraction(x) for x in row] for row in rows]
 
 
 def dirac_to_json(L):

@@ -53,13 +53,17 @@ def _float_terms(p):
 
 
 def _float_eval(terms, x):
-    """Value of compiled terms at x, a list of floats.  Terms are summed
-    in order so that trajectory reports do not change in the last bit."""
+    """Value of compiled terms at x, a list of floats; NaN if a power
+    overflows.  Terms are summed in order so that trajectory reports do
+    not change in the last bit."""
     total = 0.0
-    for c, powers in terms:
-        for i, k in powers:
-            c *= x[i] ** k
-        total += c
+    try:
+        for c, powers in terms:
+            for i, k in powers:
+                c *= x[i] ** k
+            total += c
+    except OverflowError:
+        return math.nan
     return total
 
 
@@ -144,7 +148,8 @@ class IHSystem:
     def velocity_solve(self, x):
         """Least-norm xdot with (xdot, dH(x)) in L, plus gauge basis.
 
-        A NaN residual (a non-finite state) counts as inadmissible."""
+        A NaN residual (a non-finite or overflowing state) counts as
+        inadmissible."""
         b = -self.vec_part @ self.dH(x)
         xdot = self._pinv @ b
         residual = float(np.abs(self.cov_part @ xdot - b).max(initial=0.0))
@@ -164,15 +169,14 @@ class IHSystem:
 
     def integrate(self, x0, steps, h=None):
         """RK4 trajectory; raises LeftAdmissibleSet if a stage leaves
-        the admissible set.  The k1 stage solves at the current point,
-        so it supplies that point's residual; the final point gets one
-        more solve."""
+        the admissible set or the trajectory diverges (the energy of a
+        point or the residual of the final point is not finite).  The k1
+        stage solves at the current point, so it supplies that point's
+        residual; the final point gets one more solve."""
         h = self.h if h is None else h
         x = np.array(x0, dtype=float)
         times = [0.0]
         points = [x.copy()]
-        e0 = self.energy(x)
-        energies = [e0]
         residuals = []
         max_res = 0.0
 
@@ -183,6 +187,15 @@ class IHSystem:
                 raise LeftAdmissibleSet(step, t, y)
             max_res = max(max_res, r.residual)
             return r
+
+        def energy(step, t, y):
+            e = self.energy(y)
+            if not math.isfinite(e):
+                raise LeftAdmissibleSet(step, t, y)
+            return e
+
+        e0 = energy(0, 0.0, x)
+        energies = [e0]
 
         for s in range(steps):
             t = s * h
@@ -195,8 +208,10 @@ class IHSystem:
             x = x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
             times.append((s + 1) * h)
             points.append(x.copy())
-            energies.append(self.energy(x))
+            energies.append(energy(s, (s + 1) * h, x))
         residuals.append(self.velocity_solve(x).residual)
+        if not math.isfinite(residuals[-1]):
+            raise LeftAdmissibleSet(steps, steps * h, x)
         drift = max(abs(e - e0) for e in energies)
         return Trajectory(times, points, energies, drift, max_res, residuals)
 
@@ -303,7 +318,14 @@ def system_from_json(obj):
     """Inverse of system_to_json.  H is a list of [exponents, coeff]; a
     repeated exponent vector keeps its last coefficient.  Errors name
     their JSON path."""
+    unknown = sorted(set(obj) - {"n", "L", "H", "h", "tol"})
+    if unknown:
+        raise ValueError(f"$.{unknown[0]}: unknown key")
     L = dirac_from_json(obj["L"])
+    n = obj.get("n")
+    if type(n) is not int or n != L.n:
+        raise ValueError(f"$.n: expected the integer $.L.n = {L.n}, "
+                         f"got {n!r}")
     h = _positive_number(obj, "h", 1e-3)
     tol = _positive_number(obj, "tol", 1e-9)
     terms = {}
@@ -317,7 +339,7 @@ def system_from_json(obj):
         e, c = term
         try:
             coeff = Fraction(c)
-            float(coeff)    # RK4 evaluates H in floats
+            float(coeff * max(e + [1]))    # RK4 evaluates H and dH in floats
         except (ValueError, TypeError, ZeroDivisionError,
                 OverflowError) as err:
             raise BadPolynomial(f"$.H[{i}]: bad coefficient {c!r} ({err})")

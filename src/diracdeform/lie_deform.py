@@ -25,6 +25,7 @@ from . import ratlin
 from .multilinear import (
     MultiMap,
     _ce_differential,
+    _delta_columns,
     _unit_cochains,
     _zvec,
     cohomology,
@@ -180,17 +181,18 @@ class Differential:
 
     `spans` says whether the basis spans the whole domain: only then does
     a failed solve certify an obstruction rather than the absence of a
-    solution inside the span.  The basis images are computed once, here.
+    solution inside the span.  `images` holds the nonzero coordinates of
+    op(b) for each basis element b, computed once by the engine.
     """
 
     __slots__ = ("op", "basis", "zero", "spans", "images")
 
-    def __init__(self, op, basis, zero, spans):
+    def __init__(self, op, basis, zero, spans, images):
         self.op = op
         self.basis = basis
         self.zero = zero
         self.spans = spans
-        self.images = [op(b).terms for b in basis]
+        self.images = images
 
     def solve(self, order, R):
         """Certificate of d x = R: a solution over the basis, or a
@@ -389,12 +391,14 @@ def mc_residual_lie(mu_series):
 
 
 def _lie_differential(mu0, k):
-    """CE differential of mu0 on the unit k-cochains, Jacobi checked once."""
+    """CE differential of mu0 on the unit k-cochains, Jacobi checked once;
+    the basis images are the columns of delta^k."""
     if not is_lie(mu0):
         raise Order0NotLie("order-0 term violates the Jacobi identity")
     return Differential(partial(_ce_differential, mu0),
                         _unit_cochains(k, mu0.dim),
-                        MultiMap.zero(k, mu0.dim), spans=True)
+                        MultiMap.zero(k, mu0.dim), spans=True,
+                        images=_delta_columns(mu0, k))
 
 
 def _lie_rhs(coeffs, n):
@@ -523,9 +527,10 @@ def linear_poisson_deform(prefix, k, order=None):
     pi0 = prefix[0]
     if not ctx.schouten(pi0, pi0).is_zero():
         raise Order0NotLie("pi_0 is not Poisson")
-    d = Differential(partial(ctx.schouten, pi0),
-                     _linear_multivector_basis(gens, k, 2), gens.zero(),
-                     spans=True)
+    op = partial(ctx.schouten, pi0)
+    basis = _linear_multivector_basis(gens, k, 2)
+    d = Differential(op, basis, gens.zero(), spans=True,
+                     images=[op(b).terms for b in basis])
 
     def rhs(coeffs, n):
         R = gens.zero()

@@ -391,46 +391,77 @@ def _unit_cochains(k, dim):
             for idx, g in _cochain_basis(k, dim)]
 
 
+def _delta_columns(mu, k):
+    """Columns of the CE differential A^k -> A^{k+1}, read straight from
+    the structure constants without a Jacobi check: one dict per element
+    (idx, g) of _cochain_basis(k), holding the nonzero coordinates of
+    delta of the unit cochain e^idx (x) e_g keyed like MultiMap.terms."""
+    brackets = {}       # (a, b) -> [(t, c_ab^t)], both orders
+    into = {}           # a -> [(p, q, c_pq^a)] with p < q
+    for (p, q), vec in mu.c.items():
+        for t, v in enumerate(vec):
+            if v:
+                brackets.setdefault((p, q), []).append((t, v))
+                brackets.setdefault((q, p), []).append((t, -v))
+                into.setdefault(t, []).append((p, q, v))
+    cols = []
+    for idx, g in _cochain_basis(k, mu.dim):
+        col = {}
+        # sum_i (-1)^i [x_i, f(x_0..^x_i..x_k)]: f is nonzero only on
+        # idx, so x_i is the one index j outside idx
+        for j in range(mu.dim):
+            if j in idx or (j, g) not in brackets:
+                continue
+            J = tuple(sorted(idx + (j,)))
+            s = _psign(J.index(j))
+            for t, v in brackets[(j, g)]:
+                col[(J, t)] = col.get((J, t), 0) + s * v
+        # sum_{i<j} (-1)^{i+j} f([x_i, x_j], ...): the bracket must have
+        # a component along the index a of idx that the others miss
+        for pos, a in enumerate(idx):
+            rest = idx[:pos] + idx[pos + 1:]
+            for p, q, v in into.get(a, ()):
+                if p in rest or q in rest:
+                    continue
+                J = tuple(sorted(rest + (p, q)))
+                s = _psign(pos + J.index(p) + J.index(q))
+                col[(J, g)] = col.get((J, g), 0) + s * v
+        cols.append({key: v for key, v in col.items() if v})
+    return cols
+
+
 def _delta_matrix(mu, k):
-    """Matrix of the CE differential A^k -> A^{k+1} in the canonical
-    cochain bases (columns indexed by the domain basis)."""
-    dim = mu.dim
-    dom = _cochain_basis(k, dim)
-    cod = _cochain_basis(k + 1, dim)
+    """Dense matrix of the CE differential A^k -> A^{k+1} in the
+    canonical cochain bases (columns indexed by the domain basis)."""
     _require_lie(mu)
-    cols = [_to_vector(_ce_differential(mu, f), cod)
-            for f in _unit_cochains(k, dim)]
-    if not cod:
-        return [[] for _ in range(0)]
-    return [[cols[c][r] for c in range(len(dom))] for r in range(len(cod))]
+    cols = _delta_columns(mu, k)
+    return [[col.get(key, Fraction(0)) for col in cols]
+            for key in _cochain_basis(k + 1, mu.dim)]
 
 
 def cohomology(mu, k):
     """(dim H^k, representative cocycles) for the CE complex of mu in the
-    adjoint representation."""
+    adjoint representation.
+
+    The representatives are the vectors of the reduced echelon basis of
+    ker delta^k that are independent of im delta^{k-1} and of the
+    representatives before them."""
     dim = mu.dim
     dom = _cochain_basis(k, dim)
-    ndom = len(dom)
-    Mk = _delta_matrix(mu, k)
-    if Mk and Mk[0]:
-        ker = ratlin.kernel_basis(Mk)
-    else:
-        ker = Subspace(ndom, [[Fraction(1) if i == j else Fraction(0)
-                               for j in range(ndom)] for i in range(ndom)])
-    if k == 0:
-        im = Subspace(ndom, [])
-    else:
-        Mprev = _delta_matrix(mu, k - 1)
-        im = Subspace(ndom, [list(col) for col in zip(*Mprev)]
-                      if Mprev and Mprev[0] else [])
-    hdim = ratlin.quotient_dim(ker, im)
-    reps = []
-    span = im
-    for v in ker.basis:
-        enlarged = span.add(Subspace(ndom, [list(v)]))
-        if enlarged.dim > span.dim:
-            span = enlarged
-            reps.append(_from_vector(list(v), k, dim, dom))
+    _require_lie(mu)
+    rows = {}
+    for j, col in enumerate(_delta_columns(mu, k)):
+        for key, v in col.items():
+            rows.setdefault(key, {})[j] = v
+    ker = Subspace(len(dom), ratlin.Echelon(rows.values()).kernel(len(dom)))
+    im = ratlin.Echelon()
+    if k > 0:
+        pos = {key: i for i, key in enumerate(dom)}
+        for col in _delta_columns(mu, k - 1):
+            im.insert({pos[key]: v for key, v in col.items()})
+    hdim = ker.dim - len(im)
+    reps = [_from_vector(v, k, dim, dom) for v in ker.basis
+            if im.insert(ratlin.sparse_row(v))]
     assert len(reps) == hdim
     return hdim, reps
 
@@ -486,6 +517,9 @@ def structure_constants_from_json(data):
         data = json.loads(data)
     if not isinstance(data, dict):
         raise ValueError("$: expected an object with keys dim and c")
+    unknown = sorted(set(data) - {"dim", "c"})
+    if unknown:
+        raise ValueError(f"$.{unknown[0]}: unknown key")
     dim = data.get("dim")
     if type(dim) is not int or dim < 0:
         raise ValueError(f"$.dim: expected a non-negative integer, "

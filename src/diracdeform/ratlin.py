@@ -1,15 +1,17 @@
 """Exact linear algebra over the rationals.
 
 Matrices are plain lists of rows, entries `fractions.Fraction` (helpers
-coerce ints).  Rank and the echelon core use fraction-free Bareiss
-elimination on integer-cleared rows to keep intermediate entries small;
-kernel/solve/back-substitution work over Fraction.
+coerce ints).  One elimination routine, `Echelon`, serves rank, kernels,
+solves and subspaces: it keeps sparse rows (dicts column -> Fraction) in
+reduced row echelon form keyed by pivot column, and reports whether each
+inserted row was independent.  The reduced echelon form is canonical for
+a given column order, so kernel bases, particular solutions and Subspace
+bases do not depend on the order of the rows.
 
 All values are immutable by convention: no function mutates its inputs.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
 
 
 class NotSubspace(Exception):
@@ -57,103 +59,90 @@ def transpose(A):
     return [list(col) for col in zip(*A)]
 
 
-def _clear_row(row):
-    """Scale a Fraction row to coprime integers (empty/zero rows allowed)."""
-    mult = lcm(*(f.denominator for f in row)) if row else 1
-    ints = [int(f * mult) for f in row]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    return ints
+def sparse_row(v):
+    """The nonzero entries of a dense vector, as a dict column -> Fraction."""
+    return {j: q for j, x in enumerate(v) if (q := frac(x))}
 
 
-def bareiss_echelon(M):
-    """Fraction-free Bareiss elimination.
+def _sub_multiple(v, f, row, skip):
+    """v -= f * row in place over the columns of row except `skip`,
+    dropping entries that cancel."""
+    for c, x in row.items():
+        if c != skip:
+            y = v.get(c, 0) - f * x
+            if y:
+                v[c] = y
+            else:
+                del v[c]
 
-    Returns (echelon, pivot_cols): `echelon` is an integer row-echelon
-    form whose row space and null space match M's; `pivot_cols` lists the
-    pivot column of each nonzero row in order.
+
+class Echelon:
+    """Reduced row echelon form of a row space, built one row at a time.
+
+    A row is a dict column -> nonzero Fraction.  `rows` maps each pivot
+    (first nonzero) column to its row; a stored row has pivot entry 1 and
+    is zero at every other pivot.  The reduced echelon form of a row space
+    is unique for a given column order, so it does not depend on the order
+    in which rows are inserted.
     """
-    rows = [_clear_row(row) for row in M]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots = []
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if rows[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(r + 1, nrows):
-            for j in range(c + 1, ncols):
-                rows[i][j] = (rows[r][c] * rows[i][j]
-                              - rows[i][c] * rows[r][j]) // prev
-            rows[i][c] = 0
-        prev = rows[r][c]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows[:r] + [[0] * ncols for _ in range(nrows - r)], pivots
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows=()):
+        self.rows = {}
+        for row in rows:
+            self.insert(row)
+
+    def __len__(self):
+        return len(self.rows)
+
+    def reduce(self, row):
+        """row minus the combination of stored rows that clears its pivot
+        columns; empty iff row lies in the span."""
+        v = dict(row)
+        # a stored row is zero at the other pivots, so one pass suffices
+        for p in [c for c in v if c in self.rows]:
+            _sub_multiple(v, v.pop(p), self.rows[p], p)
+        return v
+
+    def insert(self, row):
+        """Add row to the span; True iff it was independent."""
+        v = self.reduce(row)
+        if not v:
+            return False
+        p = min(v)
+        inv = v[p]
+        v = {c: x / inv for c, x in v.items()}
+        for r in self.rows.values():
+            f = r.pop(p, None)
+            if f is not None:
+                _sub_multiple(r, f, v, p)
+        self.rows[p] = v
+        return True
+
+    def kernel(self, ncols):
+        """Basis of the vectors of Q^ncols orthogonal to every row: one
+        per free column c, with entry 1 at c and 0 at the other free
+        columns, in column order."""
+        basis = {c: [Fraction(0)] * ncols
+                 for c in range(ncols) if c not in self.rows}
+        for c, v in basis.items():
+            v[c] = Fraction(1)
+        for p, row in self.rows.items():
+            for c, x in row.items():
+                if c != p:
+                    basis[c][p] = -x
+        return list(basis.values())
 
 
 def rank(M):
-    return len(bareiss_echelon(M)[1])
-
-
-def rref(M):
-    """Reduced row echelon form over Fraction.  Returns (R, pivot_cols)."""
-    rows = [[frac(x) for x in row] for row in M]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if rows[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][c]
-        rows[r] = [x / inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
+    return len(Echelon(map(sparse_row, M)))
 
 
 def kernel_basis(M):
     """Basis of the null space of M, as a Subspace of dimension ncols."""
-    nrows = len(M)
-    ncols = len(M[0]) if nrows else 0
-    if ncols == 0:
-        return Subspace(0, [])
-    R, pivots = rref(M)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fcol in free:
-        v = [Fraction(0)] * ncols
-        v[fcol] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -R[i][fcol]
-        basis.append(v)
-    return Subspace(ncols, basis)
+    ncols = len(M[0]) if M else 0
+    return Subspace(ncols, Echelon(map(sparse_row, M)).kernel(ncols))
 
 
 def solve(M, b):
@@ -161,41 +150,20 @@ def solve(M, b):
 
     Returns ("SOLUTION", x) with M x = b, or ("INCONSISTENT", y) with a
     certificate y satisfying yT M = 0 and yT b != 0.  Exactly one branch.
+    x is read from the reduced echelon form of [M | b], with the free
+    variables set to 0; y is the first vector of the kernel basis of M^T
+    that pairs nonzero with b.
     """
-    nrows = len(M)
-    ncols = len(M[0]) if nrows else 0
-    # Eliminate on [M | I] so inconsistent rows carry their own certificate.
-    aug = [[frac(x) for x in M[i]] + [frac(b[i])]
-           + [Fraction(1 if j == i else 0) for j in range(nrows)]
-           for i in range(nrows)]
-    r = 0
-    pivots = []
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if aug[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = aug[r][c]
-        aug[r] = [x / inv for x in aug[r]]
-        for i in range(nrows):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * bb for a, bb in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if aug[i][ncols] != 0:
-            y = aug[i][ncols + 1:]
-            return ("INCONSISTENT", y)
+    ncols = len(M[0]) if M else 0
+    aug = Echelon(sparse_row(list(row) + [bi]) for row, bi in zip(M, b))
+    if ncols in aug.rows:
+        b = [frac(x) for x in b]
+        ker = Echelon(map(sparse_row, transpose(M))).kernel(len(M))
+        return ("INCONSISTENT",
+                next(y for y in ker if sum(a * c for a, c in zip(y, b))))
     x = [Fraction(0)] * ncols
-    for i, pc in enumerate(pivots):
-        x[pc] = aug[i][ncols]
+    for p, row in aug.rows.items():
+        x[p] = row.get(ncols, Fraction(0))
     return ("SOLUTION", x)
 
 
@@ -206,13 +174,14 @@ class Subspace:
 
     def __init__(self, ambient_dim, basis):
         self.ambient_dim = ambient_dim
-        rows = [[frac(x) for x in v] for v in basis]
-        for v in rows:
+        for v in basis:
             if len(v) != ambient_dim:
                 raise ValueError("basis vector has wrong length")
-        R, pivots = rref(rows) if rows else ([], [])
-        self.basis = [tuple(R[i]) for i in range(len(pivots))]
-        self.pivots = tuple(pivots)
+        self.echelon = Echelon(map(sparse_row, basis))
+        self.pivots = tuple(sorted(self.echelon.rows))
+        self.basis = [tuple(self.echelon.rows[p].get(c, Fraction(0))
+                            for c in range(ambient_dim))
+                      for p in self.pivots]
 
     @property
     def dim(self):
@@ -230,13 +199,7 @@ class Subspace:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
 
     def contains_vector(self, v):
-        v = [frac(x) for x in v]
-        work = list(v)
-        for row, pc in zip(self.basis, self.pivots):
-            if work[pc] != 0:
-                f = work[pc]
-                work = [a - f * b for a, b in zip(work, row)]
-        return all(x == 0 for x in work)
+        return not self.echelon.reduce(sparse_row(v))
 
     def contains(self, other):
         return all(self.contains_vector(v) for v in other.basis)
@@ -255,15 +218,9 @@ class Subspace:
         cols = [list(v) for v in self.basis] + [[-x for x in v] for v in other.basis]
         M = transpose(cols)
         ker = kernel_basis(M)
-        vecs = []
         na = len(self.basis)
-        for coeffs in ker.basis:
-            v = [Fraction(0)] * self.ambient_dim
-            for i in range(na):
-                for j in range(self.ambient_dim):
-                    v[j] += coeffs[i] * self.basis[i][j]
-            vecs.append(v)
-        return Subspace(self.ambient_dim, vecs)
+        return Subspace(self.ambient_dim,
+                        mat_mul([c[:na] for c in ker.basis], self.basis))
 
 
 def quotient_dim(A, B):
@@ -337,7 +294,5 @@ def annihilator(W, pairing):
     G = mat(pairing)
     if rank(G) < n:
         raise DegeneratePairing("pairing matrix is singular")
-    if not W.basis:
-        return Subspace(n, identity(n))
-    rows = [mat_vec(G, list(w)) for w in W.basis]
-    return kernel_basis(rows)
+    rows = (sparse_row(mat_vec(G, list(w))) for w in W.basis)
+    return Subspace(n, Echelon(rows).kernel(n))

@@ -291,6 +291,30 @@ def test_ihs_run_output_is_strict_json(tmp_path, capsys, system, extra):
     assert float(body["trajectory"][1][0]) == pytest.approx(h, rel=1e-11)
 
 
+QUARTIC = ihs.system_to_json(ihs.IHSystem(
+    ihs.canonical_symplectic(1), parse(base_gens(2), "x1^4 + x2^4")))
+
+
+@pytest.mark.parametrize("system, x0, steps", [
+    (QUARTIC, "1e30,1", "20"),      # a power overflows mid-step
+    (QUARTIC, "1e100,1", "20"),     # the initial energy overflows
+    # H overflows to inf without an exception; dH and the state stay finite
+    ({**QUARTIC, "H": [[[2, 0], "1e300"]]}, "1e5,0", "20"),
+    # dH overflows at the final point, whose solve no stage makes
+    ({**QUARTIC, "H": [[[2, 0], "8e307"]]}, "1.2,0", "0"),
+])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_ihs_run_divergence_is_a_failure_report(tmp_path, system, x0, steps,
+                                                fmt):
+    argv = ["ihs-run", "--system", write(tmp_path, "sys.json", system),
+            "--x0", x0, "--steps", steps, "--format", fmt]
+    p = subprocess.run([sys.executable, "-m", "diracdeform.cli"] + argv,
+                       capture_output=True, text=True, env=SUBPROCESS_ENV)
+    assert p.returncode == 1
+    assert "Traceback" not in p.stderr
+    assert strict_json(p.stdout)["report"]["status"] == "LEFT_ADMISSIBLE_SET"
+
+
 class TestTableFormat:
     def test_table_rendering(self, tmp_path, capsys):
         path = write(tmp_path, "so3.json", SO3)
@@ -362,6 +386,18 @@ class TestTableFormat:
     ("ihs-run", OSC, ["--x0", "0,0", "--h", "-1"], "--h"),
     ("ihs-run", OSC, ["--x0", "0,0", "--h", "nan"], "--h"),
     ("ihs-run", OSC, ["--x0", "0,0", "--h", "inf"], "--h"),
+    ("ihs-run", {**OSC, "n": 7}, ["--x0", "0,0"], "$.n"),
+    ("ihs-run", {**OSC, "n": -1}, ["--x0", "0,0"], "$.n"),
+    ("ihs-run", {**OSC, "n": 2.0}, ["--x0", "0,0"], "$.n"),
+    ("ihs-run", {**OSC, "n": True}, ["--x0", "0,0"], "$.n"),
+    ("ihs-run", {k: v for k, v in OSC.items() if k != "n"}, ["--x0", "0,0"],
+     "$.n"),
+    ("ihs-run", {**OSC, "steps": 5}, ["--x0", "0,0"], "$.steps"),
+    ("check-jacobi", {**SO3, "name": "so3"}, [], "$.name"),
+    ("ce-cohomology", {**SO3, "degrees": [1]}, [], "$.degrees"),
+    ("deform-lie", {**SO3, "order": 3}, [], "$.order"),
+    ("ihs-run", {**OSC, "H": [[[2, 0], "1e308"]]}, ["--x0", "0,0"],
+     "$.H[0]"),
 ])
 def test_input_errors_exit_2_naming_path(tmp_path, command, data, extra,
                                         path):

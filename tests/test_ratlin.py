@@ -3,9 +3,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diracdeform import ratlin
+import ratlin_oracles as oracle
 from diracdeform.ratlin import (
     DegeneratePairing,
+    Echelon,
     NotSubspace,
     Subspace,
     annihilator,
@@ -18,6 +19,7 @@ from diracdeform.ratlin import (
     rank,
     signature_normal_form,
     solve,
+    sparse_row,
     transpose,
 )
 
@@ -272,6 +274,87 @@ class TestAnnihilator:
 
 def test_bareiss_matches_rref_pivots():
     M = mat([[F(1, 2), 1, 0], [1, 2, 1], [0, 0, 3]])
-    _, piv_b = ratlin.bareiss_echelon(M)
-    _, piv_r = ratlin.rref(M)
-    assert piv_b == piv_r
+    _, piv_b = oracle.bareiss_echelon(M)
+    _, piv_r = oracle.rref(M)
+    assert piv_b == piv_r == list(Subspace(3, M).pivots)
+    assert rank(M) == len(piv_b)
+
+
+# -- the one elimination routine against the dense oracles --------------------
+
+def shaped_matrices(max_dim=6):
+    """Rational matrices with 0..max_dim rows and columns (a 0-row matrix
+    is []), either dense or mostly zero."""
+    def build(r, c, sparse):
+        entry = (st.one_of(st.just(Fraction(0)), st.just(Fraction(0)),
+                           st.just(Fraction(0)), small_frac)
+                 if sparse else small_frac)
+        return st.lists(st.lists(entry, min_size=c, max_size=c),
+                        min_size=r, max_size=r)
+    return st.tuples(st.integers(0, max_dim), st.integers(0, max_dim),
+                     st.booleans()).flatmap(lambda s: build(*s))
+
+
+def ncols_of(M):
+    return len(M[0]) if M else 0
+
+
+def dense_rows(ech, ncols):
+    return [[ech.rows[p].get(c, Fraction(0)) for c in range(ncols)]
+            for p in sorted(ech.rows)]
+
+
+class TestAgainstOracles:
+    @given(shaped_matrices())
+    @settings(max_examples=100, deadline=None)
+    def test_rank_and_rref(self, M):
+        n = ncols_of(M)
+        R, pivots = oracle.rref(M)
+        ech = Echelon(map(sparse_row, M))
+        assert dense_rows(ech, n) == R[:len(pivots)]
+        assert sorted(ech.rows) == pivots
+        assert rank(M) == oracle.bareiss_rank(M) == len(pivots)
+        S = Subspace(n, M)
+        assert S.basis == [tuple(row) for row in R[:len(pivots)]]
+        assert S.pivots == tuple(pivots)
+
+    @given(shaped_matrices())
+    @settings(max_examples=100, deadline=None)
+    def test_kernel(self, M):
+        n = ncols_of(M)
+        assert Echelon(map(sparse_row, M)).kernel(n) \
+            == oracle.kernel_vectors(M, n)
+        assert kernel_basis(M) == Subspace(n, oracle.kernel_vectors(M, n))
+
+    @given(shaped_matrices(), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_solve(self, M, data):
+        n = ncols_of(M)
+        if data.draw(st.booleans()):
+            x = data.draw(st.lists(small_frac, min_size=n, max_size=n))
+            b = mat_vec(mat(M), x) if M else []
+        else:
+            b = data.draw(st.lists(small_frac, min_size=len(M),
+                                   max_size=len(M)))
+        status, w = solve(M, b)
+        want, w_old = oracle.solve(M, b)
+        assert status == want
+        if status == "SOLUTION":
+            assert w == w_old
+            return
+        for y in (w, w_old):
+            assert len(y) == len(M)
+            assert all(v == 0 for v in mat_vec(transpose(mat(M)), y))
+            assert sum(yi * Fraction(bi) for yi, bi in zip(y, b)) != 0
+
+    @given(shaped_matrices(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_insert_reports_independence(self, M, data):
+        n = ncols_of(M)
+        ech = Echelon()
+        for i, row in enumerate(M):
+            grew = oracle.bareiss_rank(M[:i + 1]) > oracle.bareiss_rank(M[:i])
+            assert ech.insert(sparse_row(row)) == grew
+        v = data.draw(st.lists(small_frac, min_size=n, max_size=n))
+        inside = oracle.bareiss_rank(M + [v]) == oracle.bareiss_rank(M)
+        assert Subspace(n, M).contains_vector(v) == inside
