@@ -21,6 +21,7 @@ from functools import partial
 from itertools import combinations, combinations_with_replacement
 
 from .brackets import BracketContext, master_residuals
+from .jsonin import InputError, array, fields, natural
 from .lie_deform import Differential, FormalSeries, mc_extend
 from .superalg import (
     ConnectionData,
@@ -33,7 +34,7 @@ from .superalg import (
 )
 
 
-class ShapeError(Exception):
+class ShapeError(InputError):
     pass
 
 
@@ -41,28 +42,25 @@ class AxiomViolation(Exception):
     pass
 
 
-def _frac(x):
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def _antisymmetrize_pairs(entries, k, zero):
+def _antisymmetrize_pairs(entries, k, path):
     """Full table {(a, b): value} from entries antisymmetric in (a, b)."""
     table = {}
     for (a, b), v in entries.items():
         if not (0 <= a < k and 0 <= b < k):
-            raise ShapeError(f"index ({a}, {b}) out of range")
+            raise ShapeError(path, f"index ({a}, {b}) out of range")
         if a == b:
             if not v.is_zero():
-                raise ShapeError("diagonal entry must vanish")
+                raise ShapeError(path, "diagonal entry must vanish")
             continue
         for key, val in (((a, b), v), ((b, a), -v)):
             if key in table and table[key] != val:
-                raise ShapeError(f"conflicting antisymmetric entries {key}")
+                raise ShapeError(path, "conflicting antisymmetric entries "
+                                       f"{key}")
             table[key] = val
     return table
 
 
-def _antisymmetrize_triples(entries, k):
+def _antisymmetrize_triples(entries, k, path):
     """Full table from entries totally antisymmetric in three indices."""
 
     def perms(t):
@@ -73,17 +71,66 @@ def _antisymmetrize_triples(entries, k):
     table = {}
     for (a, b, c), v in entries.items():
         if not all(0 <= x < k for x in (a, b, c)):
-            raise ShapeError(f"index ({a}, {b}, {c}) out of range")
+            raise ShapeError(path, f"index ({a}, {b}, {c}) out of range")
         if len({a, b, c}) < 3:
             if not v.is_zero():
-                raise ShapeError("repeated-index entry must vanish")
+                raise ShapeError(path, "repeated-index entry must vanish")
             continue
         for key, s in perms((a, b, c)):
             val = s * v
             if key in table and table[key] != val:
-                raise ShapeError(f"conflicting antisymmetric entries {key}")
+                raise ShapeError(path, "conflicting antisymmetric entries "
+                                       f"{key}")
             table[key] = val
     return table
+
+
+def _pairs_third(raw, k, path):
+    """Full table {(a, b, g): value} from entries antisymmetric in
+    (a, b)."""
+    grouped = {}
+    for (a, b, g), v in raw.items():
+        if not 0 <= g < k:
+            raise ShapeError(path, f"index {g} out of range")
+        grouped.setdefault(g, {})[(a, b)] = v
+    return {(a, b, g): v for g, entries in grouped.items()
+            for (a, b), v in _antisymmetrize_pairs(entries, k, path).items()}
+
+
+def _counts(m, k, path):
+    """m and k, which must be non-negative ints."""
+    for name, v in (("m", m), ("k", k)):
+        if type(v) is not int or v < 0:
+            raise ShapeError(f"{path}.{name}", "must be a non-negative "
+                                               f"integer, got {v!r}")
+    return m, k
+
+
+def parse_text(gens, v, path):
+    """parse(gens, v) for v a string; errors are ShapeErrors naming path."""
+    if type(v) is not str:
+        raise ShapeError(path, f"expected a string, got {v!r}")
+    try:
+        return parse(gens, v)
+    except (ValueError, ZeroDivisionError) as e:
+        raise ShapeError(path, str(e))
+
+
+def _base_poly(gens, m, v, path):
+    """v (text in the superalg grammar, a rational or a SuperElement over
+    generators equal to gens) as a polynomial over gens in the base
+    coordinates q1..qm."""
+    v = parse_text(gens, v, path) if isinstance(v, str) else gens.zero() + v
+    if any(o or any(e[m:]) for (e, o) in v.terms):
+        raise ShapeError(path, "structure functions must be polynomials "
+                               "in the base coordinates")
+    return v
+
+
+# JSON rows of each table: the bound ("m" or "k") of each index, then
+# the value
+_ROWS = {"rho": "mk", "rho_bar": "mk", "c": "kkk", "c_bar": "kkk",
+         "psi": "kkk", "phi": "kkk", "gamma_conn": "mkk"}
 
 
 class CourantInput:
@@ -102,63 +149,37 @@ class CourantInput:
 
     Values are polynomials in q1..qm, given as SuperElements over the
     phase generators, Fractions/ints, or text in the superalg grammar.
+    Errors are ShapeErrors naming `path` (the JSON path of the input)
+    and the count or table at fault.
     """
 
     def __init__(self, m, k, rho=None, rho_bar=None, c=None, c_bar=None,
-                 psi=None, phi=None, gamma_conn=None):
-        for name, v in (("m", m), ("k", k)):
-            if type(v) is not int or v < 0:
-                raise ShapeError(f"$.{name}: must be a non-negative "
-                                 f"integer, got {v!r}")
-        self.m = m
-        self.k = k
+                 psi=None, phi=None, gamma_conn=None, path="$"):
+        self.m, self.k = _counts(m, k, path)
         self.gens = phase_generators(m, k)
 
-        def coerce(table):
+        def coerce(name, table, complete=None):
+            at = f"{path}.{name}"
             out = {}
             for key, v in (table or {}).items():
-                if isinstance(v, str):
-                    v = parse(self.gens, v)
-                elif not hasattr(v, "terms"):
-                    v = self.gens.scalar(_frac(v))
-                self._check_base_poly(v)
+                v = _base_poly(self.gens, m, v, at)
                 if not v.is_zero():
                     out[key] = v
-            return out
+            return complete(out, k, at) if complete else out
 
-        self.rho = coerce(rho)
-        self.rho_bar = coerce(rho_bar)
-        self.c = self._pairs_third(coerce(c))
-        self.c_bar = self._pairs_third(coerce(c_bar))
-        self.psi = _antisymmetrize_triples(coerce(psi), k)
-        self.phi = _antisymmetrize_triples(coerce(phi), k)
-        self.gamma_conn = coerce(gamma_conn)
+        self.rho = coerce("rho", rho)
+        self.rho_bar = coerce("rho_bar", rho_bar)
+        self.c = coerce("c", c, _pairs_third)
+        self.c_bar = coerce("c_bar", c_bar, _pairs_third)
+        self.psi = coerce("psi", psi, _antisymmetrize_triples)
+        self.phi = coerce("phi", phi, _antisymmetrize_triples)
+        self.gamma_conn = coerce("gamma_conn", gamma_conn)
         for (i, a) in list(self.rho) + list(self.rho_bar):
             if not (0 <= i < m and 0 <= a < k):
-                raise ShapeError(f"anchor index ({i}, {a}) out of range")
+                raise ShapeError(path, f"anchor index ({i}, {a}) out of range")
         for (i, a, b) in self.gamma_conn:
             if not (0 <= i < m and 0 <= a < k and 0 <= b < k):
-                raise ShapeError("connection index out of range")
-
-    def _pairs_third(self, raw):
-        grouped = {}
-        for (a, b, g), v in raw.items():
-            if not 0 <= g < self.k:
-                raise ShapeError(f"index {g} out of range")
-            grouped.setdefault(g, {})[(a, b)] = v
-        table = {}
-        for g, entries in grouped.items():
-            for (a, b), v in _antisymmetrize_pairs(
-                    entries, self.k, self.gens.zero()).items():
-                table[(a, b, g)] = v
-        return table
-
-    def _check_base_poly(self, v):
-        q_idx = set(range(self.m))
-        for (e, o) in v.terms:
-            if o or any(x != 0 for i, x in enumerate(e) if i not in q_idx):
-                raise ShapeError("structure functions must be polynomials "
-                                 "in the base coordinates")
+                raise ShapeError(path, "connection index out of range")
 
     # -- JSON -----------------------------------------------------------
 
@@ -198,20 +219,28 @@ class CourantInput:
         }
 
     @classmethod
-    def from_json(cls, obj):
-        def tab3(rows):
-            return {(r[0], r[1], r[2]): r[3] for r in rows}
-
-        return cls(obj["m"], obj["k"],
-                   rho={(r[0], r[1]): r[2] for r in obj.get("rho", [])},
-                   rho_bar={(r[0], r[1]): r[2]
-                            for r in obj.get("rho_bar", [])},
-                   c=tab3(obj.get("c", [])),
-                   c_bar=tab3(obj.get("c_bar", [])),
-                   psi=tab3(obj.get("psi", [])),
-                   phi=tab3(obj.get("phi", [])),
-                   gamma_conn={(r[0], r[1], r[2]): r[3]
-                               for r in obj.get("gamma_conn", [])})
+    def from_json(cls, obj, path="$"):
+        """Inverse of to_json for the document at JSON path `path`.  An
+        InputError names the path of a bad value; a row that repeats an
+        index tuple replaces the earlier one."""
+        fields(obj, path, ("m", "k"), _ROWS)
+        m, k = _counts(obj["m"], obj["k"], path)
+        gens = phase_generators(m, k)
+        bound = {"m": m, "k": k}
+        tables = {}
+        for name, kinds in _ROWS.items():
+            table = tables[name] = {}
+            at = f"{path}.{name}"
+            for r, row in enumerate(array(obj.get(name, []), at)):
+                *idx, v = array(row, f"{at}[{r}]", len(kinds) + 1)
+                key = tuple(natural(x, f"{at}[{r}][{j}]", below=bound[b])
+                            for j, (x, b) in enumerate(zip(idx, kinds)))
+                vpath = f"{at}[{r}][{len(kinds)}]"
+                if type(v) not in (str, int):
+                    raise InputError(vpath, "expected a string or an "
+                                            f"integer, got {v!r}")
+                table[key] = _base_poly(gens, m, v, vpath)
+        return cls(m, k, path=path, **tables)
 
 
 class ThetaStructure:
@@ -280,8 +309,8 @@ def build_theta(inp):
                 if not t.is_zero():
                     mu2 = mu2 + half * t * aup[a] * aup[b] * alow[g]
     if mu != mu2:
-        raise ShapeError("the two defining forms of the lower charge "
-                         "component disagree")
+        raise ShapeError("$", "the two defining forms of the lower "
+                              "charge component disagree")
 
     gamma_el = zero
     for (i, a), rho in inp.rho_bar.items():
@@ -303,8 +332,8 @@ def build_theta(inp):
                 if not t.is_zero():
                     gamma2 = gamma2 + half * t * alow[a] * alow[b] * aup[g]
     if gamma_el != gamma2:
-        raise ShapeError("the two defining forms of the upper charge "
-                         "component disagree")
+        raise ShapeError("$", "the two defining forms of the upper "
+                              "charge component disagree")
 
     psi_el = zero
     for (a, b, g) in combinations(range(k), 3):
@@ -418,7 +447,7 @@ def mc_residual_dirac(th, omega_series):
     """Per-order residuals {mu, w} + 1/2 {{w, gamma}, w}
     + 1/6 {{{psi, w}, w}, w} as a FormalSeries of 3-forms."""
     if not omega_series[0].is_zero():
-        raise ShapeError("deformation series must start at order one")
+        raise ShapeError("omega_series", "must start at order one")
     coeffs = [omega_series[i] for i in range(omega_series.order + 1)]
     out = [mc_residual_one(th, coeffs, n)
            for n in range(omega_series.order + 1)]
@@ -688,7 +717,7 @@ def _form_to_matrix(th, omega):
     M = [[gens.zero() for _ in range(k)] for _ in range(k)]
     for (e, o), cval in omega.terms.items():
         if len(o) != 2 or any(x < k for x in o):
-            raise ShapeError("not an upper-generated 2-form")
+            raise ShapeError("omega", "not an upper-generated 2-form")
         a, b = o[0] - k, o[1] - k
         coef = type(omega)(gens, {(e, ()): cval})
         M[a][b] = M[a][b] + coef
@@ -702,7 +731,7 @@ def _matrix_to_form(th, M):
     for a in range(k):
         for b in range(a + 1, k):
             if not (M[a][b] + M[b][a]).is_zero():
-                raise ShapeError("matrix is not antisymmetric")
+                raise ShapeError("M", "matrix is not antisymmetric")
             out = out + M[a][b] * th.upper(a) * th.upper(b)
     return out
 
@@ -713,7 +742,7 @@ def _bivector_to_matrix(th, lam):
     M = [[gens.zero() for _ in range(k)] for _ in range(k)]
     for (e, o), cval in lam.terms.items():
         if len(o) != 2 or any(x >= k for x in o):
-            raise ShapeError("not a lower-generated bivector")
+            raise ShapeError("lam", "not a lower-generated bivector")
         a, b = o
         coef = type(lam)(gens, {(e, ()): cval})
         M[a][b] = M[a][b] + coef
@@ -731,7 +760,7 @@ def reparametrize_complement(th, lam, omega_series):
     """omega'_t = omega_t (id + Lambda omega_t)^{-1} under the change
     of isotropic complement by the bivector Lambda."""
     if not omega_series[0].is_zero():
-        raise ShapeError("deformation series must start at order one")
+        raise ShapeError("omega_series", "must start at order one")
     k = th.input.k
     zero = th.gens.zero()
     N = omega_series.order

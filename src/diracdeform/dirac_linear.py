@@ -16,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import ratlin
+from .jsonin import InputError, array, fields, natural, rational
 from .ratlin import Subspace, frac
 
 
@@ -573,7 +574,7 @@ def numeric_compatible_structure(G, k, tol=1e-9):
     return J, g
 
 
-def numeric_transport(P, t0, t1, h=1e-3, Pdot=None, tol=1e-6):
+def numeric_transport(P, t0, t1, h=1e-3, Pdot=None):
     """Transport frames along a projector curve by U' = [P', P] U, U0 = I.
 
     P is a callable t -> projector matrix (P(t) @ P(t) ~ P(t)); Pdot an
@@ -643,14 +644,49 @@ def subspace_to_json(S):
             "basis": [[_frac_str(x) for x in v] for v in S.basis]}
 
 
-def subspace_from_json(obj):
-    return Subspace(obj["ambient"],
-                    [[Fraction(x) for x in v] for v in obj["basis"]])
+def _matrix(v, path, width, height=None):
+    """Rational rows of length width (height rows if given) at path."""
+    return [[rational(x, f"{path}[{i}][{j}]")
+             for j, x in enumerate(array(row, f"{path}[{i}]", width))]
+            for i, row in enumerate(array(v, path, height))]
+
+
+def subspace_from_json(obj, path="$"):
+    fields(obj, path, ("ambient", "basis"))
+    ambient = natural(obj["ambient"], f"{path}.ambient")
+    return Subspace(ambient, _matrix(obj["basis"], f"{path}.basis", ambient))
 
 
 def dirac_to_json(L):
     return {"n": L.n, "subspace": subspace_to_json(L.subspace)}
 
 
-def dirac_from_json(obj):
-    return LinearDirac(obj["n"], subspace_from_json(obj["subspace"]))
+def dirac_from_json(obj, path="$"):
+    """Inverse of dirac_to_json; a non-Dirac subspace is an InputError."""
+    fields(obj, path, ("n", "subspace"))
+    n = natural(obj["n"], f"{path}.n")
+    S = subspace_from_json(obj["subspace"], f"{path}.subspace")
+    try:
+        return LinearDirac(n, S)
+    except (NotDirac, ShapeMismatch) as e:
+        raise InputError(path, f"not a Dirac structure ({e})")
+
+
+_FORMS = ("subspace", "two_form", "bivector")
+
+
+def dirac_from_input(obj):
+    """LinearDirac from n plus exactly one of subspace (rows of length
+    2n), two_form or bivector (n x n); a well-formed input that is not
+    Dirac raises NotDirac or NotAntisymmetric."""
+    fields(obj, "$", ("n",), _FORMS)
+    n = natural(obj["n"], "$.n")
+    given = [key for key in _FORMS if key in obj]
+    if len(given) != 1:
+        raise InputError("$", "expected exactly one of " + ", ".join(_FORMS))
+    key = given[0]
+    if key == "subspace":
+        rows = _matrix(obj[key], "$.subspace", 2 * n)
+        return LinearDirac(n, Subspace(2 * n, rows))
+    M = _matrix(obj[key], f"$.{key}", n, n)
+    return from_two_form(M) if key == "two_form" else from_bivector(M)

@@ -18,12 +18,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import ratlin
-from .dirac_linear import (
-    LinearDirac,
-    dirac_from_json,
-    dirac_to_json,
-    from_bivector,
-)
+from .dirac_linear import dirac_from_json, dirac_to_json, from_bivector
+from .jsonin import InputError, array, fields, rational
 from .multilinear import base_gens
 from .superalg import SuperElement
 
@@ -41,7 +37,7 @@ class LeftAdmissibleSet(Exception):
         self.x = x
 
 
-class BadPolynomial(Exception):
+class BadPolynomial(InputError):
     pass
 
 
@@ -107,15 +103,11 @@ class IHSystem:
     """
 
     def __init__(self, L, H, h=1e-3, tol=1e-9):
-        if not isinstance(L, LinearDirac):
-            if L.ambient_dim % 2:
-                raise BadPolynomial("subspace must live in R^n + R^n*")
-            L = LinearDirac(L.ambient_dim // 2, L)
         self.L = L            # exact, validated maximal isotropic
         self.n = L.n
         self.gens = base_gens(self.n)
         if H.gens != self.gens:
-            raise BadPolynomial("Hamiltonian arity does not match n")
+            raise BadPolynomial("H", "arity does not match n")
         self.H = H
         self.h = h
         self.tol = tol
@@ -310,39 +302,39 @@ def _positive_number(obj, key, default):
     """obj[key] (default if absent), which must be a finite number > 0."""
     v = obj.get(key, default)
     if type(v) not in (int, float) or not (math.isfinite(v) and v > 0):
-        raise ValueError(f"$.{key}: must be a finite number > 0, got {v!r}")
+        raise InputError(f"$.{key}", f"must be a finite number > 0: {v!r}")
     return v
 
 
 def system_from_json(obj):
     """Inverse of system_to_json.  H is a list of [exponents, coeff]; a
-    repeated exponent vector keeps its last coefficient.  Errors name
-    their JSON path."""
-    unknown = sorted(set(obj) - {"n", "L", "H", "h", "tol"})
-    if unknown:
-        raise ValueError(f"$.{unknown[0]}: unknown key")
-    L = dirac_from_json(obj["L"])
-    n = obj.get("n")
+    repeated exponent vector keeps its last coefficient.  Errors are
+    InputErrors naming their JSON path."""
+    fields(obj, "$", ("n", "L", "H"), ("h", "tol"))
+    L = dirac_from_json(obj["L"], "$.L")
+    n = obj["n"]
     if type(n) is not int or n != L.n:
-        raise ValueError(f"$.n: expected the integer $.L.n = {L.n}, "
-                         f"got {n!r}")
+        raise InputError("$.n", f"expected the integer $.L.n = {L.n}, "
+                                f"got {n!r}")
     h = _positive_number(obj, "h", 1e-3)
     tol = _positive_number(obj, "tol", 1e-9)
     terms = {}
-    for i, term in enumerate(obj["H"]):
+    for i, term in enumerate(array(obj["H"], "$.H")):
+        at = f"$.H[{i}]"
         if not (type(term) is list and len(term) == 2
                 and type(term[0]) is list and len(term[0]) == L.n
                 and all(type(k) is int and k >= 0 for k in term[0])):
-            raise BadPolynomial(f"$.H[{i}]: expected [exponents, coeff] "
-                                f"with {L.n} natural exponents, got "
-                                f"{term!r}")
+            raise BadPolynomial(at, f"expected [exponents, coeff] with "
+                                    f"{L.n} natural exponents, got {term!r}")
         e, c = term
+        coeff = rational(c, at)
         try:
-            coeff = Fraction(c)
             float(coeff * max(e + [1]))    # RK4 evaluates H and dH in floats
-        except (ValueError, TypeError, ZeroDivisionError,
-                OverflowError) as err:
-            raise BadPolynomial(f"$.H[{i}]: bad coefficient {c!r} ({err})")
+        except OverflowError as err:
+            raise BadPolynomial(at, f"bad coefficient {c!r} ({err})")
         terms[(tuple(e), ())] = coeff
     H = SuperElement(base_gens(L.n), {m: c for m, c in terms.items() if c})
-    return IHSystem(L, H, h=h, tol=tol)
+    try:
+        return IHSystem(L, H, h=h, tol=tol)
+    except OverflowError as err:
+        raise InputError("$.L", f"entries overflow a float ({err})")

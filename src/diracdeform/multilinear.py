@@ -29,6 +29,7 @@ import json
 from fractions import Fraction
 
 from . import ratlin
+from .jsonin import InputError, array, fields, natural, rational
 from .ratlin import Subspace
 from .superalg import (
     GeneratorSet,
@@ -304,13 +305,19 @@ def jacobiator(mu, x, y, z):
     return tuple(out)
 
 
+def first_failing_triple(mu):
+    """The first basis triple x < y < z (lexicographic) with a nonzero
+    jacobiator, or None; triples with a repeated index vanish."""
+    for t in itertools.combinations(range(mu.dim), 3):
+        if any(jacobiator(mu, *t)):
+            return t
+    return None
+
+
 def is_lie(mu):
-    """Brute-force Jacobi test over all basis triples."""
-    for x, y, z in itertools.combinations(range(mu.dim), 3):
-        if any(jacobiator(mu, x, y, z)):
-            return False
-    # repeated indices vanish by antisymmetry
-    return True
+    """Jacobi test: [mu, mu]_NR = 0, checked one basis triple at a time
+    and stopping at the first failure."""
+    return first_failing_triple(mu) is None
 
 
 def ce_differential(mu, f):
@@ -326,7 +333,7 @@ def ce_differential(mu, f):
 
 
 def _require_lie(mu):
-    if not nr_bracket(mu, mu).is_zero():
+    if not is_lie(mu):
         raise NotLie("mu does not satisfy the Jacobi identity")
 
 
@@ -510,46 +517,28 @@ def structure_constants_from_json(data):
     """Load {"dim": n, "c": [[alpha, beta, gamma, value], ...]} into a
     2-ary MultiMap, enforcing antisymmetry.
 
-    Malformed input raises ValueError whose message starts with the JSON
-    path of the offending value ($.dim, $.c, $.c[i] or $.c[i][j]).
+    Malformed input raises jsonin.InputError (a ValueError) naming the
+    JSON path of the offending value ($.dim, $.c, $.c[i] or $.c[i][j]).
     """
     if isinstance(data, str):
         data = json.loads(data)
-    if not isinstance(data, dict):
-        raise ValueError("$: expected an object with keys dim and c")
-    unknown = sorted(set(data) - {"dim", "c"})
-    if unknown:
-        raise ValueError(f"$.{unknown[0]}: unknown key")
-    dim = data.get("dim")
-    if type(dim) is not int or dim < 0:
-        raise ValueError(f"$.dim: expected a non-negative integer, "
-                         f"got {dim!r}")
-    rows = data.get("c")
-    if not isinstance(rows, list):
-        raise ValueError(f"$.c: expected a list, got {rows!r}")
+    fields(data, "$", ("dim", "c"))
+    dim = natural(data["dim"], "$.dim")
     entries = {}
-    for r, row in enumerate(rows):
+    for r, row in enumerate(array(data["c"], "$.c")):
         path = f"$.c[{r}]"
-        if not isinstance(row, list) or len(row) != 4:
-            raise ValueError(f"{path}: expected [alpha, beta, gamma, value]")
-        for j, idx in enumerate(row[:3]):
-            if type(idx) is not int or not 0 <= idx < dim:
-                raise ValueError(f"{path}[{j}]: expected an index in "
-                                 f"range({dim}), got {idx!r}")
-        alpha, beta, gamma, value = row
-        try:
-            value = Fraction(value)
-        except (TypeError, ValueError, ArithmeticError) as e:
-            raise ValueError(f"{path}[3]: {e}")
+        alpha, beta, gamma = (natural(x, f"{path}[{j}]", below=dim)
+                              for j, x in enumerate(array(row, path, 4)[:3]))
+        value = rational(row[3], f"{path}[3]")
         if alpha == beta:
             if value != 0:
-                raise ValueError(f"{path}: nonzero diagonal structure "
-                                 "constant")
+                raise InputError(path, "nonzero diagonal structure "
+                                       "constant")
             continue
         key = (min(alpha, beta), max(alpha, beta), gamma)
         signed = value if alpha < beta else -value
         if key in entries and entries[key] != signed:
-            raise ValueError(f"{path}: antisymmetry conflict at {key}")
+            raise InputError(path, f"antisymmetry conflict at {key}")
         entries[key] = signed
     c = {}
     for (a, b, g), v in entries.items():

@@ -362,7 +362,7 @@ class TestTableFormat:
     ("theta-master", {"m": 0, "k": -2}, [], "$.k"),
     ("theta-master", {"m": True, "k": 1}, [], "$.m"),
     ("deform-dirac", {"courant": {"m": 1, "k": 2.0}, "prefix": []}, [],
-     "$.k"),
+     "$.courant.k"),
     ("ihs-run", {**OSC, "h": "abc"}, ["--x0", "0,0"], "$.h"),
     ("ihs-run", {**OSC, "h": -0.001}, ["--x0", "0,0"], "$.h"),
     ("ihs-run", {**OSC, "h": 0}, ["--x0", "0,0"], "$.h"),
@@ -398,6 +398,53 @@ class TestTableFormat:
     ("deform-lie", {**SO3, "order": 3}, [], "$.order"),
     ("ihs-run", {**OSC, "H": [[[2, 0], "1e308"]]}, ["--x0", "0,0"],
      "$.H[0]"),
+    # each input below gave a traceback or exit 0 before the loaders
+    # shared the jsonin readers
+    ("dirac-linear", {"n": 1, "bivector": [["x"]]}, [], "$.bivector[0][0]"),
+    ("dirac-linear", {"n": 1, "bivector": [[None]]}, [], "$.bivector[0][0]"),
+    ("dirac-linear", {"n": 1, "subspace": "abc"}, [], "$.subspace"),
+    ("dirac-linear", {"n": 2, "bivector": [["0"]]}, [], "$.bivector"),
+    ("dirac-linear", {"n": 2, "two_form": [["0", "1"], ["-1", "0"]],
+                      "bivector": [["0", "1"], ["-1", "0"]]}, [], "$"),
+    ("dirac-linear", {"n": 1, "bivector": [["0"]], "junk": 1}, [],
+     "$.junk"),
+    ("courant-verify", {"m": 1, "k": 1, "rho": [[0]]}, [], "$.rho[0]"),
+    ("courant-verify", {"m": 1, "k": 1, "rho": [[0.5, 0, "1"]]}, [],
+     "$.rho[0][0]"),
+    ("courant-verify", {**STD1, "junk": 1}, [], "$.junk"),
+    ("theta-master", {**STD1, "junk": 1}, [], "$.junk"),
+    ("deform-dirac", {"courant": STD1, "prefix": [5]}, [], "$.prefix[0]"),
+    ("deform-dirac", {"courant": STD1, "prefix": [], "junk": 1}, [],
+     "$.junk"),
+    # the readers name the full path of the bad value
+    ("courant-verify", {"m": 1, "k": 1, "rho": [[1, 0, "1"]]}, [],
+     "$.rho[0][0]"),
+    ("courant-verify", {"m": 1, "k": 1, "c": [[0, 0, 1, "1"]]}, [],
+     "$.c[0][2]"),
+    ("courant-verify", {"m": 1, "k": 1, "rho": [[0, 0, 0.5]]}, [],
+     "$.rho[0][2]"),
+    ("courant-verify", {"m": 1, "k": 1, "rho": [[0, 0, "1 zz"]]}, [],
+     "$.rho[0][2]"),
+    ("courant-verify", {"m": 1, "k": 1, "rho": [[0, 0, "1/0 q1"]]}, [],
+     "$.rho[0][2]"),
+    ("theta-master", {"m": 1, "k": 1, "rho": [[0, 0, "1 p_1"]]}, [],
+     "$.rho[0][2]"),
+    ("deform-dirac", {"courant": {**STD1, "junk": 1}, "prefix": []}, [],
+     "$.courant.junk"),
+    ("deform-dirac", {"courant": STD1, "prefix": ["1/0 a^1"]}, [],
+     "$.prefix[0]"),
+    ("check-jacobi", {"dim": 3, "c": [[0, 1, 2, 0.5]]}, [], "$.c[0][3]"),
+    ("ihs-run", {**OSC, "L": {**OSC["L"], "subspace": {
+        "ambient": 4, "basis": [["x", "0", "0", "1"]]}}}, ["--x0", "0,0"],
+     "$.L.subspace.basis[0][0]"),
+    ("ihs-run", {**OSC, "L": {**OSC["L"], "subspace": {
+        "ambient": 4, "basis": [["1", "0", "0", "0"],
+                                ["0", "1", "0", "1"]]}}}, ["--x0", "0,0"],
+     "$.L"),
+    ("ihs-run", {**OSC, "L": {**OSC["L"], "junk": 1}}, ["--x0", "0,0"],
+     "$.L.junk"),
+    ("check-jacobi", SO3, ["--output", "/nonexistent/dir/r.json"],
+     "--output"),
 ])
 def test_input_errors_exit_2_naming_path(tmp_path, command, data, extra,
                                         path):
