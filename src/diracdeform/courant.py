@@ -20,7 +20,12 @@ from fractions import Fraction
 from functools import partial
 from itertools import combinations, combinations_with_replacement
 
-from .brackets import BracketContext, master_residuals
+from .brackets import (
+    BracketContext,
+    derived_bracket,
+    derived_diff,
+    master_residuals,
+)
 from .jsonin import InputError, array, fields, natural
 from .lie_deform import Differential, FormalSeries, mc_extend
 from .superalg import (
@@ -184,38 +189,18 @@ class CourantInput:
     # -- JSON -----------------------------------------------------------
 
     def to_json(self):
-        def triples(table, pair_antisym):
-            out = []
-            seen = set()
-            for key, v in sorted(table.items()):
-                canon = (tuple(sorted(key[:2])) + key[2:]) if pair_antisym \
-                    else tuple(sorted(key))
-                if canon in seen:
-                    continue
-                seen.add(canon)
-                a = min(key[0], key[1])
-                b = max(key[0], key[1])
-                rest = table[(a, b) + key[2:]] if pair_antisym else None
-                if pair_antisym:
-                    out.append([a, b, key[2], to_text(rest)])
-                else:
-                    s = tuple(sorted(key))
-                    out.append(list(s) + [to_text(table[s])])
-            return out
+        def rows(table, n=0):
+            """[*key, value] rows in key order, one per antisymmetry
+            class: the key whose first n indices increase."""
+            return [[*key, to_text(v)] for key, v in sorted(table.items())
+                    if list(key[:n]) == sorted(key[:n])]
 
         return {
             "m": self.m, "k": self.k,
-            "rho": [[i, a, to_text(v)]
-                    for (i, a), v in sorted(self.rho.items())],
-            "rho_bar": [[i, a, to_text(v)]
-                        for (i, a), v in sorted(self.rho_bar.items())],
-            "c": triples(self.c, True),
-            "c_bar": triples(self.c_bar, True),
-            "psi": triples(self.psi, False),
-            "phi": triples(self.phi, False),
-            "gamma_conn": [[i, a, b, to_text(v)]
-                           for (i, a, b), v in sorted(
-                               self.gamma_conn.items())],
+            "rho": rows(self.rho), "rho_bar": rows(self.rho_bar),
+            "c": rows(self.c, 2), "c_bar": rows(self.c_bar, 2),
+            "psi": rows(self.psi, 3), "phi": rows(self.phi, 3),
+            "gamma_conn": rows(self.gamma_conn),
         }
 
     @classmethod
@@ -271,7 +256,10 @@ def build_theta(inp):
 
     Both displayed forms of the quadratic-plus-cubic parts (the
     torsion/momentum form and the Darboux-momentum form) are computed
-    and must agree; a mismatch raises ShapeError.
+    and must agree; a mismatch raises ShapeError.  The upper component
+    gamma is the lower one mu with the summands exchanged: anchor and
+    constants (rho_bar, c_bar), the roles of a_* and a^*, and the dual
+    connection Gamma*(i, a, b) = -Gamma(i, b, a).
     """
     m, k = inp.m, inp.k
     gens = inp.gens
@@ -284,69 +272,48 @@ def build_theta(inp):
     half = Fraction(1, 2)
     zero = gens.zero()
 
-    def gam(i, a, b):
-        return conn.christoffel(i, a, b)
+    def charge_half(rho, c, hi, lo, gam, name):
+        """-r_i rho_ia hi_a - 1/2 c_abg hi_a hi_b lo_g (Darboux form),
+        checked against -p_i rho_ia hi_a + 1/2 T_abg hi_a hi_b lo_g with
+        torsion T_abg = rho_ia gam(i, b, g) - rho_ib gam(i, a, g) - c_abg."""
+        out = zero
+        for (i, a), rv in rho.items():
+            out = out - r[i] * rv * hi[a]
+        for (a, b, g), cv in c.items():
+            out = out - half * cv * hi[a] * hi[b] * lo[g]
+        alt = zero
+        for (i, a), rv in rho.items():
+            alt = alt - p[i] * rv * hi[a]
+        for a in range(k):
+            for b in range(k):
+                for g in range(k):
+                    t = zero
+                    for i in range(m):
+                        ra = rho.get((i, a), zero)
+                        rb = rho.get((i, b), zero)
+                        t = t + ra * gam(i, b, g) - rb * gam(i, a, g)
+                    t = t - c.get((a, b, g), zero)
+                    if not t.is_zero():
+                        alt = alt + half * t * hi[a] * hi[b] * lo[g]
+        if out != alt:
+            raise ShapeError("$", f"the two defining forms of the {name} "
+                                  "charge component disagree")
+        return out
 
-    # mu: Darboux-momentum form
-    mu = zero
-    for (i, a), rho in inp.rho.items():
-        mu = mu - r[i] * rho * aup[a]
-    for (a, b, g), cv in inp.c.items():
-        mu = mu - half * cv * aup[a] * aup[b] * alow[g]
-    # mu: momentum/torsion form, must agree
-    mu2 = zero
-    for (i, a), rho in inp.rho.items():
-        mu2 = mu2 - p[i] * rho * aup[a]
-    for a in range(k):
-        for b in range(k):
-            for g in range(k):
-                t = zero
-                for i in range(m):
-                    ra = inp.rho.get((i, a), zero)
-                    rb = inp.rho.get((i, b), zero)
-                    t = t + ra * gam(i, b, g) - rb * gam(i, a, g)
-                t = t - inp.c.get((a, b, g), zero)
-                if not t.is_zero():
-                    mu2 = mu2 + half * t * aup[a] * aup[b] * alow[g]
-    if mu != mu2:
-        raise ShapeError("$", "the two defining forms of the lower "
-                              "charge component disagree")
+    def cubic(table, gen):
+        out = zero
+        for (a, b, g) in combinations(range(k), 3):
+            v = table.get((a, b, g))
+            if v is not None and not v.is_zero():
+                out = out + v * gen[a] * gen[b] * gen[g]
+        return out
 
-    gamma_el = zero
-    for (i, a), rho in inp.rho_bar.items():
-        gamma_el = gamma_el - r[i] * rho * alow[a]
-    for (a, b, g), cv in inp.c_bar.items():
-        gamma_el = gamma_el - half * cv * alow[a] * alow[b] * aup[g]
-    gamma2 = zero
-    for (i, a), rho in inp.rho_bar.items():
-        gamma2 = gamma2 - p[i] * rho * alow[a]
-    for a in range(k):
-        for b in range(k):
-            for g in range(k):
-                t = zero
-                for i in range(m):
-                    ra = inp.rho_bar.get((i, a), zero)
-                    rb = inp.rho_bar.get((i, b), zero)
-                    t = t + rb * gam(i, g, a) - ra * gam(i, g, b)
-                t = t - inp.c_bar.get((a, b, g), zero)
-                if not t.is_zero():
-                    gamma2 = gamma2 + half * t * alow[a] * alow[b] * aup[g]
-    if gamma_el != gamma2:
-        raise ShapeError("$", "the two defining forms of the upper "
-                              "charge component disagree")
-
-    psi_el = zero
-    for (a, b, g) in combinations(range(k), 3):
-        v = inp.psi.get((a, b, g))
-        if v is not None and not v.is_zero():
-            psi_el = psi_el + v * alow[a] * alow[b] * alow[g]
-    phi_el = zero
-    for (a, b, g) in combinations(range(k), 3):
-        v = inp.phi.get((a, b, g))
-        if v is not None and not v.is_zero():
-            phi_el = phi_el + v * aup[a] * aup[b] * aup[g]
-
-    return ThetaStructure(inp, ctx, mu, gamma_el, psi_el, phi_el)
+    mu = charge_half(inp.rho, inp.c, aup, alow, conn.christoffel, "lower")
+    gamma_el = charge_half(inp.rho_bar, inp.c_bar, alow, aup,
+                           lambda i, a, b: -conn.christoffel(i, b, a),
+                           "upper")
+    return ThetaStructure(inp, ctx, mu, gamma_el, cubic(inp.psi, alow),
+                          cubic(inp.phi, aup))
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +322,7 @@ def build_theta(inp):
 
 def courant_bracket(th, e1, e2):
     """[e1, e2] = {{e1, Theta}, e2}."""
-    return th.ctx.bracket(th.ctx.bracket(e1, th.theta), e2)
+    return derived_bracket(th.ctx, th.theta, e1, e2)
 
 
 def pairing(th, e1, e2):
@@ -365,12 +332,12 @@ def pairing(th, e1, e2):
 
 def anchor_apply(th, e, f):
     """rho(e) f = {{e, Theta}, f}."""
-    return th.ctx.bracket(th.ctx.bracket(e, th.theta), f)
+    return derived_bracket(th.ctx, th.theta, e, f)
 
 
 def d_fun(th, f):
     """The derivation-like element D f = {Theta, f}."""
-    return th.ctx.bracket(th.theta, f)
+    return derived_diff(th.ctx, th.theta, f)
 
 
 def d_L(th, alpha):
@@ -710,19 +677,25 @@ def deform_extend_dirac(inp_or_theta, prefix, degree_cap=2):
 # Change of isotropic complement
 # ---------------------------------------------------------------------------
 
-def _form_to_matrix(th, omega):
-    """k x k antisymmetric coefficient matrix of an upper 2-form."""
+def _to_matrix(th, x, upper, name, kind):
+    """k x k antisymmetric coefficient matrix of x, which must be `kind`:
+    a 2-form in the upper (upper=True) or the lower odd generators."""
     k = th.input.k
     gens = th.gens
+    off = k if upper else 0
     M = [[gens.zero() for _ in range(k)] for _ in range(k)]
-    for (e, o), cval in omega.terms.items():
-        if len(o) != 2 or any(x < k for x in o):
-            raise ShapeError("omega", "not an upper-generated 2-form")
-        a, b = o[0] - k, o[1] - k
-        coef = type(omega)(gens, {(e, ()): cval})
+    for (e, o), cval in x.terms.items():
+        if len(o) != 2 or any((i >= k) != upper for i in o):
+            raise ShapeError(name, f"not {kind}")
+        a, b = o[0] - off, o[1] - off
+        coef = type(x)(gens, {(e, ()): cval})
         M[a][b] = M[a][b] + coef
         M[b][a] = M[b][a] - coef
     return M
+
+
+def _form_to_matrix(th, omega):
+    return _to_matrix(th, omega, True, "omega", "an upper-generated 2-form")
 
 
 def _matrix_to_form(th, M):
@@ -737,17 +710,7 @@ def _matrix_to_form(th, M):
 
 
 def _bivector_to_matrix(th, lam):
-    k = th.input.k
-    gens = th.gens
-    M = [[gens.zero() for _ in range(k)] for _ in range(k)]
-    for (e, o), cval in lam.terms.items():
-        if len(o) != 2 or any(x >= k for x in o):
-            raise ShapeError("lam", "not a lower-generated bivector")
-        a, b = o
-        coef = type(lam)(gens, {(e, ()): cval})
-        M[a][b] = M[a][b] + coef
-        M[b][a] = M[b][a] - coef
-    return M
+    return _to_matrix(th, lam, False, "lam", "a lower-generated bivector")
 
 
 def _mat_mul_se(A, B, zero):

@@ -1,17 +1,25 @@
 """Linear Dirac structures on V + V*.
 
-Everything exact lives over Q (Fraction); the two numeric routines at the
-bottom (compatible structure, projector transport) use double precision
-with explicit tolerances and never feed back into exact state.
+Everything exact lives over Q (Fraction); the four numeric routines at
+the bottom (compatible structure, frame transport, projector, subspace
+distance) use double precision with explicit tolerances and never feed
+back into exact state.
 
 Conventions.  Elements of V + V* are row vectors (x_1..x_n, eta_1..eta_n).
 The symmetric pairing is <(x,eta),(y,mu)> = eta(y) + mu(x); the graph of a
 two-form omega is {(x, omega x)} with (omega x)_j = sum_i omega[j][i] x_i,
 and the graph of a bivector pi is {(pi eta, eta)}.
+
+The flip (x, eta) -> (eta, x) preserves the pairing, so it sends a Dirac
+structure L to a Dirac structure flip(L), read again as (first half,
+second half) row vectors.  It exchanges V and V*, range and corange,
+kernel L cap V and L cap V*, and two-form and bivector graphs; each
+V*-side construction here is its V-side twin conjugated by the flip.
 """
 
 import math
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
@@ -100,11 +108,12 @@ class LinearDirac:
             raise ShapeMismatch("subspace does not live in V + V*")
         if subspace.dim != n:
             raise NotDirac(f"dimension {subspace.dim}, expected {n}")
-        ps = PairedSpace(n)
-        for u in subspace.basis:
-            for v in subspace.basis:
-                if ps.pair(u, v) != 0:
-                    raise NotDirac("subspace is not isotropic")
+        # <u_a, u_b> = eta_a(x_b) + eta_b(x_a): isotropic iff the
+        # matrix eta_a(x_b) of the basis is antisymmetric
+        basis = subspace.basis
+        M = [[sum(map(mul, u[n:], v[:n])) for v in basis] for u in basis]
+        if any(M[a][b] + M[b][a] for a in range(n) for b in range(a, n)):
+            raise NotDirac("subspace is not isotropic")
         self.n = n
         self.subspace = subspace
 
@@ -125,10 +134,19 @@ def space_V(n):
     return LinearDirac(n, Subspace(2 * n, basis))
 
 
+def flip(L):
+    """The image of L under (x, eta) -> (eta, x).  The flip preserves
+    the pairing, so the image is Dirac and is not checked again."""
+    n = L.n
+    F = object.__new__(LinearDirac)
+    F.n = n
+    F.subspace = Subspace(2 * n, [list(v[n:]) + list(v[:n])
+                                  for v in L.subspace.basis])
+    return F
+
+
 def space_V_star(n):
-    basis = [[Fraction(1 if j == n + i else 0) for j in range(2 * n)]
-             for i in range(n)]
-    return LinearDirac(n, Subspace(2 * n, basis))
+    return flip(space_V(n))
 
 
 def from_two_form(omega):
@@ -143,70 +161,47 @@ def from_two_form(omega):
 
 
 def from_bivector(pi):
-    _check_antisymmetric(pi)
-    n = len(pi)
-    basis = []
-    for i in range(n):
-        v = [frac(pi[j][i]) for j in range(n)]
-        v += [Fraction(1 if j == i else 0) for j in range(n)]
-        basis.append(v)
-    return LinearDirac(n, Subspace(2 * n, basis))
+    return flip(from_two_form(pi))
 
 
-def _project_first(L, n):
-    """Subspace of V spanned by the x-parts of L."""
+def range_of(L):
+    """Subspace of V spanned by the x-parts of L (its range)."""
+    n = L.n
     return Subspace(n, [list(v[:n]) for v in L.subspace.basis])
 
 
-def _project_second(L, n):
-    return Subspace(n, [list(v[n:]) for v in L.subspace.basis])
-
-
-def _lift_covector(L, x):
-    """Some eta with (x, eta) in L; requires x in the range projection."""
+def lift(L, x):
+    """Some eta with (x, eta) in L; requires x in the range of L."""
     n = L.n
-    cols = [list(v) for v in L.subspace.basis]
-    M = [[cols[j][i] for j in range(len(cols))] for i in range(n)]
-    status, c = ratlin.solve(M, list(x))
+    basis = L.subspace.basis
+    status, c = ratlin.solve(ratlin.transpose([v[:n] for v in basis]),
+                             list(x))
     if status != "SOLUTION":
         raise ValueError("vector is not in the range of the structure")
-    eta = [Fraction(0)] * n
-    for j, cj in enumerate(c):
-        for i in range(n):
-            eta[i] += cj * cols[j][n + i]
-    return eta
-
-
-def _lift_vector(L, eta):
-    n = L.n
-    cols = [list(v) for v in L.subspace.basis]
-    M = [[cols[j][n + i] for j in range(len(cols))] for i in range(n)]
-    status, c = ratlin.solve(M, list(eta))
-    if status != "SOLUTION":
-        raise ValueError("covector is not in the corange of the structure")
-    x = [Fraction(0)] * n
-    for j, cj in enumerate(c):
-        for i in range(n):
-            x[i] += cj * cols[j][i]
-    return x
+    return ratlin.mat_vec(ratlin.transpose([v[n:] for v in basis]), c)
 
 
 def intersect_V(L):
     """L cap V, as a subspace of V."""
     n = L.n
-    amb = Subspace(2 * n, [[Fraction(1 if j == i else 0)
-                            for j in range(2 * n)] for i in range(n)])
-    inter = L.subspace.intersect(amb)
+    inter = L.subspace.intersect(Subspace(2 * n, ratlin.identity(2 * n)[:n]))
     return Subspace(n, [list(v[:n]) for v in inter.basis])
 
 
 def intersect_V_star(L):
     """L cap V*, as a subspace of V*."""
-    n = L.n
-    amb = Subspace(2 * n, [[Fraction(1 if j == n + i else 0)
-                            for j in range(2 * n)] for i in range(n)])
-    inter = L.subspace.intersect(amb)
-    return Subspace(n, [list(v[n:]) for v in inter.basis])
+    return intersect_V(flip(L))
+
+
+def _range_form(L):
+    """Range R of L and the form Omega[a][b] = eta_a(r_b) on its echelon
+    basis, for any lifts (r_a, eta_a) in L (they differ by L cap V*,
+    which annihilates R)."""
+    R = range_of(L)
+    etas = [lift(L, r) for r in R.basis]
+    Omega = [[sum(e[i] * frac(r2[i]) for i in range(L.n))
+              for r2 in R.basis] for e in etas]
+    return R, Omega
 
 
 def represent(L):
@@ -217,20 +212,13 @@ def represent(L):
       Omega  antisymmetric dim(R) x dim(R) matrix in the echelon basis of R,
       K      kernel subspace L cap V,
       pi     antisymmetric matrix on the echelon basis of K-annihilator
-             covectors (the corange of L).
+             covectors (the corange of L), pi[a][b] = w_b(x_a) for lifts
+             (x_a, w_a) in L: the range and form of flip(L).
     """
-    n = L.n
-    R = _project_first(L, n)
-    etas = [_lift_covector(L, r) for r in R.basis]
-    Omega = [[sum(e[i] * frac(r2[i]) for i in range(n))
-              for r2 in R.basis] for e in etas]
-    K = intersect_V(L)
-    W = _project_second(L, n)
-    xs = [_lift_vector(L, w) for w in W.basis]
-    pi = [[sum(frac(w2[i]) * x[i] for i in range(n))
-           for w2 in W.basis] for x in xs]
-    # pi[a][b] = w_b(x_a); make the convention pi(eta, eta') = eta'(x_eta)
-    return {"R": R, "Omega": Omega, "K": K, "corange": W, "pi": pi}
+    R, Omega = _range_form(L)
+    W, pi = _range_form(flip(L))
+    return {"R": R, "Omega": Omega, "K": intersect_V(L), "corange": W,
+            "pi": pi}
 
 
 def from_R_Omega(R, Omega):
@@ -254,21 +242,13 @@ def from_R_Omega(R, Omega):
 
 
 def from_K_pi(K, corange, pi):
-    """Dirac structure with kernel K and bivector pi on the corange basis."""
-    n = K.ambient_dim
-    k = corange.dim
-    _check_antisymmetric(pi)
-    basis = []
-    rows = [[frac(corange.basis[b][i]) for i in range(n)] for b in range(k)]
-    for a in range(k):
-        # vector x_a with w_b(x_a) = pi[a][b]
-        status, x = ratlin.solve(rows, [frac(pi[a][b]) for b in range(k)])
-        if status != "SOLUTION":
-            raise ShapeMismatch("bivector is not representable")
-        basis.append(x + list(corange.basis[a]))
-    for v in K.basis:
-        basis.append(list(v) + [Fraction(0)] * n)
-    return LinearDirac(n, Subspace(2 * n, basis))
+    """Dirac structure with kernel K and bivector pi on the corange basis:
+    the flip of the structure with range `corange` and form pi.  K must be
+    the annihilator of the corange."""
+    L = flip(from_R_Omega(corange, pi))
+    if intersect_V(L) != K:
+        raise NotDirac("kernel is not the annihilator of the corange")
+    return L
 
 
 # ---------------------------------------------------------------------------
@@ -280,18 +260,19 @@ def _constraint_rows(S):
     return S.echelon.kernel(S.ambient_dim)
 
 
-def _phi_t(phi):
-    return [[frac(phi[j][i]) for j in range(len(phi))]
-            for i in range(len(phi[0]) if phi else 0)]
+def _shape(phi):
+    """(rows, columns) of a map matrix; a map with no rows has none."""
+    return len(phi), len(phi[0]) if phi else 0
 
 
-def forward_map(phi, L):
-    """F_phi(L) = {(phi x, eta) : (x, phi* eta) in L} on the codomain."""
-    nw = len(phi)
-    nv = len(phi[0]) if nw else 0
-    if L.n != nv:
-        raise ShapeMismatch("map domain does not match the structure")
-    phit = _phi_t(phi)
+def _phi_t(phi, nw, nv):
+    """The nv x nw transpose of the nw x nv matrix phi."""
+    return [[frac(phi[j][i]) for j in range(nw)] for i in range(nv)]
+
+
+def _push(phi, nw, nv, L):
+    """{(phi x, eta) : (x, phi* eta) in L} for phi of shape nw x nv."""
+    phit = _phi_t(phi, nw, nv)
     C = _constraint_rows(L.subspace)
     # unknowns (x in Q^nv, eta in Q^nw); condition C (x, phi^T eta) = 0
     rows = []
@@ -309,26 +290,21 @@ def forward_map(phi, L):
     return LinearDirac(nw, Subspace(2 * nw, out))
 
 
+def forward_map(phi, L):
+    """F_phi(L) = {(phi x, eta) : (x, phi* eta) in L} on the codomain."""
+    nw, nv = _shape(phi)
+    if L.n != nv:
+        raise ShapeMismatch("map domain does not match the structure")
+    return _push(phi, nw, nv, L)
+
+
 def backward_map(phi, L):
-    """B_phi(L) = {(x, phi* eta) : (phi x, eta) in L} on the domain."""
-    nw = len(phi)
-    nv = len(phi[0]) if nw else 0
+    """B_phi(L) = {(x, phi* eta) : (phi x, eta) in L} on the domain: the
+    flip of the forward image of flip(L) under phi*."""
+    nw, nv = _shape(phi)
     if L.n != nw:
         raise ShapeMismatch("map codomain does not match the structure")
-    phit = _phi_t(phi)
-    C = _constraint_rows(L.subspace)
-    rows = []
-    for crow in C:
-        row = [sum(crow[j] * frac(phi[j][i]) for j in range(nw))
-               for i in range(nv)]
-        row += list(crow[nw:])
-        rows.append(row)
-    out = []
-    for v in ratlin.Echelon(map(ratlin.sparse_row, rows)).kernel(nv + nw):
-        x, eta = v[:nv], v[nv:]
-        pe = [sum(phit[i][a] * eta[a] for a in range(nw)) for i in range(nv)]
-        out.append(list(x) + pe)
-    return LinearDirac(nv, Subspace(2 * nv, out))
+    return flip(_push(_phi_t(phi, nw, nv), nv, nw, flip(L)))
 
 
 class CanonicalRelation:
@@ -359,9 +335,8 @@ class CanonicalRelation:
 
 def relation_of_map(phi):
     """The canonical relation of phi: {((phi x, eta), (x, phi* eta))}."""
-    nw = len(phi)
-    nv = len(phi[0]) if nw else 0
-    phit = _phi_t(phi)
+    nw, nv = _shape(phi)
+    phit = _phi_t(phi, nw, nv)
     basis = []
     for i in range(nv):  # parametrized by x = e_i
         px = [frac(phi[j][i]) for j in range(nw)]

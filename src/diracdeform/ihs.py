@@ -17,8 +17,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import ratlin
-from .dirac_linear import dirac_from_json, dirac_to_json, from_bivector
+from .dirac_linear import (
+    dirac_from_json,
+    dirac_to_json,
+    flip,
+    from_bivector,
+    intersect_V,
+    lift,
+    range_of,
+)
 from .jsonin import InputError, array, fields, rational
 from .multilinear import base_gens
 from .superalg import SuperElement
@@ -189,19 +196,22 @@ class IHSystem:
         e0 = energy(0, 0.0, x)
         energies = [e0]
 
-        for s in range(steps):
-            t = s * h
-            r1 = f(s, t, x)
-            residuals.append(r1.residual)
-            k1 = r1.xdot
-            k2 = f(s, t + h / 2, x + h / 2 * k1).xdot
-            k3 = f(s, t + h / 2, x + h / 2 * k2).xdot
-            k4 = f(s, t + h, x + h * k3).xdot
-            x = x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            times.append((s + 1) * h)
-            points.append(x.copy())
-            energies.append(energy(s, (s + 1) * h, x))
-        residuals.append(self.velocity_solve(x).residual)
+        # a diverging state overflows to inf/NaN, which the checks
+        # below report as LeftAdmissibleSet; numpy need not warn on it
+        with np.errstate(over="ignore", invalid="ignore"):
+            for s in range(steps):
+                t = s * h
+                r1 = f(s, t, x)
+                residuals.append(r1.residual)
+                k1 = r1.xdot
+                k2 = f(s, t + h / 2, x + h / 2 * k1).xdot
+                k3 = f(s, t + h / 2, x + h / 2 * k2).xdot
+                k4 = f(s, t + h, x + h * k3).xdot
+                x = x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+                times.append((s + 1) * h)
+                points.append(x.copy())
+                energies.append(energy(s, (s + 1) * h, x))
+            residuals.append(self.velocity_solve(x).residual)
         if not math.isfinite(residuals[-1]):
             raise LeftAdmissibleSet(steps, steps * h, x)
         drift = max(abs(e - e0) for e in energies)
@@ -210,25 +220,12 @@ class IHSystem:
     # -- admissible-function algebra (exact) ----------------------------
 
     def covector_projection(self):
-        """pr_{V*}(L) as an exact Subspace of Q^n."""
-        rows = [list(row)[self.n:] for row in self.L.subspace.basis]
-        return ratlin.Subspace(self.n, rows)
-
-    def _covector_matrix(self):
-        """n x dim L matrix; column j is the covector part of basis row j."""
-        return [[row[self.n + i] for row in self.L.subspace.basis]
-                for i in range(self.n)]
-
-    def _vector_part(self, y):
-        """Vector part of the combination sum_j y_j (basis row j) of L."""
-        basis = self.L.subspace.basis
-        return [sum((yj * row[i] for yj, row in zip(y, basis)), Fraction(0))
-                for i in range(self.n)]
+        """pr_{V*}(L) as an exact Subspace of Q^n: the range of flip(L)."""
+        return range_of(flip(self.L))
 
     def kernel_directions(self):
         """L cap V: exact basis of the gauge directions."""
-        combos = ratlin.kernel_basis(self._covector_matrix())
-        return [self._vector_part(y) for y in combos.basis]
+        return [list(v) for v in intersect_V(self.L).basis]
 
     def _gradient_columns(self, f):
         """(m, [coefficient of monomial m in df/dx_i]) over the sorted
@@ -250,14 +247,15 @@ class IHSystem:
         bracket does not depend on it.  Raises NotAdmissible if df
         leaves the covector projection of L.
         """
-        M = self._covector_matrix()
+        dual = flip(self.L)
         field = [{} for _ in range(self.n)]
         for m, c in self._gradient_columns(f):
-            status, y = ratlin.solve(M, c)
-            if status != "SOLUTION":
+            try:
+                u = lift(dual, c)
+            except ValueError:
                 raise NotAdmissible(
-                    "differential leaves the covector projection")
-            for i, ui in enumerate(self._vector_part(y)):
+                    "differential leaves the covector projection") from None
+            for i, ui in enumerate(u):
                 if ui:
                     field[i][m] = ui
         return [SuperElement(self.gens, t) for t in field]

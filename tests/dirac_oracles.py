@@ -1,0 +1,152 @@
+"""The mirrored V*-side bodies that `dirac_linear.flip` replaced, and the
+explicit upper half of `courant.build_theta`, kept as independent
+oracles: each writes out the twin of a V-side (or lower) construction
+directly instead of conjugating it by the flip (x, eta) -> (eta, x) or
+exchanging the summands."""
+
+from fractions import Fraction
+from itertools import combinations
+
+from diracdeform import ratlin
+from diracdeform.brackets import BracketContext
+from diracdeform.dirac_linear import (
+    LinearDirac,
+    ShapeMismatch,
+    _check_antisymmetric,
+)
+from diracdeform.ratlin import Subspace, frac
+from diracdeform.superalg import ConnectionData
+
+
+def space_V_star(n):
+    basis = [[Fraction(1 if j == n + i else 0) for j in range(2 * n)]
+             for i in range(n)]
+    return LinearDirac(n, Subspace(2 * n, basis))
+
+
+def from_bivector(pi):
+    _check_antisymmetric(pi)
+    n = len(pi)
+    basis = []
+    for i in range(n):
+        v = [frac(pi[j][i]) for j in range(n)]
+        v += [Fraction(1 if j == i else 0) for j in range(n)]
+        basis.append(v)
+    return LinearDirac(n, Subspace(2 * n, basis))
+
+
+def intersect_V_star(L):
+    """L cap V*, as a subspace of V*."""
+    n = L.n
+    amb = Subspace(2 * n, [[Fraction(1 if j == n + i else 0)
+                            for j in range(2 * n)] for i in range(n)])
+    inter = L.subspace.intersect(amb)
+    return Subspace(n, [list(v[n:]) for v in inter.basis])
+
+
+def _lift_vector(L, eta):
+    n = L.n
+    cols = [list(v) for v in L.subspace.basis]
+    M = [[cols[j][n + i] for j in range(len(cols))] for i in range(n)]
+    status, c = ratlin.solve(M, list(eta))
+    if status != "SOLUTION":
+        raise ValueError("covector is not in the corange of the structure")
+    x = [Fraction(0)] * n
+    for j, cj in enumerate(c):
+        for i in range(n):
+            x[i] += cj * cols[j][i]
+    return x
+
+
+def corange_pi(L):
+    """The corange half of `represent`: (corange W, pi) with
+    pi[a][b] = w_b(x_a) for lifts (x_a, w_a) in L."""
+    n = L.n
+    W = Subspace(n, [list(v[n:]) for v in L.subspace.basis])
+    xs = [_lift_vector(L, w) for w in W.basis]
+    pi = [[sum(frac(w2[i]) * x[i] for i in range(n))
+           for w2 in W.basis] for x in xs]
+    return W, pi
+
+
+def from_K_pi(K, corange, pi):
+    """Dirac structure with kernel K and bivector pi on the corange basis."""
+    n = K.ambient_dim
+    k = corange.dim
+    _check_antisymmetric(pi)
+    basis = []
+    rows = [[frac(corange.basis[b][i]) for i in range(n)] for b in range(k)]
+    for a in range(k):
+        # vector x_a with w_b(x_a) = pi[a][b]
+        status, x = ratlin.solve(rows, [frac(pi[a][b]) for b in range(k)])
+        if status != "SOLUTION":
+            raise ShapeMismatch("bivector is not representable")
+        basis.append(x + list(corange.basis[a]))
+    for v in K.basis:
+        basis.append(list(v) + [Fraction(0)] * n)
+    return LinearDirac(n, Subspace(2 * n, basis))
+
+
+def backward_map(phi, L):
+    """B_phi(L) = {(x, phi* eta) : (phi x, eta) in L} on the domain."""
+    nw = len(phi)
+    nv = len(phi[0]) if nw else 0
+    if L.n != nw:
+        raise ShapeMismatch("map codomain does not match the structure")
+    phit = [[frac(phi[j][i]) for j in range(nw)] for i in range(nv)]
+    C = L.subspace.echelon.kernel(2 * nw)
+    rows = []
+    for crow in C:
+        row = [sum(crow[j] * frac(phi[j][i]) for j in range(nw))
+               for i in range(nv)]
+        row += list(crow[nw:])
+        rows.append(row)
+    out = []
+    for v in ratlin.Echelon(map(ratlin.sparse_row, rows)).kernel(nv + nw):
+        x, eta = v[:nv], v[nv:]
+        pe = [sum(phit[i][a] * eta[a] for a in range(nw)) for i in range(nv)]
+        out.append(list(x) + pe)
+    return LinearDirac(nv, Subspace(2 * nv, out))
+
+
+def upper_charge(inp):
+    """(gamma in Darboux-momentum form, gamma in momentum/torsion form,
+    phi) of a CourantInput, written out with a^* and a_* exchanged."""
+    m, k = inp.m, inp.k
+    gens = inp.gens
+    conn = ConnectionData(gens, m, k, gamma=inp.gamma_conn or None)
+    r = BracketContext.rothstein_on(conn).darboux_momenta()
+    alow = [gens.gen(gens.odd[a]) for a in range(k)]
+    aup = [gens.gen(gens.odd[k + a]) for a in range(k)]
+    p = [gens.gen(gens.even[m + i]) for i in range(m)]
+    half = Fraction(1, 2)
+    zero = gens.zero()
+
+    def gam(i, a, b):
+        return conn.christoffel(i, a, b)
+
+    gamma_el = zero
+    for (i, a), rho in inp.rho_bar.items():
+        gamma_el = gamma_el - r[i] * rho * alow[a]
+    for (a, b, g), cv in inp.c_bar.items():
+        gamma_el = gamma_el - half * cv * alow[a] * alow[b] * aup[g]
+    gamma2 = zero
+    for (i, a), rho in inp.rho_bar.items():
+        gamma2 = gamma2 - p[i] * rho * alow[a]
+    for a in range(k):
+        for b in range(k):
+            for g in range(k):
+                t = zero
+                for i in range(m):
+                    ra = inp.rho_bar.get((i, a), zero)
+                    rb = inp.rho_bar.get((i, b), zero)
+                    t = t + rb * gam(i, g, a) - ra * gam(i, g, b)
+                t = t - inp.c_bar.get((a, b, g), zero)
+                if not t.is_zero():
+                    gamma2 = gamma2 + half * t * alow[a] * alow[b] * aup[g]
+    phi_el = zero
+    for (a, b, g) in combinations(range(k), 3):
+        v = inp.phi.get((a, b, g))
+        if v is not None and not v.is_zero():
+            phi_el = phi_el + v * aup[a] * aup[b] * aup[g]
+    return gamma_el, gamma2, phi_el

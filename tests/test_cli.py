@@ -302,6 +302,8 @@ QUARTIC = ihs.system_to_json(ihs.IHSystem(
     ({**QUARTIC, "H": [[[2, 0], "1e300"]]}, "1e5,0", "20"),
     # dH overflows at the final point, whose solve no stage makes
     ({**QUARTIC, "H": [[[2, 0], "8e307"]]}, "1.2,0", "0"),
+    # the state overflows inside the RK4 arithmetic
+    ({**OSC, "h": 1e200}, "1,0", "3"),
 ])
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_ihs_run_divergence_is_a_failure_report(tmp_path, system, x0, steps,
@@ -312,6 +314,7 @@ def test_ihs_run_divergence_is_a_failure_report(tmp_path, system, x0, steps,
                        capture_output=True, text=True, env=SUBPROCESS_ENV)
     assert p.returncode == 1
     assert "Traceback" not in p.stderr
+    assert p.stderr == ""
     assert strict_json(p.stdout)["report"]["status"] == "LEFT_ADMISSIBLE_SET"
 
 

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diracdeform import courant as co
 from diracdeform.brackets import master_residuals
@@ -14,6 +15,8 @@ from diracdeform.lie_deform import (
     PreconditionMC,
 )
 from diracdeform.superalg import phase_generators, to_text
+
+import dirac_oracles as oracle
 
 EPS = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1}
 
@@ -40,6 +43,37 @@ def random_two_form(th, rng, polynomial=True):
                 f = th.gens.scalar(Fraction(rng.randint(-2, 2)))
             out = out + f * th.upper(a) * th.upper(b)
     return out
+
+
+@st.composite
+def courant_inputs(draw):
+    """CourantInputs with m <= 2, k <= 3: random anchors, constants,
+    cubic terms and connection, each a polynomial of degree <= 1."""
+    m, k = draw(st.integers(0, 2)), draw(st.integers(0, 3))
+
+    def value():
+        c0 = draw(st.integers(-2, 2))
+        if m == 0:
+            return c0
+        i, c1 = draw(st.integers(1, m)), draw(st.integers(-2, 2))
+        return f"{c1} q{i} + {c0}"
+
+    def table(bounds, increasing=0):
+        """Up to 3 entries; the first `increasing` indices of each key
+        increase, one key per antisymmetry class."""
+        if not all(bounds):
+            return {}
+        keys = draw(st.lists(st.tuples(*(st.integers(0, b - 1)
+                                          for b in bounds)), max_size=3))
+        return {key: value() for key in keys
+                if all(x < y for x, y in zip(key[:increasing],
+                                             key[1:increasing]))}
+
+    return co.CourantInput(
+        m, k, rho=table((m, k)), rho_bar=table((m, k)),
+        c=table((k, k, k), 2), c_bar=table((k, k, k), 2),
+        psi=table((k, k, k), 3), phi=table((k, k, k), 3),
+        gamma_conn=table((m, k, k)))
 
 
 class TestInputValidation:
@@ -90,6 +124,16 @@ class TestInputValidation:
 
 
 class TestBuildTheta:
+    @given(courant_inputs())
+    @settings(max_examples=60, deadline=None)
+    def test_upper_half_matches_oracle(self, inp):
+        """gamma and phi, derived from the lower half by exchanging the
+        summands, against their written-out forms."""
+        th = co.build_theta(inp)
+        gamma, gamma_torsion, phi = oracle.upper_charge(inp)
+        assert th.gamma == gamma == gamma_torsion
+        assert th.phi == phi
+
     def test_standard_charge(self):
         th = co.build_theta(co.standard_courant(2))
         g = th.gens
@@ -525,6 +569,15 @@ class TestSerialization:
         assert back.psi == inp.psi
         assert back.phi == inp.phi
         assert back.gamma_conn == inp.gamma_conn
+
+    @given(courant_inputs())
+    @settings(max_examples=40, deadline=None)
+    def test_round_trip_random(self, inp):
+        back = co.CourantInput.from_json(inp.to_json())
+        for name in ("rho", "rho_bar", "c", "c_bar", "psi", "phi",
+                     "gamma_conn"):
+            assert getattr(back, name) == getattr(inp, name)
+        assert back.to_json() == inp.to_json()
 
     def test_json_is_plain_data(self):
         import json

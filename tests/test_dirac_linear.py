@@ -3,10 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from diracdeform import dirac_linear as dl
 from diracdeform import ratlin
 from diracdeform.ratlin import Subspace
+
+import dirac_oracles as oracle
 
 
 def rand_antisym(rng, n):
@@ -29,6 +32,92 @@ def rand_dirac(rng, n):
     k = rng.randint(0, n)
     R = Subspace(n, rand_matrix(rng, k, n))
     return dl.from_R_Omega(R, rand_antisym(rng, R.dim))
+
+
+@st.composite
+def antisymmetric(draw, n):
+    M = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            M[i][j] = Fraction(draw(st.integers(-3, 3)),
+                               draw(st.integers(1, 2)))
+            M[j][i] = -M[i][j]
+    return M
+
+
+@st.composite
+def matrices(draw, r, c):
+    return [[Fraction(draw(st.integers(-2, 2))) for _ in range(c)]
+            for _ in range(r)]
+
+
+@st.composite
+def dirac_structures(draw, n=None):
+    """A Dirac structure on Q^n (n in 0..4 unless given), from a two-form,
+    a bivector or a range and form."""
+    n = draw(st.integers(0, 4)) if n is None else n
+    kind = draw(st.sampled_from(["two_form", "bivector", "range"]))
+    if kind == "two_form":
+        return dl.from_two_form(draw(antisymmetric(n)))
+    if kind == "bivector":
+        return dl.from_bivector(draw(antisymmetric(n)))
+    R = Subspace(n, draw(matrices(draw(st.integers(0, n)), n)))
+    return dl.from_R_Omega(R, draw(antisymmetric(R.dim)))
+
+
+class TestAgainstOracles:
+    """The flip-derived V*-side constructions against their written-out
+    twins in dirac_oracles."""
+
+    @given(dirac_structures())
+    @settings(max_examples=60, deadline=None)
+    def test_flip_is_an_involution(self, L):
+        F = dl.flip(L)
+        assert dl.LinearDirac(F.n, F.subspace) == F and F.n == L.n
+        assert dl.flip(F) == L
+        assert dl.range_of(F) == oracle.corange_pi(L)[0]
+
+    @given(st.integers(0, 4))
+    def test_space_V_star(self, n):
+        assert dl.space_V_star(n) == oracle.space_V_star(n)
+
+    @given(st.integers(0, 4).flatmap(antisymmetric))
+    @settings(max_examples=40, deadline=None)
+    def test_from_bivector(self, pi):
+        assert dl.from_bivector(pi) == oracle.from_bivector(pi)
+
+    @given(dirac_structures())
+    @settings(max_examples=60, deadline=None)
+    def test_intersect_V_star(self, L):
+        assert dl.intersect_V_star(L) == oracle.intersect_V_star(L)
+
+    @given(dirac_structures())
+    @settings(max_examples=60, deadline=None)
+    def test_corange_half_of_represent(self, L):
+        rep = dl.represent(L)
+        assert (rep["corange"], rep["pi"]) == oracle.corange_pi(L)
+        assert dl.from_K_pi(rep["K"], rep["corange"], rep["pi"]) == \
+            oracle.from_K_pi(rep["K"], rep["corange"], rep["pi"]) == L
+
+    @given(dirac_structures(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_from_K_pi_rejects_a_wrong_kernel(self, L, data):
+        rep = dl.represent(L)
+        n = L.n
+        K = Subspace(n, data.draw(matrices(data.draw(st.integers(0, n)), n)))
+        assume(K != rep["K"])
+        for build in (dl.from_K_pi, oracle.from_K_pi):
+            with pytest.raises(dl.NotDirac):
+                build(K, rep["corange"], rep["pi"])
+
+    @given(st.integers(0, 3), st.integers(0, 3), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_backward_map_every_shape(self, nw, nv, data):
+        phi = data.draw(matrices(nw, nv))
+        L = data.draw(dirac_structures(nw))
+        got = dl.backward_map(phi, L)
+        assert got == oracle.backward_map(phi, L)
+        assert got.n == (nv if nw else 0)
 
 
 class TestBasics:
