@@ -30,9 +30,6 @@ from .jsonin import InputError, array, fields, natural
 from .lie_deform import Differential, FormalSeries, mc_extend
 from .superalg import (
     ConnectionData,
-    NotHomogeneous,
-    bidegree,
-    bidegree_components,
     parse,
     phase_generators,
     to_text,

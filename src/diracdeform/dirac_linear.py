@@ -1,9 +1,8 @@
 """Linear Dirac structures on V + V*.
 
-Everything exact lives over Q (Fraction); the four numeric routines at
-the bottom (compatible structure, frame transport, projector, subspace
-distance) use double precision with explicit tolerances and never feed
-back into exact state.
+Everything here is exact, over Q (Fraction).  The double-precision
+routines (compatible structure, frame transport, projector, subspace
+distance) live in `diracdeform.numeric`.
 
 Conventions.  Elements of V + V* are row vectors (x_1..x_n, eta_1..eta_n).
 The symmetric pairing is <(x,eta),(y,mu)> = eta(y) + mu(x); the graph of a
@@ -20,8 +19,6 @@ V*-side construction here is its V-side twin conjugated by the flip.
 import math
 from fractions import Fraction
 from operator import mul
-
-import numpy as np
 
 from . import ratlin
 from .jsonin import InputError, array, fields, natural, rational
@@ -45,14 +42,6 @@ class NotIsotropic(Exception):
 
 
 class NotDirac(Exception):
-    pass
-
-
-class IllConditioned(Exception):
-    pass
-
-
-class StepTooLarge(Exception):
     pass
 
 
@@ -291,16 +280,22 @@ def _push(phi, nw, nv, L):
 
 
 def forward_map(phi, L):
-    """F_phi(L) = {(phi x, eta) : (x, phi* eta) in L} on the codomain."""
-    nw, nv = _shape(phi)
-    if L.n != nv:
+    """F_phi(L) = {(phi x, eta) : (x, phi* eta) in L} on the codomain.
+
+    The domain is the space of L, so a map with no rows sends L to the
+    structure on the zero space; every row must have L.n entries."""
+    if any(len(row) != L.n for row in phi):
         raise ShapeMismatch("map domain does not match the structure")
-    return _push(phi, nw, nv, L)
+    return _push(phi, len(phi), L.n, L)
 
 
 def backward_map(phi, L):
     """B_phi(L) = {(x, phi* eta) : (phi x, eta) in L} on the domain: the
-    flip of the forward image of flip(L) under phi*."""
+    flip of the forward image of flip(L) under phi*.
+
+    The domain dimension is read from the rows of phi, so a map with no
+    rows is ambiguous: [] is read as the map of the zero space, and the
+    result lives on Q^0 whatever domain was meant."""
     nw, nv = _shape(phi)
     if L.n != nw:
         raise ShapeMismatch("map codomain does not match the structure")
@@ -518,90 +513,6 @@ def gauge_transform(B, L):
         bx = [sum(frac(B[j][i]) * x[i] for i in range(n)) for j in range(n)]
         out.append(list(x) + [bx[j] + eta[j] for j in range(n)])
     return LinearDirac(n, Subspace(2 * n, out))
-
-
-# ---------------------------------------------------------------------------
-# Numeric routines (double precision; explicit tolerances)
-# ---------------------------------------------------------------------------
-
-def numeric_compatible_structure(G, k, tol=1e-9):
-    """Product structure J and positive metric g from a split pairing G
-    and a positive metric seed k.
-
-    J = |A|^{-1} A for A = k^{-1} G; returns (J, g) with J @ J = I,
-    J.T @ G @ J = G and g = G @ J symmetric positive definite.
-    """
-    G = np.asarray(G, dtype=float)
-    k = np.asarray(k, dtype=float)
-    n = G.shape[0]
-    if G.shape != (n, n) or k.shape != (n, n):
-        raise ShapeMismatch("matrices must be square of equal size")
-    L = np.linalg.cholesky(k)
-    Li = np.linalg.solve(L, np.eye(n))
-    S = Li @ G @ Li.T
-    S = (S + S.T) / 2
-    w, Q = np.linalg.eigh(S)
-    if np.min(np.abs(w)) < tol * np.max(np.abs(w)):
-        raise IllConditioned("pairing is numerically degenerate")
-    Jt = Q @ np.diag(np.sign(w)) @ Q.T
-    J = Li.T @ Jt @ np.linalg.inv(Li.T)
-    g = G @ J
-    return J, g
-
-
-def numeric_transport(P, t0, t1, h=1e-3, Pdot=None):
-    """Transport frames along a projector curve by U' = [P', P] U, U0 = I.
-
-    P is a callable t -> projector matrix (P(t) @ P(t) ~ P(t)); Pdot an
-    optional callable for its derivative (central differences otherwise).
-    Returns a list of (t, U) samples on the RK4 grid.
-    """
-    P0 = np.asarray(P(t0), dtype=float)
-    n = P0.shape[0]
-    if Pdot is None:
-        d = max(h * 1e-2, 1e-7)
-
-        def Pdot(t):
-            return (np.asarray(P(t + d), float)
-                    - np.asarray(P(t - d), float)) / (2 * d)
-
-    def rhs(t, U):
-        Pt = np.asarray(P(t), float)
-        Pd = np.asarray(Pdot(t), float)
-        return (Pd @ Pt - Pt @ Pd) @ U
-
-    steps = int(round((t1 - t0) / h))
-    t = t0
-    U = np.eye(n)
-    out = [(t, U.copy())]
-    prev = P0
-    for _ in range(steps):
-        Pt = np.asarray(P(t + h), float)
-        if np.linalg.norm(Pt - prev) > 0.5:
-            raise StepTooLarge("projector moves too fast for the step size")
-        k1 = rhs(t, U)
-        k2 = rhs(t + h / 2, U + h / 2 * k1)
-        k3 = rhs(t + h / 2, U + h / 2 * k2)
-        k4 = rhs(t + h, U + h * k3)
-        U = U + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += h
-        prev = Pt
-        out.append((t, U.copy()))
-    return out
-
-
-def projector_onto(basis, n):
-    """Float orthogonal projector onto the span of the given row vectors."""
-    B = np.asarray(basis, dtype=float).reshape(-1, n)
-    Q, _ = np.linalg.qr(B.T)
-    r = np.linalg.matrix_rank(B)
-    Q = Q[:, :r]
-    return Q @ Q.T
-
-
-def subspace_distance(P1, P2):
-    """Operator-norm distance of two projectors (max principal angle sine)."""
-    return float(np.linalg.norm(np.asarray(P1) - np.asarray(P2), 2))
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,14 @@
 
 A state x in R^n evolves subject to (xdot, dH(x)) in L, where L is a
 maximal isotropic subspace of R^n + R^n*.  The structure is validated
-exactly (over Q) before being converted to floats; trajectories are
-integrated with classical RK4.  The admissible-function algebra (the
-Poisson bracket on functions whose differential lies in the covector
-projection of L) is computed exactly on polynomials with rational
-coefficients.
+exactly (over Q), and because it is constant the velocity solve is
+compiled from it once, exactly: the least-norm pseudo-inverse of the
+constraint matrix and an orthogonal basis of its kernel are computed
+over Q and only then rounded to floats.  Trajectories are integrated
+with classical RK4 on plain Python floats, so this module needs no
+numpy.  The admissible-function algebra (the Poisson bracket on
+functions whose differential lies in the covector projection of L) is
+computed exactly on polynomials with rational coefficients.
 
 Polynomials are SuperElements over the even generators x1..xn
 (IHSystem.gens).
@@ -14,9 +17,9 @@ Polynomials are SuperElements over the even generators x1..xn
 
 import math
 from fractions import Fraction
+from operator import sub
 
-import numpy as np
-
+from . import ratlin
 from .dirac_linear import (
     dirac_from_json,
     dirac_to_json,
@@ -70,6 +73,49 @@ def _float_eval(terms, x):
     return total
 
 
+def _orthonormal_kernel(M):
+    """Orthonormal float basis of the null space of M: the exact kernel
+    basis made orthogonal over Q by Gram-Schmidt, then normalised in
+    floats."""
+    ortho = []
+    for v in ratlin.kernel_basis(M).basis:
+        w = list(v)
+        for u, uu in ortho:
+            c = sum(a * b for a, b in zip(w, u)) / uu
+            w = [a - c * b for a, b in zip(w, u)]
+        ortho.append((w, sum(a * a for a in w)))
+    return [[float(a) / math.sqrt(uu) for a in w] for w, uu in ortho]
+
+
+def _sparse_floats(M):
+    """The rows of a rational matrix as [(column, float entry), ...] over
+    its exactly nonzero entries."""
+    return [[(j, float(a)) for j, a in enumerate(row) if a] for row in M]
+
+
+def _apply(rows, v):
+    """The product of sparse float rows with the vector v."""
+    out = []
+    for row in rows:
+        total = 0.0
+        for j, a in row:
+            total += a * v[j]
+        out.append(total)
+    return out
+
+
+def _max_abs(v):
+    """max |v_i| (0.0 for no entries); NaN if any entry is NaN, wherever
+    it stands (max() keeps whichever of a NaN and a number came first)."""
+    m = 0.0
+    for a in v:
+        if not abs(a) <= m:
+            m = abs(a)
+            if m != m:
+                break
+    return m
+
+
 # ---------------------------------------------------------------------------
 # The system
 # ---------------------------------------------------------------------------
@@ -79,7 +125,8 @@ class VelocityResult:
 
     status is "OK" or "INADMISSIBLE"; for "OK", xdot is the least-norm
     particular solution, gauge an orthonormal basis of the solution
-    freedom, residual the constraint residual of xdot.
+    freedom, residual the constraint residual of xdot.  Vectors are lists
+    of floats.
     """
 
     def __init__(self, status, xdot=None, gauge=None, residual=None):
@@ -111,26 +158,21 @@ class IHSystem:
 
     def __init__(self, L, H, h=1e-3, tol=1e-9):
         self.L = L            # exact, validated maximal isotropic
-        self.n = L.n
-        self.gens = base_gens(self.n)
+        self.n = n = L.n
+        self.gens = base_gens(n)
         if H.gens != self.gens:
             raise BadPolynomial("H", "arity does not match n")
         self.H = H
         self.h = h
         self.tol = tol
-        basis = [list(map(float, row)) for row in L.subspace.basis]
-        B = np.array(basis, dtype=float).reshape(len(basis), 2 * self.n)
-        self.vec_part = B[:, :self.n]      # a-components of the L basis
-        self.cov_part = B[:, self.n:]      # alpha-components
-        # L is constant, so the constraint matrix is factored once: one
-        # SVD gives the least-norm pseudo-inverse V_r S_r^-1 U_r^T and the
-        # gauge basis (rows r.. of vt) from the same rank decision
-        M = self.cov_part
-        u, s, vt = np.linalg.svd(M)
-        rank = int(np.sum(s > max(M.shape) * np.finfo(float).eps
-                          * (s[0] if len(s) else 1.0)))
-        self._pinv = vt[:rank].T @ (u[:, :rank] / s[:rank]).T
-        self._gauge = [vt[i] for i in range(rank, vt.shape[0])]
+        # L is constant, so the constraint M xdot = b is compiled once,
+        # exactly: the rows of V, M and M+ keep only their nonzero entries
+        V = [row[:n] for row in L.subspace.basis]
+        M = [row[n:] for row in L.subspace.basis]
+        self._V = _sparse_floats(V)
+        self._M = _sparse_floats(M)
+        self._pinv = _sparse_floats(ratlin.pseudo_inverse(M))
+        self._gauge = _orthonormal_kernel(M)
         self._H_terms = _float_terms(H)
         self._dH_terms = [_float_terms(H.partial_even(v))
                           for v in self.gens.even]
@@ -139,7 +181,7 @@ class IHSystem:
 
     def dH(self, x):
         x = list(map(float, x))
-        return np.array([_float_eval(t, x) for t in self._dH_terms])
+        return [_float_eval(t, x) for t in self._dH_terms]
 
     def energy(self, x):
         return _float_eval(self._H_terms, list(map(float, x)))
@@ -147,13 +189,17 @@ class IHSystem:
     def velocity_solve(self, x):
         """Least-norm xdot with (xdot, dH(x)) in L, plus gauge basis.
 
-        A NaN residual (a non-finite or overflowing state) counts as
-        inadmissible."""
-        b = -self.vec_part @ self.dH(x)
-        xdot = self._pinv @ b
-        residual = float(np.abs(self.cov_part @ xdot - b).max(initial=0.0))
-        scale = 1.0 + float(np.abs(b).max(initial=0.0))
-        if not residual <= self.tol * scale:
+        xdot = M+ b for b = -V dH(x); the solve is admissible when the
+        residual max |M xdot - b| is at most tol (1 + max |b|).  A
+        non-finite b, xdot or residual (a non-finite or overflowing
+        state) is inadmissible; a non-finite entry of b shows as a
+        non-finite residual in its own row."""
+        b = [-v for v in _apply(self._V, self.dH(x))]
+        xdot = _apply(self._pinv, b)
+        residual = _max_abs(list(map(sub, _apply(self._M, xdot), b)))
+        if not (math.isfinite(residual)
+                and residual <= self.tol * (1.0 + _max_abs(b))
+                and all(map(math.isfinite, xdot))):
             return VelocityResult("INADMISSIBLE", residual=residual)
         return VelocityResult("OK", xdot=xdot, gauge=self._gauge,
                               residual=residual)
@@ -164,18 +210,21 @@ class IHSystem:
         r = self.velocity_solve(x)
         if r.status != "OK":
             return None
-        return float(self.dH(x) @ r.xdot)
+        return sum(a * v for a, v in zip(self.dH(x), r.xdot))
 
     def integrate(self, x0, steps, h=None):
         """RK4 trajectory; raises LeftAdmissibleSet if a stage leaves
         the admissible set or the trajectory diverges (the energy of a
         point or the residual of the final point is not finite).  The k1
         stage solves at the current point, so it supplies that point's
-        residual; the final point gets one more solve."""
+        residual; the final point gets one more solve.  Float overflow
+        in the RK4 arithmetic gives inf or NaN, which these checks
+        report."""
         h = self.h if h is None else h
-        x = np.array(x0, dtype=float)
+        h2, h6 = h / 2, h / 6
+        x = [float(v) for v in x0]
         times = [0.0]
-        points = [x.copy()]
+        points = [x]
         residuals = []
         max_res = 0.0
 
@@ -195,23 +244,20 @@ class IHSystem:
 
         e0 = energy(0, 0.0, x)
         energies = [e0]
-
-        # a diverging state overflows to inf/NaN, which the checks
-        # below report as LeftAdmissibleSet; numpy need not warn on it
-        with np.errstate(over="ignore", invalid="ignore"):
-            for s in range(steps):
-                t = s * h
-                r1 = f(s, t, x)
-                residuals.append(r1.residual)
-                k1 = r1.xdot
-                k2 = f(s, t + h / 2, x + h / 2 * k1).xdot
-                k3 = f(s, t + h / 2, x + h / 2 * k2).xdot
-                k4 = f(s, t + h, x + h * k3).xdot
-                x = x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-                times.append((s + 1) * h)
-                points.append(x.copy())
-                energies.append(energy(s, (s + 1) * h, x))
-            residuals.append(self.velocity_solve(x).residual)
+        for s in range(steps):
+            t = s * h
+            r1 = f(s, t, x)
+            residuals.append(r1.residual)
+            k1 = r1.xdot
+            k2 = f(s, t + h2, [a + h2 * k for a, k in zip(x, k1)]).xdot
+            k3 = f(s, t + h2, [a + h2 * k for a, k in zip(x, k2)]).xdot
+            k4 = f(s, t + h, [a + h * k for a, k in zip(x, k3)]).xdot
+            x = [a + h6 * (p + 2 * q + 2 * r + u)
+                 for a, p, q, r, u in zip(x, k1, k2, k3, k4)]
+            times.append((s + 1) * h)
+            points.append(x)
+            energies.append(energy(s, (s + 1) * h, x))
+        residuals.append(self.velocity_solve(x).residual)
         if not math.isfinite(residuals[-1]):
             raise LeftAdmissibleSet(steps, steps * h, x)
         drift = max(abs(e - e0) for e in energies)

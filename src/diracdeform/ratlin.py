@@ -2,7 +2,7 @@
 
 Matrices are plain lists of rows, entries `fractions.Fraction` (helpers
 coerce ints).  One elimination routine, `Echelon`, serves rank, kernels,
-solves and subspaces: it keeps sparse rows (dicts column -> Fraction) in
+solves, pseudo-inverses and subspaces: it keeps sparse rows (dicts column -> Fraction) in
 reduced row echelon form keyed by pivot column, and reports whether each
 inserted row was independent.  The reduced echelon form is canonical for
 a given column order, so kernel bases, particular solutions and Subspace
@@ -165,6 +165,35 @@ def solve(M, b):
     for p, row in aug.rows.items():
         x[p] = row.get(ncols, Fraction(0))
     return ("SOLUTION", x)
+
+
+def _left_divide(A, Y):
+    """A^-1 Y for an invertible square A: the reduced echelon form of
+    [A | Y] is [I | A^-1 Y]."""
+    r, width = len(A), len(Y[0])
+    E = Echelon(sparse_row(list(a) + list(y)) for a, y in zip(A, Y))
+    return [[E.rows[p].get(r + j, Fraction(0)) for j in range(width)]
+            for p in range(r)]
+
+
+def pseudo_inverse(M):
+    """The Moore-Penrose pseudo-inverse of M (ncols x nrows), exactly.
+
+    With C the nonzero rows of the reduced echelon form of M and B the
+    pivot columns of M, M = B C is a rank factorisation, and
+    M+ = C^T (C C^T)^-1 (B^T B)^-1 B^T.
+    """
+    ncols = len(M[0]) if M else 0
+    E = Echelon(map(sparse_row, M))
+    if not E.rows:
+        return zeros(ncols, len(M))
+    pivots = sorted(E.rows)
+    C = [[E.rows[p].get(j, Fraction(0)) for j in range(ncols)]
+         for p in pivots]
+    Bt = [[frac(row[p]) for row in M] for p in pivots]
+    Ct = transpose(C)
+    Y = _left_divide(mat_mul(Bt, transpose(Bt)), Bt)
+    return mat_mul(Ct, _left_divide(mat_mul(C, Ct), Y))
 
 
 class Subspace:

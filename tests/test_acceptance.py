@@ -11,7 +11,7 @@ import pytest
 
 from diracdeform import courant as co
 from diracdeform import dirac_linear as dl
-from diracdeform import ihs, ratlin
+from diracdeform import ihs, numeric, ratlin
 from diracdeform import lie_deform as ld
 from diracdeform import multilinear as ml
 from diracdeform.brackets import BracketContext, master_residuals
@@ -712,12 +712,12 @@ class TestNumericSuite:
                 return rows
 
             def P(t):
-                return dl.projector_onto(basis(t), 2 * n)
+                return numeric.projector_onto(basis(t), 2 * n)
 
-            out = dl.numeric_transport(P, 0.0, 1.0, h=1e-3)
+            out = numeric.numeric_transport(P, 0.0, 1.0, h=1e-3)
             t, U = out[-1]
             tracked = U @ P(0.0) @ np.linalg.inv(U)
-            assert dl.subspace_distance(tracked, P(1.0)) < 1e-6
+            assert numeric.subspace_distance(tracked, P(1.0)) < 1e-6
 
     def test_harmonic_oscillator_drift(self):
         sys_ = ihs.IHSystem(ihs.canonical_symplectic(1),
@@ -735,6 +735,6 @@ class TestNumericSuite:
             G = T.T @ G0 @ T
             S = 0.3 * rng.standard_normal((2 * n, 2 * n))
             kmat = np.eye(2 * n) + S @ S.T
-            J, g = dl.numeric_compatible_structure(G, kmat)
+            J, g = numeric.numeric_compatible_structure(G, kmat)
             assert np.linalg.norm(J @ J - np.eye(2 * n)) < 1e-9
             assert np.linalg.norm(J.T @ G @ J - G) < 1e-9

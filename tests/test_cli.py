@@ -467,9 +467,38 @@ def test_input_errors_exit_2_naming_path(tmp_path, command, data, extra,
 def test_import_does_not_load_scipy():
     p = subprocess.run(
         [sys.executable, "-c", "import sys, diracdeform.cli; "
-         "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"],
+         "print(any(m.split('.')[0] in ('scipy', 'numpy') "
+         "for m in sys.modules))"],
         capture_output=True, text=True, env=SUBPROCESS_ENV, check=True)
     assert p.stdout.strip() == "False"
+
+
+SO3_DOUBLE = courant.so3_double().to_json()
+
+
+@pytest.mark.parametrize("command, data, extra", [
+    ("check-jacobi", SO3, []),
+    ("ce-cohomology", SO3, ["--degrees", "1"]),
+    ("deform-lie", SO3, ["--order", "1"]),
+    ("dirac-linear", {"n": 1, "bivector": [["0"]]}, []),
+    ("courant-verify", SO3_DOUBLE, []),
+    ("theta-master", SO3_DOUBLE, []),
+    ("deform-dirac", {"courant": SO3_DOUBLE, "prefix": ["1 a^1 a^2"]},
+     ["--order", "1"]),
+    ("rothstein-check", None, ["--m", "1", "--k", "1"]),
+    ("ihs-run", OSC, ["--x0", "1,0", "--steps", "3"]),
+])
+def test_commands_do_not_load_numpy(tmp_path, command, data, extra):
+    inputs = [] if data is None else [write(tmp_path, "in.json", data)]
+    if command == "ihs-run":
+        inputs.insert(0, "--system")
+    script = ("import sys\nfrom diracdeform import cli\n"
+              "code = cli.main(sys.argv[1:])\n"
+              "sys.stderr.write(f'{code} {\"numpy\" in sys.modules}')\n")
+    p = subprocess.run([sys.executable, "-c", script, command] + inputs
+                       + extra, capture_output=True, text=True,
+                       env=SUBPROCESS_ENV)
+    assert p.stderr == "0 False"
 
 
 # SHA-256 of json.dumps(report body, sort_keys=True) for the deformation

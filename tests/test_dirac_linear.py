@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from diracdeform import dirac_linear as dl
-from diracdeform import ratlin
+from diracdeform import numeric, ratlin
 from diracdeform.ratlin import Subspace
 
 import dirac_oracles as oracle
@@ -310,6 +310,19 @@ class TestDiracMaps:
         with pytest.raises(dl.ShapeMismatch):
             dl.forward_map([[Fraction(1)]], rand_dirac(random.Random(0), 2))
 
+    def test_forward_map_without_rows_reaches_the_zero_space(self):
+        # the domain dimension comes from L, not from a first row of phi
+        rng = random.Random(13)
+        for n in range(4):
+            L = rand_dirac(rng, n)
+            got = dl.forward_map([], L)
+            assert got.n == 0 and got == dl.space_V(0)
+        L = rand_dirac(rng, 2)
+        for phi in ([[Fraction(1)]], [[Fraction(1), Fraction(0)], [0]],
+                    [[0, 0], [0, 0, 0]]):
+            with pytest.raises(dl.ShapeMismatch):
+                dl.forward_map(phi, L)
+
 
 class TestRelations:
     def test_relation_agrees_with_explicit(self):
@@ -479,7 +492,7 @@ class TestGauge:
 class TestNumeric:
     def test_diagonal_case(self):
         G = np.diag([1.0, 1.0, -1.0, -1.0])
-        J, g = dl.numeric_compatible_structure(G, np.eye(4))
+        J, g = numeric.numeric_compatible_structure(G, np.eye(4))
         assert np.allclose(J, G, atol=1e-12)
         assert np.allclose(g, np.eye(4), atol=1e-12)
 
@@ -488,7 +501,7 @@ class TestNumeric:
         G = np.asarray(
             [[float(x) for x in row]
              for row in dl.PairedSpace(n).pairing_matrix()])
-        J, g = dl.numeric_compatible_structure(G, np.eye(2 * n))
+        J, g = numeric.numeric_compatible_structure(G, np.eye(2 * n))
         assert np.allclose(J, G, atol=1e-12)
 
     def test_random_congruence(self):
@@ -501,20 +514,20 @@ class TestNumeric:
             G = T.T @ G0 @ T
             S = 0.3 * rng.standard_normal((2 * n, 2 * n))
             k = np.eye(2 * n) + S @ S.T
-            J, g = dl.numeric_compatible_structure(G, k)
+            J, g = numeric.numeric_compatible_structure(G, k)
             assert np.linalg.norm(J @ J - np.eye(2 * n)) < 1e-9
             assert np.linalg.norm(J.T @ G @ J - G) < 1e-9
             assert np.allclose(g, g.T, atol=1e-9)
             assert np.min(np.linalg.eigvalsh((g + g.T) / 2)) > 0
 
     def test_ill_conditioned(self):
-        with pytest.raises(dl.IllConditioned):
-            dl.numeric_compatible_structure(np.zeros((2, 2)) + 1e-15,
+        with pytest.raises(numeric.IllConditioned):
+            numeric.numeric_compatible_structure(np.zeros((2, 2)) + 1e-15,
                                             np.eye(2))
 
     def test_constant_projector(self):
         P0 = np.diag([1.0, 0.0])
-        out = dl.numeric_transport(lambda t: P0, 0.0, 1.0, h=1e-2)
+        out = numeric.numeric_transport(lambda t: P0, 0.0, 1.0, h=1e-2)
         t, U = out[-1]
         assert abs(t - 1.0) < 1e-12
         assert np.allclose(U, np.eye(2), atol=1e-12)
@@ -529,7 +542,7 @@ class TestNumeric:
         def P(t):
             return R(t) @ P0 @ R(t).T
 
-        out = dl.numeric_transport(P, 0.0, 1.0, h=1e-3)
+        out = numeric.numeric_transport(P, 0.0, 1.0, h=1e-3)
         for t, U in out[::100]:
             res = np.linalg.norm(U @ P0 @ np.linalg.inv(U) - P(t))
             assert res < 1e-6
@@ -542,19 +555,19 @@ class TestNumeric:
                     [0, 1, t * w[0][1], t * w[1][1]]]
 
         def P(t):
-            return dl.projector_onto(basis(t), 4)
+            return numeric.projector_onto(basis(t), 4)
 
-        out = dl.numeric_transport(P, 0.0, 1.0, h=1e-3)
+        out = numeric.numeric_transport(P, 0.0, 1.0, h=1e-3)
         t, U = out[-1]
         tracked = U @ P(0.0) @ np.linalg.inv(U)
-        assert dl.subspace_distance(tracked, P(1.0)) < 1e-6
+        assert numeric.subspace_distance(tracked, P(1.0)) < 1e-6
 
     def test_step_too_large(self):
         def P(t):
             return np.diag([1.0, 0.0]) if t < 0.5 else np.diag([0.0, 1.0])
 
-        with pytest.raises(dl.StepTooLarge):
-            dl.numeric_transport(P, 0.0, 1.0, h=1e-1)
+        with pytest.raises(numeric.StepTooLarge):
+            numeric.numeric_transport(P, 0.0, 1.0, h=1e-1)
 
 
 class TestSerialization:

@@ -15,6 +15,7 @@ from diracdeform.ratlin import (
     mat,
     mat_mul,
     mat_vec,
+    pseudo_inverse,
     quotient_dim,
     rank,
     signature_normal_form,
@@ -126,6 +127,27 @@ class TestKernel:
 
     def test_full_rank_trivial_kernel(self):
         assert kernel_basis(identity(4)).dim == 0
+
+
+class TestPseudoInverse:
+    @given(matrices())
+    @settings(max_examples=100, deadline=None)
+    def test_penrose_conditions(self, M):
+        # the four conditions determine M+ uniquely
+        P = pseudo_inverse(M)
+        assert len(P) == len(M[0]) and all(len(r) == len(M) for r in P)
+        MP, PM = mat_mul(M, P), mat_mul(P, M)
+        assert mat_mul(MP, M) == mat(M)
+        assert mat_mul(PM, P) == P
+        assert transpose(MP) == MP
+        assert transpose(PM) == PM
+
+    def test_least_norm_solution(self):
+        # x1 + x2 = 2: the least-norm solution is (1, 1)
+        assert mat_vec(pseudo_inverse([[1, 1]]), [F(2)]) == [1, 1]
+        assert pseudo_inverse([[0, 0], [0, 0]]) == [[0, 0], [0, 0]]
+        assert pseudo_inverse([[F(1, 3), 0], [0, 2]]) == [[3, 0],
+                                                          [0, F(1, 2)]]
 
 
 class TestSolve:
