@@ -78,12 +78,6 @@ class PairedSpace:
         return (sum(frac(u[n + i]) * frac(v[i]) for i in range(n))
                 + sum(frac(v[n + i]) * frac(u[i]) for i in range(n)))
 
-    def minus_pair(self, u, v):
-        """The antisymmetric companion eta(Y) - mu(X)."""
-        n = self.n
-        return (sum(frac(u[n + i]) * frac(v[i]) for i in range(n))
-                - sum(frac(v[n + i]) * frac(u[i]) for i in range(n)))
-
     def signature(self):
         pos, neg, zero, _ = ratlin.signature_normal_form(self.pairing_matrix())
         return pos, neg, zero

@@ -2,14 +2,19 @@
 
 A state x in R^n evolves subject to (xdot, dH(x)) in L, where L is a
 maximal isotropic subspace of R^n + R^n*.  The structure is validated
-exactly (over Q), and because it is constant the velocity solve is
-compiled from it once, exactly: the least-norm pseudo-inverse of the
-constraint matrix and an orthogonal basis of its kernel are computed
-over Q and only then rounded to floats.  Trajectories are integrated
-with classical RK4 on plain Python floats, so this module needs no
-numpy.  The admissible-function algebra (the Poisson bracket on
-functions whose differential lies in the covector projection of L) is
-computed exactly on polynomials with rational coefficients.
+exactly (over Q), and because it is constant the admissible dynamics is
+a fixed linear map of the gradient: with V and M the vector and covector
+halves of L's basis, the least-norm velocity is xdot = K grad H for
+K = -M+ V, and the constraint residual M xdot - b (b = -V grad H) is
+P grad H for P = (I - M M+) V.  K and P are computed once over Q, and
+each row of K grad H and P grad H becomes one exact polynomial, rounded
+to floats once.  When M has full rank, P = 0, so there are no
+constraint rows and every residual is exactly 0.0.  Trajectories are
+integrated with classical RK4 on plain Python floats that evaluate the
+compiled field directly, so this module needs no numpy.  The
+admissible-function algebra (the Poisson bracket on functions whose
+differential lies in the covector projection of L) is computed exactly
+on polynomials with rational coefficients.
 
 Polynomials are SuperElements over the even generators x1..xn
 (IHSystem.gens).
@@ -17,7 +22,6 @@ Polynomials are SuperElements over the even generators x1..xn
 
 import math
 from fractions import Fraction
-from operator import sub
 
 from . import ratlin
 from .dirac_linear import (
@@ -87,20 +91,17 @@ def _orthonormal_kernel(M):
     return [[float(a) / math.sqrt(uu) for a in w] for w, uu in ortho]
 
 
-def _sparse_floats(M):
-    """The rows of a rational matrix as [(column, float entry), ...] over
-    its exactly nonzero entries."""
-    return [[(j, float(a)) for j, a in enumerate(row) if a] for row in M]
-
-
-def _apply(rows, v):
-    """The product of sparse float rows with the vector v."""
+def _gradient_map(A, grads, gens):
+    """The exact polynomials (A grad)_i of a rational matrix A applied
+    to the gradient grads, summed coefficient by coefficient."""
     out = []
-    for row in rows:
-        total = 0.0
-        for j, a in row:
-            total += a * v[j]
-        out.append(total)
+    for row in A:
+        terms = {}
+        for a, g in zip(row, grads):
+            if a:
+                for m, c in g.terms.items():
+                    terms[m] = terms.get(m, 0) + a * c
+        out.append(SuperElement(gens, {m: c for m, c in terms.items() if c}))
     return out
 
 
@@ -165,17 +166,26 @@ class IHSystem:
         self.H = H
         self.h = h
         self.tol = tol
-        # L is constant, so the constraint M xdot = b is compiled once,
-        # exactly: the rows of V, M and M+ keep only their nonzero entries
+        # L is constant, so the solve of M xdot = b is compiled once,
+        # exactly: xdot = K grad H and the residual is P grad H
         V = [row[:n] for row in L.subspace.basis]
         M = [row[n:] for row in L.subspace.basis]
-        self._V = _sparse_floats(V)
-        self._M = _sparse_floats(M)
-        self._pinv = _sparse_floats(ratlin.pseudo_inverse(M))
+        pinv_V = ratlin.mat_mul(ratlin.pseudo_inverse(M), V)
+        K = [[-a for a in row] for row in pinv_V]
+        P = [[v - a for v, a in zip(*rows)]
+             for rows in zip(V, ratlin.mat_mul(M, pinv_V))]
+        grads = [H.partial_even(v) for v in self.gens.even]
+        self.field = _gradient_map(K, grads, self.gens)
+        self.residual_map = _gradient_map(P, grads, self.gens)
+        self._field_terms = [_float_terms(p) for p in self.field]
+        self._residual_terms = [_float_terms(p) for p in self.residual_map
+                                if not p.is_zero()]
+        # max |b| = max |V grad H| only scales the residual tolerance
+        b = _gradient_map(V, grads, self.gens) if self._residual_terms else []
+        self._b_terms = [_float_terms(p) for p in b if not p.is_zero()]
         self._gauge = _orthonormal_kernel(M)
         self._H_terms = _float_terms(H)
-        self._dH_terms = [_float_terms(H.partial_even(v))
-                          for v in self.gens.even]
+        self._dH_terms = [_float_terms(g) for g in grads]
 
     # -- dynamics -------------------------------------------------------
 
@@ -186,20 +196,34 @@ class IHSystem:
     def energy(self, x):
         return _float_eval(self._H_terms, list(map(float, x)))
 
+    def _solve(self, x):
+        """(xdot, residual, admissible) at the float list x, as
+        velocity_solve defines them."""
+        xdot = [_float_eval(t, x) for t in self._field_terms]
+        finite = all(map(math.isfinite, xdot))
+        if not self._residual_terms:
+            return xdot, (0.0 if finite else math.nan), finite
+        residual = _max_abs([_float_eval(t, x)
+                             for t in self._residual_terms])
+        scale = _max_abs([_float_eval(t, x) for t in self._b_terms])
+        if not (finite and math.isfinite(residual)
+                and math.isfinite(scale)):
+            return xdot, math.nan, False
+        return xdot, residual, residual <= self.tol * (1.0 + scale)
+
     def velocity_solve(self, x):
         """Least-norm xdot with (xdot, dH(x)) in L, plus gauge basis.
 
-        xdot = M+ b for b = -V dH(x); the solve is admissible when the
-        residual max |M xdot - b| is at most tol (1 + max |b|).  A
-        non-finite b, xdot or residual (a non-finite or overflowing
-        state) is inadmissible; a non-finite entry of b shows as a
-        non-finite residual in its own row."""
-        b = [-v for v in _apply(self._V, self.dH(x))]
-        xdot = _apply(self._pinv, b)
-        residual = _max_abs(list(map(sub, _apply(self._M, xdot), b)))
-        if not (math.isfinite(residual)
-                and residual <= self.tol * (1.0 + _max_abs(b))
-                and all(map(math.isfinite, xdot))):
+        xdot = K grad H(x) and the residual max |M xdot - b| =
+        max |P grad H(x)| are evaluated from the compiled exact
+        polynomials.  The solve is admissible when the residual is at
+        most tol (1 + max |b|) for b = -V grad H(x).  When P grad H is
+        0, as always when M has full rank (P = 0), neither is evaluated
+        and the residual is exactly 0.0.  A non-finite xdot, b or
+        residual (a non-finite or overflowing state) is inadmissible,
+        with a NaN residual."""
+        xdot, residual, ok = self._solve(list(map(float, x)))
+        if not ok:
             return VelocityResult("INADMISSIBLE", residual=residual)
         return VelocityResult("OK", xdot=xdot, gauge=self._gauge,
                               residual=residual)
@@ -213,13 +237,14 @@ class IHSystem:
         return sum(a * v for a, v in zip(self.dH(x), r.xdot))
 
     def integrate(self, x0, steps, h=None):
-        """RK4 trajectory; raises LeftAdmissibleSet if a stage leaves
-        the admissible set or the trajectory diverges (the energy of a
-        point or the residual of the final point is not finite).  The k1
-        stage solves at the current point, so it supplies that point's
-        residual; the final point gets one more solve.  Float overflow
-        in the RK4 arithmetic gives inf or NaN, which these checks
-        report."""
+        """RK4 trajectory on the compiled field xdot = K grad H; raises
+        LeftAdmissibleSet if a stage leaves the admissible set (see
+        velocity_solve) or the trajectory diverges (the energy of a point
+        or the residual of the final point is not finite).  The k1 stage
+        solves at the current point, so it supplies that point's
+        residual; the final point gets one more solve.  Constraint rows
+        are evaluated only when P grad H is not 0.  Float overflow in
+        the RK4 arithmetic gives inf or NaN, which these checks report."""
         h = self.h if h is None else h
         h2, h6 = h / 2, h / 6
         x = [float(v) for v in x0]
@@ -227,14 +252,15 @@ class IHSystem:
         points = [x]
         residuals = []
         max_res = 0.0
+        solve = self._solve
 
         def f(step, t, y):
             nonlocal max_res
-            r = self.velocity_solve(y)
-            if r.status != "OK":
+            xdot, residual, ok = solve(y)
+            if not ok:
                 raise LeftAdmissibleSet(step, t, y)
-            max_res = max(max_res, r.residual)
-            return r
+            max_res = max(max_res, residual)
+            return xdot, residual
 
         def energy(step, t, y):
             e = self.energy(y)
@@ -246,18 +272,17 @@ class IHSystem:
         energies = [e0]
         for s in range(steps):
             t = s * h
-            r1 = f(s, t, x)
-            residuals.append(r1.residual)
-            k1 = r1.xdot
-            k2 = f(s, t + h2, [a + h2 * k for a, k in zip(x, k1)]).xdot
-            k3 = f(s, t + h2, [a + h2 * k for a, k in zip(x, k2)]).xdot
-            k4 = f(s, t + h, [a + h * k for a, k in zip(x, k3)]).xdot
+            k1, residual = f(s, t, x)
+            residuals.append(residual)
+            k2 = f(s, t + h2, [a + h2 * k for a, k in zip(x, k1)])[0]
+            k3 = f(s, t + h2, [a + h2 * k for a, k in zip(x, k2)])[0]
+            k4 = f(s, t + h, [a + h * k for a, k in zip(x, k3)])[0]
             x = [a + h6 * (p + 2 * q + 2 * r + u)
                  for a, p, q, r, u in zip(x, k1, k2, k3, k4)]
             times.append((s + 1) * h)
             points.append(x)
             energies.append(energy(s, (s + 1) * h, x))
-        residuals.append(self.velocity_solve(x).residual)
+        residuals.append(solve(x)[1])
         if not math.isfinite(residuals[-1]):
             raise LeftAdmissibleSet(steps, steps * h, x)
         drift = max(abs(e - e0) for e in energies)
@@ -381,4 +406,5 @@ def system_from_json(obj):
     try:
         return IHSystem(L, H, h=h, tol=tol)
     except OverflowError as err:
-        raise InputError("$.L", f"entries overflow a float ({err})")
+        raise InputError("$", f"the velocity solve compiled from L and H "
+                              f"overflows a float ({err})")

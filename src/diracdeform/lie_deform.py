@@ -122,12 +122,6 @@ class FormalSeries:
     def is_zero(self):
         return all(_coeff_is_zero(c) for c in self.coeffs)
 
-    def lowest_order(self):
-        for k, c in enumerate(self.coeffs):
-            if not _coeff_is_zero(c):
-                return k
-        return None
-
 
 def _coeff_is_zero(c):
     if hasattr(c, "is_zero"):

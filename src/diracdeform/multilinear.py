@@ -715,24 +715,6 @@ class MultiDerivation:
         return tuple(self.gens.one() if t == alpha else self.gens.zero()
                      for t in range(self.k))
 
-    def frame_value(self, idx):
-        key, sign = _sort_sign(idx)
-        if key is None:
-            return (self.gens.zero(),) * self.k
-        vec = self.frame.get(key)
-        if vec is None:
-            return (self.gens.zero(),) * self.k
-        return tuple(sign * v for v in vec)
-
-    def symbol_value(self, idx):
-        key, sign = _sort_sign(idx)
-        if key is None:
-            return (self.gens.zero(),) * self.m
-        vec = self.symbol.get(key)
-        if vec is None:
-            return (self.gens.zero(),) * self.m
-        return tuple(sign * v for v in vec)
-
     def sigma(self, sections):
         """The symbol evaluated on sections: a base vector field."""
         p = self.degree

@@ -250,9 +250,6 @@ class SuperElement:
             raise NotHomogeneous("mixed odd degrees")
         return degs.pop() if degs else 0
 
-    def parity(self):
-        return self.odd_degree() & 1
-
     # -- calculus -------------------------------------------------------
 
     def partial_even(self, var):

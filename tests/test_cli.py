@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from diracdeform import cli, courant, ihs
+from diracdeform.dirac_linear import from_bivector
 from diracdeform.multilinear import base_gens
 from diracdeform.superalg import parse
 
@@ -23,6 +24,9 @@ EPS = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1}
 STD1 = courant.standard_courant(1).to_json()
 OSC = ihs.system_to_json(ihs.IHSystem(
     ihs.canonical_symplectic(1), parse(base_gens(2), "1/2 x1^2 + 1/2 x2^2")))
+# xdot has coefficient 10^10 dH/dx2, which overflows a float for big H
+STIFF_L = ihs.system_to_json(ihs.IHSystem(
+    from_bivector([[0, 10 ** 10], [-10 ** 10, 0]]), base_gens(2).zero()))["L"]
 SUBPROCESS_ENV = dict(os.environ, PYTHONPATH=str(
     Path(__file__).resolve().parents[1] / "src"))
 
@@ -448,6 +452,8 @@ class TestTableFormat:
      "$.L.junk"),
     ("check-jacobi", SO3, ["--output", "/nonexistent/dir/r.json"],
      "--output"),
+    ("ihs-run", {**OSC, "L": STIFF_L, "H": [[[0, 2], "1e300"]]},
+     ["--x0", "0,0"], "$"),
 ])
 def test_input_errors_exit_2_naming_path(tmp_path, command, data, extra,
                                         path):

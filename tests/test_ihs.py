@@ -109,6 +109,31 @@ class TestVelocitySolve:
         bad = ihs.IHSystem(L, poly(2, "1 x1"))
         assert bad.velocity_solve([0.0, 0.0]).status == "INADMISSIBLE"
 
+    def test_constraint_row_reports_its_residual(self):
+        # M of kernel_structure() has rank 2, so P != 0; with x3 in H the
+        # one constraint row is dH/dx3 = x3, evaluated exactly
+        sys_ = ihs.IHSystem(kernel_structure(),
+                            poly(3, "1/2 x1^2 + 1/2 x2^2 + 1/2 x3^2"))
+        assert sum(not p.is_zero() for p in sys_.residual_map) == 1
+        r = sys_.velocity_solve([0.3, -0.7, 0.25])
+        assert (r.status, r.residual, r.xdot) == ("INADMISSIBLE", 0.25, None)
+        r = sys_.velocity_solve([0.3, -0.7, 0.0])
+        assert (r.status, r.residual) == ("OK", 0.0)
+        assert r.xdot == [0.7, 0.3, 0.0]
+        traj = sys_.integrate([0.3, -0.7, 0.0], 50)
+        assert traj.residuals == [0.0] * 51
+        with pytest.raises(ihs.LeftAdmissibleSet) as e:
+            sys_.integrate([0.3, -0.7, 0.25], 50)
+        assert (e.value.step, e.value.t) == (0, 0.0)
+        # xdot overflows while the constraint row stays finite: the
+        # residual of a non-finite solve is NaN, not the finite row
+        big = Fraction(8 * 10 ** 307)
+        H = SuperElement(base_gens(3), {((2, 0, 0), ()): big,
+                                        ((0, 0, 2), ()): Fraction(1, 2)})
+        r = ihs.IHSystem(kernel_structure(), H).velocity_solve(
+            [1.2, 0.0, 0.0])
+        assert r.status == "INADMISSIBLE" and math.isnan(r.residual)
+
     def test_energy_derivative_zero_at_solve_points(self):
         rng = random.Random(3)
         sys_ = oscillator()
@@ -230,17 +255,24 @@ class TestFactoredSolve:
         assert all(g is gauges[0] for g in gauges)
 
     def test_no_factorization_after_construction(self, monkeypatch):
-        systems_ = [oscillator(),
-                    ihs.IHSystem(kernel_structure(),
-                                 poly(3, "1/2 x1^2 + 1/2 x2^2"))]
+        # the last system has a constraint row, zero on x3 = 0
+        systems_ = [(oscillator(), [1.0, 0.5]),
+                    (ihs.IHSystem(kernel_structure(),
+                                  poly(3, "1/2 x1^2 + 1/2 x2^2")),
+                     [1.0, 0.5, 0.5]),
+                    (ihs.IHSystem(kernel_structure(),
+                                  poly(3, "1/2 x1^2 + 1/2 x2^2 + x3^2")),
+                     [1.0, 0.5, 0.0])]
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("factorization inside the solve")
+            raise AssertionError("exact work inside the solve")
 
         for name in ("Echelon", "pseudo_inverse", "kernel_basis", "solve"):
             monkeypatch.setattr(ratlin, name, forbidden)
-        for sys_ in systems_:
-            x0 = [1.0] + [0.5] * (sys_.n - 1)
+        for name in ("__mul__", "__rmul__", "__add__", "__radd__",
+                     "partial_even"):
+            monkeypatch.setattr(SuperElement, name, forbidden)
+        for sys_, x0 in systems_:
             traj = sys_.integrate(x0, 200)
             assert len(traj.residuals) == 201
             assert abs(sys_.energy_derivative(x0)) < 1e-12
@@ -280,7 +312,8 @@ class TestFactoredSolve:
 
 
 def third_system():
-    """Entries of 1/3 make the float pseudo-inverse inexact."""
+    """Entries of 1/3 make the compiled field inexact in floats; M is
+    invertible, so P = 0."""
     pi = [[0, Fraction(1, 3), 1, 0], [Fraction(-1, 3), 0, 0, 2],
           [-1, 0, 0, Fraction(1, 3)], [0, -2, Fraction(-1, 3), 0]]
     return ihs.IHSystem(from_bivector(pi), poly(
@@ -292,6 +325,31 @@ def trajectory_or_exit(integrate, x0):
         return integrate(x0, 20, h=1e-2)
     except ihs.LeftAdmissibleSet as e:
         return e
+
+
+RATIONALS = st.fractions(-2, 2, max_denominator=7)
+
+
+class TestCompiledMaps:
+    @given(systems(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_maps_match_ratlin(self, sys_, data):
+        # rebuild -M+ V grad H and (I - M M+) V grad H at a rational
+        # point from the basis of L, as the least-norm solve and its
+        # residual M xdot - b for b = -V grad H
+        n = sys_.n
+        V = [list(row)[:n] for row in sys_.L.subspace.basis]
+        M = [list(row)[n:] for row in sys_.L.subspace.basis]
+        x = data.draw(st.lists(RATIONALS, min_size=n, max_size=n))
+        grad = [exact_value(sys_.H.partial_even(v), x)
+                for v in sys_.gens.even]
+        b = [-a for a in ratlin.mat_vec(V, grad)]
+        xdot = ratlin.mat_vec(ratlin.pseudo_inverse(M), b)
+        residual = [a - c for a, c in zip(ratlin.mat_vec(M, xdot), b)]
+        assert [exact_value(p, x) for p in sys_.field] == xdot
+        assert [exact_value(p, x) for p in sys_.residual_map] == residual
+        if ratlin.rank(M) == n:
+            assert all(p.is_zero() for p in sys_.residual_map)
 
 
 class TestAgainstNumpyOracle:
@@ -329,8 +387,9 @@ class TestAgainstNumpyOracle:
 
 class TestIntegrate:
     def test_residuals_are_those_of_the_points(self):
-        # entries of 1/3 make the pseudo-inverse inexact, so the
-        # residuals of the first system are not all zero
+        # M of the first system is invertible, so P = 0 and every
+        # residual is exactly 0, although its entries of 1/3 are inexact
+        # in floats; in the second, P != 0 but P grad H = 0 for this H
         third = third_system()
         cases = [
             (third.L, third.H, [0.3, -0.7, 0.2, 0.9]),
@@ -345,7 +404,7 @@ class TestIntegrate:
                 assert res == sys_.velocity_solve(x).residual
             assert traj.max_residual >= max(traj.residuals[:-1])
             if L.n == 4:
-                assert any(traj.residuals)
+                assert not any(traj.residuals)
 
     def test_harmonic_oscillator_circle(self):
         sys_ = oscillator()
