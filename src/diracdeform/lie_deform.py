@@ -293,22 +293,20 @@ def identity_map(dim):
                              for i in range(dim)})
 
 
-def compose_linear(a, b):
-    """a after b, both arity-1 MultiMaps."""
-    dim = a.dim
+def compose_linear(lm, f):
+    """lm(f(...)) for a linear map lm and an n-ary MultiMap f."""
     c = {}
-    for i in range(dim):
-        inner = b.eval_indices((i,))
-        vec = list(_zvec(dim))
-        for g, coeff in enumerate(inner):
+    for idx, vec in f.c.items():
+        out = list(_zvec(f.dim))
+        for g, coeff in enumerate(vec):
             if coeff == 0:
                 continue
-            out = a.eval_indices((g,))
-            for t in range(dim):
-                vec[t] += coeff * out[t]
-        if any(vec):
-            c[(i,)] = tuple(vec)
-    return MultiMap(1, dim, c)
+            val = lm.eval_indices((g,))
+            for t in range(f.dim):
+                out[t] += coeff * val[t]
+        if any(out):
+            c[idx] = tuple(out)
+    return MultiMap(f.n, f.dim, c)
 
 
 def invert_series(phi, dim):
@@ -323,22 +321,6 @@ def invert_series(phi, dim):
             acc = acc + compose_linear(phi[i], inv[k - i])
         inv.append(-acc)
     return FormalSeries(phi.order, inv, MultiMap.zero(1, dim))
-
-
-def _post_compose(lm, f):
-    """lm(f(...)) for a linear map lm and an n-ary MultiMap f."""
-    c = {}
-    for idx, vec in f.c.items():
-        out = list(_zvec(f.dim))
-        for g, coeff in enumerate(vec):
-            if coeff == 0:
-                continue
-            val = lm.eval_indices((g,))
-            for t in range(f.dim):
-                out[t] += coeff * val[t]
-        if any(out):
-            c[idx] = tuple(out)
-    return MultiMap(f.n, f.dim, c)
 
 
 def _pre_compose2(f, phi_a, phi_b):
@@ -373,15 +355,8 @@ def mc_residual_lie(mu_series):
     mu0 = mu_series[0]
     if not is_lie(mu0):
         raise Order0NotLie("order-0 term violates the Jacobi identity")
-    dim = mu0.dim
-    n = mu_series.order
-    out = []
-    for k in range(n + 1):
-        acc = MultiMap.zero(3, dim)
-        for i in range(k + 1):
-            acc = acc + nr_bracket(mu_series[i], mu_series[k - i])
-        out.append(acc)
-    return FormalSeries(n, out, MultiMap.zero(3, dim))
+    return mu_series.convolve(mu_series, nr_bracket,
+                              MultiMap.zero(3, mu0.dim))
 
 
 def _lie_differential(mu0, k):
@@ -436,13 +411,7 @@ def apply_equivalence(phi_series, mu_series):
                 acc = acc + inner
         out.append(acc)
     pre = FormalSeries(n, out, MultiMap.zero(2, dim))
-    final = []
-    for kk in range(n + 1):
-        acc = MultiMap.zero(2, dim)
-        for d in range(kk + 1):
-            acc = acc + _post_compose(inv[d], pre[kk - d])
-        final.append(acc)
-    return FormalSeries(n, final, MultiMap.zero(2, dim))
+    return inv.convolve(pre, compose_linear, MultiMap.zero(2, dim))
 
 
 def gerstenhaber_normalize(mu_series, order):

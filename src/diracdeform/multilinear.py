@@ -3,10 +3,13 @@ derivations over exact rationals.
 
 Three layers share this module:
 
-* MultiMap / NonSymMultiMap - (anti)symmetric multilinear maps V^n -> V
-  on a finite-dimensional rational vector space, with the
-  Nijenhuis-Richardson and Gerstenhaber brackets, the Chevalley-Eilenberg
-  differential and its cohomology.
+* NonSymMultiMap - multilinear maps V^n -> V on a finite-dimensional
+  rational vector space (the full tensor), with the Gerstenhaber bracket;
+  its subclass MultiMap holds the antisymmetric ones on strictly
+  increasing index tuples, with the Nijenhuis-Richardson bracket.  The
+  Chevalley-Eilenberg differential of a Lie structure mu is
+  delta = (-1)^{n+1} [mu, .]_NR on n-cochains; cohomology reads its
+  matrix straight from the structure constants (_delta_columns).
 * MultiDerivation - multiderivations of a trivial bundle R^m x R^k with
   polynomial coefficients: antisymmetric maps on sections obeying a
   Leibniz rule in each slot governed by a symbol, with the
@@ -99,12 +102,10 @@ def _zvec(dim):
     return (Fraction(0),) * dim
 
 
-class MultiMap:
-    """Antisymmetric n-linear map V^n -> V, dim V = dim, over Q.
-
-    Coefficients live on strictly increasing index tuples; evaluation
-    extends by antisymmetry.  n = 0 encodes an element of V.
-    """
+class NonSymMultiMap:
+    """Plain (non-symmetrized) n-linear map V^n -> V, dim V = dim, over Q:
+    the full tensor, keyed by index tuples over range(dim).  n = 0
+    encodes an element of V."""
 
     __slots__ = ("n", "dim", "c")
 
@@ -116,14 +117,19 @@ class MultiMap:
             idx = tuple(idx)
             if len(idx) != n:
                 raise ValueError(f"index tuple {idx} has wrong length")
-            if list(idx) != sorted(set(idx)):
-                raise ValueError(f"index tuple {idx} not strictly increasing")
+            if not all(0 <= i < dim for i in idx):
+                raise ValueError(f"index tuple {idx} leaves range({dim})")
+            self._check_key(idx)
             vec = tuple(Fraction(v) for v in vec)
             if len(vec) != dim:
                 raise ValueError("value vector has wrong length")
             if any(vec):
                 store[idx] = vec
         self.c = store
+
+    @staticmethod
+    def _check_key(idx):
+        pass
 
     # -- basics --
 
@@ -138,7 +144,7 @@ class MultiMap:
                 for t, v in enumerate(vec) if v}
 
     def __eq__(self, other):
-        return (isinstance(other, MultiMap) and self.n == other.n
+        return (type(other) is type(self) and self.n == other.n
                 and self.dim == other.dim and self.c == other.c)
 
     __hash__ = None
@@ -150,7 +156,7 @@ class MultiMap:
         for idx, vec in other.c.items():
             cur = c.get(idx, _zvec(self.dim))
             c[idx] = tuple(a + b for a, b in zip(cur, vec))
-        return MultiMap(self.n, self.dim, c)
+        return type(self)(self.n, self.dim, c)
 
     def __neg__(self):
         return self * Fraction(-1)
@@ -160,19 +166,36 @@ class MultiMap:
 
     def __mul__(self, scalar):
         scalar = Fraction(scalar)
-        return MultiMap(self.n, self.dim,
-                        {i: tuple(scalar * v for v in vec)
-                         for i, vec in self.c.items()})
+        return type(self)(self.n, self.dim,
+                          {i: tuple(scalar * v for v in vec)
+                           for i, vec in self.c.items()})
 
     __rmul__ = __mul__
 
     def __repr__(self):
-        return f"MultiMap(n={self.n}, dim={self.dim}, c={self.c})"
-
-    # -- evaluation --
+        return f"{type(self).__name__}(n={self.n}, dim={self.dim}, c={self.c})"
 
     def eval_indices(self, idx):
         """Value on basis vectors e_{idx[0]}, ..., e_{idx[n-1]}."""
+        return self.c.get(tuple(idx), _zvec(self.dim))
+
+    @classmethod
+    def zero(cls, n, dim):
+        return cls(n, dim, {})
+
+
+class MultiMap(NonSymMultiMap):
+    """Antisymmetric n-linear map V^n -> V: coefficients live on strictly
+    increasing index tuples and evaluation extends by antisymmetry."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _check_key(idx):
+        if list(idx) != sorted(set(idx)):
+            raise ValueError(f"index tuple {idx} not strictly increasing")
+
+    def eval_indices(self, idx):
         key, sign = _sort_sign(idx)
         if key is None:
             return _zvec(self.dim)
@@ -192,68 +215,6 @@ class MultiMap:
             for t in range(self.dim):
                 out[t] += coeff * val[t]
         return tuple(out)
-
-    @classmethod
-    def zero(cls, n, dim):
-        return cls(n, dim, {})
-
-
-class NonSymMultiMap:
-    """Plain (non-symmetrized) n-linear map V^n -> V; full tensor."""
-
-    __slots__ = ("n", "dim", "c")
-
-    def __init__(self, n, dim, c=None):
-        self.n = n
-        self.dim = dim
-        store = {}
-        for idx, vec in (c or {}).items():
-            idx = tuple(idx)
-            if len(idx) != n:
-                raise ValueError(f"index tuple {idx} has wrong length")
-            vec = tuple(Fraction(v) for v in vec)
-            if any(vec):
-                store[idx] = vec
-        self.c = store
-
-    def is_zero(self):
-        return not self.c
-
-    def __eq__(self, other):
-        return (isinstance(other, NonSymMultiMap) and self.n == other.n
-                and self.dim == other.dim and self.c == other.c)
-
-    __hash__ = None
-
-    def __add__(self, other):
-        if self.n != other.n or self.dim != other.dim:
-            raise DimMismatch("adding maps of different shape")
-        c = dict(self.c)
-        for idx, vec in other.c.items():
-            cur = c.get(idx, _zvec(self.dim))
-            c[idx] = tuple(a + b for a, b in zip(cur, vec))
-        return NonSymMultiMap(self.n, self.dim, c)
-
-    def __neg__(self):
-        return self * Fraction(-1)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, scalar):
-        scalar = Fraction(scalar)
-        return NonSymMultiMap(self.n, self.dim,
-                              {i: tuple(scalar * v for v in vec)
-                               for i, vec in self.c.items()})
-
-    __rmul__ = __mul__
-
-    def eval_indices(self, idx):
-        return self.c.get(tuple(idx), _zvec(self.dim))
-
-    @classmethod
-    def zero(cls, n, dim):
-        return cls(n, dim, {})
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +285,7 @@ def ce_differential(mu, f):
     """Chevalley-Eilenberg differential (adjoint coefficients) of the
     n-cochain f; requires mu to be a Lie structure.
 
-    Satisfies [mu, f]_NR = (-1)^{n+1} * ce_differential(mu, f).
+    Computed from [mu, f]_NR = (-1)^{n+1} * ce_differential(mu, f).
     """
     if mu.dim != f.dim:
         raise DimMismatch("maps over different spaces")
@@ -340,31 +301,7 @@ def _require_lie(mu):
 def _ce_differential(mu, f):
     """ce_differential without the Jacobi check, for callers that have
     checked mu once."""
-    n, dim = f.n, f.dim
-    out = {}
-    for idx in itertools.combinations(range(dim), n + 1):
-        acc = list(_zvec(dim))
-        for i in range(n + 1):
-            rest = idx[:i] + idx[i + 1:]
-            inner = f.eval_indices(rest)
-            if any(inner):
-                # (-1)^{i+1} mu(x_i, f(...)) with 1-based i
-                val = mu.eval_first_vector(inner, (idx[i],))
-                s = (-1) ** (i + 1 + 1)  # mu(x_i, v) = -mu(v, x_i)
-                for t in range(dim):
-                    acc[t] -= s * val[t]
-        for i, j in itertools.combinations(range(n + 1), 2):
-            br = mu.eval_indices((idx[i], idx[j]))
-            if not any(br):
-                continue
-            rest = tuple(idx[t] for t in range(n + 1) if t not in (i, j))
-            val = f.eval_first_vector(br, rest)
-            s = (-1) ** (i + 1 + j + 1)
-            for t in range(dim):
-                acc[t] += s * val[t]
-        if any(acc):
-            out[idx] = tuple(acc)
-    return MultiMap(n + 1, dim, out)
+    return _psign(f.n + 1) * nr_bracket(mu, f)
 
 
 # ---------------------------------------------------------------------------
@@ -437,15 +374,6 @@ def _delta_columns(mu, k):
     return cols
 
 
-def _delta_matrix(mu, k):
-    """Dense matrix of the CE differential A^k -> A^{k+1} in the
-    canonical cochain bases (columns indexed by the domain basis)."""
-    _require_lie(mu)
-    cols = _delta_columns(mu, k)
-    return [[col.get(key, Fraction(0)) for col in cols]
-            for key in _cochain_basis(k + 1, mu.dim)]
-
-
 def cohomology(mu, k):
     """(dim H^k, representative cocycles) for the CE complex of mu in the
     adjoint representation.
@@ -485,15 +413,15 @@ def gerstenhaber_bracket(f, g):
 
     def circ(a, b):
         m, n = a.n, b.n
-        dim = a.dim
+        dim, r = a.dim, max(m + n - 1, 0)
         out = {}
-        for idx in itertools.product(range(dim), repeat=m + n - 1):
+        for idx in itertools.product(range(dim), repeat=r):
             acc = list(_zvec(dim))
             for i in range(1, m + 1):
                 inner = b.eval_indices(idx[i - 1:i - 1 + n])
                 if not any(inner):
                     continue
-                sign = (-1) ** ((i - 1) * (n - 1))
+                sign = _psign((i - 1) * (n - 1))
                 for gamma, coeff in enumerate(inner):
                     if coeff == 0:
                         continue
@@ -503,7 +431,7 @@ def gerstenhaber_bracket(f, g):
                         acc[t] += sign * coeff * val[t]
             if any(acc):
                 out[idx] = tuple(acc)
-        return NonSymMultiMap(m + n - 1, dim, out)
+        return NonSymMultiMap(r, dim, out)
 
     sign = _psign((f.n - 1) * (g.n - 1))
     return circ(f, g) - sign * circ(g, f)
@@ -715,22 +643,25 @@ class MultiDerivation:
         return tuple(self.gens.one() if t == alpha else self.gens.zero()
                      for t in range(self.k))
 
-    def sigma(self, sections):
-        """The symbol evaluated on sections: a base vector field."""
-        p = self.degree
-        assert len(sections) == p
-        out = [self.gens.zero() for _ in range(self.m)]
-        for idx in itertools.combinations(range(self.k), p):
-            vec = self.symbol.get(idx)
+    def _det_sum(self, table, sections, width):
+        """sum over the table of det(sections[i][idx[j]]) * table[idx]: the
+        antisymmetric extension of a table on frame-index tuples."""
+        out = [self.gens.zero()] * width
+        for idx in itertools.combinations(range(self.k), len(sections)):
+            vec = table.get(idx)
             if vec is None:
                 continue
-            coeff = _det([[sections[i][idx[j]] for j in range(p)]
-                          for i in range(p)], self.gens)
+            coeff = _det([[s[a] for a in idx] for s in sections], self.gens)
             if coeff.is_zero():
                 continue
-            for t in range(self.m):
+            for t in range(width):
                 out[t] = out[t] + coeff * vec[t]
-        return tuple(out)
+        return out
+
+    def sigma(self, sections):
+        """The symbol evaluated on sections: a base vector field."""
+        assert len(sections) == self.degree
+        return tuple(self._det_sum(self.symbol, sections, self.m))
 
     def sigma_apply(self, sections, f):
         """sigma_D(sections)(f) for a polynomial f on the base."""
@@ -745,19 +676,7 @@ class MultiDerivation:
         """Apply to polynomial sections (each a k-tuple of polynomials)."""
         n = self.n_args
         assert len(sections) == n
-        if n == 0:
-            return self.frame.get((), (self.gens.zero(),) * self.k)
-        out = [self.gens.zero() for _ in range(self.k)]
-        for idx in itertools.combinations(range(self.k), n):
-            vec = self.frame.get(idx)
-            if vec is None:
-                continue
-            coeff = _det([[sections[i][idx[j]] for j in range(n)]
-                          for i in range(n)], self.gens)
-            if coeff.is_zero():
-                continue
-            for t in range(self.k):
-                out[t] = out[t] + coeff * vec[t]
+        out = self._det_sum(self.frame, sections, self.k)
         if self.degree >= 1 or (self.degree == 0 and self.symbol):
             for i in range(n):
                 others = sections[:i] + sections[i + 1:]
@@ -878,8 +797,6 @@ def cm_bracket(D1, D2):
                         acc[t] = acc[t] + sh_sign * comm[t]
             if any(not v.is_zero() for v in acc):
                 symbol[idx] = tuple(acc)
-    if r == -1:
-        return MultiDerivation(gens, m, k, -1, frame)
     return MultiDerivation(gens, m, k, r, frame, symbol)
 
 
@@ -1030,25 +947,15 @@ def grassmann_L(D, fgens=None):
     fx = []
     for i in range(D.m):
         acc = fgens.zero()
-        if p >= 0:
-            for idx, vec in D.symbol.items():
-                if vec[i].is_zero():
-                    continue
-                mono = fgens.monomial(1,
-                                      odd_names=[fgens.odd[t] for t in idx])
-                acc = acc + _poly_to_form(vec[i], fgens) * mono
-        fx.append(acc)
-    fe = []
-    for b in range(D.k):
-        acc = fgens.zero()
-        sgn = 1 if p == -1 else -1
-        for idx, vec in D.frame.items():
-            if vec[b].is_zero():
+        for idx, vec in D.symbol.items():
+            if vec[i].is_zero():
                 continue
             mono = fgens.monomial(1, odd_names=[fgens.odd[t] for t in idx])
-            acc = acc + sgn * _poly_to_form(vec[b], fgens) * mono
-        fe.append(acc)
-    return GrassmannDerivation(fgens, D.m, D.k, p, fx, fe)
+            acc = acc + _poly_to_form(vec[i], fgens) * mono
+        fx.append(acc)
+    fe = insertion_operator(fgens, D.m, D.k, D.frame, p).fe
+    return GrassmannDerivation(fgens, D.m, D.k, p, fx,
+                               fe if p == -1 else [-f for f in fe])
 
 
 def grassmann_R(Dform, base=None):
@@ -1072,8 +979,6 @@ def grassmann_R(Dform, base=None):
                    for i in range(m)]
             if any(not v.is_zero() for v in vec):
                 symbol[idx] = tuple(vec)
-    if kdeg == -1:
-        return MultiDerivation(base, m, k, -1, frame)
     return MultiDerivation(base, m, k, kdeg, frame, symbol)
 
 
@@ -1222,8 +1127,6 @@ def iso_I(P, m, k, base=None):
                 vec.append(_fiber_split(F, m, k, base, 0))
             if any(not v.is_zero() for v in vec):
                 symbol[idx] = tuple(vec)
-    if kdeg == 0:
-        return MultiDerivation(base, m, k, -1, frame)
     return MultiDerivation(base, m, k, kdeg - 1, frame, symbol)
 
 

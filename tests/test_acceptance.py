@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import lie_oracles
 
 from diracdeform import courant as co
 from diracdeform import dirac_linear as dl
@@ -271,8 +272,8 @@ class TestRigidity:
         assert hdim == 0
         assert reps == []
         # every first-order cocycle is a coboundary
-        M2 = ml._delta_matrix(SO3, 2)
-        M1 = ml._delta_matrix(SO3, 1)
+        M2 = lie_oracles.delta_matrix(SO3, 2)
+        M1 = lie_oracles.delta_matrix(SO3, 1)
         for v in ratlin.kernel_basis(M2).basis:
             status, _ = ratlin.solve(M1, list(v))
             assert status == "SOLUTION"
@@ -286,7 +287,7 @@ class TestRigidity:
 
 class TestObstructionClosedness:
     def _random_cocycle(self, rng, mu0):
-        M2 = ml._delta_matrix(mu0, 2)
+        M2 = lie_oracles.delta_matrix(mu0, 2)
         ker = ratlin.kernel_basis(M2)
         dom = ml._cochain_basis(2, mu0.dim)
         vec = [Fraction(0)] * len(dom)

@@ -282,11 +282,11 @@ class TestFactoredSolve:
         assert sys_.velocity_solve([math.nan, 0.0]).status == "INADMISSIBLE"
 
     @pytest.mark.parametrize("L, x", [
-        ("canonical", [1.2, 0.0]),      # a NaN residual in the first row
+        ("canonical", [1.2, 0.0]),      # xdot = K grad H overflows
         ("canonical", [0.0, 1.2]),      # ... and after a finite row
         ("canonical", [0.0, -1.2]),
         ("canonical", [0.0, math.inf]),
-        ("V", [1.2, 0.0]),              # residual inf, tol (1 + |b|) inf
+        ("V", [1.2, 0.0]),              # the one constraint row is not finite
         ("V", [0.0, -1.2]),
     ])
     def test_overflowing_differential_is_inadmissible(self, L, x):

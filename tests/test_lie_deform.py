@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import lie_oracles
 from hypothesis import given, settings, strategies as st
 
 from diracdeform import courant as co
@@ -136,7 +137,7 @@ class TestMCResidual:
 def random_cocycle(rng, mu0, k=2):
     """Random element of ker(delta^k)."""
     dim = mu0.dim
-    M = ml._delta_matrix(mu0, k)
+    M = lie_oracles.delta_matrix(mu0, k)
     ker = ratlin.kernel_basis(M)
     dom = ml._cochain_basis(k, dim)
     acc = [Fraction(0)] * len(dom)
@@ -175,7 +176,7 @@ class TestExtend:
         if not certs[-1].extends:
             # brute-force confirmation: no mu_k solves delta mu_k = R_k
             cert = certs[-1]
-            M = ml._delta_matrix(mu0, 2)
+            M = lie_oracles.delta_matrix(mu0, 2)
             b = ml._to_vector(cert.cocycle, ml._cochain_basis(3, 3))
             status, _ = ratlin.solve(M, b)
             assert status == "INCONSISTENT"
@@ -296,8 +297,8 @@ class TestRigidity:
         verdict, h2 = rigidity_check(aff1())
         assert (verdict == "RIGID") == (h2 == 0)
         # independent rank oracle
-        M1 = ml._delta_matrix(aff1(), 1)
-        M2 = ml._delta_matrix(aff1(), 2)
+        M1 = lie_oracles.delta_matrix(aff1(), 1)
+        M2 = lie_oracles.delta_matrix(aff1(), 2)
         ndom = len(ml._cochain_basis(2, 2))
         assert h2 == ndom - ratlin.rank(M2) - ratlin.rank(M1)
 
