@@ -3,8 +3,10 @@
 Every bracket here is a biderivation, fixed by its values on pairs of
 generators: {f, g} = sum_ab (f <-d_a) P_ab (d_b-> g), P_ab = {x_a, x_b},
 with right derivatives of f and left derivatives of g.  A BracketContext
-tabulates the nonzero P_ab once, in closed form, and `bracket` is the
-one bracket body for all three kinds:
+tabulates the nonzero P_ab once, in closed form.  `bracket` is
+contract(right_partials(f), left_partials(g)), so a caller that brackets
+the same operands many times can differentiate each of them once; it is
+the one bracket body for all three kinds:
 
 * SCHOUTEN - the odd Poisson bracket on conjugate pairs (coordinate c,
   odd symbol dc for d/dc): {dc, c} = 1, {c, dc} = -1.  It realizes the
@@ -52,6 +54,23 @@ def schouten_generators(coords, prefix="d"):
     standing for the coordinate derivation."""
     odd = [f"{prefix}{c}" for c in coords]
     return GeneratorSet(coords, odd)
+
+
+class _LeftPartials(dict):
+    """The left derivatives d_b-> g of one element g, keyed by generator
+    name; each is computed the first time it is read."""
+
+    __slots__ = ("g",)
+
+    def __init__(self, g):
+        super().__init__()
+        self.g = g
+
+    def __missing__(self, b):
+        g = self.g
+        d = self[b] = g.partial_odd(b, "left") if b in g.gens.odd \
+            else g.partial_even(b)
+        return d
 
 
 class BracketContext:
@@ -159,20 +178,26 @@ class BracketContext:
 
     # -- the bracket ----------------------------------------------------
 
-    def bracket(self, f, g):
-        """{f, g} = sum_ab (f <-d_a) P_ab (d_b-> g): one right derivative
-        of f per table row; each left derivative of g computed once."""
-        terms, dg = {}, {}
-        for a, a_odd, cols in self._rows if g.terms else ():
-            df = f.partial_odd(a, "right") if a_odd else f.partial_even(a)
+    def right_partials(self, f):
+        """[f <-d_a for each table row a]."""
+        return [f.partial_odd(a, "right") if a_odd else f.partial_even(a)
+                for a, a_odd, _ in self._rows]
+
+    def left_partials(self, g):
+        """{b: d_b-> g}, each entry computed the first time it is read."""
+        return _LeftPartials(g)
+
+    def contract(self, dF, dG):
+        """sum_ab dF[a] P_ab dG[b] over the table, for dF = right_partials(f)
+        and dG = left_partials(g): the bracket {f, g}.  dG[b] is read only
+        for rows with dF[a] != 0."""
+        terms = {}
+        for df, (_, _, cols) in zip(dF, self._rows):
             if not df.terms:
                 continue
             acc = None
-            for b, b_odd, coeff in cols:
-                d = dg.get(b)
-                if d is None:
-                    d = dg[b] = g.partial_odd(b, "left") if b_odd \
-                        else g.partial_even(b)
+            for b, _, coeff in cols:
+                d = dG[b]
                 if d.terms:
                     d = d if coeff is None else coeff * d
                     acc = d if acc is None else acc + d
@@ -185,6 +210,10 @@ class BracketContext:
                 else:
                     del terms[mono]
         return SuperElement(self.gens, terms)
+
+    def bracket(self, f, g):
+        """{f, g} = sum_ab (f <-d_a) P_ab (d_b-> g)."""
+        return self.contract(self.right_partials(f), self.left_partials(g))
 
     def schouten(self, P, Q):
         """The bracket of a SCHOUTEN context; graded antisymmetric with
@@ -219,6 +248,55 @@ def derived_bracket(ctx, theta, x, y):
 def derived_diff(ctx, theta, x):
     """{theta, x}."""
     return ctx.bracket(theta, x)
+
+
+def derived_identity_failures(ctx, theta, residual, elements):
+    """Where the derived bracket [a, b] = {{a, theta}, b} and the pairing
+    <a, b> = {a, b} of a chi-degree-3 charge theta break the Courant
+    identities on the chi-degree-1 `elements` e_0, e_1, ...:
+
+    * "jacobi": [e1, [e2, e3]] - [[e1, e2], e3] - [e2, [e1, e3]], read
+      from residual = {theta, theta} as -1/2 {{{R, e1}, e2}, e3} (the
+      graded Jacobi identity of the bracket);
+    * "invariance": [e1, <e2, e3>] - <[e1, e2], e3> - <e2, [e1, e3]>,
+      with [e1, f] = {{e1, theta}, f} for a function f;
+    * "defect": [e1, e2] + [e2, e1] - {theta, <e1, e2>}.
+
+    Returns {name: [(*indices, value)]} over the nonzero values, indices
+    in lexicographic order.  Every operand is differentiated once, and
+    each bracket {x, y} is contract(dX, lY) on the tabulated partials.
+    """
+    rp, lp, contract = ctx.right_partials, ctx.left_partials, ctx.contract
+    n = len(elements)
+    dE, lE = [rp(e) for e in elements], [lp(e) for e in elements]
+    l_theta = lp(theta)
+    # D_i = {e_i, theta}, B_ij = [e_i, e_j] = {D_i, e_j}, P_ij = <e_i, e_j>
+    dD = [rp(contract(dE[i], l_theta)) for i in range(n)]
+    B = [[contract(dD[i], lE[j]) for j in range(n)] for i in range(n)]
+    dB = [[rp(b) for b in row] for row in B]
+    lB = [[lp(b) for b in row] for row in B]
+    lP = [[lp(contract(dE[i], lE[j])) for j in range(n)] for i in range(n)]
+    d_theta = rp(theta)
+    d_R = rp(residual)
+    dR1 = [rp(contract(d_R, lE[i])) for i in range(n)]
+    minus_half = Fraction(-1, 2)
+    jac, inv, defect = [], [], []
+    for i1 in range(n):
+        for i2 in range(n):
+            d = B[i1][i2] + B[i2][i1] - contract(d_theta, lP[i1][i2])
+            if d.terms:
+                defect.append((i1, i2, d))
+            dR2 = rp(contract(dR1[i1], lE[i2]))
+            for i3 in range(n):
+                j = contract(dR2, lE[i3])
+                if j.terms:
+                    jac.append((i1, i2, i3, minus_half * j))
+                v = contract(dD[i1], lP[i2][i3]) \
+                    - contract(dB[i1][i2], lE[i3]) \
+                    - contract(dE[i2], lB[i1][i3])
+                if v.terms:
+                    inv.append((i1, i2, i3, v))
+    return {"jacobi": jac, "invariance": inv, "defect": defect}
 
 
 def master_residuals(ctx, theta):

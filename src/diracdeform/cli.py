@@ -23,7 +23,8 @@ from .brackets import BracketContext, master_residuals
 from .jsonin import InputError, array, fields, natural
 from .lie_deform import PreconditionMC, extend_series
 from .multilinear import (
-    cohomology,
+    NotLie,
+    cohomology_dims,
     first_failing_triple,
     is_lie,
     structure_constants_from_json,
@@ -121,11 +122,13 @@ def cmd_ce_cohomology(args):
     _require_counts(("--degrees", min(args.degrees)))
     data, digest = _load_json(args.input)
     mu = structure_constants_from_json(data)
-    if not is_lie(mu):
+    try:
+        dims = cohomology_dims(mu, args.degrees)
+    except NotLie:
         return digest, {"error": "structure constants do not satisfy "
                                  "Jacobi"}, False
-    dims = {f"H{k}": cohomology(mu, k)[0] for k in args.degrees}
-    return digest, {"dim": mu.dim, "cohomology": dims}, True
+    return digest, {"dim": mu.dim, "cohomology": {
+        f"H{k}": d for k, d in zip(args.degrees, dims)}}, True
 
 
 def cmd_deform_lie(args):

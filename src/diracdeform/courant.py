@@ -24,6 +24,7 @@ from .brackets import (
     BracketContext,
     derived_bracket,
     derived_diff,
+    derived_identity_failures,
     master_residuals,
 )
 from .jsonin import InputError, array, fields, natural
@@ -477,7 +478,6 @@ def verify_courant(inp, degree=1, section_limit=None, raise_on_fail=False):
     violation raises AxiomViolation naming the identity.
     """
     th = build_theta(inp)
-    br = th.ctx.bracket
     report = {"ok": True, "identities": {}}
     res = master_residuals(th.ctx, th.theta)
     master_ok = res["total"].is_zero()
@@ -500,37 +500,16 @@ def verify_courant(inp, degree=1, section_limit=None, raise_on_fail=False):
         if not ok:
             report["ok"] = False
 
-    # D_i = {e_i, Theta}, B_ij = [e_i, e_j] = {D_i, e_j},
-    # P_ij = <e_i, e_j>, DB_ij = {B_ij, Theta}: each computed once.
-    n = len(secs)
-    D = [br(e, th.theta) for e in secs]
-    B = [[br(D[i], e) for e in secs] for i in range(n)]
-    P = [[br(e1, e2) for e2 in secs] for e1 in secs]
-    DB = [[br(B[i][j], th.theta) for j in range(n)] for i in range(n)]
-    fail_jac, fail_inv, fail_def, fail_rd = [], [], [], []
-    for i1 in range(n):
-        for i2, e2 in enumerate(secs):
-            b12 = B[i1][i2]
-            d = b12 + B[i2][i1] - br(th.theta, P[i1][i2])
-            if not d.is_zero():
-                fail_def.append((i1, i2, to_text(d)))
-            for i3, e3 in enumerate(secs):
-                jac = br(D[i1], B[i2][i3]) - br(DB[i1][i2], e3) \
-                    - br(D[i2], B[i1][i3])
-                if not jac.is_zero():
-                    fail_jac.append((i1, i2, i3, to_text(jac)))
-                inv = br(D[i1], P[i2][i3]) - br(b12, e3) \
-                    - br(e2, B[i1][i3])
-                if not inv.is_zero():
-                    fail_inv.append((i1, i2, i3, to_text(inv)))
+    failures = derived_identity_failures(th.ctx, th.theta, res["total"],
+                                         secs)
+    fail_rd = []
     for f in funs:
         for g in funs:
             d = anchor_apply(th, d_fun(th, f), g)
             if not d.is_zero():
                 fail_rd.append((to_text(f), to_text(g), to_text(d)))
-    record("jacobi", fail_jac)
-    record("invariance", fail_inv)
-    record("defect", fail_def)
+    for name in ("jacobi", "invariance", "defect"):
+        record(name, [(*key, to_text(x)) for *key, x in failures[name][:3]])
     record("anchor_of_D", fail_rd)
     report["ok"] = report["ok"] and master_ok
     if raise_on_fail and not report["ok"]:

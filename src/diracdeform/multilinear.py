@@ -381,9 +381,22 @@ def cohomology(mu, k):
     The representatives are the vectors of the reduced echelon basis of
     ker delta^k that are independent of im delta^{k-1} and of the
     representatives before them."""
+    _require_lie(mu)
+    return _cohomology(mu, k)
+
+
+def cohomology_dims(mu, degrees):
+    """[dim H^k for k in degrees], after one Jacobi check for all of
+    them."""
+    _require_lie(mu)
+    return [_cohomology(mu, k)[0] for k in degrees]
+
+
+def _cohomology(mu, k):
+    """cohomology without the Jacobi check, for callers that have
+    checked mu once."""
     dim = mu.dim
     dom = _cochain_basis(k, dim)
-    _require_lie(mu)
     rows = {}
     for j, col in enumerate(_delta_columns(mu, k)):
         for key, v in col.items():
@@ -551,7 +564,8 @@ class MultiDerivation:
         fstore = {}
         for idx, vec in (frame or {}).items():
             idx = tuple(idx)
-            if len(idx) != nargs or list(idx) != sorted(set(idx)):
+            if len(idx) != nargs or list(idx) != sorted(set(idx)) \
+                    or not all(0 <= i < k for i in idx):
                 raise ValueError(f"bad frame index {idx}")
             vec = tuple(self._as_poly(v) for v in vec)
             if len(vec) != k:
@@ -561,7 +575,8 @@ class MultiDerivation:
         sstore = {}
         for idx, vec in (symbol or {}).items():
             idx = tuple(idx)
-            if len(idx) != degree or list(idx) != sorted(set(idx)):
+            if len(idx) != degree or list(idx) != sorted(set(idx)) \
+                    or not all(0 <= i < k for i in idx):
                 raise ValueError(f"bad symbol index {idx}")
             vec = tuple(self._as_poly(v) for v in vec)
             if len(vec) != m:

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from diracdeform.brackets import (
     POINT_BIG,
+    ROTHSTEIN,
     SCHOUTEN,
     BracketContext,
     MissingConnection,
@@ -418,6 +419,39 @@ class TestOracles:
         ctx = BracketContext(SCHOUTEN, PERM_GENS,
                              conjugate=dict(enumerate(perm)))
         assert ctx.bracket(P, Q) == oracle.schouten(ctx, P, Q)
+
+    @given(st.sampled_from([SCHOUTEN, ROTHSTEIN, POINT_BIG]), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_split_bracket(self, kind, data):
+        """contract(right_partials(f), left_partials(g)) is bracket(f, g),
+        term for term in the same order, and both equal the reference
+        bracket."""
+        if kind == SCHOUTEN:
+            ctx = BracketContext(SCHOUTEN, PERM_GENS, conjugate=dict(
+                enumerate(data.draw(st.permutations(range(3))))))
+            elements, reference = multivectors(ctx.gens, 4), oracle.schouten
+        else:
+            ctx = BracketContext.rothstein_on(
+                data.draw(polynomial_connections())) if kind == ROTHSTEIN \
+                else BracketContext.point_big(data.draw(st.integers(1, 3)))
+            elements, reference = phase_elements(ctx.gens, 4), \
+                oracle.rothstein
+        f, g = data.draw(elements), data.draw(elements)
+        split = ctx.contract(ctx.right_partials(f), ctx.left_partials(g))
+        whole = ctx.bracket(f, g)
+        assert split == whole == reference(ctx, f, g)
+        assert list(split.terms.items()) == list(whole.terms.items())
+
+    def test_left_partials_are_lazy(self):
+        ctx = BracketContext.point_big(2)
+        gens = ctx.gens
+        a_1, a_2, a1 = (gens.gen(gens.odd[i]) for i in (0, 1, 2))
+        lg = ctx.left_partials(a_1 * a_2)
+        assert ctx.contract(ctx.right_partials(gens.one()), lg).is_zero()
+        assert not lg
+        # the row of a^1 has the one column a_1
+        assert ctx.contract(ctx.right_partials(a1), lg) == a_2
+        assert list(lg) == [gens.odd[0]]
 
     def test_schouten_table_follows_conjugate_map(self):
         ctx = BracketContext(SCHOUTEN, PERM_GENS, conjugate={0: 2, 1: 0,

@@ -10,9 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from diracdeform import cli, courant, ihs
+from diracdeform import cli, courant, ihs, multilinear
 from diracdeform.dirac_linear import from_bivector
-from diracdeform.multilinear import base_gens
+from diracdeform.multilinear import base_gens, first_failing_triple
 from diracdeform.superalg import parse
 
 
@@ -125,6 +125,23 @@ class TestCohomologyAndDeform:
         path = write(tmp_path, "bad.json", NONJACOBI)
         code, out, _ = run(["ce-cohomology", path], capsys)
         assert code == 1
+
+    def test_cohomology_checks_jacobi_once(self, tmp_path, capsys,
+                                           monkeypatch):
+        calls = []
+
+        def counted(mu):
+            calls.append(mu)
+            return first_failing_triple(mu)
+
+        monkeypatch.setattr(multilinear, "first_failing_triple", counted)
+        path = write(tmp_path, "f6.json", FILIFORM_6)
+        code, out, _ = run(["ce-cohomology", path, "--degrees", "1", "2",
+                            "3"], capsys)
+        assert code == 0
+        assert json.loads(out)["report"]["cohomology"] == {
+            "H1": 6, "H2": 12, "H3": 14}
+        assert len(calls) == 1
 
     def test_deform_lie_certificates(self, tmp_path, capsys):
         path = write(tmp_path, "so3.json", SO3)

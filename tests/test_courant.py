@@ -16,6 +16,7 @@ from diracdeform.lie_deform import (
 )
 from diracdeform.superalg import phase_generators, to_text
 
+import courant_oracles
 import dirac_oracles as oracle
 
 EPS = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1}
@@ -213,6 +214,65 @@ class TestVerify:
                                        (2, 0, 0): 1})
         with pytest.raises(co.AxiomViolation):
             co.verify_courant(bad, raise_on_fail=True)
+
+
+@st.composite
+def small_charges(draw):
+    """CourantInputs with at most 12 sections at degree 1 (k = 3 only
+    over a point, so that psi and phi can be nonzero): one to three
+    entries per table, each a small integer or an integer linear
+    polynomial in q.  About half of them have {Theta, Theta} != 0."""
+    m, k = draw(st.sampled_from([(0, 2), (0, 3), (1, 1), (1, 2), (2, 1),
+                                 (2, 2)]))
+
+    def value():
+        c0 = draw(st.integers(-2, 2))
+        if m == 0 or draw(st.booleans()):
+            return c0
+        i, c1 = draw(st.integers(1, m)), draw(st.integers(-2, 2))
+        return f"{c1} q{i} + {c0}"
+
+    def table(bounds, increasing=0):
+        keys = draw(st.lists(st.tuples(*(st.integers(0, b - 1)
+                                         for b in bounds)),
+                             min_size=1, max_size=3))
+        return {key: value() for key in keys
+                if all(x < y for x, y in zip(key[:increasing],
+                                             key[1:increasing]))}
+
+    anchors = {"rho": table((m, k)), "rho_bar": table((m, k)),
+               "gamma_conn": table((m, k, k))} if m else {}
+    return co.CourantInput(
+        m, k, c=table((k, k, k), 2), c_bar=table((k, k, k), 2),
+        psi=table((k, k, k), 3), phi=table((k, k, k), 3), **anchors)
+
+
+class TestVerifyOracle:
+    """verify_courant against the explicit six-bracket loop it replaced:
+    whole reports, failing ones included, where the Jacobiators come
+    from -1/2 {{{R, e1}, e2}, e3} with R = {Theta, Theta} != 0."""
+
+    @given(small_charges(), st.integers(0, 8))
+    @settings(max_examples=30, deadline=None)
+    def test_random_charges(self, inp, limit):
+        for section_limit in (None, limit):
+            assert co.verify_courant(inp, section_limit=section_limit) \
+                == courant_oracles.verify_courant(
+                    inp, section_limit=section_limit)
+
+    @pytest.mark.parametrize("inp, degree", [
+        (co.CourantInput(0, 3, c={(0, 1, 2): 1, (1, 2, 0): 1,
+                                  (2, 0, 0): 1}), 1),
+        (co.CourantInput(0, 3, c=EPS, c_bar=EPS), 1),
+        (co.CourantInput(1, 1, rho={(0, 0): 1}, rho_bar={(0, 0): "1 q1"}),
+         2),
+        (co.CourantInput(2, 2, rho={(0, 0): 1, (1, 1): "1 q1"},
+                         c={(0, 1, 0): "1 q2"}), 1),
+    ])
+    def test_failing_jacobi(self, inp, degree):
+        rep = co.verify_courant(inp, degree=degree)
+        assert not rep["identities"]["jacobi"]["ok"]
+        assert rep == courant_oracles.verify_courant(inp, degree=degree)
 
 
 class TestSectionFamily:

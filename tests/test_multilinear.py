@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -415,6 +416,15 @@ def random_section(rng, gens, k, max_deg=1):
 
 
 class TestMultiDerivation:
+    def test_frame_index_out_of_range(self):
+        with pytest.raises(ValueError, match=r"\(0, 5\)"):
+            MultiDerivation(base_gens(0), 0, 3, 1, {(0, 5): (1, 0, 0)})
+
+    @pytest.mark.parametrize("key", [(3,), (-1,)])
+    def test_symbol_index_out_of_range(self, key):
+        with pytest.raises(ValueError, match=re.escape(str(key))):
+            MultiDerivation(base_gens(1), 1, 3, 1, symbol={key: (1,)})
+
     def test_leibniz_last_slot(self):
         rng = random.Random(3)
         gens = base_gens(2)
