@@ -21,12 +21,11 @@ from . import __version__, courant, ihs
 from . import dirac_linear as dl
 from .brackets import BracketContext, master_residuals
 from .jsonin import InputError, array, fields, natural
-from .lie_deform import PreconditionMC, extend_series
+from .lie_deform import Order0NotLie, PreconditionMC, extend_series
 from .multilinear import (
     NotLie,
     cohomology_dims,
     first_failing_triple,
-    is_lie,
     structure_constants_from_json,
 )
 from .superalg import ConnectionData, phase_generators, to_text
@@ -135,10 +134,11 @@ def cmd_deform_lie(args):
     _require_counts(("--order", args.order))
     data, digest = _load_json(args.input)
     mu = structure_constants_from_json(data)
-    if not is_lie(mu):
+    try:
+        coeffs, certs = extend_series([mu], args.order)
+    except Order0NotLie:
         return digest, {"error": "order-0 structure is not a Lie "
                                  "bracket"}, False
-    coeffs, certs = extend_series([mu], args.order)
     rows = [{"order": c.order, "extends": c.extends,
              "cocycle_zero": c.cocycle.is_zero()} for c in certs]
     body = {"dim": mu.dim, "order": args.order, "certificates": rows,
@@ -282,12 +282,9 @@ def cmd_ihs_run(args):
     except ihs.LeftAdmissibleSet as e:
         return digest, {"status": "LEFT_ADMISSIBLE_SET", "step": e.step,
                         "t": e.t}, False
-    rows = [[t] + list(x) + [e, res] for t, x, e, res in
-            zip(traj.times, traj.points, traj.energies, traj.residuals)]
-    body = {"steps": args.steps, "h": h,
-            "max_drift": traj.max_drift,
+    body = {"steps": args.steps, "h": h, "max_drift": traj.max_drift,
             "max_residual": traj.max_residual,
-            "trajectory": [[f"{v:.12g}" for v in row] for row in rows]}
+            "trajectory": ihs.trajectory_rows(traj)}
     return digest, body, True
 
 

@@ -10,8 +10,9 @@ P grad H for P = (I - M M+) V.  K and P are computed once over Q, and
 each row of K grad H and P grad H becomes one exact polynomial, rounded
 to floats once.  When M has full rank, P = 0, so there are no
 constraint rows and every residual is exactly 0.0.  Trajectories are
-integrated with classical RK4 on plain Python floats that evaluate the
-compiled field directly, so this module needs no numpy.  The
+integrated with classical RK4 on plain Python floats, without numpy,
+by one straight-line step generated per system; a step that is not
+finite or not admissible is replayed stage by stage, bit for bit.  The
 admissible-function algebra (the Poisson bracket on functions whose
 differential lies in the covector projection of L) is computed exactly
 on polynomials with rational coefficients.
@@ -20,6 +21,7 @@ Polynomials are SuperElements over the even generators x1..xn
 (IHSystem.gens).
 """
 
+import functools
 import math
 from fractions import Fraction
 
@@ -117,6 +119,44 @@ def _max_abs(v):
     return m
 
 
+def _compile_step(n, field, residual, b, H):
+    """step(x0, .., x{n-1}, h, h2, h6), generated from float reprs and
+    integers: one RK4 step in the operations of _float_eval and
+    IHSystem._staged_step.  Returns the new point, its energy, a sentinel
+    (0.0 when every stage row and the energy are finite) and each stage's
+    residual and max |b|, [] without constraint rows (b != 0 with them)."""
+    def total(v, first, addends):
+        # v = first + a1 + a2 + ... from the left, 100 addends a statement:
+        # compile() runs out of recursion depth on sums thousands deep
+        return [f"{v} = {first}"] + [
+            f"{v} = {v} + {' + '.join(addends[i:i + 100])}"
+            for i in range(0, len(addends), 100)]
+
+    def row(v, terms, y):
+        return total(v, "0.0", [f"({c!r})" + "".join(
+            f" * {y[i]}**{k}" for i, k in powers) for c, powers in terms])
+    y = [f"x{i}" for i in range(n)]
+    lines = [f"def step({', '.join(y + ['h', 'h2', 'h6'])}):"]
+    seen, maxes, abs_ = [], {"r": [], "b": []}, "abs({})".format
+    incs = ("h2 * k0_{0}", "h2 * k1_{0}", "h * k2_{0}",
+            "h6 * (k0_{0} + 2 * k1_{0} + 2 * k2_{0} + k3_{0})")
+    for j, inc in enumerate(incs):
+        for tag, rows in (("k", field), ("r", residual), ("b", b)):
+            vals = [f"{tag}{j}_{i}" for i in range(len(rows))]
+            for v, t in zip(vals, rows):
+                lines += row(v, t, y)
+            seen += vals
+            if tag != "k" and vals:
+                maxes[tag].append(f"max(0.0, {', '.join(map(abs_, vals))})")
+        y = [f"y{j}_{i}" for i in range(n)]
+        lines += [f"{v} = x{i} + {inc.format(i)}" for i, v in enumerate(y)]
+    lines += row("e", H, y) + total("z", "e", seen) + [
+        f"return [{', '.join(y)}], e, z * 0.0, "
+        f"[{', '.join(maxes['r'])}], [{', '.join(maxes['b'])}]"]
+    exec(compile("\n    ".join(lines), "<ihs step>", "exec"), scope := {})
+    return scope["step"]
+
+
 # ---------------------------------------------------------------------------
 # The system
 # ---------------------------------------------------------------------------
@@ -189,6 +229,12 @@ class IHSystem:
 
     # -- dynamics -------------------------------------------------------
 
+    @functools.cached_property
+    def _step(self):
+        """The generated RK4 step, compiled when integrate first needs it."""
+        return _compile_step(self.n, self._field_terms, self._residual_terms,
+                             self._b_terms, self._H_terms)
+
     def dH(self, x):
         x = list(map(float, x))
         return [_float_eval(t, x) for t in self._dH_terms]
@@ -242,51 +288,54 @@ class IHSystem:
         velocity_solve) or the trajectory diverges (the energy of a point
         or the residual of the final point is not finite).  The k1 stage
         solves at the current point, so it supplies that point's
-        residual; the final point gets one more solve.  Constraint rows
-        are evaluated only when P grad H is not 0.  Float overflow in
-        the RK4 arithmetic gives inf or NaN, which these checks report."""
+        residual; the final point gets one more solve.  Each step is one
+        call of the generated step (_compile_step); one that overflows,
+        has a sentinel other than 0.0 or an inadmissible stage is
+        replayed by _staged_step, which raises at the stage at fault or
+        gives the same floats."""
         h = self.h if h is None else h
         h2, h6 = h / 2, h / 6
         x = [float(v) for v in x0]
-        times = [0.0]
-        points = [x]
-        residuals = []
-        max_res = 0.0
-        solve = self._solve
-
-        def f(step, t, y):
-            nonlocal max_res
-            xdot, residual, ok = solve(y)
-            if not ok:
-                raise LeftAdmissibleSet(step, t, y)
-            max_res = max(max_res, residual)
-            return xdot, residual
-
-        def energy(step, t, y):
-            e = self.energy(y)
-            if not math.isfinite(e):
-                raise LeftAdmissibleSet(step, t, y)
-            return e
-
-        e0 = energy(0, 0.0, x)
-        energies = [e0]
+        e0 = self.energy(x)
+        if not math.isfinite(e0):
+            raise LeftAdmissibleSet(0, 0.0, x)
+        points, energies, residuals, max_res = [x], [e0], [], 0.0
+        step, tol = self._step, self.tol
         for s in range(steps):
-            t = s * h
-            k1, residual = f(s, t, x)
-            residuals.append(residual)
-            k2 = f(s, t + h2, [a + h2 * k for a, k in zip(x, k1)])[0]
-            k3 = f(s, t + h2, [a + h2 * k for a, k in zip(x, k2)])[0]
-            k4 = f(s, t + h, [a + h * k for a, k in zip(x, k3)])[0]
-            x = [a + h6 * (p + 2 * q + 2 * r + u)
-                 for a, p, q, r, u in zip(x, k1, k2, k3, k4)]
-            times.append((s + 1) * h)
+            try:
+                x, e, z, res, scale = step(*x, h, h2, h6)
+            except OverflowError:
+                z = None
+            if z != 0.0 or res and not all(
+                    r <= tol * (1.0 + b) for r, b in zip(res, scale)):
+                x, e, res = self._staged_step(s, points[-1], h)
+            residuals.append(res[0] if res else 0.0)
+            max_res = max(max_res, 0.0, *res)
             points.append(x)
-            energies.append(energy(s, (s + 1) * h, x))
-        residuals.append(solve(x)[1])
+            energies.append(e)
+        residuals.append(self._solve(x)[1])
         if not math.isfinite(residuals[-1]):
             raise LeftAdmissibleSet(steps, steps * h, x)
         drift = max(abs(e - e0) for e in energies)
+        times = [0.0] + [s * h for s in range(1, steps + 1)]
         return Trajectory(times, points, energies, drift, max_res, residuals)
+
+    def _staged_step(self, s, x, h):
+        """Step s of integrate from x, one _solve per stage: (new point,
+        its energy, the stage residuals or [] without constraint rows)."""
+        t, h2, h6, k, res = s * h, h / 2, h / 6, [], []
+        for dt, c in zip((t, t + h2, t + h2, t + h), (0.0, h2, h2, h)):
+            y = [a + c * b for a, b in zip(x, k[-1])] if k else x
+            xdot, residual, ok = self._solve(y)
+            if not ok:
+                raise LeftAdmissibleSet(s, dt, y)
+            k.append(xdot)
+            res.append(residual)
+        y = [a + h6 * (p + 2 * q + 2 * r + u) for a, p, q, r, u in zip(x, *k)]
+        e = self.energy(y)
+        if not math.isfinite(e):
+            raise LeftAdmissibleSet(s, (s + 1) * h, y)
+        return y, e, res if self._residual_terms else []
 
     # -- admissible-function algebra (exact) ----------------------------
 
@@ -365,6 +414,12 @@ def system_to_json(sys_):
         "h": sys_.h,
         "tol": sys_.tol,
     }
+
+
+def trajectory_rows(traj):
+    """The ihs-run rows [t, x1..xn, H, residual] as .12g strings."""
+    return [[f"{v:.12g}" for v in (t, *x, e, r)] for t, x, e, r in
+            zip(traj.times, traj.points, traj.energies, traj.residuals)]
 
 
 def _positive_number(obj, key, default):

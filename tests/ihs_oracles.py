@@ -1,8 +1,14 @@
-"""The numpy float path that `ihs.IHSystem` replaced, kept as an
-independent oracle: the constraint matrix is factored by one float SVD
-(least-norm pseudo-inverse and gauge basis from the same rank decision),
-and RK4 runs on numpy arrays.  Only the Hamiltonian's float evaluation
-(`sys_.dH`, `sys_.energy`) is shared with the code under test."""
+"""Oracles for `ihs.IHSystem`.
+
+`NumpySolver` is the numpy float path that the exact compiled solve
+replaced: the constraint matrix is factored by one float SVD (least-norm
+pseudo-inverse and gauge basis from the same rank decision), and RK4 runs
+on numpy arrays.  Only the Hamiltonian's float evaluation (`sys_.dH`,
+`sys_.energy`) is shared with the code under test.
+
+`staged_integrate` is the RK4 loop that the generated step replaced: one
+`_solve` per stage, each checked as it is made.  The generated step must
+give the same floats and the same `LeftAdmissibleSet`."""
 
 import math
 
@@ -90,3 +96,50 @@ class NumpySolver:
         drift = max(abs(e - e0) for e in energies)
         return ihs.Trajectory(times, points, energies, drift, max_res,
                               residuals)
+
+
+def staged_integrate(sys_, x0, steps, h=None):
+    """IHSystem.integrate stage by stage through sys_._solve and
+    sys_.energy."""
+    h = sys_.h if h is None else h
+    h2, h6 = h / 2, h / 6
+    x = [float(v) for v in x0]
+    times = [0.0]
+    points = [x]
+    residuals = []
+    max_res = 0.0
+    solve = sys_._solve
+
+    def f(step, t, y):
+        nonlocal max_res
+        xdot, residual, ok = solve(y)
+        if not ok:
+            raise ihs.LeftAdmissibleSet(step, t, y)
+        max_res = max(max_res, residual)
+        return xdot, residual
+
+    def energy(step, t, y):
+        e = sys_.energy(y)
+        if not math.isfinite(e):
+            raise ihs.LeftAdmissibleSet(step, t, y)
+        return e
+
+    e0 = energy(0, 0.0, x)
+    energies = [e0]
+    for s in range(steps):
+        t = s * h
+        k1, residual = f(s, t, x)
+        residuals.append(residual)
+        k2 = f(s, t + h2, [a + h2 * k for a, k in zip(x, k1)])[0]
+        k3 = f(s, t + h2, [a + h2 * k for a, k in zip(x, k2)])[0]
+        k4 = f(s, t + h, [a + h * k for a, k in zip(x, k3)])[0]
+        x = [a + h6 * (p + 2 * q + 2 * r + u)
+             for a, p, q, r, u in zip(x, k1, k2, k3, k4)]
+        times.append((s + 1) * h)
+        points.append(x)
+        energies.append(energy(s, (s + 1) * h, x))
+    residuals.append(solve(x)[1])
+    if not math.isfinite(residuals[-1]):
+        raise ihs.LeftAdmissibleSet(steps, steps * h, x)
+    drift = max(abs(e - e0) for e in energies)
+    return ihs.Trajectory(times, points, energies, drift, max_res, residuals)

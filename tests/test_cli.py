@@ -143,6 +143,26 @@ class TestCohomologyAndDeform:
             "H1": 6, "H2": 12, "H3": 14}
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("data, code, body", [
+        (FILIFORM_6, 0, None),
+        (NONJACOBI, 1, {"error": "order-0 structure is not a Lie bracket"}),
+    ])
+    def test_deform_lie_checks_jacobi_once(self, tmp_path, capsys,
+                                           monkeypatch, data, code, body):
+        calls = []
+
+        def counted(mu):
+            calls.append(mu)
+            return first_failing_triple(mu)
+
+        monkeypatch.setattr(multilinear, "first_failing_triple", counted)
+        path = write(tmp_path, "mu.json", data)
+        got, out, _ = run(["deform-lie", path, "--order", "3"], capsys)
+        assert got == code
+        assert len(calls) == 1
+        if body is not None:
+            assert json.loads(out)["report"] == body
+
     def test_deform_lie_certificates(self, tmp_path, capsys):
         path = write(tmp_path, "so3.json", SO3)
         code, out, _ = run(["deform-lie", path, "--order", "3"], capsys)
@@ -337,6 +357,60 @@ def test_ihs_run_divergence_is_a_failure_report(tmp_path, system, x0, steps,
     assert "Traceback" not in p.stderr
     assert p.stderr == ""
     assert strict_json(p.stdout)["report"]["status"] == "LEFT_ADMISSIBLE_SET"
+
+
+CANONICAL_L = {"n": 2, "subspace": {"ambient": 4, "basis": [
+    ["1", "0", "0", "1"], ["0", "1", "-1", "0"]]}}
+# the constrained systems of the bench (x2, x4 frozen) and of the
+# kernel-direction tests (P != 0: dH/dx3 = x2^2 x3 is a constraint row)
+PINNED_SYSTEMS = {
+    "oscillator": ({"n": 2, "L": CANONICAL_L,
+                    "H": [[[0, 2], "1/2"], [[2, 0], "1/2"]]}, "0.6,-0.8"),
+    "constrained": ({"n": 4, "L": {"n": 4, "subspace": {"ambient": 8, "basis": [
+        ["1", "0", "0", "0", "0", "0", "1", "0"],
+        ["0", "0", "1", "0", "-1", "0", "0", "0"],
+        ["0", "0", "0", "0", "0", "1", "0", "0"],
+        ["0", "0", "0", "0", "0", "0", "0", "1"]]}},
+        "H": [[[0, 0, 2, 0], "1/2"], [[0, 2, 0, 0], "1/2"],
+              [[2, 0, 0, 0], "1/2"]]}, "0.3,0.5,-0.7,0.25"),
+    "kernel": ({"n": 3, "L": {"n": 3, "subspace": {"ambient": 6, "basis": [
+        ["0", "1", "0", "1", "0", "0"], ["-1", "0", "0", "0", "1", "0"],
+        ["0", "0", "1", "0", "0", "0"]]}},
+        "H": [[[2, 0, 0], "1/2"], [[0, 2, 0], "1/2"], [[0, 2, 2], "1/2"]]},
+        "0.3,-0.7,1e-12"),
+    "quartic": ({"n": 2, "L": CANONICAL_L,
+                 "H": [[[4, 0], "1"], [[0, 4], "1"]]}, "0.5,-0.25"),
+}
+
+
+# SHA-256 of the complete ihs-run reports for --steps 2000: any change
+# to the integrator's float arithmetic or to the row formatting shows
+@pytest.mark.parametrize("name, fmt, digest", [
+    ("oscillator", "json",
+     "0492d678be68e0bfa3c7a6356333d6c40f31c02042aa1e4f397f87fd1fb9365b"),
+    ("oscillator", "csv",
+     "ef96d2de9161f9d2acabfee6aa6f76e6936533f1e43ff5f3b5c2007fcb35d268"),
+    ("constrained", "json",
+     "7853e9123335b3db6d3ffe3412d5b3ca0c6776f4b2ef1a58b402483b3a5d6ff6"),
+    ("constrained", "csv",
+     "87bb702e3e36ece4972b80e86707f6b31274fe2e39bc8dcc59ef560512538ec7"),
+    ("kernel", "json",
+     "3812cf67c857f625edec6241bd2c2e632a8dd8ad53f87da82251f74e3186da31"),
+    ("kernel", "csv",
+     "4e267e8e5e5ef0f4ac170fac1c64929a639c743fd16581472bcc15ba41e6c62e"),
+    ("quartic", "json",
+     "93b112fa83ee07d8686ab85c124241f05f9eba1f1e758e4484867151c617f238"),
+    ("quartic", "csv",
+     "a210958e11a7f23765799745216b31c06bd9c212e15c5af4b499f923047820c6"),
+])
+def test_ihs_run_reports_pinned(tmp_path, name, fmt, digest):
+    system, x0 = PINNED_SYSTEMS[name]
+    out = tmp_path / "report"
+    code = cli.main(["ihs-run", "--system", write(tmp_path, "sys.json", system),
+                     "--x0", x0, "--steps", "2000", "--format", fmt,
+                     "--output", str(out)])
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestTableFormat:

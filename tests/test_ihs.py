@@ -20,7 +20,7 @@ from diracdeform.dirac_linear import (
 )
 from diracdeform.multilinear import base_gens
 from diracdeform.superalg import SuperElement, parse
-from ihs_oracles import NumpySolver, float_parts
+from ihs_oracles import NumpySolver, float_parts, staged_integrate
 
 
 def poly(n, text):
@@ -320,9 +320,9 @@ def third_system():
         4, "1/2 x1^2 + 1/3 x2 x3 + 1/2 x4^2 + 1/5 x1 x3"))
 
 
-def trajectory_or_exit(integrate, x0):
+def trajectory_or_exit(integrate, x0, steps=20, h=1e-2):
     try:
-        return integrate(x0, 20, h=1e-2)
+        return integrate(x0, steps, h=h)
     except ihs.LeftAdmissibleSet as e:
         return e
 
@@ -445,6 +445,155 @@ class TestIntegrate:
         sys_ = ihs.IHSystem(L, H)
         with pytest.raises(ihs.LeftAdmissibleSet):
             sys_.integrate([1.0, 0.0], 10)
+
+
+@st.composite
+def stepped_systems(draw):
+    """Systems that reach every branch of the generated step: constraint
+    rows (P grad H != 0), multi-term H of degree up to 4, powers that
+    overflow, a coefficient of 8e307, a constant field of 1e308 whose
+    stage sum overflows although every stage is finite, and the random
+    systems of the other oracle tests."""
+    rng = random.Random(draw(st.integers(0, 2 ** 16)))
+    kind = draw(st.sampled_from(["kernel", "third", "quartic", "big",
+                                 "sum", "degree4", "random"]))
+    if kind == "kernel":
+        H = rng.choice([poly(3, "1/2 x1^2 + 1/2 x2^2 + 1/2 x2^2 x3^2"),
+                        rand_poly(rng, 3, degree=4)])
+        return ihs.IHSystem(kernel_structure(), H)
+    if kind == "third":
+        return third_system()
+    if kind == "quartic":
+        return ihs.IHSystem(ihs.canonical_symplectic(1),
+                            poly(2, "x1^4 + x2^4"))
+    if kind == "big":       # dH overflows to inf for |x| > 1
+        big = Fraction(8 * 10 ** 307)
+        return ihs.IHSystem(
+            rng.choice([ihs.canonical_symplectic(1), space_V(2)]),
+            SuperElement(base_gens(2), {((2, 0), ()): big,
+                                        ((0, 2), ()): big}))
+    if kind == "sum":
+        return ihs.IHSystem(ihs.canonical_symplectic(1), SuperElement(
+            base_gens(2), {((0, 1), ()): Fraction(10 ** 308)}))
+    if kind == "degree4":
+        L = draw(lagrangians())
+        return ihs.IHSystem(L, rand_poly(rng, L.n, degree=4))
+    return draw(systems())
+
+
+# tiny entries keep a kernel coordinate admissible with a nonzero residual
+EXTREME = st.sampled_from([0.0, -0.0, 1e-12, -3e-11, 1e5, -1.2, 1e30, -1e30,
+                           1e100, math.nan, math.inf, -math.inf])
+
+
+class TestGeneratedStep:
+    @given(stepped_systems(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_staged_oracle(self, sys_, data):
+        # repr compares floats bit for bit (it tells -0.0 from 0.0, and
+        # a NaN from every number)
+        x0 = data.draw(st.lists(st.one_of(POINTS, EXTREME),
+                                min_size=sys_.n, max_size=sys_.n))
+        steps = data.draw(st.integers(0, 25))
+        h = data.draw(st.sampled_from([1e-3, 1e-2, 0.3, 1e200]))
+        got = trajectory_or_exit(sys_.integrate, x0, steps, h)
+        want = trajectory_or_exit(
+            lambda *a, h: staged_integrate(sys_, *a, h=h), x0, steps, h)
+        assert type(got) is type(want)
+        if isinstance(want, ihs.LeftAdmissibleSet):
+            assert repr((got.step, got.t, got.x)) == \
+                repr((want.step, want.t, want.x))
+            return
+        for attr in ("times", "points", "energies", "residuals",
+                     "max_residual", "max_drift"):
+            assert repr(getattr(got, attr)) == repr(getattr(want, attr))
+
+    def test_max_residual_counts_every_stage(self):
+        # x2 peaks between grid points, so the largest stage residual
+        # |x2^2 x3| exceeds every point's residual
+        sys_ = ihs.IHSystem(kernel_structure(), poly(
+            3, "1/2 x1^2 + 1/2 x2^2 + 1/2 x2^2 x3^2"))
+        got = sys_.integrate([0.7, 0.0, 1e-12], 2000)
+        assert got.max_residual > max(got.residuals)
+        assert repr(vars(got)) == repr(vars(
+            staged_integrate(sys_, [0.7, 0.0, 1e-12], 2000)))
+
+    def test_replay_continues_with_the_same_floats(self, monkeypatch):
+        # the stage sum 1e308 + 2e308 overflows, so every step is
+        # replayed, and x1 becomes inf while H = 1e308 x2 stays 0
+        sys_ = ihs.IHSystem(ihs.canonical_symplectic(1), SuperElement(
+            base_gens(2), {((0, 1), ()): Fraction(10 ** 308)}))
+        replays = []
+        staged = sys_._staged_step
+        monkeypatch.setattr(sys_, "_staged_step",
+                            lambda *a: replays.append(a) or staged(*a))
+        traj = sys_.integrate([0.0, 0.0], 3)
+        assert len(replays) == 3
+        assert traj.points[-1] == [math.inf, 0.0]
+        assert repr(traj.points) == repr(
+            staged_integrate(sys_, [0.0, 0.0], 3).points)
+
+    @pytest.mark.parametrize("H, x0, h, step, t", [
+        # x2 = -2e87 after the k1 stage, so the k2 stage overflows
+        ({(4, 0): 1, (0, 4): 1}, [1e30, 1.0], 1e-3, 0, 5e-4),
+        # the initial energy overflows
+        ({(4, 0): 1, (0, 4): 1}, [1e100, 1.0], 1e-3, 0, 0.0),
+        # every stage is finite, the energy at x1 = 13408 is not
+        ({(2, 0): 10 ** 300, (0, 1): 1}, [13407.0, 0.0], 1.0, 0, 1.0),
+    ])
+    def test_overflow_is_replayed_to_its_stage(self, H, x0, h, step, t):
+        sys_ = ihs.IHSystem(ihs.canonical_symplectic(1), SuperElement(
+            base_gens(2), {(e, ()): Fraction(c) for e, c in H.items()}))
+        with pytest.raises(ihs.LeftAdmissibleSet) as err:
+            sys_.integrate(x0, 5, h=h)
+        with pytest.raises(ihs.LeftAdmissibleSet) as want:
+            staged_integrate(sys_, x0, 5, h=h)
+        assert (err.value.step, err.value.t) == (step, t)
+        assert err.value.x == want.value.x
+
+    def test_long_rows_compile(self):
+        # H has 5,151 terms: a sum that deep as one expression exceeds the
+        # recursion limit of compile(), so each row is summed in chunks
+        H = SuperElement(base_gens(2), {
+            ((i, j), ()): Fraction(1, i + j + 1)
+            for i in range(101) for j in range(101 - i)})
+        sys_ = ihs.IHSystem(ihs.canonical_symplectic(1), H)
+        x0 = [0.3, -0.2]
+        assert repr(vars(sys_.integrate(x0, 3))) == \
+            repr(vars(staged_integrate(sys_, x0, 3)))
+
+    def test_source_holds_only_generated_names_and_numbers(self,
+                                                            monkeypatch):
+        import io
+        import re
+        import tokenize
+        sources = []
+
+        def spy(source, *args):
+            sources.append(source)
+            return compile(source, *args)
+
+        monkeypatch.setattr(ihs, "compile", spy, raising=False)
+        sys_ = ihs.IHSystem(kernel_structure(), poly(
+            3, "-1/3 x1^4 + 7/2 x2^2 x3^2 + 2/7 x1 + 5"))
+        assert sources == []        # compiled on the first integrate
+        sys_.integrate([0.1, 0.2, 0.0], 2)
+        sys_.integrate([0.1, 0.2, 0.0], 2)
+        ihs.IHSystem(space_V(0), base_gens(0).zero()).integrate([], 1)
+        assert len(sources) == 2
+        name = re.compile(r"(def|step|return|max|abs|e|z|h|h2|h6|x\d+"
+                          r"|[kyrb]\d+_\d+)$")
+        for source in sources:
+            for tok in tokenize.generate_tokens(
+                    io.StringIO(source).readline):
+                if tok.type == tokenize.NAME:
+                    assert name.match(tok.string), tok.string
+                elif tok.type == tokenize.NUMBER:
+                    assert repr(float(tok.string)) == tok.string \
+                        or tok.string.isdigit()
+                elif tok.type == tokenize.OP:
+                    assert tok.string in {"(", ")", "[", "]", ",", ":", "=",
+                                          "+", "-", "*", "**"}, tok.string
 
 
 class TestAdmissibleBracket:
