@@ -32,6 +32,7 @@ from .multilinear import (
     is_lie,
     multivector_generators,
     nr_bracket,
+    nr_diamond,
 )
 from .brackets import SCHOUTEN, BracketContext
 from .superalg import NotHomogeneous, euler_weight
@@ -293,22 +294,6 @@ def identity_map(dim):
                              for i in range(dim)})
 
 
-def compose_linear(lm, f):
-    """lm(f(...)) for a linear map lm and an n-ary MultiMap f."""
-    c = {}
-    for idx, vec in f.c.items():
-        out = list(_zvec(f.dim))
-        for g, coeff in enumerate(vec):
-            if coeff == 0:
-                continue
-            val = lm.eval_indices((g,))
-            for t in range(f.dim):
-                out[t] += coeff * val[t]
-        if any(out):
-            c[idx] = tuple(out)
-    return MultiMap(f.n, f.dim, c)
-
-
 def invert_series(phi, dim):
     """Inverse of a linear-map series with invertible leading term (the
     engine requires phi_0 = id)."""
@@ -318,7 +303,7 @@ def invert_series(phi, dim):
     for k in range(1, phi.order + 1):
         acc = MultiMap.zero(1, dim)
         for i in range(1, k + 1):
-            acc = acc + compose_linear(phi[i], inv[k - i])
+            acc = acc + nr_diamond(phi[i], inv[k - i])
         inv.append(-acc)
     return FormalSeries(phi.order, inv, MultiMap.zero(1, dim))
 
@@ -411,7 +396,7 @@ def apply_equivalence(phi_series, mu_series):
                 acc = acc + inner
         out.append(acc)
     pre = FormalSeries(n, out, MultiMap.zero(2, dim))
-    return inv.convolve(pre, compose_linear, MultiMap.zero(2, dim))
+    return inv.convolve(pre, nr_diamond, MultiMap.zero(2, dim))
 
 
 def gerstenhaber_normalize(mu_series, order):

@@ -8,8 +8,10 @@ Three layers share this module:
   its subclass MultiMap holds the antisymmetric ones on strictly
   increasing index tuples, with the Nijenhuis-Richardson bracket.  The
   Chevalley-Eilenberg differential of a Lie structure mu is
-  delta = (-1)^{n+1} [mu, .]_NR on n-cochains; cohomology reads its
-  matrix straight from the structure constants (_delta_columns).
+  delta = (-1)^{n+1} [mu, .]_NR on n-cochains.  Both brackets, the
+  Jacobi test, delta and its matrix columns (_delta_columns) are built
+  from one sparse insertion of a map into a slot of another (_slots,
+  _insert), which walks only the coordinates present.
 * MultiDerivation - multiderivations of a trivial bundle R^m x R^k with
   polynomial coefficients: antisymmetric maps on sections obeying a
   Leibniz rule in each slot governed by a symbol, with the
@@ -39,6 +41,7 @@ from .superalg import (
     NotHomogeneous,
     SuperElement,
     euler_weight,
+    merge_monomials,
 )
 
 
@@ -204,46 +207,59 @@ class MultiMap(NonSymMultiMap):
             return _zvec(self.dim)
         return tuple(sign * v for v in vec)
 
-    def eval_first_vector(self, vec, rest):
-        """Value with an arbitrary vector in the first slot and basis
-        indices in the remaining slots."""
-        out = list(_zvec(self.dim))
-        for g, coeff in enumerate(vec):
-            if coeff == 0:
-                continue
-            val = self.eval_indices((g,) + tuple(rest))
-            for t in range(self.dim):
-                out[t] += coeff * val[t]
-        return tuple(out)
-
 
 # ---------------------------------------------------------------------------
 # Nijenhuis-Richardson bracket and CE differential
 # ---------------------------------------------------------------------------
+
+def _slots(terms):
+    """Index the coordinates {(idx, t): v} of a map by slot: s maps to
+    [(position of s in idx, idx without s, t, v)], one entry per
+    occurrence of s."""
+    slots = {}
+    for (idx, t), v in terms.items():
+        for pos, s in enumerate(idx):
+            slots.setdefault(s, []).append(
+                (pos, idx[:pos] + idx[pos + 1:], t, v))
+    return slots
+
+
+def _insert(f_slots, g_terms, scale=1, out=None):
+    """Add scale * (f <> g) to the coordinate dict out and return it.
+
+    Each coordinate (J, s) of g meets each entry of f that holds slot s
+    once: moving e_s to the front of f's arguments costs (-1)^pos, and
+    the (J, rest)-shuffle costs the Koszul sign of merging J with rest
+    (None on a repeated index).  Cancelled coordinates stay as zeros."""
+    if out is None:
+        out = {}
+    for (J, s), w in g_terms.items():
+        for pos, rest, t, v in f_slots.get(s, ()):
+            merged = merge_monomials((), J, (), rest)
+            if merged is None:
+                continue
+            key = (merged[1], t)
+            sign = _psign(pos) * merged[2] * scale
+            out[key] = out.get(key, 0) + sign * w * v
+    return out
+
+
+def _from_terms(cls, n, dim, terms):
+    """The map of class cls with the given coordinates {(idx, t): v}."""
+    c = {}
+    for (idx, t), v in terms.items():
+        if v:
+            c.setdefault(idx, [0] * dim)[t] = v
+    return cls(n, dim, c)
+
 
 def nr_diamond(f, g):
     """The shuffle insertion f <> g: insert g into the first slot of f and
     sum over (arity(g), arity(f)-1)-shuffles of the arguments."""
     if f.dim != g.dim:
         raise DimMismatch("maps over different spaces")
-    m, n = f.n, g.n
-    if m == 0:
-        return MultiMap.zero(max(n - 1, 0), f.dim)
-    dim = f.dim
-    out = {}
-    for idx in itertools.combinations(range(dim), m + n - 1):
-        acc = list(_zvec(dim))
-        for pos_g, pos_rest, sign in shuffles(n, m - 1):
-            inner = g.eval_indices(tuple(idx[p] for p in pos_g))
-            if not any(inner):
-                continue
-            rest = tuple(idx[p] for p in pos_rest)
-            val = f.eval_first_vector(inner, rest)
-            for t in range(dim):
-                acc[t] += sign * val[t]
-        if any(acc):
-            out[idx] = tuple(acc)
-    return MultiMap(m + n - 1, dim, out)
+    return _from_terms(MultiMap, max(f.n + g.n - 1, 0), f.dim,
+                       _insert(_slots(f.terms), g.terms))
 
 
 def nr_bracket(f, g):
@@ -253,31 +269,15 @@ def nr_bracket(f, g):
     return nr_diamond(f, g) - sign * nr_diamond(g, f)
 
 
-def jacobiator(mu, x, y, z):
-    """[[x,y],z] + [[y,z],x] + [[z,x],y] for basis indices x, y, z."""
-    dim = mu.dim
-    out = list(_zvec(dim))
-    for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
-        inner = mu.eval_indices((a, b))
-        val = mu.eval_first_vector(inner, (c,))
-        # [[a,b],c] = -[c,[a,b]] = [inner, e_c]
-        for t in range(dim):
-            out[t] += val[t]
-    return tuple(out)
-
-
 def first_failing_triple(mu):
     """The first basis triple x < y < z (lexicographic) with a nonzero
-    jacobiator, or None; triples with a repeated index vanish."""
-    for t in itertools.combinations(range(mu.dim), 3):
-        if any(jacobiator(mu, *t)):
-            return t
-    return None
+    Jacobiator, or None: on an increasing triple, (mu <> mu)(x, y, z) is
+    the Jacobiator."""
+    return min(nr_diamond(mu, mu).c, default=None)
 
 
 def is_lie(mu):
-    """Jacobi test: [mu, mu]_NR = 0, checked one basis triple at a time
-    and stopping at the first failure."""
+    """Jacobi test: [mu, mu]_NR = 2 mu <> mu = 0."""
     return first_failing_triple(mu) is None
 
 
@@ -318,13 +318,7 @@ def _to_vector(f, basis):
 
 
 def _from_vector(vec, k, dim, basis):
-    c = {}
-    for x, (idx, g) in zip(vec, basis):
-        if x:
-            cur = list(c.get(idx, _zvec(dim)))
-            cur[g] = Fraction(x)
-            c[idx] = tuple(cur)
-    return MultiMap(k, dim, c)
+    return _from_terms(MultiMap, k, dim, dict(zip(basis, vec)))
 
 
 def _unit_cochains(k, dim):
@@ -336,40 +330,21 @@ def _unit_cochains(k, dim):
 
 
 def _delta_columns(mu, k):
-    """Columns of the CE differential A^k -> A^{k+1}, read straight from
-    the structure constants without a Jacobi check: one dict per element
-    (idx, g) of _cochain_basis(k), holding the nonzero coordinates of
-    delta of the unit cochain e^idx (x) e_g keyed like MultiMap.terms."""
-    brackets = {}       # (a, b) -> [(t, c_ab^t)], both orders
-    into = {}           # a -> [(p, q, c_pq^a)] with p < q
-    for (p, q), vec in mu.c.items():
-        for t, v in enumerate(vec):
-            if v:
-                brackets.setdefault((p, q), []).append((t, v))
-                brackets.setdefault((q, p), []).append((t, -v))
-                into.setdefault(t, []).append((p, q, v))
+    """Columns of the CE differential A^k -> A^{k+1}, without a Jacobi
+    check: one dict per element (idx, g) of _cochain_basis(k), holding
+    the nonzero coordinates (keyed like MultiMap.terms) of
+
+        delta e = (-1)^{k+1} [mu, e]_NR
+                = (-1)^{k+1} mu <> e - e <> mu
+
+    for the unit cochain e = e^idx (x) e_g."""
+    mu_terms = mu.terms
+    mu_slots = _slots(mu_terms)
     cols = []
     for idx, g in _cochain_basis(k, mu.dim):
-        col = {}
-        # sum_i (-1)^i [x_i, f(x_0..^x_i..x_k)]: f is nonzero only on
-        # idx, so x_i is the one index j outside idx
-        for j in range(mu.dim):
-            if j in idx or (j, g) not in brackets:
-                continue
-            J = tuple(sorted(idx + (j,)))
-            s = _psign(J.index(j))
-            for t, v in brackets[(j, g)]:
-                col[(J, t)] = col.get((J, t), 0) + s * v
-        # sum_{i<j} (-1)^{i+j} f([x_i, x_j], ...): the bracket must have
-        # a component along the index a of idx that the others miss
-        for pos, a in enumerate(idx):
-            rest = idx[:pos] + idx[pos + 1:]
-            for p, q, v in into.get(a, ()):
-                if p in rest or q in rest:
-                    continue
-                J = tuple(sorted(rest + (p, q)))
-                s = _psign(pos + J.index(p) + J.index(q))
-                col[(J, g)] = col.get((J, g), 0) + s * v
+        e = {(idx, g): 1}
+        col = _insert(mu_slots, e, _psign(k + 1))
+        _insert(_slots(e), mu_terms, -1, col)
         cols.append({key: v for key, v in col.items() if v})
     return cols
 
@@ -425,26 +400,14 @@ def gerstenhaber_bracket(f, g):
         raise DimMismatch("maps over different spaces")
 
     def circ(a, b):
-        m, n = a.n, b.n
-        dim, r = a.dim, max(m + n - 1, 0)
-        out = {}
-        for idx in itertools.product(range(dim), repeat=r):
-            acc = list(_zvec(dim))
-            for i in range(1, m + 1):
-                inner = b.eval_indices(idx[i - 1:i - 1 + n])
-                if not any(inner):
-                    continue
-                sign = _psign((i - 1) * (n - 1))
-                for gamma, coeff in enumerate(inner):
-                    if coeff == 0:
-                        continue
-                    val = a.eval_indices(
-                        idx[:i - 1] + (gamma,) + idx[i - 1 + n:])
-                    for t in range(dim):
-                        acc[t] += sign * coeff * val[t]
-            if any(acc):
-                out[idx] = tuple(acc)
-        return NonSymMultiMap(r, dim, out)
+        # b goes into the consecutive slots pos..pos+n-1 of a
+        n, out = b.n, {}
+        a_slots = _slots(a.terms)
+        for (J, s), w in b.terms.items():
+            for pos, rest, t, v in a_slots.get(s, ()):
+                key = (rest[:pos] + J + rest[pos:], t)
+                out[key] = out.get(key, 0) + _psign(pos * (n - 1)) * w * v
+        return _from_terms(NonSymMultiMap, max(a.n + n - 1, 0), a.dim, out)
 
     sign = _psign((f.n - 1) * (g.n - 1))
     return circ(f, g) - sign * circ(g, f)

@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import lie_oracles
+from lie_oracles import jacobiator
 
 from diracdeform import courant as co
 from diracdeform import dirac_linear as dl
@@ -28,7 +29,6 @@ from diracdeform.multilinear import (
     grassmann_L,
     grassmann_R,
     iso_I,
-    jacobiator,
     multiderivation_of_multimap,
     multivector_generators,
     nr_bracket,

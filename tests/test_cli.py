@@ -61,6 +61,16 @@ class TestCheckJacobi:
         rep = json.loads(out)
         assert rep["report"]["first_failing_triple"] == [0, 1, 2]
 
+    def test_huge_structure_without_constants(self, tmp_path):
+        # the Jacobi test walks the constants present, not the
+        # C(dim, 3) basis triples
+        path = write(tmp_path, "huge.json", {"dim": 100000, "c": []})
+        p = subprocess.run(
+            [sys.executable, "-m", "diracdeform.cli", "check-jacobi", path],
+            capture_output=True, text=True, env=SUBPROCESS_ENV, timeout=10)
+        assert p.returncode == 0
+        assert json.loads(p.stdout)["report"]["jacobi"] is True
+
     def test_dim_zero(self, tmp_path, capsys):
         path = write(tmp_path, "zero.json", {"dim": 0, "c": []})
         code, _, _ = run(["check-jacobi", path], capsys)

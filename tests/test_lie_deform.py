@@ -245,7 +245,7 @@ class TestEquivalence:
                                for i in range(2)})
         phi = FormalSeries(3, [identity_map(2), phi1], MultiMap.zero(1, 2))
         inv = invert_series(phi, 2)
-        comp = phi.convolve(inv, ld.compose_linear)
+        comp = phi.convolve(inv, lie_oracles.compose_linear)
         assert comp[0] == identity_map(2)
         for k in range(1, 4):
             assert comp[k].is_zero()

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import lie_oracles
+from lie_oracles import jacobiator
 import ratlin_oracles as oracle
 from hypothesis import given, settings, strategies as st
 
@@ -32,7 +33,6 @@ from diracdeform.multilinear import (
     is_lie,
     iso_I,
     iso_I_inv,
-    jacobiator,
     lie_operator,
     multiderivation_of_multimap,
     multimap_of_multiderivation,
@@ -73,6 +73,108 @@ def multimaps(n, dim, max_entries=5):
     entry = st.tuples(st.integers(0, max(len(idx_pool) - 1, 0)),
                       st.lists(small_frac, min_size=dim, max_size=dim))
     return st.lists(entry, max_size=max_entries).map(build)
+
+
+def nonsym_multimaps(n, dim, max_entries=5):
+    idx_pool = list(itertools.product(range(dim), repeat=n))
+
+    def build(entries):
+        c = {}
+        for which, vec in entries:
+            if idx_pool:
+                c[idx_pool[which % len(idx_pool)]] = tuple(vec)
+        return NonSymMultiMap(n, dim, c)
+
+    entry = st.tuples(st.integers(0, max(len(idx_pool) - 1, 0)),
+                      st.lists(small_frac, min_size=dim, max_size=dim))
+    return st.lists(entry, max_size=max_entries).map(build)
+
+
+def random_entries(rng, cls, n, dim, entries=3):
+    """A cls map with up to `entries` random coordinate vectors."""
+    pool = list(itertools.product(range(dim), repeat=n)
+                if cls is NonSymMultiMap
+                else itertools.combinations(range(dim), n))
+    return cls(n, dim, {
+        idx: tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+                   for _ in range(dim))
+        for idx in rng.sample(pool, min(entries, len(pool)))})
+
+
+class TestSparseInsertion:
+    """The sparse insertion against the dense bodies it replaced: every
+    index tuple, every shuffle, every basis triple.  The seeded sweeps
+    visit every pair of arities; the hypothesis tests add empty maps."""
+
+    @pytest.mark.parametrize("dim", range(1, 6))
+    def test_nr_diamond_sweep(self, dim):
+        rng = random.Random(dim)
+        for m, n in itertools.product(range(4), repeat=2):
+            for _ in range(3):
+                f = random_entries(rng, MultiMap, m, dim)
+                g = random_entries(rng, MultiMap, n, dim)
+                assert ml.nr_diamond(f, g) == lie_oracles.nr_diamond(f, g)
+
+    @pytest.mark.parametrize("dim", range(1, 4))
+    def test_gerstenhaber_sweep(self, dim):
+        rng = random.Random(dim)
+        for m, n in itertools.product(range(4), repeat=2):
+            for _ in range(3):
+                f = random_entries(rng, NonSymMultiMap, m, dim)
+                g = random_entries(rng, NonSymMultiMap, n, dim)
+                assert gerstenhaber_bracket(f, g) \
+                    == lie_oracles.gerstenhaber_bracket(f, g)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_nr_diamond_matches_dense(self, data):
+        dim = data.draw(st.integers(1, 5))
+        f = data.draw(multimaps(data.draw(st.integers(0, 3)), dim))
+        g = data.draw(multimaps(data.draw(st.integers(0, 3)), dim))
+        assert ml.nr_diamond(f, g) == lie_oracles.nr_diamond(f, g)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_gerstenhaber_matches_dense(self, data):
+        dim = data.draw(st.integers(1, 3))
+        f = data.draw(nonsym_multimaps(data.draw(st.integers(0, 3)), dim))
+        g = data.draw(nonsym_multimaps(data.draw(st.integers(0, 3)), dim))
+        assert gerstenhaber_bracket(f, g) \
+            == lie_oracles.gerstenhaber_bracket(f, g)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_first_failing_triple_matches_scan(self, data):
+        dim = data.draw(st.integers(1, 5))
+        mu = data.draw(multimaps(2, dim, max_entries=4))
+        assert ml.first_failing_triple(mu) \
+            == lie_oracles.first_failing_triple(mu)
+
+    def test_first_failing_triple_on_seeded_structures(self):
+        # sparse random constants: most break Jacobi, and the first
+        # failing triple is spread over the whole lexicographic order
+        rng = random.Random(15)
+        seen = set()
+        for _ in range(200):
+            dim = rng.randint(3, 5)
+            pairs = list(itertools.combinations(range(dim), 2))
+            mu = MultiMap(2, dim, {
+                pair: tuple(Fraction(rng.randint(-2, 2)) if rng.random() < 0.3
+                            else Fraction(0) for _ in range(dim))
+                for pair in rng.sample(pairs, rng.randint(0, 3))})
+            triple = ml.first_failing_triple(mu)
+            assert triple == lie_oracles.first_failing_triple(mu)
+            seen.add(triple)
+        assert None in seen and (0, 1, 2) in seen
+        assert len(seen - {None, (0, 1, 2)}) >= 5
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_linear_composition_is_insertion(self, data):
+        dim = data.draw(st.integers(1, 5))
+        lm = data.draw(multimaps(1, dim))
+        f = data.draw(multimaps(data.draw(st.integers(0, 3)), dim))
+        assert ml.nr_diamond(lm, f) == lie_oracles.compose_linear(lm, f)
 
 
 class TestNR:
