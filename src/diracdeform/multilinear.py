@@ -19,6 +19,8 @@ Three layers share this module:
 * GrassmannDerivation - superderivations of the Grassmann algebra of
   bundle forms, with the mutually inverse maps grassmann_L/grassmann_R
   and the algebraic decomposition D = Lie_K + i_L in the tangent model.
+  grassmann_L takes the CM bracket to the graded commutator, so
+  cm_bracket is computed as grassmann_R of that commutator.
 
 Sign table (point case, m = 0): under the relabeling that regards an
 (n+1)-ary MultiMap f as a MultiDerivation D_f of degree n with zero
@@ -62,22 +64,12 @@ class AnchorNotSurjective(Exception):
 
 
 # ---------------------------------------------------------------------------
-# shuffles
+# signs
 # ---------------------------------------------------------------------------
 
 def _psign(e):
     """(-1)**e, safe for negative integer exponents."""
     return -1 if e % 2 else 1
-
-
-def shuffles(first, second):
-    """Yield (positions_first, positions_second, sign) over all
-    (first, second)-shuffles of range(first + second)."""
-    n = first + second
-    for chosen in itertools.combinations(range(n), first):
-        rest = tuple(i for i in range(n) if i not in chosen)
-        inv = sum(c - i for i, c in enumerate(chosen))
-        yield chosen, rest, (-1) ** inv
 
 
 def _sort_sign(idx):
@@ -470,18 +462,6 @@ def base_gens(m):
     return GeneratorSet([f"x{i + 1}" for i in range(m)], [])
 
 
-def _vf_commutator(gens, m, X, Y):
-    """[X, Y] for vector fields given as m-tuples of polynomials."""
-    out = []
-    for t in range(m):
-        acc = gens.zero()
-        for i in range(m):
-            acc = acc + X[i] * Y[t].partial_even(gens.even[i])
-            acc = acc - Y[i] * X[t].partial_even(gens.even[i])
-        out.append(acc)
-    return tuple(out)
-
-
 def _det(entries, gens):
     """Determinant of a small square matrix of polynomials."""
     n = len(entries)
@@ -636,9 +616,14 @@ class MultiDerivation:
                 out[t] = out[t] + coeff * vec[t]
         return out
 
+    @staticmethod
+    def _check_count(sections, n):
+        if len(sections) != n:
+            raise ValueError(f"expected {n} sections, got {len(sections)}")
+
     def sigma(self, sections):
         """The symbol evaluated on sections: a base vector field."""
-        assert len(sections) == self.degree
+        self._check_count(sections, self.degree)
         return tuple(self._det_sum(self.symbol, sections, self.m))
 
     def sigma_apply(self, sections, f):
@@ -653,7 +638,7 @@ class MultiDerivation:
     def evaluate(self, sections):
         """Apply to polynomial sections (each a k-tuple of polynomials)."""
         n = self.n_args
-        assert len(sections) == n
+        self._check_count(sections, n)
         out = self._det_sum(self.frame, sections, self.k)
         if self.degree >= 1 or (self.degree == 0 and self.symbol):
             for i in range(n):
@@ -706,76 +691,17 @@ def tm_bracket_structure(m, gens=None):
 # Crainic-Moerdijk bracket
 # ---------------------------------------------------------------------------
 
-def _cm_circ(D1, D2, sections):
-    """D1 o D2 on the given sections: sum over (q+1, p)-shuffles of
-    plugging D2 of the first block into the first slot of D1."""
-    p, q = D1.degree, D2.degree
-    acc = [D1.gens.zero() for _ in range(D1.k)]
-    for pos_in, pos_rest, sign in shuffles(q + 1, p):
-        inner = D2.evaluate([sections[t] for t in pos_in])
-        args = [inner] + [sections[t] for t in pos_rest]
-        val = D1.evaluate(args)
-        for t in range(D1.k):
-            acc[t] = acc[t] + sign * val[t]
-    return tuple(acc)
-
-
-def _sigma_circ(D1, D2, sections):
-    """sigma_{D1} o D2 on p+q sections (empty when D1 has no symbol
-    slots)."""
-    p, q = D1.degree, D2.degree
-    m = D1.m
-    if p <= 0:
-        return (D1.gens.zero(),) * m
-    acc = [D1.gens.zero() for _ in range(m)]
-    for pos_in, pos_rest, sign in shuffles(q + 1, p - 1):
-        inner = D2.evaluate([sections[t] for t in pos_in])
-        args = [inner] + [sections[t] for t in pos_rest]
-        val = D1.sigma(args)
-        for t in range(m):
-            acc[t] = acc[t] + sign * val[t]
-    return tuple(acc)
-
-
 def cm_bracket(D1, D2):
-    """[D1, D2] = (-1)^{pq} D1 o D2 - D2 o D1 with the matching symbol
-
-        sigma = (-1)^{pq} sigma_{D1} o D2 - sigma_{D2} o D1
-                + [sigma_{D1}, sigma_{D2}].
-    """
+    """[D1, D2] through the Grassmann representation: the graded
+    commutator grassmann_R([grassmann_L D1, grassmann_L D2]).  It is the
+    Crainic-Moerdijk bracket (-1)^{pq} D1 o D2 - D2 o D1 with the symbol
+    (-1)^{pq} sigma_{D1} o D2 - sigma_{D2} o D1 + [sigma_{D1}, sigma_{D2}];
+    against a section s it reads [D, s] = (-1)^p D(s, .)."""
     if not D1.same_bundle(D2):
         raise BundleMismatch("multiderivations over different bundles")
-    p, q = D1.degree, D2.degree
-    r = p + q
-    if r < -1:
+    if D1.degree + D2.degree < -1:
         raise ValueError("bracket of two sections is not defined")
-    gens, m, k = D1.gens, D1.m, D1.k
-    sign_pq = _psign(p * q)
-    frame = {}
-    for idx in itertools.combinations(range(k), r + 1):
-        secs = [D1.basis_section(a) for a in idx]
-        t1 = _cm_circ(D1, D2, secs)
-        t2 = _cm_circ(D2, D1, secs)
-        vec = tuple(sign_pq * a - b for a, b in zip(t1, t2))
-        if any(not v.is_zero() for v in vec):
-            frame[idx] = vec
-    symbol = {}
-    if r >= 0:
-        for idx in itertools.combinations(range(k), r):
-            secs = [D1.basis_section(a) for a in idx]
-            s1 = _sigma_circ(D1, D2, secs)
-            s2 = _sigma_circ(D2, D1, secs)
-            acc = [sign_pq * a - b for a, b in zip(s1, s2)]
-            if p >= 0 and q >= 0:
-                for pos1, pos2, sh_sign in shuffles(p, q):
-                    X = D1.sigma([secs[t] for t in pos1])
-                    Y = D2.sigma([secs[t] for t in pos2])
-                    comm = _vf_commutator(gens, m, X, Y)
-                    for t in range(m):
-                        acc[t] = acc[t] + sh_sign * comm[t]
-            if any(not v.is_zero() for v in acc):
-                symbol[idx] = tuple(acc)
-    return MultiDerivation(gens, m, k, r, frame, symbol)
+    return grassmann_R(grassmann_L(D1).commutator(grassmann_L(D2)), D1.gens)
 
 
 def tensorial_of_symbol(D):
@@ -918,7 +844,8 @@ class GrassmannDerivation:
 
 def grassmann_L(D, fgens=None):
     """The form-side derivation of a multiderivation: on functions it is
-    the symbol, on frame one-forms minus the frame table."""
+    the symbol, on frame one-forms minus the frame table, at every
+    degree; a section s goes to -i_s."""
     if fgens is None:
         fgens = form_generators(D.m, D.k)
     p = D.degree
@@ -932,21 +859,19 @@ def grassmann_L(D, fgens=None):
             acc = acc + _poly_to_form(vec[i], fgens) * mono
         fx.append(acc)
     fe = insertion_operator(fgens, D.m, D.k, D.frame, p).fe
-    return GrassmannDerivation(fgens, D.m, D.k, p, fx,
-                               fe if p == -1 else [-f for f in fe])
+    return GrassmannDerivation(fgens, D.m, D.k, p, fx, [-f for f in fe])
 
 
 def grassmann_R(Dform, base=None):
-    """Inverse of grassmann_L: read symbol and frame table back off the
-    generator actions."""
+    """Inverse of grassmann_L: the symbol is the action on functions and
+    the frame table minus the action on frame one-forms."""
     if base is None:
         base = base_gens(Dform.m)
     kdeg = Dform.kdeg
     m, k = Dform.m, Dform.k
-    sgn = 1 if kdeg == -1 else -1
     frame = {}
     for idx in itertools.combinations(range(k), kdeg + 1):
-        vec = [sgn * form_coefficient(Dform.fe[b], idx, base)
+        vec = [-form_coefficient(Dform.fe[b], idx, base)
                for b in range(k)]
         if any(not v.is_zero() for v in vec):
             frame[idx] = tuple(vec)

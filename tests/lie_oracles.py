@@ -3,12 +3,17 @@ Chevalley-Eilenberg formula that `ce_differential` replaced by
 (-1)^{n+1} [mu, f]_NR, the dense matrix of delta built from it, and the
 dense bodies that the sparse insertion of `multilinear` replaced: the
 NR diamond and the Gerstenhaber circle over every index tuple, the
-triple-by-triple Jacobi scan, and composition with a linear map."""
+triple-by-triple Jacobi scan, and composition with a linear map; and
+the Crainic-Moerdijk bracket of multiderivations written out as shuffle
+sums on frame sections, which `cm_bracket` replaced by the commutator
+of Grassmann derivations."""
 
 import itertools
 from fractions import Fraction
 
 from diracdeform.multilinear import (
+    BundleMismatch,
+    MultiDerivation,
     MultiMap,
     NonSymMultiMap,
     NotLie,
@@ -17,8 +22,17 @@ from diracdeform.multilinear import (
     _unit_cochains,
     _zvec,
     is_lie,
-    shuffles,
 )
+
+
+def shuffles(first, second):
+    """Yield (positions_first, positions_second, sign) over all
+    (first, second)-shuffles of range(first + second)."""
+    n = first + second
+    for chosen in itertools.combinations(range(n), first):
+        rest = tuple(i for i in range(n) if i not in chosen)
+        inv = sum(c - i for i, c in enumerate(chosen))
+        yield chosen, rest, (-1) ** inv
 
 
 def eval_first_vector(f, vec, rest):
@@ -166,3 +180,88 @@ def delta_matrix(mu, k):
     cols = [ce_differential(mu, e).terms for e in _unit_cochains(k, mu.dim)]
     return [[col.get(key, Fraction(0)) for col in cols]
             for key in _cochain_basis(k + 1, mu.dim)]
+
+
+def _vf_commutator(gens, m, X, Y):
+    """[X, Y] for vector fields given as m-tuples of polynomials."""
+    out = []
+    for t in range(m):
+        acc = gens.zero()
+        for i in range(m):
+            acc = acc + X[i] * Y[t].partial_even(gens.even[i])
+            acc = acc - Y[i] * X[t].partial_even(gens.even[i])
+        out.append(acc)
+    return tuple(out)
+
+
+def _cm_circ(D1, D2, sections):
+    """D1 o D2 on the given sections: sum over (q+1, p)-shuffles of
+    plugging D2 of the first block into the first slot of D1."""
+    p, q = D1.degree, D2.degree
+    acc = [D1.gens.zero() for _ in range(D1.k)]
+    for pos_in, pos_rest, sign in shuffles(q + 1, p):
+        inner = D2.evaluate([sections[t] for t in pos_in])
+        args = [inner] + [sections[t] for t in pos_rest]
+        val = D1.evaluate(args)
+        for t in range(D1.k):
+            acc[t] = acc[t] + sign * val[t]
+    return tuple(acc)
+
+
+def _sigma_circ(D1, D2, sections):
+    """sigma_{D1} o D2 on p+q sections (empty when D1 has no symbol
+    slots)."""
+    p, q = D1.degree, D2.degree
+    m = D1.m
+    if p <= 0:
+        return (D1.gens.zero(),) * m
+    acc = [D1.gens.zero() for _ in range(m)]
+    for pos_in, pos_rest, sign in shuffles(q + 1, p - 1):
+        inner = D2.evaluate([sections[t] for t in pos_in])
+        args = [inner] + [sections[t] for t in pos_rest]
+        val = D1.sigma(args)
+        for t in range(m):
+            acc[t] = acc[t] + sign * val[t]
+    return tuple(acc)
+
+
+def cm_bracket(D1, D2):
+    """[D1, D2] = (-1)^{pq} D1 o D2 - D2 o D1 with the matching symbol
+
+        sigma = (-1)^{pq} sigma_{D1} o D2 - sigma_{D2} o D1
+                + [sigma_{D1}, sigma_{D2}],
+
+    evaluated on every tuple of frame sections."""
+    if not D1.same_bundle(D2):
+        raise BundleMismatch("multiderivations over different bundles")
+    p, q = D1.degree, D2.degree
+    r = p + q
+    if r < -1:
+        raise ValueError("bracket of two sections is not defined")
+    gens, m, k = D1.gens, D1.m, D1.k
+    sign_pq = _psign(p * q)
+    frame = {}
+    for idx in itertools.combinations(range(k), r + 1):
+        secs = [D1.basis_section(a) for a in idx]
+        t1 = _cm_circ(D1, D2, secs)
+        t2 = _cm_circ(D2, D1, secs)
+        vec = tuple(sign_pq * a - b for a, b in zip(t1, t2))
+        if any(not v.is_zero() for v in vec):
+            frame[idx] = vec
+    symbol = {}
+    if r >= 0:
+        for idx in itertools.combinations(range(k), r):
+            secs = [D1.basis_section(a) for a in idx]
+            s1 = _sigma_circ(D1, D2, secs)
+            s2 = _sigma_circ(D2, D1, secs)
+            acc = [sign_pq * a - b for a, b in zip(s1, s2)]
+            if p >= 0 and q >= 0:
+                for pos1, pos2, sh_sign in shuffles(p, q):
+                    X = D1.sigma([secs[t] for t in pos1])
+                    Y = D2.sigma([secs[t] for t in pos2])
+                    comm = _vf_commutator(gens, m, X, Y)
+                    for t in range(m):
+                        acc[t] = acc[t] + sh_sign * comm[t]
+            if any(not v.is_zero() for v in acc):
+                symbol[idx] = tuple(acc)
+    return MultiDerivation(gens, m, k, r, frame, symbol)

@@ -646,9 +646,10 @@ def rand_multiderivation(rng, gens, m, k, degree):
         frame[idx] = tuple(rand_base_poly(rng, gens, m, 1)
                            for _ in range(k))
     symbol = {}
-    for idx in itertools.combinations(range(k), degree):
-        symbol[idx] = tuple(rand_base_poly(rng, gens, m, 1)
-                            for _ in range(m))
+    if degree >= 0:
+        for idx in itertools.combinations(range(k), degree):
+            symbol[idx] = tuple(rand_base_poly(rng, gens, m, 1)
+                                for _ in range(m))
     return ml.MultiDerivation(gens, m, k, degree, frame, symbol)
 
 
@@ -661,8 +662,8 @@ class TestIsomorphismTransport:
         rng = random.Random(1101)
         checked = 0
         while checked < 50:
-            p = rng.randint(1, 2)
-            q = rng.randint(1, 2)
+            p = rng.randint(0, 2)
+            q = rng.randint(1 if p == 0 else 0, 2)
             P = rand_linear_multivector(rng, m, k, p)
             Q = rand_linear_multivector(rng, m, k, q)
             if P.is_zero() or Q.is_zero():
@@ -681,8 +682,8 @@ class TestIsomorphismTransport:
         gens = base_gens(m)
         rng = random.Random(1102)
         for _ in range(50):
-            d1 = rng.randint(0, 2)
-            d2 = rng.randint(0, 2)
+            d1 = rng.randint(-1, 2)
+            d2 = rng.randint(0 if d1 < 0 else -1, 2)
             D1 = rand_multiderivation(rng, gens, m, k, d1)
             D2 = rand_multiderivation(rng, gens, m, k, d2)
             L1 = grassmann_L(D1)

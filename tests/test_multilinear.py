@@ -568,6 +568,14 @@ class TestMultiDerivation:
         b = D.evaluate([s2, s1])
         assert all((x + y).is_zero() for x, y in zip(a, b))
 
+    def test_wrong_section_count_is_a_value_error(self):
+        D = tm_bracket_structure(2)
+        s = D.basis_section(0)
+        with pytest.raises(ValueError, match="expected 2 sections, got 1"):
+            D.evaluate([s])
+        with pytest.raises(ValueError, match="expected 1 sections, got 2"):
+            D.sigma([s, s])
+
     def test_point_case_matches_multimap(self):
         f = so3()
         D = multiderivation_of_multimap(f)
@@ -629,9 +637,39 @@ class TestCMBracket:
             secs = [random_section(rng, gens, 2) for _ in range(p + q + 1)]
             direct = tuple(
                 ((-1) ** (p * q)) * a - b
-                for a, b in zip(ml._cm_circ(D1, D2, secs),
-                                ml._cm_circ(D2, D1, secs)))
+                for a, b in zip(lie_oracles._cm_circ(D1, D2, secs),
+                                lie_oracles._cm_circ(D2, D1, secs)))
             assert B.evaluate(secs) == direct
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_shuffle_oracle(self, data):
+        # sections included: a pair of degrees (-1, q) has q >= 0
+        m = data.draw(st.integers(0, 2))
+        k = data.draw(st.integers(1, 3))
+        p = data.draw(st.integers(-1, 2))
+        q = data.draw(st.integers(0 if p < 0 else -1, 2))
+        rng = data.draw(st.randoms(use_true_random=False))
+        gens = base_gens(m)
+        D1 = random_md(rng, gens, m, k, p)
+        D2 = random_md(rng, gens, m, k, q)
+        assert cm_bracket(D1, D2) == lie_oracles.cm_bracket(D1, D2)
+
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    def test_derived_identity(self, p):
+        # [...[[D, s_0], s_1]..., s_p] = (-1)^{p(p+1)/2} D(s_0, ..., s_p):
+        # each step is [D, s] = (-1)^{deg D} D(s, .)
+        m, k = 2, 3
+        gens = base_gens(m)
+        rng = random.Random(p)
+        for _ in range(4):
+            D = random_md(rng, gens, m, k, p)
+            secs = [random_section(rng, gens, k) for _ in range(p + 1)]
+            acc = D
+            for s in secs:
+                acc = cm_bracket(acc, MultiDerivation(gens, m, k, -1, {(): s}))
+            value = MultiDerivation(gens, m, k, -1, {(): D.evaluate(secs)})
+            assert acc == ml._psign(p * (p + 1) // 2) * value
 
     def test_graded_antisymmetry(self):
         gens = base_gens(1)
@@ -671,13 +709,13 @@ class TestGrassmann:
         D = MultiDerivation(gens, 1, 2, -1, {(): s})
         L = grassmann_L(D, fgens)
         assert L.kdeg == -1
-        # i_s e^b = s^b
+        # L(s) = -i_s: -i_s e^b = -s^b
         e1 = fgens.gen("e1")
-        assert L.apply(e1) == ml._poly_to_form(x, fgens)
+        assert L.apply(e1) == -ml._poly_to_form(x, fgens)
         # superderivation on a product form
         e2 = fgens.gen("e2")
-        assert L.apply(e1 * e2) == (ml._poly_to_form(x, fgens) * e2
-                                    - e1 * fgens.one())
+        assert L.apply(e1 * e2) == -(ml._poly_to_form(x, fgens) * e2
+                                     - e1 * fgens.one())
 
     def test_point_case_action(self):
         # sigma = 0: L_D omega = -omega o D on one-forms
@@ -718,8 +756,8 @@ class TestGrassmann:
         gens = base_gens(1)
         for seed in range(8):
             rng = random.Random(seed)
-            p = rng.randint(0, 1)
-            q = rng.randint(0, 1)
+            p = rng.randint(-1, 2)
+            q = rng.randint(0 if p < 0 else -1, 2)
             D1 = random_md(rng, gens, 1, 2, p)
             D2 = random_md(rng, gens, 1, 2, q)
             lhs = grassmann_L(D1).commutator(grassmann_L(D2))
@@ -887,8 +925,8 @@ class TestIsoI:
         checked = 0
         for seed in range(12):
             rng = random.Random(seed)
-            p = rng.randint(1, 2)
-            q = rng.randint(1, 2)
+            p = rng.randint(0, 2)
+            q = rng.randint(1 if p == 0 else 0, 2)
             P = random_linear_multivector(rng, m, k, p)
             Q = random_linear_multivector(rng, m, k, q)
             if P.is_zero() or Q.is_zero():
