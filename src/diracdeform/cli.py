@@ -68,6 +68,18 @@ def _require_positive(name, value):
         raise InputError(name, "must be a finite number > 0")
 
 
+# most unit k-cochains, C(dim, k) * dim, that ce-cohomology (k and k - 1
+# per H^k) and deform-lie (k = 2) list, all before reading a constant
+MAX_COCHAINS = 10 ** 5
+
+
+def _require_cochains(dim, degrees):
+    for k in degrees:
+        if math.comb(dim, k) * dim > MAX_COCHAINS:
+            raise InputError("$.dim", f"{dim} has more than {MAX_COCHAINS} "
+                             f"unit {k}-cochains")
+
+
 def _render_table(obj, prefix=""):
     lines = []
     if isinstance(obj, dict):
@@ -121,6 +133,8 @@ def cmd_ce_cohomology(args):
     _require_counts(("--degrees", min(args.degrees)))
     data, digest = _load_json(args.input)
     mu = structure_constants_from_json(data)
+    _require_cochains(mu.dim, sorted({max(k - 1, 0) for k in args.degrees}
+                                     | set(args.degrees)))
     try:
         dims = cohomology_dims(mu, args.degrees)
     except NotLie:
@@ -134,6 +148,7 @@ def cmd_deform_lie(args):
     _require_counts(("--order", args.order))
     data, digest = _load_json(args.input)
     mu = structure_constants_from_json(data)
+    _require_cochains(mu.dim, [2])
     try:
         coeffs, certs = extend_series([mu], args.order)
     except Order0NotLie:

@@ -177,7 +177,7 @@ def intersect_V_star(L):
 
 
 def _range_form(L):
-    """Range R of L and the form Omega[a][b] = eta_a(r_b) on its echelon
+    """Range R of L and the form Omega[a][b] = eta_a(r_b) on its canonical
     basis, for any lifts (r_a, eta_a) in L (they differ by L cap V*,
     which annihilates R)."""
     R = range_of(L)
@@ -192,9 +192,9 @@ def represent(L):
 
     Returns a dict with:
       R      range subspace of V,
-      Omega  antisymmetric dim(R) x dim(R) matrix in the echelon basis of R,
+      Omega  antisymmetric dim(R) x dim(R) matrix in the canonical basis of R,
       K      kernel subspace L cap V,
-      pi     antisymmetric matrix on the echelon basis of K-annihilator
+      pi     antisymmetric matrix on the canonical basis of K-annihilator
              covectors (the corange of L), pi[a][b] = w_b(x_a) for lifts
              (x_a, w_a) in L: the range and form of flip(L).
     """
@@ -205,7 +205,7 @@ def represent(L):
 
 
 def from_R_Omega(R, Omega):
-    """Dirac structure with range R and form Omega in R's echelon basis."""
+    """Dirac structure with range R and form Omega in R's canonical basis."""
     n = R.ambient_dim
     k = R.dim
     _check_antisymmetric(Omega)
@@ -219,8 +219,8 @@ def from_R_Omega(R, Omega):
         if status != "SOLUTION":
             raise ShapeMismatch("form is not representable on R")
         basis.append(list(R.basis[a]) + eta)
-    for v in R.echelon.kernel(n):
-        basis.append([Fraction(0)] * n + v)
+    for v in R.orthogonal().basis:
+        basis.append([Fraction(0)] * n + list(v))
     return LinearDirac(n, Subspace(2 * n, basis))
 
 
@@ -238,11 +238,6 @@ def from_K_pi(K, corange, pi):
 # Dirac maps
 # ---------------------------------------------------------------------------
 
-def _constraint_rows(S):
-    """Rows C with S = ker C."""
-    return S.echelon.kernel(S.ambient_dim)
-
-
 def _shape(phi):
     """(rows, columns) of a map matrix; a map with no rows has none."""
     return len(phi), len(phi[0]) if phi else 0
@@ -256,16 +251,13 @@ def _phi_t(phi, nw, nv):
 def _push(phi, nw, nv, L):
     """{(phi x, eta) : (x, phi* eta) in L} for phi of shape nw x nv."""
     phit = _phi_t(phi, nw, nv)
-    C = _constraint_rows(L.subspace)
     # unknowns (x in Q^nv, eta in Q^nw); condition C (x, phi^T eta) = 0
-    rows = []
-    for crow in C:
-        row = list(crow[:nv])
-        for a in range(nw):
-            row.append(sum(crow[nv + i] * phit[i][a] for i in range(nv)))
-        rows.append(row)
+    # for the rows C with L = ker C
+    rows = [list(c[:nv]) + [sum(c[nv + i] * phit[i][a] for i in range(nv))
+                            for a in range(nw)]
+            for c in L.subspace.orthogonal().basis]
     out = []
-    for v in ratlin.Echelon(map(ratlin.sparse_row, rows)).kernel(nv + nw):
+    for v in ratlin.kernel_basis(rows, nv + nw).basis:
         x, eta = v[:nv], v[nv:]
         px = [sum(frac(phi[j][i]) * x[i] for i in range(nv))
               for j in range(nw)]
@@ -359,14 +351,12 @@ def compose_relations(L1, L2):
         raise FactorMismatch("middle factors do not match")
     n1, n2, n3 = L1.n1, L1.n2, L2.n2
     d1, d2, d3 = 2 * n1, 2 * n2, 2 * n3
-    C1 = _constraint_rows(L1.subspace)
-    C2 = _constraint_rows(L2.subspace)
-    rows = []
-    for c in C1:
-        rows.append(list(c[:d1]) + list(c[d1:]) + [Fraction(0)] * d3)
-    for c in C2:
-        rows.append([Fraction(0)] * d1 + list(c[:d2]) + list(c[d2:]))
-    ker = ratlin.Echelon(map(ratlin.sparse_row, rows)).kernel(d1 + d2 + d3)
+    # (e1, e2, e3) with (e1, e2) in L1 = ker C1 and (e2, e3) in L2 = ker C2
+    rows = [list(c) + [Fraction(0)] * d3
+            for c in L1.subspace.orthogonal().basis]
+    rows += [[Fraction(0)] * d1 + list(c)
+             for c in L2.subspace.orthogonal().basis]
+    ker = ratlin.kernel_basis(rows, d1 + d2 + d3).basis
     out = [v[:d1] + v[d1 + d2:] for v in ker]
     return CanonicalRelation(n1, n3, Subspace(d1 + d3, out))
 
@@ -460,7 +450,7 @@ def extend_isotropic(G, W):
         span = Subspace(n, ws) if ws else Subspace(n, [])
         vs, U = hyperbolic_completion(G, span) if ws else ([], Subspace(
             n, ratlin.identity(n)))
-        # restricted form on U in its echelon basis
+        # restricted form on U in its canonical basis
         k = U.dim
         Gu = [[_form_value(G, U.basis[a], U.basis[b]) for b in range(k)]
               for a in range(k)]

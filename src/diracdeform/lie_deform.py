@@ -161,16 +161,6 @@ def series_logarithm(a, mul, unit):
 # Maurer-Cartan extension: one loop, one certificate
 # ---------------------------------------------------------------------------
 
-def _linear_system(images, R):
-    """Matrix of the images (columns) and the vector of R, on the sorted
-    coordinate keys that occur in any of them.  Elements expose their
-    nonzero coordinates as the dict `terms`."""
-    r = R.terms
-    rows = sorted({key for img in images for key in img} | set(r))
-    M = [[img.get(key, 0) for img in images] for key in rows]
-    return M, [r.get(key, 0) for key in rows]
-
-
 class Differential:
     """A linear operator d given on a finite basis of its domain.
 
@@ -191,9 +181,9 @@ class Differential:
 
     def solve(self, order, R):
         """Certificate of d x = R: a solution over the basis, or a
-        witness y with y^T d = 0 and y^T R != 0."""
-        M, b = _linear_system(self.images, R)
-        status, v = ratlin.solve(M, b)
+        witness y, a dict keyed like `terms`, with y^T d = 0 and
+        y^T R != 0."""
+        status, v = ratlin.solve_sparse(self.images, R.terms)
         if status != "SOLUTION":
             return ObstructionCertificate(self, order, R, witness=v)
         x = self.zero
@@ -244,14 +234,13 @@ class ObstructionCertificate:
             return False
         if self.solution is not None:
             return (op(self.solution) - self.cocycle).is_zero()
-        images = [op(b).terms for b in self.differential.basis]
-        M, r = _linear_system(images, self.cocycle)
         y = self.witness
-        if len(y) != len(M):
-            return False
-        return (all(sum(a * m for a, m in zip(y, col)) == 0
-                    for col in zip(*M))
-                and sum(a * b for a, b in zip(y, r)) != 0)
+
+        def pair(terms):
+            return sum(v * y.get(key, 0) for key, v in terms.items())
+
+        return (all(pair(op(b).terms) == 0 for b in self.differential.basis)
+                and pair(self.cocycle.terms) != 0)
 
 
 def mc_extend(d, rhs, prefix, order, not_closed):

@@ -37,7 +37,6 @@ from fractions import Fraction
 
 from . import ratlin
 from .jsonin import InputError, array, fields, natural, rational
-from .ratlin import Subspace
 from .superalg import (
     GeneratorSet,
     NotHomogeneous,
@@ -305,14 +304,6 @@ def _cochain_basis(k, dim):
             for g in range(dim)]
 
 
-def _to_vector(f, basis):
-    return [f.c.get(idx, _zvec(f.dim))[g] for idx, g in basis]
-
-
-def _from_vector(vec, k, dim, basis):
-    return _from_terms(MultiMap, k, dim, dict(zip(basis, vec)))
-
-
 def _unit_cochains(k, dim):
     """The k-cochains with a single coefficient 1, in _cochain_basis
     order."""
@@ -345,7 +336,7 @@ def cohomology(mu, k):
     """(dim H^k, representative cocycles) for the CE complex of mu in the
     adjoint representation.
 
-    The representatives are the vectors of the reduced echelon basis of
+    The representatives are the vectors of the canonical (RREF) basis of
     ker delta^k that are independent of im delta^{k-1} and of the
     representatives before them."""
     _require_lie(mu)
@@ -368,15 +359,14 @@ def _cohomology(mu, k):
     for j, col in enumerate(_delta_columns(mu, k)):
         for key, v in col.items():
             rows.setdefault(key, {})[j] = v
-    ker = Subspace(len(dom), ratlin.Echelon(rows.values()).kernel(len(dom)))
-    im = ratlin.Echelon()
-    if k > 0:
-        pos = {key: i for i, key in enumerate(dom)}
-        for col in _delta_columns(mu, k - 1):
-            im.insert({pos[key]: v for key, v in col.items()})
-    hdim = ker.dim - len(im)
-    reps = [_from_vector(v, k, dim, dom) for v in ker.basis
-            if im.insert(ratlin.sparse_row(v))]
+    ker = ratlin.Echelon(ratlin.Echelon(rows.values()).kernel(len(dom)))
+    pos = {key: i for i, key in enumerate(dom)}
+    im = ratlin.Echelon({pos[key]: v for key, v in col.items()}
+                        for col in (_delta_columns(mu, k - 1) if k else ()))
+    hdim = len(ker) - len(im)
+    reps = [_from_terms(MultiMap, k, dim,
+                        {dom[j]: x for j, x in ker.rows[p].items()})
+            for p in sorted(ker.rows) if im.insert(ker.rows[p])]
     assert len(reps) == hdim
     return hdim, reps
 
@@ -808,14 +798,12 @@ class GrassmannDerivation:
                 mono = SuperElement(fgens, {(tuple(de), ()): c * e[i]})
                 out = out + mono * self.fx[i] * odd_elt
             # one-form part with the superderivation sign
-            even_elt = SuperElement(fgens, {(e, ()): c})
             for j, t in enumerate(o):
                 sign = _psign(j * self.kdeg)
-                prefix = fgens.monomial(
-                    1, odd_names=[fgens.odd[u] for u in o[:j]])
+                head = SuperElement(fgens, {(e, o[:j]): sign * c})
                 suffix = fgens.monomial(
                     1, odd_names=[fgens.odd[u] for u in o[j + 1:]])
-                out = out + sign * even_elt * prefix * self.fe[t] * suffix
+                out = out + head * self.fe[t] * suffix
         return out
 
     def commutator(self, other):
@@ -1076,18 +1064,9 @@ def iso_I_inv(D, base=None):
                         1, xpart,
                         [f"xh{i + 1}"] + [f"vh{a + 1}" for a in gam])
                     candidates.append(mono)
-    images = [iso_I(c, m, k, base=base) for c in candidates]
-    coords = set(target)
-    vecs = []
-    for img in images:
-        v = _md_coords(img, set())
-        coords.update(v)
-        vecs.append(v)
-    coords = sorted(coords, key=repr)
-    M = [[vecs[j].get(key, Fraction(0)) for j in range(len(vecs))]
-         for key in coords]
-    b = [target.get(key, Fraction(0)) for key in coords]
-    status, sol = ratlin.solve(M, b)
+    status, sol = ratlin.solve_sparse(
+        [_md_coords(iso_I(c, m, k, base=base), set()) for c in candidates],
+        target)
     if status != "SOLUTION":
         raise NotHomogeneous("multiderivation is not in the image")
     P = gens.zero()

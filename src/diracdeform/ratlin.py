@@ -2,16 +2,19 @@
 
 Matrices are plain lists of rows, entries `fractions.Fraction` (helpers
 coerce ints).  One elimination routine, `Echelon`, serves rank, kernels,
-solves, pseudo-inverses and subspaces: it keeps sparse rows (dicts column -> Fraction) in
-reduced row echelon form keyed by pivot column, and reports whether each
-inserted row was independent.  The reduced echelon form is canonical for
-a given column order, so kernel bases, particular solutions and Subspace
-bases do not depend on the order of the rows.
+solves, pseudo-inverses and subspaces; only this module knows its row
+format, a dict column -> Fraction.  Each insert is a forward pass, and
+one back-substitution pass, highest pivot first, gives the reduced row
+echelon form: canonical for a given column order, so kernel bases
+(sparse rows), solutions and Subspace bases do not depend on the order
+of the rows.  `solve_sparse` takes sparse columns keyed by any sortable
+coordinate keys; `solve` is its dense edge.
 
 All values are immutable by convention: no function mutates its inputs.
 """
 
 from fractions import Fraction
+from functools import cached_property
 
 
 class NotSubspace(Exception):
@@ -77,32 +80,35 @@ def _sub_multiple(v, f, row, skip):
 
 
 class Echelon:
-    """Reduced row echelon form of a row space, built one row at a time.
+    """Row echelon form of a row space, built one row at a time.
 
-    A row is a dict column -> nonzero Fraction.  `rows` maps each pivot
-    (first nonzero) column to its row; a stored row has pivot entry 1 and
-    is zero at every other pivot.  The reduced echelon form of a row space
-    is unique for a given column order, so it does not depend on the order
-    in which rows are inserted.
+    A row is a dict column -> nonzero number.  A stored row has pivot
+    entry 1 and is zero at the earlier pivots; in `rows`, the reduced
+    echelon form, it is zero at every other pivot.  That form is unique
+    for a given column order, whatever order the rows came in.
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("_forward", "_rref")
 
     def __init__(self, rows=()):
-        self.rows = {}
-        for row in rows:
+        self._forward, self._rref = {}, {}
+        # short rows first: they fill fewer columns of the later ones
+        for row in sorted(rows, key=len):
             self.insert(row)
 
     def __len__(self):
-        return len(self.rows)
+        return len(self._forward)
 
     def reduce(self, row):
         """row minus the combination of stored rows that clears its pivot
         columns; empty iff row lies in the span."""
         v = dict(row)
-        # a stored row is zero at the other pivots, so one pass suffices
-        for p in [c for c in v if c in self.rows]:
-            _sub_multiple(v, v.pop(p), self.rows[p], p)
+        stored = self._forward
+        # a stored row only reaches columns after its pivot, so clearing
+        # pivots in increasing order clears each one once
+        while pivots := [c for c in v if c in stored]:
+            p = min(pivots)
+            _sub_multiple(v, v.pop(p), stored[p], p)
         return v
 
     def insert(self, row):
@@ -111,24 +117,31 @@ class Echelon:
         if not v:
             return False
         p = min(v)
-        inv = v[p]
-        v = {c: x / inv for c, x in v.items()}
-        for r in self.rows.values():
-            f = r.pop(p, None)
-            if f is not None:
-                _sub_multiple(r, f, v, p)
-        self.rows[p] = v
+        inv = frac(v[p])
+        self._forward[p] = {c: x / inv for c, x in v.items()}
+        self._rref = None
         return True
 
+    @property
+    def rows(self):
+        """pivot column -> row of the reduced echelon form."""
+        if self._rref is None:
+            rref = {}
+            for p in sorted(self._forward, reverse=True):
+                v = dict(self._forward[p])
+                for c in [c for c in v if c != p and c in rref]:
+                    _sub_multiple(v, v.pop(c), rref[c], c)
+                rref[p] = v
+            self._rref = rref
+        return self._rref
+
     def kernel(self, ncols):
-        """Basis of the vectors of Q^ncols orthogonal to every row: one
-        per free column c, with entry 1 at c and 0 at the other free
-        columns, in column order."""
-        basis = {c: [Fraction(0)] * ncols
-                 for c in range(ncols) if c not in self.rows}
-        for c, v in basis.items():
-            v[c] = Fraction(1)
-        for p, row in self.rows.items():
+        """Basis of the vectors of Q^ncols orthogonal to every row, as
+        sparse rows: one per free column c, with entry 1 at c and 0 at
+        the other free columns, in column order."""
+        rows = self.rows
+        basis = {c: {c: Fraction(1)} for c in range(ncols) if c not in rows}
+        for p, row in rows.items():
             for c, x in row.items():
                 if c != p:
                     basis[c][p] = -x
@@ -139,41 +152,48 @@ def rank(M):
     return len(Echelon(map(sparse_row, M)))
 
 
-def kernel_basis(M):
-    """Basis of the null space of M, as a Subspace of dimension ncols."""
-    ncols = len(M[0]) if M else 0
-    return Subspace(ncols, Echelon(map(sparse_row, M)).kernel(ncols))
+def kernel_basis(M, ncols=None):
+    """The null space of M in Q^ncols (by default M's row length)."""
+    if ncols is None:
+        ncols = len(M[0]) if M else 0
+    return Subspace(ncols, M).orthogonal()
+
+
+def solve_sparse(columns, b):
+    """Solve sum_j x_j columns[j] = b exactly; the columns and b are
+    dicts key -> number, the rows M of the system their keys in sorted
+    order.  Returns ("SOLUTION", x), one Fraction per column, read from
+    the reduced echelon form of [M | b] with the free variables 0; or
+    ("INCONSISTENT", y), y a dict key -> Fraction: the first vector of
+    the kernel basis of M^T that pairs nonzero with b.
+    """
+    n = len(columns)
+    keys = sorted({key for col in columns for key in col} | set(b))
+    pos = {key: i for i, key in enumerate(keys)}
+    rows = {}
+    for j, col in enumerate([*columns, b]):
+        for key, x in col.items():
+            if x:
+                rows.setdefault(pos[key], {})[j] = frac(x)
+    aug = Echelon(rows.values())
+    if n not in aug.rows:
+        return ("SOLUTION", [aug.rows.get(j, {}).get(n, Fraction(0))
+                             for j in range(n)])
+    ker = Echelon({pos[key]: x for key, x in col.items() if x}
+                  for col in columns).kernel(len(keys))
+    y = next(y for y in ker
+             if sum(x * frac(b.get(keys[i], 0)) for i, x in y.items()))
+    return ("INCONSISTENT", {keys[i]: x for i, x in y.items()})
 
 
 def solve(M, b):
-    """Solve M x = b exactly.
-
-    Returns ("SOLUTION", x) with M x = b, or ("INCONSISTENT", y) with a
-    certificate y satisfying yT M = 0 and yT b != 0.  Exactly one branch.
-    x is read from the reduced echelon form of [M | b], with the free
-    variables set to 0; y is the first vector of the kernel basis of M^T
-    that pairs nonzero with b.
-    """
-    ncols = len(M[0]) if M else 0
-    aug = Echelon(sparse_row(list(row) + [bi]) for row, bi in zip(M, b))
-    if ncols in aug.rows:
-        b = [frac(x) for x in b]
-        ker = Echelon(map(sparse_row, transpose(M))).kernel(len(M))
-        return ("INCONSISTENT",
-                next(y for y in ker if sum(a * c for a, c in zip(y, b))))
-    x = [Fraction(0)] * ncols
-    for p, row in aug.rows.items():
-        x[p] = row.get(ncols, Fraction(0))
-    return ("SOLUTION", x)
-
-
-def _left_divide(A, Y):
-    """A^-1 Y for an invertible square A: the reduced echelon form of
-    [A | Y] is [I | A^-1 Y]."""
-    r, width = len(A), len(Y[0])
-    E = Echelon(sparse_row(list(a) + list(y)) for a, y in zip(A, Y))
-    return [[E.rows[p].get(r + j, Fraction(0)) for j in range(width)]
-            for p in range(r)]
+    """Solve M x = b exactly: `solve_sparse` on the columns of M, with
+    x and the certificate y (yT M = 0, yT b != 0) as dense lists."""
+    status, w = solve_sparse([dict(enumerate(col)) for col in zip(*M)],
+                             dict(enumerate(b)))
+    if status == "SOLUTION":
+        return status, w
+    return status, [w.get(i, Fraction(0)) for i in range(len(M))]
 
 
 def pseudo_inverse(M):
@@ -181,45 +201,53 @@ def pseudo_inverse(M):
 
     With C the nonzero rows of the reduced echelon form of M and B the
     pivot columns of M, M = B C is a rank factorisation, and
-    M+ = C^T (C C^T)^-1 (B^T B)^-1 B^T.
+    M+ = C^T (C C^T)^-1 (B^T B)^-1 B^T = C^T A^-1 B^T, A = B^T M C^T.
+    A^-1 B^T is read from the reduced echelon form [I | A^-1 B^T] of
+    [A | B^T].
     """
-    ncols = len(M[0]) if M else 0
-    E = Echelon(map(sparse_row, M))
-    if not E.rows:
-        return zeros(ncols, len(M))
-    pivots = sorted(E.rows)
-    C = [[E.rows[p].get(j, Fraction(0)) for j in range(ncols)]
-         for p in pivots]
-    Bt = [[frac(row[p]) for row in M] for p in pivots]
-    Ct = transpose(C)
-    Y = _left_divide(mat_mul(Bt, transpose(Bt)), Bt)
-    return mat_mul(Ct, _left_divide(mat_mul(C, Ct), Y))
+    S = Subspace(len(M[0]) if M else 0, M)
+    if not S.dim:
+        return zeros(S.ambient_dim, len(M))
+    Bt = [[frac(row[p]) for row in M] for p in S.pivots]
+    Ct = transpose(S.basis)
+    A = mat_mul(Bt, mat_mul(mat(M), Ct))
+    E = Echelon(sparse_row(a + y) for a, y in zip(A, Bt))
+    return mat_mul(Ct, [[E.rows[p].get(S.dim + j, Fraction(0))
+                         for j in range(len(M))] for p in range(S.dim)])
 
 
 class Subspace:
-    """A subspace of Q^n given by a basis; canonical form is the RREF of
-    the basis written as rows.  Equality is comparison of canonical rows.
+    """A subspace of Q^n; its canonical form, the `Echelon` of a basis,
+    decides equality, and `basis` writes its rows out densely when read.
     """
 
     def __init__(self, ambient_dim, basis):
-        self.ambient_dim = ambient_dim
-        for v in basis:
-            if len(v) != ambient_dim:
+        """basis: dense vectors, or an Echelon of sparse rows."""
+        if not isinstance(basis, Echelon):
+            if any(len(v) != ambient_dim for v in basis):
                 raise ValueError("basis vector has wrong length")
-        self.echelon = Echelon(map(sparse_row, basis))
-        self.pivots = tuple(sorted(self.echelon.rows))
-        self.basis = [tuple(self.echelon.rows[p].get(c, Fraction(0))
-                            for c in range(ambient_dim))
-                      for p in self.pivots]
+            basis = Echelon(map(sparse_row, basis))
+        self.ambient_dim, self.echelon = ambient_dim, basis
+
+    @cached_property
+    def pivots(self):
+        return tuple(sorted(self.echelon.rows))
+
+    @cached_property
+    def basis(self):
+        rows = self.echelon.rows
+        return [tuple(rows[p].get(c, Fraction(0))
+                      for c in range(self.ambient_dim))
+                for p in self.pivots]
 
     @property
     def dim(self):
-        return len(self.basis)
+        return len(self.echelon)
 
     def __eq__(self, other):
         return (isinstance(other, Subspace)
                 and self.ambient_dim == other.ambient_dim
-                and self.basis == other.basis)
+                and self.echelon.rows == other.echelon.rows)
 
     def __hash__(self):
         return hash((self.ambient_dim, tuple(self.basis)))
@@ -231,25 +259,25 @@ class Subspace:
         return not self.echelon.reduce(sparse_row(v))
 
     def contains(self, other):
-        return all(self.contains_vector(v) for v in other.basis)
+        return not any(map(self.echelon.reduce, other.echelon.rows.values()))
+
+    def orthogonal(self):
+        """The vectors orthogonal to every vector of this subspace."""
+        n = self.ambient_dim
+        return Subspace(n, Echelon(self.echelon.kernel(n)))
 
     def add(self, other):
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        return Subspace(self.ambient_dim, list(self.basis) + list(other.basis))
+        return Subspace(self.ambient_dim, Echelon(
+            [*self.echelon.rows.values(), *other.echelon.rows.values()]))
 
     def intersect(self, other):
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        if not self.basis or not other.basis:
-            return Subspace(self.ambient_dim, [])
-        # Solve a*A = b*B: kernel of the stacked matrix [A^T | -B^T].
-        cols = [list(v) for v in self.basis] + [[-x for x in v] for v in other.basis]
-        M = transpose(cols)
-        ker = kernel_basis(M)
-        na = len(self.basis)
-        return Subspace(self.ambient_dim,
-                        mat_mul([c[:na] for c in ker.basis], self.basis))
+        # the dot product is nondegenerate, so A = (A^perp)^perp and
+        # A cap B = (A^perp + B^perp)^perp
+        return self.orthogonal().add(other.orthogonal()).orthogonal()
 
 
 def quotient_dim(A, B):
@@ -323,5 +351,4 @@ def annihilator(W, pairing):
     G = mat(pairing)
     if rank(G) < n:
         raise DegeneratePairing("pairing matrix is singular")
-    rows = (sparse_row(mat_vec(G, list(w))) for w in W.basis)
-    return Subspace(n, Echelon(rows).kernel(n))
+    return Subspace(n, [mat_vec(G, list(w)) for w in W.basis]).orthogonal()

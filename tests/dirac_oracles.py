@@ -94,7 +94,8 @@ def backward_map(phi, L):
     if L.n != nw:
         raise ShapeMismatch("map codomain does not match the structure")
     phit = [[frac(phi[j][i]) for j in range(nw)] for i in range(nv)]
-    C = L.subspace.echelon.kernel(2 * nw)
+    C = [[v.get(c, 0) for c in range(2 * nw)]
+         for v in L.subspace.echelon.kernel(2 * nw)]
     rows = []
     for crow in C:
         row = [sum(crow[j] * frac(phi[j][i]) for j in range(nw))
@@ -103,6 +104,7 @@ def backward_map(phi, L):
         rows.append(row)
     out = []
     for v in ratlin.Echelon(map(ratlin.sparse_row, rows)).kernel(nv + nw):
+        v = [v.get(c, 0) for c in range(nv + nw)]
         x, eta = v[:nv], v[nv:]
         pe = [sum(phit[i][a] * eta[a] for a in range(nw)) for i in range(nv)]
         out.append(list(x) + pe)

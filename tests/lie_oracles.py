@@ -6,7 +6,8 @@ NR diamond and the Gerstenhaber circle over every index tuple, the
 triple-by-triple Jacobi scan, and composition with a linear map; and
 the Crainic-Moerdijk bracket of multiderivations written out as shuffle
 sums on frame sections, which `cm_bracket` replaced by the commutator
-of Grassmann derivations."""
+of Grassmann derivations.  `to_vector`/`from_vector` write a cochain on
+a list of coordinate keys and back, for tests that compare vectors."""
 
 import itertools
 from fractions import Fraction
@@ -18,6 +19,7 @@ from diracdeform.multilinear import (
     NonSymMultiMap,
     NotLie,
     _cochain_basis,
+    _from_terms,
     _psign,
     _unit_cochains,
     _zvec,
@@ -169,6 +171,17 @@ def ce_differential(mu, f):
         if any(acc):
             out[idx] = tuple(acc)
     return MultiMap(n + 1, dim, out)
+
+
+def to_vector(f, basis):
+    """The coordinates of a cochain f on a list of keys (idx, g)."""
+    terms = f.terms
+    return [terms.get(key, Fraction(0)) for key in basis]
+
+
+def from_vector(vec, k, dim, basis):
+    """The k-cochain with coordinates vec on the keys of basis."""
+    return _from_terms(MultiMap, k, dim, dict(zip(basis, vec)))
 
 
 def delta_matrix(mu, k):

@@ -294,7 +294,7 @@ class TestObstructionClosedness:
         for b in ker.basis:
             c = Fraction(rng.randint(-2, 2))
             vec = [x + c * y for x, y in zip(vec, b)]
-        return ml._from_vector(vec, 2, mu0.dim, dom)
+        return lie_oracles.from_vector(vec, 2, mu0.dim, dom)
 
     def test_lie_side(self):
         rng = random.Random(401)

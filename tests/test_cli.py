@@ -555,6 +555,10 @@ class TestTableFormat:
      "--output"),
     ("ihs-run", {**OSC, "L": STIFF_L, "H": [[[0, 2], "1e300"]]},
      ["--x0", "0,0"], "$"),
+    # cochain bases too large to list: C(dim, k) * dim > MAX_COCHAINS
+    ("ce-cohomology", {"dim": 100000, "c": []}, [], "$.dim"),
+    ("deform-lie", {"dim": 100000, "c": []}, [], "$.dim"),
+    ("ce-cohomology", {"dim": 60, "c": []}, ["--degrees", "3"], "$.dim"),
 ])
 def test_input_errors_exit_2_naming_path(tmp_path, command, data, extra,
                                         path):
@@ -565,7 +569,7 @@ def test_input_errors_exit_2_naming_path(tmp_path, command, data, extra,
         inputs.insert(0, "--system")
     p = subprocess.run(
         [sys.executable, "-m", "diracdeform.cli", command] + inputs + extra,
-        capture_output=True, text=True, env=SUBPROCESS_ENV)
+        capture_output=True, text=True, env=SUBPROCESS_ENV, timeout=60)
     assert p.returncode == 2
     assert "Traceback" not in p.stderr
     assert f"{path}:" in p.stderr

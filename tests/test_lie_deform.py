@@ -144,7 +144,7 @@ def random_cocycle(rng, mu0, k=2):
     for v in ker.basis:
         c = Fraction(rng.randint(-2, 2))
         acc = [a + c * x for a, x in zip(acc, v)]
-    return ml._from_vector(acc, k, dim, dom)
+    return lie_oracles.from_vector(acc, k, dim, dom)
 
 
 class TestExtend:
@@ -177,7 +177,7 @@ class TestExtend:
             # brute-force confirmation: no mu_k solves delta mu_k = R_k
             cert = certs[-1]
             M = lie_oracles.delta_matrix(mu0, 2)
-            b = ml._to_vector(cert.cocycle, ml._cochain_basis(3, 3))
+            b = lie_oracles.to_vector(cert.cocycle, ml._cochain_basis(3, 3))
             status, _ = ratlin.solve(M, b)
             assert status == "INCONSISTENT"
         else:
@@ -482,10 +482,9 @@ def tampered(cert):
                 return ObstructionCertificate(d, cert.order, cert.cocycle,
                                               solution=x)
         raise AssertionError("zero solution: nothing to flip")
-    M, _ = ld._linear_system([d.op(b).terms for b in d.basis], cert.cocycle)
-    i = next(i for i, row in enumerate(M) if any(row))
-    y = list(cert.witness)
-    y[i] = -y[i] if y[i] else Fraction(1)
+    key = min(key for b in d.basis for key in d.op(b).terms)
+    y = dict(cert.witness)
+    y[key] = -y[key] if y.get(key) else Fraction(1)
     return ObstructionCertificate(d, cert.order, cert.cocycle, witness=y)
 
 

@@ -362,7 +362,7 @@ class TestCohomology:
         cod = ml._cochain_basis(2, 3)
         im = Subspace(len(cod), [list(col) for col in zip(*M1)])
         for r in reps:
-            assert not im.contains_vector(ml._to_vector(r, cod))
+            assert not im.contains_vector(lie_oracles.to_vector(r, cod))
 
 
 def filiform(n):
@@ -442,7 +442,7 @@ class TestSparseDelta:
         for k in range(min(mu.dim, 3) + 1):
             dom = ml._cochain_basis(k, mu.dim)
             hdim, reps = cohomology(mu, k)
-            assert [ml._to_vector(r, dom) for r in reps] \
+            assert [lie_oracles.to_vector(r, dom) for r in reps] \
                 == greedy_representatives(mu, k)
             assert hdim == len(reps)
 

@@ -20,6 +20,7 @@ from diracdeform.ratlin import (
     rank,
     signature_normal_form,
     solve,
+    solve_sparse,
     sparse_row,
     transpose,
 )
@@ -344,7 +345,8 @@ class TestAgainstOracles:
     @settings(max_examples=100, deadline=None)
     def test_kernel(self, M):
         n = ncols_of(M)
-        assert Echelon(map(sparse_row, M)).kernel(n) \
+        assert [[v.get(c, 0) for c in range(n)]
+                for v in Echelon(map(sparse_row, M)).kernel(n)] \
             == oracle.kernel_vectors(M, n)
         assert kernel_basis(M) == Subspace(n, oracle.kernel_vectors(M, n))
 
@@ -380,3 +382,50 @@ class TestAgainstOracles:
         v = data.draw(st.lists(small_frac, min_size=n, max_size=n))
         inside = oracle.bareiss_rank(M + [v]) == oracle.bareiss_rank(M)
         assert Subspace(n, M).contains_vector(v) == inside
+
+    @given(shaped_matrices(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_forward_inserts_in_any_order(self, M, data):
+        # rows and kernel read between inserts must follow every insert
+        n = ncols_of(M)
+        order = data.draw(st.permutations(range(len(M))))
+        ech = Echelon()
+        for i, r in enumerate(order, 1):
+            ech.insert(sparse_row(M[r]))
+            if data.draw(st.booleans()):
+                part = [M[j] for j in order[:i]]
+                R, pivots = oracle.rref(part)
+                assert dense_rows(ech, n) == R[:len(pivots)]
+                assert [[v.get(c, 0) for c in range(n)]
+                        for v in ech.kernel(n)] \
+                    == oracle.kernel_vectors(part, n)
+        R, pivots = oracle.rref(M)
+        assert dense_rows(ech, n) == R[:len(pivots)]
+        assert Echelon(sparse_row(M[r]) for r in order).rows == ech.rows
+
+    @given(shaped_matrices(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_keyed_solve(self, M, data):
+        # rows keyed by tuples whose sorted order is not the row order
+        n = ncols_of(M)
+        keys = data.draw(st.lists(st.tuples(st.sampled_from("ab"),
+                                            st.integers(0, 9)),
+                                  min_size=len(M), max_size=len(M),
+                                  unique=True))
+        if data.draw(st.booleans()):
+            x = data.draw(st.lists(small_frac, min_size=n, max_size=n))
+            b = mat_vec(mat(M), x) if M else []
+        else:
+            b = data.draw(st.lists(small_frac, min_size=len(M),
+                                   max_size=len(M)))
+        cols = [{key: row[j] for key, row in zip(keys, M) if row[j]}
+                for j in range(n)]
+        status, w = solve_sparse(cols, dict(zip(keys, b)))
+        want, x_old = oracle.solve(M, b)
+        assert status == want
+        if status == "SOLUTION":
+            assert w == x_old
+            return
+        for col in cols:
+            assert sum(w.get(key, 0) * v for key, v in col.items()) == 0
+        assert sum(w.get(key, 0) * bi for key, bi in zip(keys, b)) != 0
