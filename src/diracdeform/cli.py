@@ -3,19 +3,24 @@
 Each subcommand returns (input hash, report body, ok); `main` alone
 writes the report envelope and picks the exit code: 0 = pass / extends,
 1 = a mathematical failure, 2 = input error, a jsonin.InputError whose
-message names the input file and JSON path, or the option, at fault.
-Reports are deterministic (byte-identical for equal inputs and seeds)
-and embed the input hash and engine version.  JSON schemas for the
-input files live in docs/schemas.
+message names the input file and JSON path, the option at fault, or
+stdout when the report cannot be written there.  A job builds only its
+subcommand's parser, and `_json` writes the text of json.dumps(report,
+sort_keys=True, indent=2) in a fraction of its time.  Reports are
+deterministic (byte-identical for equal inputs and seeds) and embed the
+input hash and engine version.  JSON schemas for the input files live
+in docs/schemas.
 """
 
 import argparse
 import hashlib
 import json
 import math
+import os
 import random
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _str
 
 from . import __version__, courant, ihs
 from . import dirac_linear as dl
@@ -93,6 +98,38 @@ def _render_table(obj, prefix=""):
     return lines
 
 
+def _json(o, indent="\n"):
+    """json.dumps(o, sort_keys=True, indent=2), byte for byte, for dict
+    keys that are str.  Under indent, json.dumps encodes in pure Python;
+    here a list of strings, such as a trajectory row, is one join."""
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        inner = indent + "  "
+        try:
+            items = ("," + inner).join(map(_str, o))
+        except TypeError:       # an item that is not a str
+            items = ("," + inner).join([_json(v, inner) for v in o])
+        return "[" + inner + items + indent + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        inner = indent + "  "
+        return "{" + inner + ("," + inner).join(
+            [_str(k) + ": " + _json(o[k], inner) for k in sorted(o)]
+        ) + indent + "}"
+    if isinstance(o, str):
+        return _str(o)
+    if o is None or isinstance(o, bool):
+        return {None: "null", True: "true", False: "false"}[o]
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return (float.__repr__(o) if math.isfinite(o) else "NaN" if o != o
+                else "Infinity" if o > 0 else "-Infinity")
+    raise TypeError(f"{type(o).__name__} is not JSON serializable")
+
+
 def _emit(report, args):
     """Write the report as JSON, as a table, or (ihs-run) as the CSV of a
     passing report's trajectory rows."""
@@ -104,15 +141,22 @@ def _emit(report, args):
         header = ["t"] + [f"x{i + 1}" for i in range(n)] + ["H", "residual"]
         text = "\n".join(",".join(row) for row in [header] + rows) + "\n"
     else:
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if not args.output:
-        sys.stdout.write(text)
-        return
+        text = _json(report) + "\n"
     try:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        if args.output:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
     except OSError as e:
-        raise InputError("--output", f"cannot write ({e})")
+        if args.output:
+            raise InputError("--output", f"cannot write ({e})")
+        # what failed stays buffered: let the flush at exit drop it
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise InputError("stdout", f"cannot write ({e})")
 
 
 # ---------------------------------------------------------------------------
@@ -307,88 +351,75 @@ def cmd_ihs_run(args):
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def build_parser():
+def _arguments(*arguments, formats=("json", "table")):
+    """(name, add_argument keywords) pairs, then --format and --output."""
+    return [*arguments, ("--format", dict(choices=formats, default="json")),
+            ("--output", dict(default=None))]
+
+
+INPUT = ("input", {})
+
+SUBCOMMANDS = {
+    "check-jacobi": (cmd_check_jacobi, "Jacobi test on structure constants",
+                     _arguments(INPUT)),
+    "ce-cohomology": (
+        cmd_ce_cohomology, "adjoint Chevalley-Eilenberg cohomology "
+        "dimensions", _arguments(INPUT, ("--degrees", dict(
+            type=int, nargs="+", default=[1, 2, 3])))),
+    "deform-lie": (cmd_deform_lie, "order-by-order deformation of a Lie "
+                   "bracket", _arguments(
+                       INPUT, ("--order", dict(type=int, default=4)))),
+    "dirac-linear": (cmd_dirac_linear, "validate and represent a linear "
+                     "Dirac structure", _arguments(INPUT)),
+    "courant-verify": (
+        cmd_courant_verify, "axioms of a split Courant structure",
+        _arguments(INPUT, ("--degree", dict(type=int, default=1)),
+                   ("--section-limit", dict(type=int, default=None)))),
+    "theta-master": (cmd_theta_master, "master equation of the assembled "
+                     "charge", _arguments(INPUT)),
+    "deform-dirac": (cmd_deform_dirac, "graph deformation solver", _arguments(
+        INPUT, ("--order", dict(type=int, default=3)),
+        ("--degree-cap", dict(type=int, default=2)))),
+    "rothstein-check": (
+        cmd_rothstein_check, "super-Darboux residual table for a random "
+        "connection", _arguments(("--m", dict(type=int, default=2)),
+                                 ("--k", dict(type=int, default=2)),
+                                 ("--seed", dict(type=int, default=0)))),
+    "ihs-run": (cmd_ihs_run, "integrate an implicit Hamiltonian system",
+                _arguments(("--system", dict(dest="input", metavar="SYSTEM",
+                                             required=True)),
+                           ("--x0", dict(required=True)),
+                           ("--steps", dict(type=int, default=1000)),
+                           ("--h", dict(type=float, default=None)),
+                           formats=("json", "table", "csv"))),
+}
+
+
+def build_parser(command=None):
+    """The parser of every subcommand in SUBCOMMANDS (name -> handler,
+    help, arguments) or, given a name, of that one alone; its usage still
+    lists every name, so each message it prints is the full parser's."""
     ap = argparse.ArgumentParser(
         prog="diracdeform",
         description="Exact-arithmetic engines for graded brackets, Dirac "
                     "structures, Courant algebroids, and deformations.")
     ap.add_argument("--version", action="version", version=__version__)
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p, fmt=("json", "table")):
-        p.add_argument("--format", choices=fmt, default="json")
-        p.add_argument("--output", default=None)
-
-    p = sub.add_parser("check-jacobi", help="Jacobi test on structure "
-                       "constants")
-    p.add_argument("input")
-    common(p)
-    p.set_defaults(func=cmd_check_jacobi)
-
-    p = sub.add_parser("ce-cohomology", help="adjoint Chevalley-Eilenberg "
-                       "cohomology dimensions")
-    p.add_argument("input")
-    p.add_argument("--degrees", type=int, nargs="+", default=[1, 2, 3])
-    common(p)
-    p.set_defaults(func=cmd_ce_cohomology)
-
-    p = sub.add_parser("deform-lie", help="order-by-order deformation of "
-                       "a Lie bracket")
-    p.add_argument("input")
-    p.add_argument("--order", type=int, default=4)
-    common(p)
-    p.set_defaults(func=cmd_deform_lie)
-
-    p = sub.add_parser("dirac-linear", help="validate and represent a "
-                       "linear Dirac structure")
-    p.add_argument("input")
-    common(p)
-    p.set_defaults(func=cmd_dirac_linear)
-
-    p = sub.add_parser("courant-verify", help="axioms of a split Courant "
-                       "structure")
-    p.add_argument("input")
-    p.add_argument("--degree", type=int, default=1)
-    p.add_argument("--section-limit", type=int, default=None)
-    common(p)
-    p.set_defaults(func=cmd_courant_verify)
-
-    p = sub.add_parser("theta-master", help="master equation of the "
-                       "assembled charge")
-    p.add_argument("input")
-    common(p)
-    p.set_defaults(func=cmd_theta_master)
-
-    p = sub.add_parser("deform-dirac", help="graph deformation solver")
-    p.add_argument("input")
-    p.add_argument("--order", type=int, default=3)
-    p.add_argument("--degree-cap", type=int, default=2)
-    common(p)
-    p.set_defaults(func=cmd_deform_dirac)
-
-    p = sub.add_parser("rothstein-check", help="super-Darboux residual "
-                       "table for a random connection")
-    p.add_argument("--m", type=int, default=2)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
-    common(p)
-    p.set_defaults(func=cmd_rothstein_check)
-
-    p = sub.add_parser("ihs-run", help="integrate an implicit "
-                       "Hamiltonian system")
-    p.add_argument("--system", dest="input", metavar="SYSTEM",
-                   required=True)
-    p.add_argument("--x0", required=True)
-    p.add_argument("--steps", type=int, default=1000)
-    p.add_argument("--h", type=float, default=None)
-    common(p, fmt=("json", "table", "csv"))
-    p.set_defaults(func=cmd_ihs_run)
-
+    # a metavar would rename "argument command" in the full parser's errors
+    sub = ap.add_subparsers(dest="command", required=True, metavar=(
+        "{" + ",".join(SUBCOMMANDS) + "}" if command else None))
+    for name in [command] if command else SUBCOMMANDS:
+        func, help_, arguments = SUBCOMMANDS[name]
+        p = sub.add_parser(name, help=help_)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.set_defaults(func=func)
     return ap
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in SUBCOMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         input_hash, body, ok = args.func(args)
         report = {"command": args.command, "engine_version": __version__,

@@ -1,14 +1,20 @@
 """Tests for the command-line front end: exit codes, report envelopes,
-determinism, and the CSV trajectory output."""
+determinism, the CSV trajectory output, and the JSON writer and the
+one-subcommand parser against json.dumps and the full parser."""
 
 import hashlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from diracdeform import cli, courant, ihs, multilinear
 from diracdeform.dirac_linear import from_bivector
@@ -120,6 +126,24 @@ class TestDeterminism:
         assert code == 0
         assert out == ""
         assert json.loads(dest.read_text())["ok"] is True
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_unwritable_stdout_exits_2(self, tmp_path, unbuffered):
+        # buffered, the write fails at the flush; unbuffered, at the write
+        env = {k: v for k, v in SUBPROCESS_ENV.items()
+               if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with open("/dev/full", "w") as full:
+            p = subprocess.run(
+                [sys.executable, "-m", "diracdeform.cli", "check-jacobi",
+                 write(tmp_path, "so3.json", SO3)], stdout=full,
+                stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+        assert p.returncode == 2
+        assert p.stderr.startswith("input error: stdout: cannot write (")
+        assert p.stderr.count("\n") == 1       # no traceback, nothing ignored
 
 
 class TestCohomologyAndDeform:
@@ -657,3 +681,91 @@ def test_failing_courant_reports_pinned(tmp_path, capsys, data, extra,
                        + extra, capsys)
     assert code == 1
     assert out == (DATA / expected).read_text()
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer and the one-subcommand parser against their references
+# ---------------------------------------------------------------------------
+
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(-10 ** 400, 10 ** 400),
+    st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0,
+                                  5e-324, 1e16, 0.1]),
+    st.text(), st.sampled_from(['"', "\\", 'a"b\\c', "\x00\x1f\x7f\n\t",
+                                "ç∂ℚ", "\U0001d524", "\u2028"]))
+json_values = st.recursive(json_scalars, lambda children: st.one_of(
+    st.lists(children, max_size=4), st.lists(children, max_size=4).map(tuple),
+    st.dictionaries(st.text(max_size=4), children, max_size=4)), max_leaves=25)
+
+
+@given(json_values)
+@example([[], {}, (), ["a", 1, "b"], ("c", [])])
+@example({"a": {"b": []}, "": ()})
+@example({"trajectory": [["0", "1.5"], ["1e-12", "-0"]], "ok": True})
+@settings(max_examples=300, deadline=None, database=None)
+def test_json_writer_is_json_dumps(value):
+    assert cli._json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    Fraction(1, 2), {"a": [1, {"b": Fraction(3)}]}, [b"bytes"], {1, 2},
+    [object()]])
+def test_json_writer_rejects_what_json_dumps_rejects(value):
+    with pytest.raises(TypeError):
+        json.dumps(value, sort_keys=True, indent=2)
+    with pytest.raises(TypeError):
+        cli._json(value)
+
+
+# --opt=v, abbreviated and repeated options, nargs="+"; every subcommand
+VALID_ARGV = [
+    ["check-jacobi", "in.json"],
+    ["check-jacobi", "in.json", "--format=table", "--output", "r.txt"],
+    ["ce-cohomology", "in.json", "--degrees", "1", "2", "3"],
+    ["ce-cohomology", "in.json", "--deg", "2", "--degrees", "3", "4"],
+    ["deform-lie", "in.json", "--order=2", "--ord", "3"],
+    ["dirac-linear", "--format", "table", "in.json"],
+    ["courant-verify", "in.json", "--degree", "2", "--section", "3"],
+    ["theta-master", "in.json", "--out=r.json"],
+    ["deform-dirac", "in.json", "--order", "1", "--degree-cap=3"],
+    ["rothstein-check", "--m=1", "--k", "0", "--seed", "7", "--seed", "8"],
+    ["ihs-run", "--sys", "s.json", "--x0=1,0", "--steps", "3", "--h", "0.1",
+     "--format", "csv"],
+]
+BAD_ARGV = [
+    [], ["-h"], ["--version"], ["bogus"], ["bogus", "in.json"],
+    ["--version", "check-jacobi"],
+    ["ce-cohomology", "in.json", "--bogus"],
+    ["ihs-run", "--s", "s.json", "--x0", "1,0"],      # ambiguous
+    ["deform-lie", "in.json", "--order", "two"],
+    ["ihs-run", "--system", "s.json"],
+    ["check-jacobi"], ["check-jacobi", "in.json", "extra"],
+    ["check-jacobi", "in.json", "--version"],
+    ["check-jacobi", "in.json", "--format", "csv"],
+    ["rothstein-check", "--seed"],
+] + [[name, "--help"] for name in cli.SUBCOMMANDS]
+
+
+def test_parser_tables_cover_every_subcommand():
+    assert {argv[0] for argv in VALID_ARGV} == set(cli.SUBCOMMANDS)
+
+
+@pytest.mark.parametrize("argv", VALID_ARGV, ids=" ".join)
+def test_one_subcommand_parser_parses_as_the_full_one(argv):
+    assert (vars(cli.build_parser(argv[0]).parse_args(argv))
+            == vars(cli.build_parser().parse_args(argv)))
+
+
+def exits(call):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        with pytest.raises(SystemExit) as e:
+            call()
+    return e.value.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", BAD_ARGV, ids=" ".join)
+def test_main_rejects_as_the_full_parser(argv):
+    assert (exits(lambda: cli.main(argv))
+            == exits(lambda: cli.build_parser().parse_args(argv)))
