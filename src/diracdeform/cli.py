@@ -25,7 +25,7 @@ from json.encoder import encode_basestring_ascii as _str
 from . import __version__, courant, ihs
 from . import dirac_linear as dl
 from .brackets import BracketContext, master_residuals
-from .jsonin import InputError, array, fields, natural
+from .jsonin import InputError, array, fields, natural, rational
 from .lie_deform import Order0NotLie, PreconditionMC, extend_series
 from .multilinear import (
     NotLie,
@@ -98,10 +98,25 @@ def _render_table(obj, prefix=""):
     return lines
 
 
+def _rows(o, indent):
+    """The items of the list o at indent, as _json writes them, when they
+    are all non-empty lists of strings (the trajectory rows); else None."""
+    if not ({*map(type, o)} <= {list, tuple} and all(o)):
+        return None
+    inner = indent + "  "
+    head, sep, tail = "[" + inner, "," + inner, indent + "]"
+    try:
+        return ("," + indent).join(
+            [head + sep.join(map(_str, v)) + tail for v in o])
+    except TypeError:           # a row item that is not a str
+        return None
+
+
 def _json(o, indent="\n"):
     """json.dumps(o, sort_keys=True, indent=2), byte for byte, for dict
     keys that are str.  Under indent, json.dumps encodes in pure Python;
-    here a list of strings, such as a trajectory row, is one join."""
+    here a list of strings, such as a trajectory row, is one join, and a
+    list of such lists, such as the trajectory, one pass (_rows)."""
     if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
@@ -109,7 +124,8 @@ def _json(o, indent="\n"):
         try:
             items = ("," + inner).join(map(_str, o))
         except TypeError:       # an item that is not a str
-            items = ("," + inner).join([_json(v, inner) for v in o])
+            items = _rows(o, inner) or ("," + inner).join(
+                [_json(v, inner) for v in o])
         return "[" + inner + items + indent + "]"
     if isinstance(o, dict):
         if not o:
@@ -330,8 +346,8 @@ def cmd_ihs_run(args):
     data, digest = _load_json(args.input)
     sys_ = ihs.system_from_json(data)
     try:
-        x0 = [float(Fraction(x)) for x in args.x0.split(",")]
-    except (ValueError, ZeroDivisionError, OverflowError) as e:
+        x0 = [float(rational(x, "--x0")) for x in args.x0.split(",")]
+    except OverflowError as e:
         raise InputError("--x0", str(e))
     if len(x0) != sys_.n:
         raise InputError("--x0", f"expected {sys_.n} components")

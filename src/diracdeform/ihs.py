@@ -11,8 +11,9 @@ each row of K grad H and P grad H becomes one exact polynomial, rounded
 to floats once.  When M has full rank, P = 0, so there are no
 constraint rows and every residual is exactly 0.0.  Trajectories are
 integrated with classical RK4 on plain Python floats, without numpy,
-by one straight-line step generated per system; a step that is not
-finite or not admissible is replayed stage by stage, bit for bit.  The
+by one loop generated per system whose steps are straight-line Python;
+a step that is not finite or not admissible is replayed stage by stage,
+bit for bit, and the loop resumes after it.  The
 admissible-function algebra (the Poisson bracket on functions whose
 differential lies in the covector projection of L) is computed exactly
 on polynomials with rational coefficients.
@@ -120,11 +121,17 @@ def _max_abs(v):
 
 
 def _compile_step(n, field, residual, b, H):
-    """step(x0, .., x{n-1}, h, h2, h6), generated from float reprs and
-    integers: one RK4 step in the operations of _float_eval and
-    IHSystem._staged_step.  Returns the new point, its energy, a sentinel
-    (0.0 when every stage row and the energy are finite) and each stage's
-    residual and max |b|, [] without constraint rows (b != 0 with them)."""
+    """step(x0, .., x{n-1}, h, h2, h6, s, steps, tol, P, E, R, max_res),
+    generated from float reprs and integers: one loop over the RK4 steps
+    s .. steps - 1 from the point x, each step in the operations of
+    _float_eval and IHSystem._staged_step.  A step commits its new point
+    through P, its energy through E and its k1 residual (0.0 without
+    constraint rows) through R, and takes its stage residuals into
+    max_res.  Returns (s, max_res) after the last step, or at the first
+    step s that it cannot commit, uncommitted: one that overflows, has a
+    stage row or the energy not finite (the sentinel z * 0.0 is then not
+    0.0), or has a stage residual above tol (1 + max |b|).  integrate
+    replays that one step and calls the loop again from s + 1."""
     def total(v, first, addends):
         # v = first + a1 + a2 + ... from the left, 100 addends a statement:
         # compile() runs out of recursion depth on sums thousands deep
@@ -135,24 +142,40 @@ def _compile_step(n, field, residual, b, H):
     def row(v, terms, y):
         return total(v, "0.0", [f"({c!r})" + "".join(
             f" * {y[i]}**{k}" for i, k in powers) for c, powers in terms])
-    y = [f"x{i}" for i in range(n)]
-    lines = [f"def step({', '.join(y + ['h', 'h2', 'h6'])}):"]
-    seen, maxes, abs_ = [], {"r": [], "b": []}, "abs({})".format
+
+    def stage_max(tag, j, rows):
+        return "max(0.0, {})".format(", ".join(
+            f"abs({tag}{j}_{i})" for i in range(len(rows))))
+    x = y = [f"x{i}" for i in range(n)]
+    body, seen, checks = [], [], []
     incs = ("h2 * k0_{0}", "h2 * k1_{0}", "h * k2_{0}",
             "h6 * (k0_{0} + 2 * k1_{0} + 2 * k2_{0} + k3_{0})")
     for j, inc in enumerate(incs):
         for tag, rows in (("k", field), ("r", residual), ("b", b)):
             vals = [f"{tag}{j}_{i}" for i in range(len(rows))]
             for v, t in zip(vals, rows):
-                lines += row(v, t, y)
+                body += row(v, t, y)
             seen += vals
-            if tag != "k" and vals:
-                maxes[tag].append(f"max(0.0, {', '.join(map(abs_, vals))})")
+        if residual:        # stage j's residual m{j}; then b != 0 too
+            checks += [f"m{j} = {stage_max('r', j, residual)}",
+                       f"if not m{j} <= tol * (1.0 + {stage_max('b', j, b)}):",
+                       "    return s, max_res"]
         y = [f"y{j}_{i}" for i in range(n)]
-        lines += [f"{v} = x{i} + {inc.format(i)}" for i, v in enumerate(y)]
-    lines += row("e", H, y) + total("z", "e", seen) + [
-        f"return [{', '.join(y)}], e, z * 0.0, "
-        f"[{', '.join(maxes['r'])}], [{', '.join(maxes['b'])}]"]
+        body += [f"{v} = x{i} + {inc.format(i)}" for i, v in enumerate(y)]
+    body += row("e", H, y) + total("z", "e", seen)
+    commit = ["R(m0)", "max_res = max(max_res, 0.0, m0, m1, m2, m3)"] \
+        if residual else ["R(0.0)"]
+    commit += [f"P([{', '.join(y)}])", "E(e)"]
+    if n:
+        commit.append(f"{', '.join(x)} = {', '.join(y)}")
+    args = x + ["h", "h2", "h6", "s", "steps", "tol", "P", "E", "R",
+                "max_res"]
+    lines = [f"def step({', '.join(args)}):", "while s < steps:", "    try:"]
+    lines += ["        " + line for line in body]
+    lines += ["    except OverflowError:", "        return s, max_res",
+              "    if z * 0.0 != 0.0:", "        return s, max_res"]
+    lines += ["    " + line for line in checks + commit + ["s += 1"]]
+    lines.append("return s, max_res")
     exec(compile("\n    ".join(lines), "<ihs step>", "exec"), scope := {})
     return scope["step"]
 
@@ -288,31 +311,29 @@ class IHSystem:
         velocity_solve) or the trajectory diverges (the energy of a point
         or the residual of the final point is not finite).  The k1 stage
         solves at the current point, so it supplies that point's
-        residual; the final point gets one more solve.  Each step is one
-        call of the generated step (_compile_step); one that overflows,
-        has a sentinel other than 0.0 or an inadmissible stage is
-        replayed by _staged_step, which raises at the stage at fault or
-        gives the same floats."""
+        residual; the final point gets one more solve.  The steps run in
+        the generated loop (_compile_step); a step that it cannot commit
+        is replayed by _staged_step, which raises at the stage at fault or
+        gives the same floats, and the loop resumes after it."""
         h = self.h if h is None else h
         h2, h6 = h / 2, h / 6
         x = [float(v) for v in x0]
         e0 = self.energy(x)
         if not math.isfinite(e0):
             raise LeftAdmissibleSet(0, 0.0, x)
-        points, energies, residuals, max_res = [x], [e0], [], 0.0
+        points, energies, residuals = [x], [e0], []
         step, tol = self._step, self.tol
-        for s in range(steps):
-            try:
-                x, e, z, res, scale = step(*x, h, h2, h6)
-            except OverflowError:
-                z = None
-            if z != 0.0 or res and not all(
-                    r <= tol * (1.0 + b) for r, b in zip(res, scale)):
-                x, e, res = self._staged_step(s, points[-1], h)
+        commit = points.append, energies.append, residuals.append
+        s, max_res = step(*x, h, h2, h6, 0, steps, tol, *commit, 0.0)
+        while s < steps:
+            x, e, res = self._staged_step(s, points[-1], h)
             residuals.append(res[0] if res else 0.0)
             max_res = max(max_res, 0.0, *res)
             points.append(x)
             energies.append(e)
+            s, max_res = step(*x, h, h2, h6, s + 1, steps, tol, *commit,
+                              max_res)
+        x = points[-1]
         residuals.append(self._solve(x)[1])
         if not math.isfinite(residuals[-1]):
             raise LeftAdmissibleSet(steps, steps * h, x)
@@ -417,8 +438,12 @@ def system_to_json(sys_):
 
 
 def trajectory_rows(traj):
-    """The ihs-run rows [t, x1..xn, H, residual] as .12g strings."""
-    return [[f"{v:.12g}" for v in (t, *x, e, r)] for t, x, e, r in
+    """The ihs-run rows [t, x1..xn, H, residual] as .12g strings, each
+    row one % format split at NULs ('%.12g' % v is f'{v:.12g}').  With
+    maxsplit, split() allocates each row at its length (up to 12)."""
+    k = len(traj.points[0]) + 3
+    fmt = "\0".join(["%.12g"] * k)
+    return [(fmt % (t, *x, e, r)).split("\0", k - 1) for t, x, e, r in
             zip(traj.times, traj.points, traj.energies, traj.residuals)]
 
 

@@ -3,7 +3,14 @@ shape docs/schemas gives it and returns it, or raises InputError naming
 the value's JSON path ($ is the document, $.c[0][3] the last entry of
 the first row of c).  The CLI maps every InputError to exit code 2."""
 
+import re
 from fractions import Fraction
+
+# Fraction('1e30000000') computes 10 ** 30000000 before anything can look
+# at it.  Fraction refuses a digit string longer than Python's 4,300-digit
+# int limit; rational() refuses a decimal exponent beyond it the same way.
+MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]*)\s*\Z")
 
 
 class InputError(ValueError):
@@ -47,10 +54,18 @@ def array(v, path, length=None):
 
 def rational(v, path):
     """Fraction(v) for v a string or an int, the spellings the schemas
-    allow ('3', '-1/2', '1e-3' or 3)."""
+    allow ('3', '-1/2', '1e-3' or 3), with a decimal exponent of at most
+    MAX_EXPONENT in absolute value."""
     if type(v) not in (str, int):
         raise InputError(path, "expected a rational as a string or an "
                                f"integer, got {v!r}")
+    exponent = type(v) is str and _EXPONENT.search(v)
+    if exponent:
+        digits = exponent[1].replace("_", "").lstrip("0")
+        if len(digits) > len(str(MAX_EXPONENT)) \
+                or int(digits or 0) > MAX_EXPONENT:
+            raise InputError(path, f"not a rational (a decimal exponent "
+                                   f"beyond {MAX_EXPONENT} in absolute value)")
     try:
         return Fraction(v)
     except (ValueError, ZeroDivisionError) as e:

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -16,7 +17,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from diracdeform import cli, courant, ihs, multilinear
+from diracdeform import cli, courant, ihs, jsonin, multilinear
 from diracdeform.dirac_linear import from_bivector
 from diracdeform.multilinear import base_gens, first_failing_triple
 from diracdeform.superalg import parse
@@ -599,6 +600,39 @@ def test_input_errors_exit_2_naming_path(tmp_path, command, data, extra,
     assert f"{path}:" in p.stderr
 
 
+@pytest.mark.parametrize("command, data, extra, path", [
+    ("check-jacobi", {"dim": 3, "c": [[0, 1, 2, "1e30000000"]]}, [],
+     "$.c[0][3]"),
+    ("check-jacobi", {"dim": 3, "c": [[0, 1, 2, " -2.5E-3_0000_000 "]]}, [],
+     "$.c[0][3]"),
+    ("dirac-linear", {"n": 1, "bivector": [["1e4301"]]}, [],
+     "$.bivector[0][0]"),
+    ("ihs-run", {**OSC, "H": [[[0, 2], "1e99999"]]}, ["--x0=0,0"],
+     "$.H[0]"),
+    ("ihs-run", OSC, ["--x0=1e30000000,0"], "--x0"),
+    ("ihs-run", OSC, ["--x0=0,1e-0004301"], "--x0"),
+])
+def test_huge_decimal_exponents_exit_2_at_once(tmp_path, capsys, command,
+                                               data, extra, path):
+    # Fraction would compute 10 ** |exponent| first: 51 s for 1e30000000
+    inputs = [write(tmp_path, "in.json", data)]
+    if command == "ihs-run":
+        inputs.insert(0, "--system")
+    start = time.perf_counter()
+    code, out, err = run([command] + inputs + extra, capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert f"{path}: not a rational (a decimal exponent beyond 4300" in err
+
+
+@pytest.mark.parametrize("text, value", [
+    ("1e4300", Fraction(10 ** 4300)), ("-1E-4300", Fraction(-1, 10 ** 4300)),
+    ("2.5e+04300", Fraction(25 * 10 ** 4299)), ("1e0", Fraction(1)),
+    ("3/4", Fraction(3, 4))])
+def test_rational_takes_exponents_up_to_the_bound(text, value):
+    assert jsonin.rational(text, "$") == value
+
+
 def test_import_does_not_load_scipy():
     p = subprocess.run(
         [sys.executable, "-c", "import sys, diracdeform.cli; "
@@ -716,6 +750,36 @@ def test_json_writer_rejects_what_json_dumps_rejects(value):
         json.dumps(value, sort_keys=True, indent=2)
     with pytest.raises(TypeError):
         cli._json(value)
+
+
+json_strings = st.one_of(st.text(), st.sampled_from(
+    ['"', "\\", "\x00\x1f\x7f\n\t", "ç∂ℚ", "\U0001d524", "\u2028", "-0"]))
+json_rows = st.lists(st.one_of(
+    st.lists(json_strings, min_size=1, max_size=4),
+    st.lists(json_strings, min_size=1, max_size=4).map(tuple)),
+    min_size=1, max_size=6)
+
+
+@given(json_rows, st.one_of(json_values, st.lists(json_scalars, min_size=1,
+                                                  max_size=3)),
+       st.integers(0, 6))
+# an empty row, non-list items, and rows holding a non-str
+@example([["0", "1"]], [], 1)
+@example([["0"]], (), 0)
+@example([["0"]], "1", 1)
+@example([["0"]], 1, 0)
+@example([["0"]], {"a": "1"}, 0)
+@example([["0"], ("1",)], ["1", None], 1)
+@example([["0"]], [["1"]], 1)
+@settings(max_examples=300, deadline=None, database=None)
+def test_json_row_path_is_json_dumps(rows, odd, at):
+    # a list of non-empty lists of strings takes one pass (cli._rows);
+    # with any other item put in, it takes the item-wise path
+    assert cli._rows(rows, "\n  ") is not None
+    mixed = rows[:at] + [odd] + rows[at:]
+    for value in (rows, mixed, {"trajectory": rows}, [mixed]):
+        assert cli._json(value) == json.dumps(value, sort_keys=True,
+                                              indent=2)
 
 
 # --opt=v, abbreviated and repeated options, nargs="+"; every subcommand

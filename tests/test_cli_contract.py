@@ -141,8 +141,9 @@ COUNTS = {"dim", "m", "k", "n", "ambient"}
 WRONG = [None, True, "x", "", "1/0", "--1", "1/2/3", 0.5, -1, [], {"a": 1},
          float("nan"), float("inf")]
 # huge numbers go only into value and index slots: a huge count asks for
-# a huge computation, which is not an input error
-HUGE = [10 ** 30, -10 ** 30, "1e400", 1e308]
+# a huge computation, which is not an input error.  A huge decimal
+# exponent is one, and must be refused before Fraction expands it.
+HUGE = [10 ** 30, -10 ** 30, "1e400", 1e308, "1e30000000", "-1E-30000000"]
 
 
 def _nodes(doc, path=()):

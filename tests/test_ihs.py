@@ -533,6 +533,35 @@ class TestGeneratedStep:
         assert repr(traj.points) == repr(
             staged_integrate(sys_, [0.0, 0.0], 3).points)
 
+    @pytest.mark.parametrize("L, H, x0", [
+        # with constraint rows, and without
+        (kernel_structure(), "1/2 x1^2 + 1/2 x2^2 + 1/2 x2^2 x3^2",
+         [0.3, -0.7, 1e-12]),
+        (ihs.canonical_symplectic(1), "1/2 x1^2 + 1/2 x2^2", [0.6, -0.8])])
+    def test_replay_in_mid_trajectory(self, monkeypatch, L, H, x0):
+        # the generated loop stops once before step k, as at a step it
+        # cannot commit: integrate replays k alone, then re-enters at k + 1
+        sys_ = ihs.IHSystem(L, poly(L.n, H))
+        steps, k = 40, 17
+        loop, staged, entries, replays = sys_._step, sys_._staged_step, [], []
+
+        def stop_once(*args):
+            s = args[sys_.n + 3]        # after x.., h, h2, h6
+            entries.append(s)
+            until = k if len(entries) == 1 else args[sys_.n + 4]
+            got = loop(*args[:sys_.n + 4], until, *args[sys_.n + 5:])
+            assert got[0] == until
+            return got
+
+        monkeypatch.setattr(sys_, "_step", stop_once)
+        monkeypatch.setattr(sys_, "_staged_step",
+                            lambda *a: replays.append(a[0]) or staged(*a))
+        traj = sys_.integrate(x0, steps)
+        assert replays == [k]
+        assert entries == [0, k + 1]
+        assert repr(vars(traj)) == \
+            repr(vars(staged_integrate(sys_, x0, steps)))
+
     @pytest.mark.parametrize("H, x0, h, step, t", [
         # x2 = -2e87 after the k1 stage, so the k2 stage overflows
         ({(4, 0): 1, (0, 4): 1}, [1e30, 1.0], 1e-3, 0, 5e-4),
@@ -581,8 +610,10 @@ class TestGeneratedStep:
         sys_.integrate([0.1, 0.2, 0.0], 2)
         ihs.IHSystem(space_V(0), base_gens(0).zero()).integrate([], 1)
         assert len(sources) == 2
-        name = re.compile(r"(def|step|return|max|abs|e|z|h|h2|h6|x\d+"
-                          r"|[kyrb]\d+_\d+)$")
+        # the loop's fixed vocabulary, then the generated variables
+        name = re.compile(r"(def|step|return|max|abs|while|if|not|try"
+                          r"|except|OverflowError|s|steps|tol|P|E|R|max_res"
+                          r"|e|z|h|h2|h6|x\d+|m\d+|[kyrb]\d+_\d+)$")
         for source in sources:
             for tok in tokenize.generate_tokens(
                     io.StringIO(source).readline):
@@ -593,7 +624,8 @@ class TestGeneratedStep:
                         or tok.string.isdigit()
                 elif tok.type == tokenize.OP:
                     assert tok.string in {"(", ")", "[", "]", ",", ":", "=",
-                                          "+", "-", "*", "**"}, tok.string
+                                          "+", "-", "*", "**", "<", "<=",
+                                          "!=", "+="}, tok.string
 
 
 class TestAdmissibleBracket:
@@ -696,6 +728,23 @@ class TestAdmissibleBracket:
         assert W.contains_vector([Fraction(1), Fraction(0), Fraction(0)])
         assert not W.contains_vector([Fraction(0), Fraction(0),
                                       Fraction(1)])
+
+
+FORMAT_EDGES = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324,
+                                1e16, 1e-5])
+
+
+@given(st.integers(0, 12).flatmap(lambda n: st.lists(
+    st.lists(st.one_of(st.floats(), FORMAT_EDGES), min_size=n + 3,
+             max_size=n + 3), min_size=1, max_size=6)))
+@settings(max_examples=300, deadline=None)
+def test_trajectory_rows_are_12g_of_every_value(rows):
+    # rows of up to 15 values: split() preallocates 12 at most
+    traj = ihs.Trajectory([r[0] for r in rows], [r[1:-2] for r in rows],
+                          [r[-2] for r in rows], 0.0, 0.0,
+                          [r[-1] for r in rows])
+    assert ihs.trajectory_rows(traj) == \
+        [[f"{v:.12g}" for v in r] for r in rows]
 
 
 class TestSerialization:
