@@ -6,10 +6,12 @@ writes the report envelope and picks the exit code: 0 = pass / extends,
 message names the input file and JSON path, the option at fault, or
 stdout when the report cannot be written there.  A job builds only its
 subcommand's parser, and `_json` writes the text of json.dumps(report,
-sort_keys=True, indent=2) in a fraction of its time.  Reports are
-deterministic (byte-identical for equal inputs and seeds) and embed the
-input hash and engine version.  JSON schemas for the input files live
-in docs/schemas.
+sort_keys=True, indent=2) in a fraction of its time.  An ihs-run report
+holds the ihs.Trajectory itself: JSON and CSV write its .12g rows with
+one ihs.trajectory_text, the table through ihs.trajectory_rows.
+Reports are deterministic (byte-identical for equal inputs and seeds)
+and embed the input hash and engine version.  JSON schemas for the input
+files live in docs/schemas.
 """
 
 import argparse
@@ -87,6 +89,8 @@ def _require_cochains(dim, degrees):
 
 def _render_table(obj, prefix=""):
     lines = []
+    if isinstance(obj, ihs.Trajectory):
+        obj = ihs.trajectory_rows(obj)
     if isinstance(obj, dict):
         for k in sorted(obj):
             lines.extend(_render_table(obj[k], f"{prefix}{k}."))
@@ -114,9 +118,11 @@ def _rows(o, indent):
 
 def _json(o, indent="\n"):
     """json.dumps(o, sort_keys=True, indent=2), byte for byte, for dict
-    keys that are str.  Under indent, json.dumps encodes in pure Python;
-    here a list of strings, such as a trajectory row, is one join, and a
-    list of such lists, such as the trajectory, one pass (_rows)."""
+    keys that are str, where an ihs.Trajectory stands for the list of its
+    trajectory_rows.  Under indent, json.dumps encodes in pure Python;
+    here a list of strings is one join, a list of such lists one pass
+    (_rows), and a Trajectory one ihs.trajectory_text whose template
+    holds the quotes and indents."""
     if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
@@ -136,6 +142,11 @@ def _json(o, indent="\n"):
         ) + indent + "}"
     if isinstance(o, str):
         return _str(o)
+    if isinstance(o, ihs.Trajectory):
+        inner, row = indent + "  ", indent + "    "
+        return "[" + inner + ihs.trajectory_text(
+            o, "[" + row + '"', '",' + row + '"', '"' + inner + "]",
+            "," + inner) + indent + "]"
     if o is None or isinstance(o, bool):
         return {None: "null", True: "true", False: "false"}[o]
     if isinstance(o, int):
@@ -148,14 +159,16 @@ def _json(o, indent="\n"):
 
 def _emit(report, args):
     """Write the report as JSON, as a table, or (ihs-run) as the CSV of a
-    passing report's trajectory rows."""
+    passing report's trajectory: a header, then the rows of
+    ihs.trajectory_text."""
     if args.format == "table":
         text = "\n".join(_render_table(report)) + "\n"
     elif args.format == "csv" and report["ok"]:
-        rows = report["report"]["trajectory"]
-        n = len(rows[0]) - 3
+        traj = report["report"]["trajectory"]
+        n = len(traj.points[0])
         header = ["t"] + [f"x{i + 1}" for i in range(n)] + ["H", "residual"]
-        text = "\n".join(",".join(row) for row in [header] + rows) + "\n"
+        text = ",".join(header) + "\n" + ihs.trajectory_text(
+            traj, "", ",", "", "\n") + "\n"
     else:
         text = _json(report) + "\n"
     try:
@@ -359,7 +372,7 @@ def cmd_ihs_run(args):
                         "t": e.t}, False
     body = {"steps": args.steps, "h": h, "max_drift": traj.max_drift,
             "max_residual": traj.max_residual,
-            "trajectory": ihs.trajectory_rows(traj)}
+            "trajectory": traj}
     return digest, body, True
 
 

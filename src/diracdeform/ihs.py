@@ -131,17 +131,31 @@ def _compile_step(n, field, residual, b, H):
     step s that it cannot commit, uncommitted: one that overflows, has a
     stage row or the energy not finite (the sentinel z * 0.0 is then not
     0.0), or has a stage residual above tol (1 + max |b|).  integrate
-    replays that one step and calls the loop again from s + 1."""
+    replays that one step and calls the loop again from s + 1.
+
+    A term is written as _float_eval computes it, less what is exact for
+    every float: y**1 is y, 1.0 * a is a, and v + (-1.0 * a) * b is
+    v - a * b, since IEEE 754 defines v - w as v + (-w) and rounds
+    (-a) * b to -(a * b).  A power k >= 2 stays y**k, which raises the
+    OverflowError that sends a step to the replay.  Each sum starts as
+    v = 0.0 + the first term (0.0 + -0.0 is 0.0, as in _float_eval)."""
     def total(v, first, addends):
-        # v = first + a1 + a2 + ... from the left, 100 addends a statement:
+        # v = first +- a1 +- a2 ... from the left, 100 addends a statement:
         # compile() runs out of recursion depth on sums thousands deep
-        return [f"{v} = {first}"] + [
-            f"{v} = {v} + {' + '.join(addends[i:i + 100])}"
-            for i in range(0, len(addends), 100)]
+        lines = []
+        for i in range(0, len(addends), 100):
+            lines.append(f"{v} = {first}" + "".join(addends[i:i + 100]))
+            first = v
+        return lines or [f"{v} = {first}"]
+
+    def term(c, powers, y):
+        factors = [y[i] if k == 1 else f"{y[i]}**{k}" for i, k in powers]
+        if powers and c in (1.0, -1.0):
+            return (" - " if c < 0 else " + ") + " * ".join(factors)
+        return " + " + " * ".join([f"({c!r})"] + factors)
 
     def row(v, terms, y):
-        return total(v, "0.0", [f"({c!r})" + "".join(
-            f" * {y[i]}**{k}" for i, k in powers) for c, powers in terms])
+        return total(v, "0.0", [term(c, p, y) for c, p in terms])
 
     def stage_max(tag, j, rows):
         return "max(0.0, {})".format(", ".join(
@@ -162,7 +176,7 @@ def _compile_step(n, field, residual, b, H):
                        "    return s, max_res"]
         y = [f"y{j}_{i}" for i in range(n)]
         body += [f"{v} = x{i} + {inc.format(i)}" for i, v in enumerate(y)]
-    body += row("e", H, y) + total("z", "e", seen)
+    body += row("e", H, y) + total("z", "e", [f" + {v}" for v in seen])
     commit = ["R(m0)", "max_res = max(max_res, 0.0, m0, m1, m2, m3)"] \
         if residual else ["R(0.0)"]
     commit += [f"P([{', '.join(y)}])", "E(e)"]
@@ -437,14 +451,24 @@ def system_to_json(sys_):
     }
 
 
+def trajectory_text(traj, head, sep, tail, between):
+    """The ihs-run rows [t, x1..xn, H, residual], each written as head +
+    the .12g values joined by sep + tail, and joined by between: one %
+    format a row ('%.12g' % v is f'{v:.12g}').  A .12g value holds only
+    digits, '-', '+', '.', 'e', 'inf' or 'nan', so sep may quote it."""
+    k = len(traj.points[0]) + 3
+    head, sep, tail = (s.replace("%", "%%") for s in (head, sep, tail))
+    fmt = head + sep.join(["%.12g"] * k) + tail
+    return between.join([fmt % (t, *x, e, r) for t, x, e, r in zip(
+        traj.times, traj.points, traj.energies, traj.residuals)])
+
+
 def trajectory_rows(traj):
-    """The ihs-run rows [t, x1..xn, H, residual] as .12g strings, each
-    row one % format split at NULs ('%.12g' % v is f'{v:.12g}').  With
+    """The rows of trajectory_text as lists of .12g strings; with
     maxsplit, split() allocates each row at its length (up to 12)."""
     k = len(traj.points[0]) + 3
-    fmt = "\0".join(["%.12g"] * k)
-    return [(fmt % (t, *x, e, r)).split("\0", k - 1) for t, x, e, r in
-            zip(traj.times, traj.points, traj.energies, traj.residuals)]
+    return [row.split("\0", k - 1) for row in
+            trajectory_text(traj, "", "\0", "", "\n").split("\n")]
 
 
 def _positive_number(obj, key, default):

@@ -425,6 +425,8 @@ PINNED_SYSTEMS = {
      "0492d678be68e0bfa3c7a6356333d6c40f31c02042aa1e4f397f87fd1fb9365b"),
     ("oscillator", "csv",
      "ef96d2de9161f9d2acabfee6aa6f76e6936533f1e43ff5f3b5c2007fcb35d268"),
+    ("oscillator", "table",
+     "42b041618a9af78fefee6373a1a7b57dc7181100b7435147459e713c695f2bd5"),
     ("constrained", "json",
      "7853e9123335b3db6d3ffe3412d5b3ca0c6776f4b2ef1a58b402483b3a5d6ff6"),
     ("constrained", "csv",

@@ -1,15 +1,19 @@
 """Tests for the implicit-Hamiltonian-system simulator and the exact
 admissible-function algebra."""
 
+import argparse
+import io
+import json
 import math
 import random
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from diracdeform import ihs, ratlin
+from diracdeform import cli, ihs, ratlin
 from diracdeform.dirac_linear import (
     LinearDirac,
     from_bivector,
@@ -452,11 +456,12 @@ def stepped_systems(draw):
     """Systems that reach every branch of the generated step: constraint
     rows (P grad H != 0), multi-term H of degree up to 4, powers that
     overflow, a coefficient of 8e307, a constant field of 1e308 whose
-    stage sum overflows although every stage is finite, and the random
-    systems of the other oracle tests."""
+    stage sum overflows although every stage is finite, coefficients of
+    +-1.0 and powers of 1, and the random systems of the other oracle
+    tests."""
     rng = random.Random(draw(st.integers(0, 2 ** 16)))
     kind = draw(st.sampled_from(["kernel", "third", "quartic", "big",
-                                 "sum", "degree4", "random"]))
+                                 "sum", "unit", "degree4", "random"]))
     if kind == "kernel":
         H = rng.choice([poly(3, "1/2 x1^2 + 1/2 x2^2 + 1/2 x2^2 x3^2"),
                         rand_poly(rng, 3, degree=4)])
@@ -475,6 +480,12 @@ def stepped_systems(draw):
     if kind == "sum":
         return ihs.IHSystem(ihs.canonical_symplectic(1), SuperElement(
             base_gens(2), {((0, 1), ()): Fraction(10 ** 308)}))
+    if kind == "unit":      # rows of +-1.0 times powers of 1, or mixed
+        if rng.random() < 0.5:
+            return oscillator()
+        sign = rng.choice(["", "-"])
+        return ihs.IHSystem(kernel_structure(), poly(
+            3, f"1/2 x1^2 + 1/2 x2^2 + {sign}1 x2^2 x3"))
     if kind == "degree4":
         L = draw(lagrangians())
         return ihs.IHSystem(L, rand_poly(rng, L.n, degree=4))
@@ -627,6 +638,19 @@ class TestGeneratedStep:
                                           "+", "-", "*", "**", "<", "<=",
                                           "!=", "+="}, tok.string
 
+    def test_unit_factors_are_left_out(self, monkeypatch):
+        # the oscillator's field rows are x2 and -x1: a power of 1 is the
+        # bare name, a coefficient of 1.0 is left out, and one of -1.0
+        # subtracts
+        sources = []
+        monkeypatch.setattr(ihs, "compile", lambda source, *args: (
+            sources.append(source) or compile(source, *args)), raising=False)
+        oscillator().integrate([0.6, -0.8], 1)
+        [source] = sources
+        assert "**1" not in source
+        assert "(1.0) *" not in source and "(-1.0) *" not in source
+        assert "k0_0 = 0.0 + x1" in source and "k0_1 = 0.0 - x0" in source
+
 
 class TestAdmissibleBracket:
     def test_canonical_table(self):
@@ -732,24 +756,54 @@ class TestAdmissibleBracket:
 
 FORMAT_EDGES = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324,
                                 1e16, 1e-5])
-
-
-@given(st.integers(0, 12).flatmap(lambda n: st.lists(
+# rows [t, x1..xn, H, residual] of any floats, n from 0 to 12
+TRAJECTORY_ROWS = st.integers(0, 12).flatmap(lambda n: st.lists(
     st.lists(st.one_of(st.floats(), FORMAT_EDGES), min_size=n + 3,
-             max_size=n + 3), min_size=1, max_size=6)))
+             max_size=n + 3), min_size=1, max_size=6))
+
+
+def trajectory_of(rows):
+    return ihs.Trajectory([r[0] for r in rows], [r[1:-2] for r in rows],
+                          [r[-2] for r in rows], 0.0, 0.0,
+                          [r[-1] for r in rows])
+
+
+@given(TRAJECTORY_ROWS)
 @settings(max_examples=300, deadline=None)
 def test_trajectory_rows_are_12g_of_every_value(rows):
     # rows of up to 15 values: split() preallocates 12 at most
-    traj = ihs.Trajectory([r[0] for r in rows], [r[1:-2] for r in rows],
-                          [r[-2] for r in rows], 0.0, 0.0,
-                          [r[-1] for r in rows])
-    assert ihs.trajectory_rows(traj) == \
+    assert ihs.trajectory_rows(trajectory_of(rows)) == \
         [[f"{v:.12g}" for v in r] for r in rows]
+
+
+@given(TRAJECTORY_ROWS)
+@settings(max_examples=300, deadline=None)
+def test_reports_render_the_trajectory_as_its_rows(rows):
+    # ihs-run's report holds the Trajectory itself; every format writes
+    # the text that it wrote for the report holding the rows as strings
+    traj = trajectory_of(rows)
+    strs = [[f"{v:.12g}" for v in r] for r in rows]
+
+    def report(trajectory):
+        return {"command": "ihs-run", "ok": True,
+                "report": {"steps": len(rows) - 1, "trajectory": trajectory}}
+
+    assert cli._json(traj) == json.dumps(strs, sort_keys=True, indent=2)
+    header = ["t"] + [f"x{i}" for i in range(1, len(rows[0]) - 2)]
+    want = {"json": json.dumps(report(strs), sort_keys=True, indent=2),
+            "csv": "\n".join(",".join(row) for row in
+                             [header + ["H", "residual"]] + strs),
+            "table": "\n".join(cli._render_table(report(strs)))}
+    for fmt, text in want.items():
+        out = io.StringIO()
+        with redirect_stdout(out):
+            cli._emit(report(traj), argparse.Namespace(format=fmt,
+                                                       output=None))
+        assert out.getvalue() == text + "\n"
 
 
 class TestSerialization:
     def test_round_trip(self):
-        import json
         sys_ = oscillator()
         obj = json.loads(json.dumps(ihs.system_to_json(sys_)))
         back = ihs.system_from_json(obj)
