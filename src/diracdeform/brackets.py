@@ -23,8 +23,10 @@ the one bracket body for all three kinds:
 from fractions import Fraction
 
 from .superalg import (
+    GeneratorMismatch,
     GeneratorSet,
     SuperElement,
+    add_product,
     bidegree,
     bidegree_components,
     phase_generators,
@@ -57,19 +59,20 @@ def schouten_generators(coords, prefix="d"):
 
 
 class _LeftPartials(dict):
-    """The left derivatives d_b-> g of one element g, keyed by generator
-    name; each is computed the first time it is read."""
+    """The left derivatives d_b-> g of one element g, keyed by flat
+    generator index b (see BracketContext._table); each is computed the
+    first time it is read."""
 
-    __slots__ = ("g",)
+    __slots__ = ("g", "n_even")
 
     def __init__(self, g):
         super().__init__()
-        self.g = g
+        self.g, self.n_even = g, len(g.gens.even)
 
     def __missing__(self, b):
-        g = self.g
-        d = self[b] = g.partial_odd(b, "left") if b in g.gens.odd \
-            else g.partial_even(b)
+        n = self.n_even
+        d = self[b] = self.g.partial_odd_at(b - n) if b >= n \
+            else self.g.partial_even_at(b)
         return d
 
 
@@ -129,30 +132,31 @@ class BracketContext:
     # -- the table P_ab = {x_a, x_b} ------------------------------------
 
     def _table(self):
-        """Rows [(x_a, x_a is odd, [(x_b, x_b is odd, P_ab)])] of the
-        nonzero entries.  A constant P_ab is a Fraction, or None for 1;
-        the connection entries are elements."""
+        """Rows [(a, [(b, P_ab)])] of the nonzero entries, keyed by flat
+        generator index: even generator i is i, odd generator j is
+        n_even + j.  A constant P_ab is a Fraction, or None for 1; the
+        connection entries are elements."""
         gens, m, k, conn = self.gens, self.m, self.k, self.connection
-        g, zero = gens.gen, gens.zero()
+        zero, n_even = gens.zero(), len(gens.even)
         rows = {}
+
+        def g(b):
+            return gens.gen(gens.odd[b - n_even])
 
         def put(a, b, value):
             if isinstance(value, int):
                 value = None if value == 1 else Fraction(value)
             elif value.is_zero():
                 return
-            rows.setdefault(a, []).append(b + (value,))
+            rows.setdefault(a, []).append((b, value))
 
         if self.kind == SCHOUTEN:
             for ci, oi in self.conjugate.items():
-                x, dx = (gens.even[ci], False), (gens.odd[oi], True)
-                put(dx, x, 1)
-                put(x, dx, -1)
-            return [a + (cols,) for a, cols in rows.items()]
-        q = [(gens.even[i], False) for i in range(m)]
-        p = [(gens.even[m + i], False) for i in range(m)]
-        lo = [(gens.odd[a], True) for a in range(k)]
-        up = [(gens.odd[k + a], True) for a in range(k)]
+                put(n_even + oi, ci, 1)
+                put(ci, n_even + oi, -1)
+            return list(rows.items())
+        q, p = range(m), range(m, 2 * m)
+        lo, up = range(2 * m, 2 * m + k), range(2 * m + k, 2 * m + 2 * k)
         for a in range(k):
             put(lo[a], up[a], 1)
             put(up[a], lo[a], 1)
@@ -160,9 +164,9 @@ class BracketContext:
             put(q[i], p[i], 1)
             put(p[i], q[i], -1)
             for a in range(k):
-                rot_lo = sum((conn.christoffel(i, a, b) * g(lo[b][0])
+                rot_lo = sum((conn.christoffel(i, a, b) * g(lo[b])
                               for b in range(k)), zero)
-                rot_up = sum((conn.christoffel(i, b, a) * g(up[b][0])
+                rot_up = sum((conn.christoffel(i, b, a) * g(up[b])
                               for b in range(k)), zero)
                 put(p[i], lo[a], -rot_lo)
                 put(lo[a], p[i], rot_lo)
@@ -171,44 +175,49 @@ class BracketContext:
             for j in range(m):
                 if j != i:
                     put(p[i], p[j], sum(
-                        (conn.curvature(i, j, b, a) * g(lo[a][0])
-                         * g(up[b][0]) for a in range(k) for b in range(k)),
+                        (conn.curvature(i, j, b, a) * g(lo[a]) * g(up[b])
+                         for a in range(k) for b in range(k)),
                         zero))
-        return [a + (cols,) for a, cols in rows.items()]
+        return list(rows.items())
 
     # -- the bracket ----------------------------------------------------
 
     def right_partials(self, f):
         """[f <-d_a for each table row a]."""
-        return [f.partial_odd(a, "right") if a_odd else f.partial_even(a)
-                for a, a_odd, _ in self._rows]
+        self._check_gens(f)
+        n = len(self.gens.even)
+        return [f.partial_odd_at(a - n, False) if a >= n
+                else f.partial_even_at(a) for a, _ in self._rows]
 
     def left_partials(self, g):
-        """{b: d_b-> g}, each entry computed the first time it is read."""
+        """{b: d_b-> g} by flat generator index, each entry computed the
+        first time it is read."""
+        self._check_gens(g)
         return _LeftPartials(g)
+
+    def _check_gens(self, f):
+        """The partials are read by generator index, and contract sums
+        their products unchecked: f must be over this context's set."""
+        if f.gens is not self.gens and f.gens != self.gens:
+            raise GeneratorMismatch("element over other generators than "
+                                    "the context's")
 
     def contract(self, dF, dG):
         """sum_ab dF[a] P_ab dG[b] over the table, for dF = right_partials(f)
         and dG = left_partials(g): the bracket {f, g}.  dG[b] is read only
         for rows with dF[a] != 0."""
         terms = {}
-        for df, (_, _, cols) in zip(dF, self._rows):
+        for df, (_, cols) in zip(dF, self._rows):
             if not df.terms:
                 continue
             acc = None
-            for b, _, coeff in cols:
+            for b, coeff in cols:
                 d = dG[b]
                 if d.terms:
                     d = d if coeff is None else coeff * d
                     acc = d if acc is None else acc + d
-            if acc is None:
-                continue
-            for mono, c in (df * acc).terms.items():
-                s = terms.get(mono, 0) + c
-                if s:
-                    terms[mono] = s
-                else:
-                    del terms[mono]
+            if acc is not None:
+                add_product(terms, df.terms, acc.terms)
         return SuperElement(self.gens, terms)
 
     def bracket(self, f, g):

@@ -88,9 +88,11 @@ def _require_cochains(dim, degrees):
 
 
 def _render_table(obj, prefix=""):
-    lines = []
     if isinstance(obj, ihs.Trajectory):
-        obj = ihs.trajectory_rows(obj)
+        return [f"{prefix}{i}.{j} = {v}"
+                for i, row in enumerate(ihs.trajectory_rows(obj))
+                for j, v in enumerate(row)]
+    lines = []
     if isinstance(obj, dict):
         for k in sorted(obj):
             lines.extend(_render_table(obj[k], f"{prefix}{k}."))

@@ -64,6 +64,25 @@ def merge_monomials(e1, o1, e2, o2):
     return even, tuple(merged), (-1 if inversions & 1 else 1)
 
 
+def add_product(terms, t1, t2):
+    """Add the product of the term dicts t1 and t2 into terms, in place,
+    and return terms; a sum that cancels leaves no key."""
+    get = terms.get
+    for (e1, o1), c1 in t1.items():
+        for (e2, o2), c2 in t2.items():
+            merged = merge_monomials(e1, o1, e2, o2)
+            if merged is None:
+                continue
+            ee, oo, sign = merged
+            key = (ee, oo)
+            s = get(key, 0) + c1 * c2 if sign > 0 else get(key, 0) - c1 * c2
+            if s:
+                terms[key] = s
+            else:
+                del terms[key]
+    return terms
+
+
 class GeneratorSet:
     """Named even and odd generators.
 
@@ -186,14 +205,22 @@ class SuperElement:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        other = self._coerce(other)
+        terms = dict(self.terms)
+        for m, c in other.terms.items():
+            s = terms.get(m, 0) - c
+            if s:
+                terms[m] = s
+            else:
+                terms.pop(m, None)
+        return SuperElement(self.gens, terms)
 
     def __rsub__(self, other):
-        return self._coerce(other) + (-self)
+        return self._coerce(other) - self
 
     def _coerce(self, other):
         if isinstance(other, SuperElement):
-            if other.gens != self.gens:
+            if other.gens is not self.gens and other.gens != self.gens:
                 raise GeneratorMismatch("elements over different generators")
             return other
         return self.gens.scalar(other)
@@ -206,20 +233,8 @@ class SuperElement:
             return SuperElement(self.gens,
                                 {m: cc * c for m, cc in self.terms.items()})
         other = self._coerce(other)
-        terms = {}
-        for (e1, o1), c1 in self.terms.items():
-            for (e2, o2), c2 in other.terms.items():
-                merged = merge_monomials(e1, o1, e2, o2)
-                if merged is None:
-                    continue
-                ee, oo, sign = merged
-                key = (ee, oo)
-                s = terms.get(key, 0) + c1 * c2 * sign
-                if s:
-                    terms[key] = s
-                else:
-                    del terms[key]
-        return SuperElement(self.gens, terms)
+        return SuperElement(self.gens,
+                            add_product({}, self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -253,30 +268,37 @@ class SuperElement:
     # -- calculus -------------------------------------------------------
 
     def partial_even(self, var):
-        idx = self.gens.even_index(var)
-        terms = {}
-        for (e, o), c in self.terms.items():
-            if e[idx]:
-                e2 = list(e)
-                e2[idx] -= 1
-                terms[(tuple(e2), o)] = terms.get((tuple(e2), o), 0) + c * e[idx]
-        return SuperElement(self.gens, {m: c for m, c in terms.items() if c})
+        return self.partial_even_at(self.gens.even_index(var))
 
     def partial_odd(self, var, side="left"):
-        idx = self.gens.odd_index(var)
+        return self.partial_odd_at(self.gens.odd_index(var), side == "left")
+
+    # Lowering one exponent, or dropping one odd index, is injective on
+    # the monomials that hold it: each key below is built once, and no
+    # two terms meet.
+
+    def partial_even_at(self, i):
+        """d/dx for the even generator x of index i."""
+        if not 0 <= i < len(self.gens.even):
+            raise UnknownGenerator(f"even index {i}")
         terms = {}
         for (e, o), c in self.terms.items():
-            if idx not in o:
-                continue
-            pos = o.index(idx)
-            sign = (-1) ** pos if side == "left" else (-1) ** (len(o) - 1 - pos)
-            o2 = o[:pos] + o[pos + 1:]
-            key = (e, o2)
-            s = terms.get(key, 0) + c * sign
-            if s:
-                terms[key] = s
-            else:
-                del terms[key]
+            p = e[i]
+            if p:
+                terms[(e[:i] + (p - 1,) + e[i + 1:], o)] = c * p
+        return SuperElement(self.gens, terms)
+
+    def partial_odd_at(self, i, left=True):
+        """The left (or right) derivative by the odd generator of index
+        i; its sign is the parity of the factors it passes."""
+        if not 0 <= i < len(self.gens.odd):
+            raise UnknownGenerator(f"odd index {i}")
+        terms = {}
+        for (e, o), c in self.terms.items():
+            if i in o:
+                pos = o.index(i)
+                passed = pos if left else len(o) - 1 - pos
+                terms[(e, o[:pos] + o[pos + 1:])] = -c if passed & 1 else c
         return SuperElement(self.gens, terms)
 
 

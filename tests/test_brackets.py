@@ -18,6 +18,7 @@ from diracdeform.brackets import (
 )
 from diracdeform.superalg import (
     ConnectionData,
+    GeneratorMismatch,
     GeneratorSet,
     SuperElement,
     phase_generators,
@@ -449,9 +450,22 @@ class TestOracles:
         lg = ctx.left_partials(a_1 * a_2)
         assert ctx.contract(ctx.right_partials(gens.one()), lg).is_zero()
         assert not lg
-        # the row of a^1 has the one column a_1
+        # the row of a^1 has the one column a_1, at flat index n_even + 0
         assert ctx.contract(ctx.right_partials(a1), lg) == a_2
-        assert list(lg) == [gens.odd[0]]
+        assert list(lg) == [len(gens.even) + 0]
+
+    def test_partials_need_the_context_generators(self):
+        # the partials are read by index: an element over another set is
+        # refused, one over an equal copy of the context's set is not
+        ctx = BracketContext.point_big(2)
+        twin, other = phase_generators(0, 2), phase_generators(0, 3)
+        x = twin.gen("a_1") * twin.gen("a^1")
+        assert ctx.bracket(x, twin.gen("a_2")) \
+            == ctx.bracket(ctx.gens.gen("a_1") * ctx.gens.gen("a^1"),
+                           ctx.gens.gen("a_2"))
+        for f in (ctx.right_partials, ctx.left_partials):
+            with pytest.raises(GeneratorMismatch):
+                f(other.gen("a_1"))
 
     def test_schouten_table_follows_conjugate_map(self):
         ctx = BracketContext(SCHOUTEN, PERM_GENS, conjugate={0: 2, 1: 0,

@@ -1,9 +1,12 @@
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import superalg_oracles as oracle
 from diracdeform import superalg
+from diracdeform.brackets import BracketContext
 from diracdeform.superalg import (
     ConnectionData,
     GeneratorMismatch,
@@ -11,6 +14,7 @@ from diracdeform.superalg import (
     NotHomogeneous,
     NotOddLinear,
     ParseError,
+    SuperElement,
     UnknownGenerator,
     bidegree_components,
     euler_weight,
@@ -124,6 +128,12 @@ class TestDerivatives:
             g("q1").partial_even("q9")
         with pytest.raises(UnknownGenerator):
             g("a_1").partial_odd("zz")
+        # an index does not wrap around
+        for i in (-1, 4):
+            with pytest.raises(UnknownGenerator):
+                g("q1").partial_even_at(i)
+            with pytest.raises(UnknownGenerator):
+                g("a_1").partial_odd_at(i, False)
 
     @given(random_elements(G))
     @settings(max_examples=40, deadline=None)
@@ -144,6 +154,77 @@ class TestDerivatives:
         d1 = a.partial_even("q1").partial_even("p_2")
         d2 = a.partial_even("p_2").partial_even("q1")
         assert d1 == d2
+
+
+@st.composite
+def phase_operands(draw):
+    """(gens, a, b) over phase_generators(m, k) for small m and k."""
+    gens = phase_generators(draw(st.integers(0, 2)), draw(st.integers(1, 2)))
+    return gens, draw(random_elements(gens)), draw(random_elements(gens))
+
+
+def no_zero_coefficient(*elements):
+    return all(c != 0 for x in elements for c in x.terms.values())
+
+
+class TestAgainstOracles:
+    """Subtraction in one pass and derivatives by generator index against
+    the bodies they replaced (tests/superalg_oracles.py): the same terms
+    in the same order."""
+
+    @given(phase_operands(), small_frac)
+    @settings(max_examples=80, deadline=None)
+    def test_subtraction(self, operands, c):
+        gens, a, b = operands
+        for got, want in [(a - b, oracle.sub(a, b)), (a - c, oracle.sub(a, c)),
+                          (c - a, oracle.rsub(c, a))]:
+            assert list(got.terms.items()) == list(want.terms.items())
+            assert no_zero_coefficient(got)
+        assert a - b == a + (-b)
+        assert c - a == gens.scalar(c) + (-a)
+        assert (a - a).is_zero()
+
+    @given(phase_operands())
+    @settings(max_examples=80, deadline=None)
+    def test_partials(self, operands):
+        gens, a, _ = operands
+        for i, name in enumerate(gens.even):
+            got, want = a.partial_even_at(i), oracle.partial_even(a, name)
+            assert list(got.terms.items()) == list(want.terms.items())
+            assert a.partial_even(name) == want
+            assert no_zero_coefficient(got)
+        for i, name in enumerate(gens.odd):
+            for side in ("left", "right"):
+                got = a.partial_odd_at(i, side == "left")
+                want = oracle.partial_odd(a, name, side)
+                assert list(got.terms.items()) == list(want.terms.items())
+                assert a.partial_odd(name, side) == want
+                assert no_zero_coefficient(got)
+
+    @given(phase_operands())
+    @settings(max_examples=60, deadline=None)
+    def test_no_zero_coefficient_is_stored(self, operands):
+        gens, a, b = operands
+        ctx = BracketContext.rothstein_on(
+            ConnectionData(gens, len(gens.even) // 2, len(gens.odd) // 2))
+        assert no_zero_coefficient(a + b, a - b, -a, a * b, b * a, a * 2,
+                                   ctx.bracket(a, b), ctx.bracket(a, a))
+
+    @given(phase_operands())
+    @settings(max_examples=40, deadline=None)
+    def test_generator_sets_compare_by_value(self, operands):
+        gens, a, b = operands
+        m, k = len(gens.even) // 2, len(gens.odd) // 2
+        twin = phase_generators(m, k)       # equal, another object
+        assert twin is not gens and twin == gens
+        b2 = SuperElement(twin, dict(b.terms))
+        assert a + b2 == a + b and a - b2 == a - b and a * b2 == a * b
+        other = SuperElement(phase_generators(m, k + 1), dict(b.terms))
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(GeneratorMismatch):
+                op(a, other)
+            with pytest.raises(GeneratorMismatch):
+                op(other, a)
 
 
 class TestInsertions:
