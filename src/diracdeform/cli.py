@@ -104,27 +104,12 @@ def _render_table(obj, prefix=""):
     return lines
 
 
-def _rows(o, indent):
-    """The items of the list o at indent, as _json writes them, when they
-    are all non-empty lists of strings (the trajectory rows); else None."""
-    if not ({*map(type, o)} <= {list, tuple} and all(o)):
-        return None
-    inner = indent + "  "
-    head, sep, tail = "[" + inner, "," + inner, indent + "]"
-    try:
-        return ("," + indent).join(
-            [head + sep.join(map(_str, v)) + tail for v in o])
-    except TypeError:           # a row item that is not a str
-        return None
-
-
 def _json(o, indent="\n"):
     """json.dumps(o, sort_keys=True, indent=2), byte for byte, for dict
     keys that are str, where an ihs.Trajectory stands for the list of its
     trajectory_rows.  Under indent, json.dumps encodes in pure Python;
-    here a list of strings is one join, a list of such lists one pass
-    (_rows), and a Trajectory one ihs.trajectory_text whose template
-    holds the quotes and indents."""
+    here a list of strings is one join, and a Trajectory one
+    ihs.trajectory_text whose template holds the quotes and indents."""
     if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
@@ -132,8 +117,7 @@ def _json(o, indent="\n"):
         try:
             items = ("," + inner).join(map(_str, o))
         except TypeError:       # an item that is not a str
-            items = _rows(o, inner) or ("," + inner).join(
-                [_json(v, inner) for v in o])
+            items = ("," + inner).join([_json(v, inner) for v in o])
         return "[" + inner + items + indent + "]"
     if isinstance(o, dict):
         if not o:

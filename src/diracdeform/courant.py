@@ -18,7 +18,7 @@ JSON are 0-based.
 
 from fractions import Fraction
 from functools import partial
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, permutations
 
 from .brackets import (
     BracketContext,
@@ -45,59 +45,28 @@ class AxiomViolation(Exception):
     pass
 
 
-def _antisymmetrize_pairs(entries, k, path):
-    """Full table {(a, b): value} from entries antisymmetric in (a, b)."""
-    table = {}
-    for (a, b), v in entries.items():
-        if not (0 <= a < k and 0 <= b < k):
-            raise ShapeError(path, f"index ({a}, {b}) out of range")
-        if a == b:
+def _antisymmetric(table, n, path):
+    """The full table of entries antisymmetric in their first n indices:
+    each key with those indices permuted, its value times the sign of the
+    permutation.  An entry whose first n indices repeat must vanish."""
+    perms = [(p, (-1) ** sum(x > y for x, y in combinations(p, 2)))
+             for p in permutations(range(n))]
+    out = {}
+    for key, v in table.items():
+        if len(set(key[:n])) < n:
             if not v.is_zero():
-                raise ShapeError(path, "diagonal entry must vanish")
+                raise ShapeError(path, ("diagonal" if n == 2 else
+                                        "repeated-index")
+                                 + " entry must vanish")
             continue
-        for key, val in (((a, b), v), ((b, a), -v)):
-            if key in table and table[key] != val:
+        for p, sign in perms:
+            pkey = tuple(key[i] for i in p) + key[n:]
+            val = sign * v
+            if pkey in out and out[pkey] != val:
                 raise ShapeError(path, "conflicting antisymmetric entries "
-                                       f"{key}")
-            table[key] = val
-    return table
-
-
-def _antisymmetrize_triples(entries, k, path):
-    """Full table from entries totally antisymmetric in three indices."""
-
-    def perms(t):
-        a, b, c = t
-        return [((a, b, c), 1), ((b, c, a), 1), ((c, a, b), 1),
-                ((b, a, c), -1), ((a, c, b), -1), ((c, b, a), -1)]
-
-    table = {}
-    for (a, b, c), v in entries.items():
-        if not all(0 <= x < k for x in (a, b, c)):
-            raise ShapeError(path, f"index ({a}, {b}, {c}) out of range")
-        if len({a, b, c}) < 3:
-            if not v.is_zero():
-                raise ShapeError(path, "repeated-index entry must vanish")
-            continue
-        for key, s in perms((a, b, c)):
-            val = s * v
-            if key in table and table[key] != val:
-                raise ShapeError(path, "conflicting antisymmetric entries "
-                                       f"{key}")
-            table[key] = val
-    return table
-
-
-def _pairs_third(raw, k, path):
-    """Full table {(a, b, g): value} from entries antisymmetric in
-    (a, b)."""
-    grouped = {}
-    for (a, b, g), v in raw.items():
-        if not 0 <= g < k:
-            raise ShapeError(path, f"index {g} out of range")
-        grouped.setdefault(g, {})[(a, b)] = v
-    return {(a, b, g): v for g, entries in grouped.items()
-            for (a, b), v in _antisymmetrize_pairs(entries, k, path).items()}
+                                       f"{pkey[:n]}")
+            out[pkey] = val
+    return out
 
 
 def _counts(m, k, path):
@@ -134,6 +103,8 @@ def _base_poly(gens, m, v, path):
 # the value
 _ROWS = {"rho": "mk", "rho_bar": "mk", "c": "kkk", "c_bar": "kkk",
          "psi": "kkk", "phi": "kkk", "gamma_conn": "mkk"}
+# the tables antisymmetric in their first n indices, by n
+_ANTISYMMETRIC = {"c": 2, "c_bar": 2, "psi": 3, "phi": 3}
 
 
 class CourantInput:
@@ -150,56 +121,50 @@ class CourantInput:
     phi[(a, b, g)]       totally antisymmetric cubic upper term,
     gamma_conn[(i, a, b)] connection coefficients on the lower summand.
 
-    Values are polynomials in q1..qm, given as SuperElements over the
-    phase generators, Fractions/ints, or text in the superalg grammar.
-    Errors are ShapeErrors naming `path` (the JSON path of the input)
-    and the count or table at fault.
+    Each key is a tuple of ints, each below its bound in _ROWS.  Values
+    are polynomials in q1..qm, given as SuperElements over the phase
+    generators, Fractions/ints, or text in the superalg grammar.  Errors
+    are ShapeErrors naming `path` (the JSON path of the input) and the
+    count or table at fault.
     """
 
     def __init__(self, m, k, rho=None, rho_bar=None, c=None, c_bar=None,
                  psi=None, phi=None, gamma_conn=None, path="$"):
         self.m, self.k = _counts(m, k, path)
         self.gens = phase_generators(m, k)
-
-        def coerce(name, table, complete=None):
+        bound = {"m": m, "k": k}
+        given = {"rho": rho, "rho_bar": rho_bar, "c": c, "c_bar": c_bar,
+                 "psi": psi, "phi": phi, "gamma_conn": gamma_conn}
+        for name, kinds in _ROWS.items():
             at = f"{path}.{name}"
-            out = {}
-            for key, v in (table or {}).items():
+            table = {}
+            for key, v in (given[name] or {}).items():
+                if type(key) is not tuple or len(key) != len(kinds) \
+                        or not all(type(x) is int and 0 <= x < bound[b]
+                                   for x, b in zip(key, kinds)):
+                    raise ShapeError(at, f"index {key!r} is not "
+                                         f"{len(kinds)} integers below "
+                                         f"{tuple(bound[b] for b in kinds)}")
                 v = _base_poly(self.gens, m, v, at)
                 if not v.is_zero():
-                    out[key] = v
-            return complete(out, k, at) if complete else out
-
-        self.rho = coerce("rho", rho)
-        self.rho_bar = coerce("rho_bar", rho_bar)
-        self.c = coerce("c", c, _pairs_third)
-        self.c_bar = coerce("c_bar", c_bar, _pairs_third)
-        self.psi = coerce("psi", psi, _antisymmetrize_triples)
-        self.phi = coerce("phi", phi, _antisymmetrize_triples)
-        self.gamma_conn = coerce("gamma_conn", gamma_conn)
-        for (i, a) in list(self.rho) + list(self.rho_bar):
-            if not (0 <= i < m and 0 <= a < k):
-                raise ShapeError(path, f"anchor index ({i}, {a}) out of range")
-        for (i, a, b) in self.gamma_conn:
-            if not (0 <= i < m and 0 <= a < k and 0 <= b < k):
-                raise ShapeError(path, "connection index out of range")
+                    table[key] = v
+            if name in _ANTISYMMETRIC:
+                table = _antisymmetric(table, _ANTISYMMETRIC[name], at)
+            setattr(self, name, table)
 
     # -- JSON -----------------------------------------------------------
 
     def to_json(self):
-        def rows(table, n=0):
+        def rows(name):
             """[*key, value] rows in key order, one per antisymmetry
-            class: the key whose first n indices increase."""
-            return [[*key, to_text(v)] for key, v in sorted(table.items())
+            class: the key whose antisymmetric indices increase."""
+            n = _ANTISYMMETRIC.get(name, 0)
+            return [[*key, to_text(v)]
+                    for key, v in sorted(getattr(self, name).items())
                     if list(key[:n]) == sorted(key[:n])]
 
-        return {
-            "m": self.m, "k": self.k,
-            "rho": rows(self.rho), "rho_bar": rows(self.rho_bar),
-            "c": rows(self.c, 2), "c_bar": rows(self.c_bar, 2),
-            "psi": rows(self.psi, 3), "phi": rows(self.phi, 3),
-            "gamma_conn": rows(self.gamma_conn),
-        }
+        return {"m": self.m, "k": self.k, **{name: rows(name)
+                                             for name in _ROWS}}
 
     @classmethod
     def from_json(cls, obj, path="$"):
@@ -252,12 +217,12 @@ class ThetaStructure:
 def build_theta(inp):
     """Assemble Theta from the structure data.
 
-    Both displayed forms of the quadratic-plus-cubic parts (the
-    torsion/momentum form and the Darboux-momentum form) are computed
-    and must agree; a mismatch raises ShapeError.  The upper component
-    gamma is the lower one mu with the summands exchanged: anchor and
-    constants (rho_bar, c_bar), the roles of a_* and a^*, and the dual
-    connection Gamma*(i, a, b) = -Gamma(i, b, a).
+    Each half is written in the Darboux momenta
+    r_i = p_i - Gamma_{i alpha}^beta a^alpha a_beta.  The upper
+    component gamma is the lower one mu with the summands exchanged:
+    anchor and constants (rho_bar, c_bar) and the roles of a_* and a^*.
+    Expanding r_i gives the torsion form of each half, with the dual
+    connection Gamma*(i, a, b) = -Gamma(i, b, a) in gamma.
     """
     m, k = inp.m, inp.k
     gens = inp.gens
@@ -266,36 +231,16 @@ def build_theta(inp):
     r = ctx.darboux_momenta()
     alow = [gens.gen(gens.odd[a]) for a in range(k)]
     aup = [gens.gen(gens.odd[k + a]) for a in range(k)]
-    p = [gens.gen(gens.even[m + i]) for i in range(m)]
     half = Fraction(1, 2)
     zero = gens.zero()
 
-    def charge_half(rho, c, hi, lo, gam, name):
-        """-r_i rho_ia hi_a - 1/2 c_abg hi_a hi_b lo_g (Darboux form),
-        checked against -p_i rho_ia hi_a + 1/2 T_abg hi_a hi_b lo_g with
-        torsion T_abg = rho_ia gam(i, b, g) - rho_ib gam(i, a, g) - c_abg."""
+    def charge_half(rho, c, hi, lo):
+        """-r_i rho_ia hi_a - 1/2 c_abg hi_a hi_b lo_g."""
         out = zero
         for (i, a), rv in rho.items():
             out = out - r[i] * rv * hi[a]
         for (a, b, g), cv in c.items():
             out = out - half * cv * hi[a] * hi[b] * lo[g]
-        alt = zero
-        for (i, a), rv in rho.items():
-            alt = alt - p[i] * rv * hi[a]
-        for a in range(k):
-            for b in range(k):
-                for g in range(k):
-                    t = zero
-                    for i in range(m):
-                        ra = rho.get((i, a), zero)
-                        rb = rho.get((i, b), zero)
-                        t = t + ra * gam(i, b, g) - rb * gam(i, a, g)
-                    t = t - c.get((a, b, g), zero)
-                    if not t.is_zero():
-                        alt = alt + half * t * hi[a] * hi[b] * lo[g]
-        if out != alt:
-            raise ShapeError("$", f"the two defining forms of the {name} "
-                                  "charge component disagree")
         return out
 
     def cubic(table, gen):
@@ -306,12 +251,9 @@ def build_theta(inp):
                 out = out + v * gen[a] * gen[b] * gen[g]
         return out
 
-    mu = charge_half(inp.rho, inp.c, aup, alow, conn.christoffel, "lower")
-    gamma_el = charge_half(inp.rho_bar, inp.c_bar, alow, aup,
-                           lambda i, a, b: -conn.christoffel(i, b, a),
-                           "upper")
-    return ThetaStructure(inp, ctx, mu, gamma_el, cubic(inp.psi, alow),
-                          cubic(inp.phi, aup))
+    return ThetaStructure(inp, ctx, charge_half(inp.rho, inp.c, aup, alow),
+                          charge_half(inp.rho_bar, inp.c_bar, alow, aup),
+                          cubic(inp.psi, alow), cubic(inp.phi, aup))
 
 
 # ---------------------------------------------------------------------------
@@ -360,31 +302,10 @@ def t_omega(th, omega):
     return Fraction(1, 6) * psi_triple(th, omega, omega, omega)
 
 
-def _omega_apply(th, omega, a):
-    """omega(a_a) as an upper-generated 1-form: {a_a, omega}."""
-    return th.ctx.bracket(th.lower(a), omega)
-
-
 def _psi_eval(th, al1, al2, al3):
     """psi(al1, al2, al3) by nested insertion of upper 1-forms."""
     br = th.ctx.bracket
     return br(al3, br(al2, br(al1, th.psi)))
-
-
-def t_omega_direct(th, omega):
-    """T_omega from its defining values: the second code path.
-
-    T(s1, s2, s3) = -psi(omega(s1), omega(s2), omega(s3)) on the frame,
-    reassembled as an upper-generated 3-form.
-    """
-    k = th.input.k
-    out = th.zero()
-    oms = [_omega_apply(th, omega, a) for a in range(k)]
-    for (a, b, c) in combinations(range(k), 3):
-        v = -_psi_eval(th, oms[a], oms[b], oms[c])
-        if not v.is_zero():
-            out = out + v * th.upper(a) * th.upper(b) * th.upper(c)
-    return out
 
 
 def mc_residual_one(th, omega_list, n):
@@ -469,6 +390,20 @@ def _section_family(th, degree):
     return out
 
 
+def _report(identities, failures, raise_on_fail):
+    """{"ok", "identities"}: the entries of `identities`, then one entry
+    per failure list of `failures` with its first three failures.  With
+    raise_on_fail, a failed identity raises AxiomViolation naming each
+    failed one."""
+    identities = {**identities, **{
+        name: {"ok": not fails, "failures": fails[:3]}
+        for name, fails in failures.items()}}
+    bad = [name for name, v in identities.items() if not v["ok"]]
+    if raise_on_fail and bad:
+        raise AxiomViolation(", ".join(bad))
+    return {"ok": not bad, "identities": identities}
+
+
 def verify_courant(inp, degree=1, section_limit=None, raise_on_fail=False):
     """Check the master equation and the derived-bracket axioms.
 
@@ -478,11 +413,9 @@ def verify_courant(inp, degree=1, section_limit=None, raise_on_fail=False):
     violation raises AxiomViolation naming the identity.
     """
     th = build_theta(inp)
-    report = {"ok": True, "identities": {}}
     res = master_residuals(th.ctx, th.theta)
-    master_ok = res["total"].is_zero()
-    report["identities"]["master"] = {
-        "ok": master_ok,
+    master = {
+        "ok": res["total"].is_zero(),
         "residual": to_text(res["total"]),
         "components": {f"{kk}": to_text(v)
                        for kk, v in res["components"].items()
@@ -494,28 +427,17 @@ def verify_courant(inp, degree=1, section_limit=None, raise_on_fail=False):
         secs = secs[:section_limit]
     funs = _q_monomials(th.gens, th.input.m, degree)[:1 + th.input.m]
 
-    def record(name, failures):
-        ok = not failures
-        report["identities"][name] = {"ok": ok, "failures": failures[:3]}
-        if not ok:
-            report["ok"] = False
-
-    failures = derived_identity_failures(th.ctx, th.theta, res["total"],
-                                         secs)
-    fail_rd = []
+    derived = derived_identity_failures(th.ctx, th.theta, res["total"],
+                                        secs)
+    failures = {name: [(*key, to_text(x)) for *key, x in derived[name][:3]]
+                for name in ("jacobi", "invariance", "defect")}
+    failures["anchor_of_D"] = fail_rd = []
     for f in funs:
         for g in funs:
             d = anchor_apply(th, d_fun(th, f), g)
             if not d.is_zero():
                 fail_rd.append((to_text(f), to_text(g), to_text(d)))
-    for name in ("jacobi", "invariance", "defect"):
-        record(name, [(*key, to_text(x)) for *key, x in failures[name][:3]])
-    record("anchor_of_D", fail_rd)
-    report["ok"] = report["ok"] and master_ok
-    if raise_on_fail and not report["ok"]:
-        bad = [n for n, v in report["identities"].items() if not v["ok"]]
-        raise AxiomViolation(", ".join(bad))
-    return report
+    return _report({"master": master}, failures, raise_on_fail)
 
 
 def quasi_lemma_check(inp, raise_on_fail=False):
@@ -525,7 +447,6 @@ def quasi_lemma_check(inp, raise_on_fail=False):
     br = th.ctx.bracket
     k = th.input.k
     gens = th.gens
-    report = {"ok": True, "identities": {}}
 
     forms = [th.upper(a) for a in range(k)]
     if th.input.m > 0:
@@ -592,17 +513,8 @@ def quasi_lemma_check(inp, raise_on_fail=False):
                     if not lhs.is_zero():
                         fail3.append(to_text(lhs))
 
-    for name, failures in (("anchor_defect", fail1),
-                           ("jacobiator", fail2),
-                           ("psi_coherence", fail3)):
-        report["identities"][name] = {"ok": not failures,
-                                      "failures": failures[:3]}
-        if failures:
-            report["ok"] = False
-    if raise_on_fail and not report["ok"]:
-        bad = [n for n, v in report["identities"].items() if not v["ok"]]
-        raise AxiomViolation(", ".join(bad))
-    return report
+    return _report({}, {"anchor_defect": fail1, "jacobiator": fail2,
+                        "psi_coherence": fail3}, raise_on_fail)
 
 
 # ---------------------------------------------------------------------------
@@ -670,10 +582,6 @@ def _to_matrix(th, x, upper, name, kind):
     return M
 
 
-def _form_to_matrix(th, omega):
-    return _to_matrix(th, omega, True, "omega", "an upper-generated 2-form")
-
-
 def _matrix_to_form(th, M):
     k = th.input.k
     out = th.zero()
@@ -683,10 +591,6 @@ def _matrix_to_form(th, M):
                 raise ShapeError("M", "matrix is not antisymmetric")
             out = out + M[a][b] * th.upper(a) * th.upper(b)
     return out
-
-
-def _bivector_to_matrix(th, lam):
-    return _to_matrix(th, lam, False, "lam", "a lower-generated bivector")
 
 
 def _mat_mul_se(A, B, zero):
@@ -703,8 +607,9 @@ def reparametrize_complement(th, lam, omega_series):
     k = th.input.k
     zero = th.gens.zero()
     N = omega_series.order
-    W = [_form_to_matrix(th, omega_series[i]) for i in range(N + 1)]
-    L = _bivector_to_matrix(th, lam)
+    W = [_to_matrix(th, omega_series[i], True, "omega",
+                    "an upper-generated 2-form") for i in range(N + 1)]
+    L = _to_matrix(th, lam, False, "lam", "a lower-generated bivector")
     ident = [[th.gens.one() if i == j else zero for j in range(k)]
              for i in range(k)]
     # X_t = (id + Lambda omega_t)^{-1}: X_0 = id,

@@ -1021,56 +1021,33 @@ def iso_I(P, m, k, base=None):
     return MultiDerivation(base, m, k, kdeg - 1, frame, symbol)
 
 
-def _md_coords(D, xmonos):
-    """Flatten frame and symbol onto coordinates indexed by
-    (kind, index-tuple, component, x-monomial)."""
-    vec = {}
-    for idx, comps in D.frame.items():
-        for t, poly in enumerate(comps):
-            for (e, o), c in poly.terms.items():
-                vec[("f", idx, t, e)] = c
-                xmonos.add(e)
-    for idx, comps in D.symbol.items():
-        for t, poly in enumerate(comps):
-            for (e, o), c in poly.terms.items():
-                vec[("s", idx, t, e)] = c
-                xmonos.add(e)
-    return vec
+def iso_I_inv(D):
+    """Inverse of iso_I: with kdeg = D.degree + 1 and the sign
+    sgn = (-1)^(kdeg (kdeg - 1)/2) of iso_I,
 
+        P = sum sgn frame[idx][beta] v_beta vh_idx
+            + sum sgn (-1)^(kdeg - 1) symbol[gam][i] xh_i vh_gam,
 
-def iso_I_inv(D, base=None):
-    """Inverse of iso_I, by exact linear solve over the finitely many
-    base monomials occurring in D."""
+    each base polynomial lifted to the dual bundle by k zero fiber
+    exponents."""
     m, k = D.m, D.k
     gens = multivector_generators(m, k)
     kdeg = D.degree + 1
-    xmonos = set()
-    target = _md_coords(D, xmonos)
-    if not xmonos:
-        xmonos.add((0,) * m)
-    candidates = []
-    for xe in sorted(xmonos):
-        xpart = {f"x{i + 1}": xe[i] for i in range(m) if xe[i]}
-        for beta in range(k):
-            for alpha in itertools.combinations(range(k), kdeg):
-                mono = gens.monomial(
-                    1, {**xpart, f"v{beta + 1}": 1},
-                    [f"vh{a + 1}" for a in alpha])
-                candidates.append(mono)
-        if kdeg >= 1:
-            for i in range(m):
-                for gam in itertools.combinations(range(k), kdeg - 1):
-                    mono = gens.monomial(
-                        1, xpart,
-                        [f"xh{i + 1}"] + [f"vh{a + 1}" for a in gam])
-                    candidates.append(mono)
-    status, sol = ratlin.solve_sparse(
-        [_md_coords(iso_I(c, m, k, base=base), set()) for c in candidates],
-        target)
-    if status != "SOLUTION":
-        raise NotHomogeneous("multiderivation is not in the image")
+    sgn = (-1) ** (kdeg * (kdeg - 1) // 2)
+    pad = (0,) * k
+
+    def lift(poly):
+        return SuperElement(gens, {(e + pad, ()): c
+                                   for (e, o), c in poly.terms.items()})
+
     P = gens.zero()
-    for coeff, cand in zip(sol, candidates):
-        if coeff:
-            P = P + coeff * cand
+    for idx, comps in D.frame.items():
+        vh = [f"vh{a + 1}" for a in idx]
+        for beta, poly in enumerate(comps):
+            P = P + lift(poly) * gens.monomial(sgn, {f"v{beta + 1}": 1}, vh)
+    for gam, comps in D.symbol.items():
+        vh = [f"vh{a + 1}" for a in gam]
+        for i, poly in enumerate(comps):
+            P = P + lift(poly) * gens.monomial(sgn * (-1) ** (kdeg - 1),
+                                               None, [f"xh{i + 1}"] + vh)
     return P

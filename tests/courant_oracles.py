@@ -1,11 +1,23 @@
-"""The axiom loop that `courant.verify_courant` replaced, kept as an
-independent oracle: every identity bracketed out explicitly, with the
-D/B/P/DB tables and six brackets per section triple, and the Jacobiator
-as [e1, [e2, e3]] - [[e1, e2], e3] - [e2, [e1, e3]] rather than read
-from the master residual."""
+"""Second code paths that `courant` replaced, kept as independent
+oracles:
+
+* the axiom loop of `verify_courant`: every identity bracketed out
+  explicitly, with the D/B/P/DB tables and six brackets per section
+  triple, and the Jacobiator as [e1, [e2, e3]] - [[e1, e2], e3]
+  - [e2, [e1, e3]] rather than read from the master residual;
+* T_omega from its defining values on the frame, against
+  `t_omega` = 1/6 [omega, omega, omega]_psi;
+* the three table completions (pairs, totally antisymmetric triples,
+  pairs with a free third index) that `_antisymmetric` replaced, each
+  with its own range check.
+"""
+
+from itertools import combinations
 
 from diracdeform.brackets import master_residuals
 from diracdeform.courant import (
+    ShapeError,
+    _psi_eval,
     _q_monomials,
     _section_family,
     anchor_apply,
@@ -75,3 +87,79 @@ def verify_courant(inp, degree=1, section_limit=None):
     record("anchor_of_D", fail_rd)
     report["ok"] = report["ok"] and master_ok
     return report
+
+
+def _omega_apply(th, omega, a):
+    """omega(a_a) as an upper-generated 1-form: {a_a, omega}."""
+    return th.ctx.bracket(th.lower(a), omega)
+
+
+def t_omega_direct(th, omega):
+    """T_omega from its defining values.
+
+    T(s1, s2, s3) = -psi(omega(s1), omega(s2), omega(s3)) on the frame,
+    reassembled as an upper-generated 3-form.
+    """
+    k = th.input.k
+    out = th.zero()
+    oms = [_omega_apply(th, omega, a) for a in range(k)]
+    for (a, b, c) in combinations(range(k), 3):
+        v = -_psi_eval(th, oms[a], oms[b], oms[c])
+        if not v.is_zero():
+            out = out + v * th.upper(a) * th.upper(b) * th.upper(c)
+    return out
+
+
+def antisymmetrize_pairs(entries, k, path):
+    """Full table {(a, b): value} from entries antisymmetric in (a, b)."""
+    table = {}
+    for (a, b), v in entries.items():
+        if not (0 <= a < k and 0 <= b < k):
+            raise ShapeError(path, f"index ({a}, {b}) out of range")
+        if a == b:
+            if not v.is_zero():
+                raise ShapeError(path, "diagonal entry must vanish")
+            continue
+        for key, val in (((a, b), v), ((b, a), -v)):
+            if key in table and table[key] != val:
+                raise ShapeError(path, "conflicting antisymmetric entries "
+                                       f"{key}")
+            table[key] = val
+    return table
+
+
+def antisymmetrize_triples(entries, k, path):
+    """Full table from entries totally antisymmetric in three indices."""
+
+    def perms(t):
+        a, b, c = t
+        return [((a, b, c), 1), ((b, c, a), 1), ((c, a, b), 1),
+                ((b, a, c), -1), ((a, c, b), -1), ((c, b, a), -1)]
+
+    table = {}
+    for (a, b, c), v in entries.items():
+        if not all(0 <= x < k for x in (a, b, c)):
+            raise ShapeError(path, f"index ({a}, {b}, {c}) out of range")
+        if len({a, b, c}) < 3:
+            if not v.is_zero():
+                raise ShapeError(path, "repeated-index entry must vanish")
+            continue
+        for key, s in perms((a, b, c)):
+            val = s * v
+            if key in table and table[key] != val:
+                raise ShapeError(path, "conflicting antisymmetric entries "
+                                       f"{key}")
+            table[key] = val
+    return table
+
+
+def pairs_third(raw, k, path):
+    """Full table {(a, b, g): value} from entries antisymmetric in
+    (a, b)."""
+    grouped = {}
+    for (a, b, g), v in raw.items():
+        if not 0 <= g < k:
+            raise ShapeError(path, f"index {g} out of range")
+        grouped.setdefault(g, {})[(a, b)] = v
+    return {(a, b, g): v for g, entries in grouped.items()
+            for (a, b), v in antisymmetrize_pairs(entries, k, path).items()}

@@ -1,8 +1,11 @@
 """The mirrored V*-side bodies that `dirac_linear.flip` replaced, and the
-explicit upper half of `courant.build_theta`, kept as independent
-oracles: each writes out the twin of a V-side (or lower) construction
-directly instead of conjugating it by the flip (x, eta) -> (eta, x) or
-exchanging the summands."""
+explicit halves of `courant.build_theta`, kept as independent oracles:
+each writes out the twin of a V-side (or lower) construction directly
+instead of conjugating it by the flip (x, eta) -> (eta, x) or
+exchanging the summands.  Each half of the charge is written out in
+both its forms: with the Darboux momenta r_i (the form that
+`build_theta` computes) and with the plain momenta p_i and the torsion
+of the connection."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -109,6 +112,53 @@ def backward_map(phi, L):
         pe = [sum(phit[i][a] * eta[a] for a in range(nw)) for i in range(nv)]
         out.append(list(x) + pe)
     return LinearDirac(nv, Subspace(2 * nv, out))
+
+
+def lower_charge(inp):
+    """(mu in Darboux-momentum form, mu in momentum/torsion form, psi) of
+    a CourantInput, written out: with r_i = p_i - Gamma_{i alpha}^beta
+    a^alpha a_beta,
+
+        mu = -r_i rho_ia a^a - 1/2 c_abg a^a a^b a_g
+           = -p_i rho_ia a^a + 1/2 T_abg a^a a^b a_g,
+
+    T_abg = rho_ia Gamma(i, b, g) - rho_ib Gamma(i, a, g) - c_abg."""
+    m, k = inp.m, inp.k
+    gens = inp.gens
+    conn = ConnectionData(gens, m, k, gamma=inp.gamma_conn or None)
+    r = BracketContext.rothstein_on(conn).darboux_momenta()
+    alow = [gens.gen(gens.odd[a]) for a in range(k)]
+    aup = [gens.gen(gens.odd[k + a]) for a in range(k)]
+    p = [gens.gen(gens.even[m + i]) for i in range(m)]
+    half = Fraction(1, 2)
+    zero = gens.zero()
+    gam = conn.christoffel
+
+    mu = zero
+    for (i, a), rho in inp.rho.items():
+        mu = mu - r[i] * rho * aup[a]
+    for (a, b, g), cv in inp.c.items():
+        mu = mu - half * cv * aup[a] * aup[b] * alow[g]
+    mu2 = zero
+    for (i, a), rho in inp.rho.items():
+        mu2 = mu2 - p[i] * rho * aup[a]
+    for a in range(k):
+        for b in range(k):
+            for g in range(k):
+                t = zero
+                for i in range(m):
+                    ra = inp.rho.get((i, a), zero)
+                    rb = inp.rho.get((i, b), zero)
+                    t = t + ra * gam(i, b, g) - rb * gam(i, a, g)
+                t = t - inp.c.get((a, b, g), zero)
+                if not t.is_zero():
+                    mu2 = mu2 + half * t * aup[a] * aup[b] * alow[g]
+    psi_el = zero
+    for (a, b, g) in combinations(range(k), 3):
+        v = inp.psi.get((a, b, g))
+        if v is not None and not v.is_zero():
+            psi_el = psi_el + v * alow[a] * alow[b] * alow[g]
+    return mu, mu2, psi_el
 
 
 def upper_charge(inp):

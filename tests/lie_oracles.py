@@ -6,12 +6,15 @@ NR diamond and the Gerstenhaber circle over every index tuple, the
 triple-by-triple Jacobi scan, and composition with a linear map; and
 the Crainic-Moerdijk bracket of multiderivations written out as shuffle
 sums on frame sections, which `cm_bracket` replaced by the commutator
-of Grassmann derivations.  `to_vector`/`from_vector` write a cochain on
+of Grassmann derivations; and the inverse of `iso_I` by an exact linear
+solve over candidate monomials, which `iso_I_inv` replaced by a direct
+formula.  `to_vector`/`from_vector` write a cochain on
 a list of coordinate keys and back, for tests that compare vectors."""
 
 import itertools
 from fractions import Fraction
 
+from diracdeform import ratlin
 from diracdeform.multilinear import (
     BundleMismatch,
     MultiDerivation,
@@ -24,7 +27,10 @@ from diracdeform.multilinear import (
     _unit_cochains,
     _zvec,
     is_lie,
+    iso_I,
+    multivector_generators,
 )
+from diracdeform.superalg import NotHomogeneous
 
 
 def shuffles(first, second):
@@ -278,3 +284,58 @@ def cm_bracket(D1, D2):
             if any(not v.is_zero() for v in acc):
                 symbol[idx] = tuple(acc)
     return MultiDerivation(gens, m, k, r, frame, symbol)
+
+
+def _md_coords(D, xmonos):
+    """Flatten frame and symbol onto coordinates indexed by
+    (kind, index-tuple, component, x-monomial)."""
+    vec = {}
+    for idx, comps in D.frame.items():
+        for t, poly in enumerate(comps):
+            for (e, o), c in poly.terms.items():
+                vec[("f", idx, t, e)] = c
+                xmonos.add(e)
+    for idx, comps in D.symbol.items():
+        for t, poly in enumerate(comps):
+            for (e, o), c in poly.terms.items():
+                vec[("s", idx, t, e)] = c
+                xmonos.add(e)
+    return vec
+
+
+def iso_I_inv(D, base=None):
+    """Inverse of iso_I, by exact linear solve over the finitely many
+    base monomials occurring in D."""
+    m, k = D.m, D.k
+    gens = multivector_generators(m, k)
+    kdeg = D.degree + 1
+    xmonos = set()
+    target = _md_coords(D, xmonos)
+    if not xmonos:
+        xmonos.add((0,) * m)
+    candidates = []
+    for xe in sorted(xmonos):
+        xpart = {f"x{i + 1}": xe[i] for i in range(m) if xe[i]}
+        for beta in range(k):
+            for alpha in itertools.combinations(range(k), kdeg):
+                mono = gens.monomial(
+                    1, {**xpart, f"v{beta + 1}": 1},
+                    [f"vh{a + 1}" for a in alpha])
+                candidates.append(mono)
+        if kdeg >= 1:
+            for i in range(m):
+                for gam in itertools.combinations(range(k), kdeg - 1):
+                    mono = gens.monomial(
+                        1, xpart,
+                        [f"xh{i + 1}"] + [f"vh{a + 1}" for a in gam])
+                    candidates.append(mono)
+    status, sol = ratlin.solve_sparse(
+        [_md_coords(iso_I(c, m, k, base=base), set()) for c in candidates],
+        target)
+    if status != "SOLUTION":
+        raise NotHomogeneous("multiderivation is not in the image")
+    P = gens.zero()
+    for coeff, cand in zip(sol, candidates):
+        if coeff:
+            P = P + coeff * cand
+    return P

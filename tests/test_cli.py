@@ -775,9 +775,7 @@ json_rows = st.lists(st.one_of(
 @example([["0"]], [["1"]], 1)
 @settings(max_examples=300, deadline=None, database=None)
 def test_json_row_path_is_json_dumps(rows, odd, at):
-    # a list of non-empty lists of strings takes one pass (cli._rows);
-    # with any other item put in, it takes the item-wise path
-    assert cli._rows(rows, "\n  ") is not None
+    # lists of strings, alone and with any other item put in
     mixed = rows[:at] + [odd] + rows[at:]
     for value in (rows, mixed, {"trajectory": rows}, [mixed]):
         assert cli._json(value) == json.dumps(value, sort_keys=True,

@@ -123,6 +123,45 @@ class TestInputValidation:
         assert inp.psi[(1, 2, 0)] == inp.psi[(0, 1, 2)]
         assert inp.psi[(1, 0, 2)] == -inp.psi[(0, 1, 2)]
 
+    @pytest.mark.parametrize("name, key", [
+        ("c", (0, 1)), ("c", (0, 1, 2, 0)), ("rho", (0, 0, 0)),
+        ("rho_bar", (0,)), ("gamma_conn", (0, 0)), ("psi", ()),
+        ("c", (0.5, 1, 2)), ("c", (0, 1, 2.0)), ("phi", (0, True, 2)),
+        ("rho", ("0", 0)), ("gamma_conn", (0, 0, False)), ("c", 0),
+        ("c", (0, 1, -1)), ("rho", (1, 0)), ("gamma_conn", (0, 3, 0)),
+    ])
+    def test_bad_keys_name_the_table(self, name, key):
+        """A key of the wrong length, an index that is not an int (a
+        bool included) or out of range: a ShapeError naming the table,
+        zero values included."""
+        for v in (1, 0):
+            with pytest.raises(co.ShapeError, match=rf"^\$\.{name}:"):
+                co.CourantInput(1, 3, **{name: {key: v}})
+
+    @given(st.integers(0, 3), st.dictionaries(
+        st.tuples(*[st.integers(0, 3)] * 3),
+        st.integers(-2, 2).map(Fraction), max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_antisymmetric_matches_the_old_completions(self, k, entries):
+        """_antisymmetric against the three helpers it replaced, on
+        tables with repeated indices, conflicts and zero values: the
+        same table, or a ShapeError from both."""
+        gens = phase_generators(0, 0)
+        entries = {key: gens.scalar(v) for key, v in entries.items()
+                   if all(x < k for x in key)}
+        pairs = {key[:2]: v for key, v in entries.items()}
+        for n, table, old in (
+                (2, pairs, courant_oracles.antisymmetrize_pairs),
+                (2, entries, courant_oracles.pairs_third),
+                (3, entries, courant_oracles.antisymmetrize_triples)):
+            try:
+                want = old(table, k, "$.t")
+            except co.ShapeError:
+                with pytest.raises(co.ShapeError, match=r"^\$\.t:"):
+                    co._antisymmetric(table, n, "$.t")
+            else:
+                assert co._antisymmetric(table, n, "$.t") == want
+
 
 class TestBuildTheta:
     @given(courant_inputs())
@@ -134,6 +173,16 @@ class TestBuildTheta:
         gamma, gamma_torsion, phi = oracle.upper_charge(inp)
         assert th.gamma == gamma == gamma_torsion
         assert th.phi == phi
+
+    @given(courant_inputs())
+    @settings(max_examples=60, deadline=None)
+    def test_lower_half_matches_oracle(self, inp):
+        """mu and psi against their written-out forms: mu in the
+        Darboux momenta and in the torsion form."""
+        th = co.build_theta(inp)
+        mu, mu_torsion, psi = oracle.lower_charge(inp)
+        assert th.mu == mu == mu_torsion
+        assert th.psi == psi
 
     def test_standard_charge(self):
         th = co.build_theta(co.standard_courant(2))
@@ -159,10 +208,20 @@ class TestBuildTheta:
         assert th2.mu.is_zero() and not th2.gamma.is_zero()
 
     def test_connection_consistency(self):
-        # the two defining forms of mu must agree for any connection
+        # the Darboux form of mu is its torsion form, for any connection;
+        # here each Gamma(i, a, b) meets rho_ia, and a^a a^a = 0 drops it
         inp = co.CourantInput(2, 2, rho={(0, 0): 1, (1, 1): "1 q1"},
                               gamma_conn={(0, 0, 1): "1 q2", (1, 1, 0): 1})
         th = co.build_theta(inp)
+        _, mu_torsion, _ = oracle.lower_charge(inp)
+        assert th.mu == mu_torsion
+        assert th.mu == co.build_theta(co.CourantInput(
+            2, 2, rho={(0, 0): 1, (1, 1): "1 q1"})).mu
+        # Gamma(0, 1, 0) = q2 meets rho_00: a torsion term q2 a^1 a^2 a_1
+        twisted = co.CourantInput(2, 2, rho={(0, 0): 1, (1, 1): "1 q1"},
+                                  gamma_conn={(0, 1, 0): "1 q2"})
+        mu = co.build_theta(twisted).mu
+        assert mu == oracle.lower_charge(twisted)[1] != th.mu
         res = master_residuals(th.ctx, th.theta)
         # Theta need not be square-zero here; assembly must still work
         assert th.theta == th.mu + th.gamma + th.psi + th.phi
@@ -418,7 +477,8 @@ class TestTOmega:
         th = co.build_theta(co.so3_double())
         for _ in range(25):
             om = random_two_form(th, rng)
-            assert co.t_omega(th, om) == co.t_omega_direct(th, om)
+            assert co.t_omega(th, om) == \
+                courant_oracles.t_omega_direct(th, om)
 
     def test_vanishes_without_psi(self):
         rng = random.Random(18)
@@ -555,8 +615,8 @@ class TestReparametrize:
         th, om, lam = self.th, self.om, self.lam
         out = co.reparametrize_complement(th, lam, self.series)
         z = th.zero()
-        W = co._form_to_matrix(th, om)
-        L = co._bivector_to_matrix(th, lam)
+        W = co._to_matrix(th, om, True, "omega", "a 2-form")
+        L = co._to_matrix(th, lam, False, "lam", "a bivector")
         wLw = co._mat_mul_se(W, co._mat_mul_se(L, W, z), z)
         wLwLw = co._mat_mul_se(W, co._mat_mul_se(L, wLw, z), z)
         assert out[1] == om

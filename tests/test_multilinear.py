@@ -917,6 +917,19 @@ class TestIsoI:
             P = iso_I_inv(D)
             assert iso_I(P, 2, 2, gens) == D
 
+    @given(st.integers(0, 2), st.integers(1, 3), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_direct_inverse_matches_the_solve(self, m, k, data):
+        """iso_I_inv's formula against the linear solve it replaced, on
+        random multiderivations of every degree -1..k-1."""
+        degree = data.draw(st.integers(-1, k - 1))
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1)))
+        D = random_md(rng, base_gens(m), m, k, degree, max_deg=2)
+        P = iso_I_inv(D)
+        assert P == lie_oracles.iso_I_inv(D)
+        if not P.is_zero():     # the zero field has no degree
+            assert iso_I(P, m, k) == D
+
     def test_bracket_compatibility(self):
         m, k = 2, 2
         gens = multivector_generators(m, k)
