@@ -4,17 +4,18 @@ Each subcommand returns (input hash, report body, ok); `main` alone
 writes the report envelope and picks the exit code: 0 = pass / extends,
 1 = a mathematical failure, 2 = input error, a jsonin.InputError whose
 message names the input file and JSON path, the option at fault, or
-stdout when the report cannot be written there.  A job builds only its
-subcommand's parser, and `_json` writes the text of json.dumps(report,
-sort_keys=True, indent=2) in a fraction of its time.  An ihs-run report
-holds the ihs.Trajectory itself: JSON and CSV write its .12g rows with
-one ihs.trajectory_text, the table through ihs.trajectory_rows.
+stdout when the report cannot be written there.  `_read` reads a job's
+argv straight from the SUBCOMMANDS table; argparse is imported only for
+help, abbreviations and errors.  `_json` writes the text of
+json.dumps(report, sort_keys=True, indent=2) in a fraction of its time.
+An ihs-run report holds the ihs.Trajectory itself: JSON and CSV write
+its .12g rows with one ihs.trajectory_text, the table through
+ihs.trajectory_rows.
 Reports are deterministic (byte-identical for equal inputs and seeds)
 and embed the input hash and engine version.  JSON schemas for the input
 files live in docs/schemas.
 """
 
-import argparse
 import hashlib
 import json
 import math
@@ -23,6 +24,7 @@ import random
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _str
+from types import SimpleNamespace
 
 from . import __version__, courant, ihs
 from . import dirac_linear as dl
@@ -410,20 +412,17 @@ SUBCOMMANDS = {
 }
 
 
-def build_parser(command=None):
+def build_parser():
     """The parser of every subcommand in SUBCOMMANDS (name -> handler,
-    help, arguments) or, given a name, of that one alone; its usage still
-    lists every name, so each message it prints is the full parser's."""
+    help, arguments): the one source of help, usage and error messages."""
+    import argparse
     ap = argparse.ArgumentParser(
         prog="diracdeform",
         description="Exact-arithmetic engines for graded brackets, Dirac "
                     "structures, Courant algebroids, and deformations.")
     ap.add_argument("--version", action="version", version=__version__)
-    # a metavar would rename "argument command" in the full parser's errors
-    sub = ap.add_subparsers(dest="command", required=True, metavar=(
-        "{" + ",".join(SUBCOMMANDS) + "}" if command else None))
-    for name in [command] if command else SUBCOMMANDS:
-        func, help_, arguments = SUBCOMMANDS[name]
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, (func, help_, arguments) in SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_)
         for flag, options in arguments:
             p.add_argument(flag, **options)
@@ -431,15 +430,76 @@ def build_parser(command=None):
     return ap
 
 
+def _dest(name, options):
+    return options.get("dest") or name.lstrip("-").replace("-", "_")
+
+
+def _read(argv):
+    """vars() of build_parser().parse_args(argv), as a namespace, for a
+    subcommand followed by its positional and exact long options: --flag
+    value, --flag=value, and nargs="+" values up to the next token that
+    starts with "-".  None for every other argv, which argparse reads:
+    help, --version, abbreviations, "--", single-dash tokens, a spaced
+    value that starts with "-", --flag=-- and --flag=... of a list, and
+    every error."""
+    if not argv or argv[0] not in SUBCOMMANDS:
+        return None
+    func, _, arguments = SUBCOMMANDS[argv[0]]
+    options = dict(arguments)
+    positional = next((a for a in options if a[0] != "-"), None)
+    ns = {"command": argv[0], "func": func}
+    given = set()
+    i, n = 1, len(argv)
+    while i < n:
+        token = argv[i]
+        i += 1
+        if token[:1] != "-":
+            if positional is None or positional in given:
+                return None
+            name, values = positional, [token]
+        else:
+            name, eq, value = token.partition("=")
+            if name not in options:
+                return None
+            many = "nargs" in options[name]
+            if eq:
+                if many or value == "--":     # argparse drops a "--"
+                    return None
+                values = [value]
+            else:
+                j = i
+                while j < n and argv[j][:1] != "-" and (many or j == i):
+                    j += 1
+                if j == i:
+                    return None
+                values, i = argv[i:j], j
+        # argparse converts and checks every occurrence; the last one wins
+        opts = options[name]
+        try:
+            values = [opts.get("type", str)(v) for v in values]
+        except (TypeError, ValueError):
+            return None
+        choices = opts.get("choices")
+        if choices is not None and any(v not in choices for v in values):
+            return None
+        ns[_dest(name, opts)] = values if "nargs" in opts else values[0]
+        given.add(name)
+    for name, opts in arguments:
+        if name not in given:
+            if opts.get("required") or name == positional:
+                return None
+            ns[_dest(name, opts)] = opts.get("default")
+    return SimpleNamespace(**ns)
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    command = argv[0] if argv and argv[0] in SUBCOMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    args = _read(argv) or build_parser().parse_args(argv)
     try:
         input_hash, body, ok = args.func(args)
         report = {"command": args.command, "engine_version": __version__,
                   "input_hash": input_hash, "ok": ok, "report": body}
-        if "seed" in args:
+        if hasattr(args, "seed"):
             report["seed"] = args.seed
         _emit(report, args)
     except InputError as e:

@@ -1,6 +1,6 @@
 """Tests for the command-line front end: exit codes, report envelopes,
 determinism, the CSV trajectory output, and the JSON writer and the
-one-subcommand parser against json.dumps and the full parser."""
+argv reader against json.dumps and the full parser."""
 
 import hashlib
 import io
@@ -647,7 +647,8 @@ def test_import_does_not_load_scipy():
 SO3_DOUBLE = courant.so3_double().to_json()
 
 
-@pytest.mark.parametrize("command, data, extra", [
+# one short job per subcommand
+ONE_JOB_EACH = [
     ("check-jacobi", SO3, []),
     ("ce-cohomology", SO3, ["--degrees", "1"]),
     ("deform-lie", SO3, ["--order", "1"]),
@@ -658,18 +659,60 @@ SO3_DOUBLE = courant.so3_double().to_json()
      ["--order", "1"]),
     ("rothstein-check", None, ["--m", "1", "--k", "1"]),
     ("ihs-run", OSC, ["--x0", "1,0", "--steps", "3"]),
-])
-def test_commands_do_not_load_numpy(tmp_path, command, data, extra):
+]
+
+
+def run_job(tmp_path, command, data, extra, script):
+    """Run script in a fresh interpreter with the job's argv."""
     inputs = [] if data is None else [write(tmp_path, "in.json", data)]
     if command == "ihs-run":
         inputs.insert(0, "--system")
+    return subprocess.run([sys.executable, "-c", script, command] + inputs
+                          + extra, capture_output=True, text=True,
+                          env=SUBPROCESS_ENV)
+
+
+@pytest.mark.parametrize("command, data, extra", ONE_JOB_EACH)
+def test_commands_do_not_load_numpy(tmp_path, command, data, extra):
     script = ("import sys\nfrom diracdeform import cli\n"
               "code = cli.main(sys.argv[1:])\n"
               "sys.stderr.write(f'{code} {\"numpy\" in sys.modules}')\n")
-    p = subprocess.run([sys.executable, "-c", script, command] + inputs
-                       + extra, capture_output=True, text=True,
-                       env=SUBPROCESS_ENV)
+    p = run_job(tmp_path, command, data, extra, script)
     assert p.stderr == "0 False"
+
+
+HELP_SCRIPT = """
+import io, sys
+from contextlib import redirect_stdout
+from diracdeform import cli
+
+code = cli.main(sys.argv[1:])
+loaded = [m for m in ("argparse", "gettext", "locale") if m in sys.modules]
+
+
+def help_text(parse):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        try:
+            parse([sys.argv[1], "--help"])
+        except SystemExit as e:
+            assert e.code == 0
+    return out.getvalue()
+
+
+text = help_text(cli.main)
+same = text.startswith("usage: diracdeform " + sys.argv[1]) and (
+    text == help_text(cli.build_parser().parse_args))
+sys.stderr.write(f"{code} {loaded} {same}")
+"""
+
+
+@pytest.mark.parametrize("command, data, extra", ONE_JOB_EACH)
+def test_commands_do_not_import_argparse(tmp_path, command, data, extra):
+    # a job is read without argparse (whose first use imports gettext and
+    # locale); --help is then the full parser's
+    p = run_job(tmp_path, command, data, extra, HELP_SCRIPT)
+    assert p.stderr == "0 [] True"
 
 
 # SHA-256 of json.dumps(report body, sort_keys=True) for the deformation
@@ -720,7 +763,7 @@ def test_failing_courant_reports_pinned(tmp_path, capsys, data, extra,
 
 
 # ---------------------------------------------------------------------------
-# the JSON writer and the one-subcommand parser against their references
+# the JSON writer and the argv reader against their references
 # ---------------------------------------------------------------------------
 
 json_scalars = st.one_of(
@@ -782,7 +825,8 @@ def test_json_row_path_is_json_dumps(rows, odd, at):
                                               indent=2)
 
 
-# --opt=v, abbreviated and repeated options, nargs="+"; every subcommand
+# --opt=v, abbreviated and repeated options, nargs="+", values that look
+# like options or numbers; every subcommand
 VALID_ARGV = [
     ["check-jacobi", "in.json"],
     ["check-jacobi", "in.json", "--format=table", "--output", "r.txt"],
@@ -796,6 +840,15 @@ VALID_ARGV = [
     ["rothstein-check", "--m=1", "--k", "0", "--seed", "7", "--seed", "8"],
     ["ihs-run", "--sys", "s.json", "--x0=1,0", "--steps", "3", "--h", "0.1",
      "--format", "csv"],
+    ["check-jacobi", "in.json", "--output="],
+    ["check-jacobi", "in.json", "--output", "-"],
+    ["check-jacobi", "--", "in.json"],
+    ["ihs-run", "--system", "s.json", "--x0=-1,0"],
+    ["ihs-run", "--system", "s.json", "--x0", "1,0", "--steps", "1_000"],
+    ["ihs-run", "--system", "s.json", "--x0", "1,0", "--h", "nan"],
+    ["ce-cohomology", "in.json", "--degrees", "-1"],
+    ["ce-cohomology", "in.json", "--degrees=3"],
+    ["deform-lie", "in.json", "--order", "\u0663"],
 ]
 BAD_ARGV = [
     [], ["-h"], ["--version"], ["bogus"], ["bogus", "in.json"],
@@ -808,6 +861,10 @@ BAD_ARGV = [
     ["check-jacobi", "in.json", "--version"],
     ["check-jacobi", "in.json", "--format", "csv"],
     ["rothstein-check", "--seed"],
+    ["ihs-run", "--system", "s.json", "--x0", "-1,0"],
+    ["theta-master", "in.json", "in.json"],
+    ["theta-master", "in.json", "--", "in.json"],
+    ["rothstein-check", "--seed", "two", "--seed", "1"],
 ] + [[name, "--help"] for name in cli.SUBCOMMANDS]
 
 
@@ -815,10 +872,48 @@ def test_parser_tables_cover_every_subcommand():
     assert {argv[0] for argv in VALID_ARGV} == set(cli.SUBCOMMANDS)
 
 
+def parsed(args):
+    # reprs, since nan != nan; func is the same object either way
+    return sorted((k, repr(v)) for k, v in vars(args).items())
+
+
 @pytest.mark.parametrize("argv", VALID_ARGV, ids=" ".join)
 def test_one_subcommand_parser_parses_as_the_full_one(argv):
-    assert (vars(cli.build_parser(argv[0]).parse_args(argv))
-            == vars(cli.build_parser().parse_args(argv)))
+    # the argv reader gives the full parser's namespace, or leaves the
+    # argv to it
+    args = cli._read(argv)
+    assert args is None or parsed(args) == parsed(
+        cli.build_parser().parse_args(argv))
+
+
+# the argv shapes of README's examples and of the bench jobs
+READ_ARGV = [
+    ["check-jacobi", "in.json"],
+    ["ce-cohomology", "in.json", "--degrees", "1", "2", "3"],
+    ["deform-lie", "in.json", "--order", "3"],
+    ["dirac-linear", "in.json"],
+    ["courant-verify", "in.json", "--degree", "2"],
+    ["theta-master", "in.json"],
+    ["deform-dirac", "in.json", "--order", "3"],
+    ["rothstein-check", "--m", "3", "--k", "3", "--seed", "7"],
+    ["ihs-run", "--system", "s.json", "--x0", "1,0", "--steps", "1000",
+     "--format", "csv"],
+    ["ihs-run", "--system", "s.json", "--x0=-0.3,1/2", "--steps", "5000"],
+    ["ihs-run", "--system", "s.json", "--x0=0.3,-0.7,1e-12", "--steps",
+     "100", "--format", "table", "--output", "r.txt"],
+    ["check-jacobi", "in.json", "--format=table", "--output", "r.txt",
+     "--format", "json"],
+    ["ihs-run", "--x0", "1,0", "--h", "nan", "--system=s.json", "--steps",
+     "1_000"],
+    ["deform-lie", "--order", "\u0663", "in.json", "--output="],
+]
+
+
+@pytest.mark.parametrize("argv", READ_ARGV, ids=" ".join)
+def test_reader_reads_exact_options(argv):
+    args = cli._read(argv)
+    assert args is not None
+    assert parsed(args) == parsed(cli.build_parser().parse_args(argv))
 
 
 def exits(call):
@@ -833,3 +928,54 @@ def exits(call):
 def test_main_rejects_as_the_full_parser(argv):
     assert (exits(lambda: cli.main(argv))
             == exits(lambda: cli.build_parser().parse_args(argv)))
+
+
+ARGV_VALUES = ["1", "0", "-1", "1_000", "\u0663", "two", "nan", "json",
+               "table", "csv", "1,0", "-1,0", "", "-", "--", "in.json"]
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand (or not) and up to six items: the positional, an
+    option of the subcommand (exact or abbreviated, with 0-3 values
+    spaced or the first after "="), or a token argparse reads itself."""
+    name = draw(st.sampled_from([*cli.SUBCOMMANDS, "bogus"]))
+    flags = [f for f, _ in cli.SUBCOMMANDS.get(
+        name, (None, None, cli._arguments()))[2] if f[0] == "-"]
+    argv = [name]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["input", "option", "option", "other"]))
+        if kind == "input":
+            argv.append("in.json")
+        elif kind == "other":
+            argv.append(draw(st.sampled_from(
+                ["--", "-h", "--help", "--version", "-x", "--bogus"])))
+        else:
+            flag = draw(st.sampled_from(flags))
+            flag = flag[:draw(st.integers(3, len(flag)))]
+            values = draw(st.lists(st.sampled_from(ARGV_VALUES), max_size=3))
+            if values and draw(st.booleans()):
+                argv += [flag + "=" + values[0]] + values[1:]
+            else:
+                argv += [flag] + values
+    return argv
+
+
+@given(argvs())
+@example(["ce-cohomology", "in.json", "--degrees", "1", "-1"])
+@example(["deform-dirac", "--format=table", "in.json", "--format=csv"])
+@example(["ihs-run", "--x0=--", "--system", "s.json"])
+@settings(max_examples=400, deadline=None, database=None)
+def test_reader_is_the_full_parser(argv):
+    # a namespace from the reader is the full parser's; an argv it leaves
+    # to argparse gets argparse's exit code, output and messages from main
+    args = cli._read(argv)
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            full = cli.build_parser().parse_args(argv)
+    except SystemExit:
+        assert args is None
+        assert (exits(lambda: cli.main(argv))
+                == exits(lambda: cli.build_parser().parse_args(argv)))
+    else:
+        assert args is None or parsed(args) == parsed(full)
