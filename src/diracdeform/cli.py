@@ -405,7 +405,10 @@ SUBCOMMANDS = {
     "ihs-run": (cmd_ihs_run, "integrate an implicit Hamiltonian system",
                 _arguments(("--system", dict(dest="input", metavar="SYSTEM",
                                              required=True)),
-                           ("--x0", dict(required=True)),
+                           ("--x0", dict(required=True, help=(
+                               "initial point, comma-separated; write "
+                               "one that starts with a minus sign as "
+                               "--x0=-1,0"))),
                            ("--steps", dict(type=int, default=1000)),
                            ("--h", dict(type=float, default=None)),
                            formats=("json", "table", "csv"))),

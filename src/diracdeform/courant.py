@@ -545,10 +545,9 @@ def deform_series_dirac(inp_or_theta, prefix, order, degree_cap=2):
     """
     th = inp_or_theta if isinstance(inp_or_theta, ThetaStructure) \
         else build_theta(inp_or_theta)
-    op = partial(d_L, th)
-    basis = _two_form_basis(th, degree_cap)
-    d = Differential(op, basis, th.zero(), spans=th.input.m == 0,
-                     images=[op(b).terms for b in basis])
+    d = Differential(partial(d_L, th),
+                     partial(_two_form_basis, th, degree_cap), th.zero(),
+                     spans=th.input.m == 0)
     coeffs, certs = mc_extend(
         d, lambda coeffs, n: -mc_residual_one(th, coeffs, n),
         [th.zero()] + list(prefix), order, AxiomViolation)

@@ -19,7 +19,7 @@ scratch.
 
 import itertools
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 
 from . import ratlin
 from .multilinear import (
@@ -166,23 +166,40 @@ class Differential:
 
     `spans` says whether the basis spans the whole domain: only then does
     a failed solve certify an obstruction rather than the absence of a
-    solution inside the span.  `images` holds the nonzero coordinates of
-    op(b) for each basis element b, computed once by the engine.
+    solution inside the span.  `basis` and `images`, the nonzero
+    coordinates of op(b) for each basis element b, are passed as
+    callables and built on first use; `images` defaults to op on each
+    basis element.  A zero right-hand side is solved by zero without
+    either, so an extension whose every R_n is 0 builds neither: the
+    first need is a nonzero R_n, a nonzero solution coordinate or a
+    witness to verify.
     """
 
-    __slots__ = ("op", "basis", "zero", "spans", "images")
-
-    def __init__(self, op, basis, zero, spans, images):
+    def __init__(self, op, basis, zero, spans, images=None):
         self.op = op
-        self.basis = basis
         self.zero = zero
         self.spans = spans
-        self.images = images
+        self._make_basis = basis
+        self._make_images = images
+
+    @cached_property
+    def basis(self):
+        return self._make_basis()
+
+    @cached_property
+    def images(self):
+        if self._make_images is None:
+            return [self.op(b).terms for b in self.basis]
+        return self._make_images()
 
     def solve(self, order, R):
         """Certificate of d x = R: a solution over the basis, or a
         witness y, a dict keyed like `terms`, with y^T d = 0 and
-        y^T R != 0."""
+        y^T R != 0.  R = 0 gives x = 0 with no elimination: in the
+        reduced echelon form of [M | 0] every pivot coordinate is 0, and
+        the free coordinates are set to 0."""
+        if R.is_zero():
+            return ObstructionCertificate(self, order, R, solution=self.zero)
         status, v = ratlin.solve_sparse(self.images, R.terms)
         if status != "SOLUTION":
             return ObstructionCertificate(self, order, R, witness=v)
@@ -250,8 +267,11 @@ def mc_extend(d, rhs, prefix, order, not_closed):
     At order n the equation is d x_n = rhs(coeffs[:n], n).  The prefix
     is checked once, on entry (PreconditionMC); a right-hand side that is
     not d-closed means the order-0 structure is broken and raises
-    `not_closed`.  Returns (coefficients, certificates) and stops at the
-    first order that does not extend.
+    `not_closed`.  Each order is solved by `d.solve`, which answers
+    R_n = 0 with x_n = 0 and no elimination: from a prefix of x_0 alone
+    every R_n is 0, so such a run never builds d's basis or images.
+    Returns (coefficients, certificates) and stops at the first order
+    that does not extend.
     """
     for j in range(1, len(prefix)):
         if not (d.op(prefix[j]) - rhs(prefix[:j], j)).is_zero():
@@ -339,9 +359,9 @@ def _lie_differential(mu0, k):
     if not is_lie(mu0):
         raise Order0NotLie("order-0 term violates the Jacobi identity")
     return Differential(partial(_ce_differential, mu0),
-                        _unit_cochains(k, mu0.dim),
+                        partial(_unit_cochains, k, mu0.dim),
                         MultiMap.zero(k, mu0.dim), spans=True,
-                        images=_delta_columns(mu0, k))
+                        images=partial(_delta_columns, mu0, k))
 
 
 def _lie_rhs(coeffs, n):
@@ -464,10 +484,9 @@ def linear_poisson_deform(prefix, k, order=None):
     pi0 = prefix[0]
     if not ctx.schouten(pi0, pi0).is_zero():
         raise Order0NotLie("pi_0 is not Poisson")
-    op = partial(ctx.schouten, pi0)
-    basis = _linear_multivector_basis(gens, k, 2)
-    d = Differential(op, basis, gens.zero(), spans=True,
-                     images=[op(b).terms for b in basis])
+    d = Differential(partial(ctx.schouten, pi0),
+                     partial(_linear_multivector_basis, gens, k, 2),
+                     gens.zero(), spans=True)
 
     def rhs(coeffs, n):
         R = gens.zero()

@@ -33,6 +33,7 @@ for degrees p = arity(f)-1 and q = arity(g)-1.
 
 import itertools
 import json
+import math
 from fractions import Fraction
 
 from . import ratlin
@@ -345,9 +346,30 @@ def cohomology(mu, k):
 
 def cohomology_dims(mu, degrees):
     """[dim H^k for k in degrees], after one Jacobi check for all of
-    them."""
+    them, by rank-nullity:
+
+        dim H^k = N_k - rank delta^k - rank delta^{k-1},
+
+    with N_k = C(dim, k) * dim the number of unit k-cochains.  Each
+    delta^j that the degrees need is built once, and its rank is the
+    length of a forward elimination of its rows: no back pass, no kernel
+    basis and no representatives (`cohomology` computes those)."""
     _require_lie(mu)
-    return [_cohomology(mu, k)[0] for k in degrees]
+    dim = mu.dim
+    needed = {j for k in degrees for j in (k - 1, k) if 0 <= j < dim}
+    ranks = {j: len(ratlin.Echelon(_delta_rows(mu, j))) for j in needed}
+    return [math.comb(dim, k) * dim - ranks.get(k, 0) - ranks.get(k - 1, 0)
+            for k in degrees]
+
+
+def _delta_rows(mu, k):
+    """The nonzero rows of delta^k, each a dict column index -> value
+    over the columns of _delta_columns(mu, k)."""
+    rows = {}
+    for j, col in enumerate(_delta_columns(mu, k)):
+        for key, v in col.items():
+            rows.setdefault(key, {})[j] = v
+    return rows.values()
 
 
 def _cohomology(mu, k):
@@ -355,11 +377,7 @@ def _cohomology(mu, k):
     checked mu once."""
     dim = mu.dim
     dom = _cochain_basis(k, dim)
-    rows = {}
-    for j, col in enumerate(_delta_columns(mu, k)):
-        for key, v in col.items():
-            rows.setdefault(key, {})[j] = v
-    ker = ratlin.Echelon(ratlin.Echelon(rows.values()).kernel(len(dom)))
+    ker = ratlin.Echelon(ratlin.Echelon(_delta_rows(mu, k)).kernel(len(dom)))
     pos = {key: i for i, key in enumerate(dom)}
     im = ratlin.Echelon({pos[key]: v for key, v in col.items()}
                         for col in (_delta_columns(mu, k - 1) if k else ()))

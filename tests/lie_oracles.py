@@ -8,8 +8,11 @@ the Crainic-Moerdijk bracket of multiderivations written out as shuffle
 sums on frame sections, which `cm_bracket` replaced by the commutator
 of Grassmann derivations; and the inverse of `iso_I` by an exact linear
 solve over candidate monomials, which `iso_I_inv` replaced by a direct
-formula.  `to_vector`/`from_vector` write a cochain on
-a list of coordinate keys and back, for tests that compare vectors."""
+formula; and cohomology dimensions from the full kernel and
+representative computation of each degree, which `cohomology_dims`
+replaced by one rank per delta.  `to_vector`/`from_vector` write a
+cochain on a list of coordinate keys and back, for tests that compare
+vectors."""
 
 import itertools
 from fractions import Fraction
@@ -22,6 +25,7 @@ from diracdeform.multilinear import (
     NonSymMultiMap,
     NotLie,
     _cochain_basis,
+    _cohomology,
     _from_terms,
     _psign,
     _unit_cochains,
@@ -199,6 +203,14 @@ def delta_matrix(mu, k):
     cols = [ce_differential(mu, e).terms for e in _unit_cochains(k, mu.dim)]
     return [[col.get(key, Fraction(0)) for col in cols]
             for key in _cochain_basis(k + 1, mu.dim)]
+
+
+def cohomology_dims(mu, degrees):
+    """[dim H^k for k in degrees], each from the kernel basis and the
+    representatives of its own degree, after one Jacobi check."""
+    if not is_lie(mu):
+        raise NotLie("mu does not satisfy the Jacobi identity")
+    return [_cohomology(mu, k)[0] for k in degrees]
 
 
 def _vf_commutator(gens, m, X, Y):

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from diracdeform import cli, courant, ihs, jsonin, multilinear
+from diracdeform import cli, courant, ihs, jsonin, lie_deform, multilinear
 from diracdeform.dirac_linear import from_bivector
 from diracdeform.multilinear import base_gens, first_failing_triple
 from diracdeform.superalg import parse
@@ -198,6 +198,22 @@ class TestCohomologyAndDeform:
         if body is not None:
             assert json.loads(out)["report"] == body
 
+    def test_deform_lie_builds_no_basis(self, tmp_path, capsys,
+                                        monkeypatch):
+        # from mu alone every R_n is 0, which is solved by zero: no unit
+        # cochain and no column of delta^2 is built
+        built = []
+        for name in ("_unit_cochains", "_delta_columns"):
+            def counted(*args, f=getattr(lie_deform, name), name=name):
+                built.append(name)
+                return f(*args)
+            monkeypatch.setattr(lie_deform, name, counted)
+        path = write(tmp_path, "f6.json", FILIFORM_6)
+        code, out, _ = run(["deform-lie", path, "--order", "3"], capsys)
+        assert code == 0
+        assert json.loads(out)["report"]["reached_order"] == 3
+        assert built == []
+
     def test_deform_lie_certificates(self, tmp_path, capsys):
         path = write(tmp_path, "so3.json", SO3)
         code, out, _ = run(["deform-lie", path, "--order", "3"], capsys)
@@ -327,6 +343,20 @@ class TestIhsRun:
                             "--steps", "5"], capsys)
         assert code == 1
         assert json.loads(out)["report"]["status"] == "LEFT_ADMISSIBLE_SET"
+
+    def test_negative_x0_needs_the_equals_form(self, tmp_path, capsys,
+                                               monkeypatch):
+        # argparse reads a spaced "-1,0" as an option; the help says so
+        monkeypatch.setenv("COLUMNS", "200")
+        with pytest.raises(SystemExit) as e:
+            cli.main(["ihs-run", "--help"])
+        assert e.value.code == 0
+        assert "--x0=-1,0" in capsys.readouterr().out
+        path = self.osc_path(tmp_path)
+        code, out, _ = run(["ihs-run", "--system", path, "--x0=-1,0",
+                            "--steps", "10"], capsys)
+        assert code == 0
+        assert json.loads(out)["report"]["trajectory"][0][1:3] == ["-1", "0"]
 
     def test_bad_x0(self, tmp_path, capsys):
         path = self.osc_path(tmp_path)

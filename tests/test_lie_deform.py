@@ -503,3 +503,81 @@ class TestCertificate:
         assert certs[-1].status == status
         last = [c for c in certs if not c.cocycle.is_zero()][-1]
         assert not tampered(last).verify()
+
+
+def filiform(n):
+    """Model filiform algebra: [e0, ei] = e(i+1) for 1 <= i <= n-2."""
+    return MultiMap(2, n, {(0, i): tuple(int(t == i + 1) for t in range(n))
+                           for i in range(1, n - 1)})
+
+
+def solve_by_elimination(d, order, R):
+    """The certificate of d x = R read from `ratlin.solve_sparse` for
+    every R, zero included, with x summed over d's whole basis."""
+    status, v = ratlin.solve_sparse(d.images, R.terms)
+    if status != "SOLUTION":
+        return ObstructionCertificate(d, order, R, witness=v)
+    x = d.zero
+    for coeff, b in zip(v, d.basis):
+        if coeff:
+            x = x + coeff * b
+    return ObstructionCertificate(d, order, R, solution=x)
+
+
+def evidence(cert):
+    return cert.status, cert.solution, cert.witness
+
+
+class TestDifferential:
+    @pytest.mark.parametrize("case", sorted(CERTIFICATE_CASES))
+    def test_zero_rhs_matches_elimination(self, case):
+        # R = 0 is solved by zero without an elimination; the certificate
+        # is the one that the elimination of [M | 0] gives
+        d = CERTIFICATE_CASES[case]()[0].differential
+        R = d.op(d.zero)
+        cert, ref = d.solve(1, R), solve_by_elimination(d, 1, R)
+        assert evidence(cert) == evidence(ref) == ("EXTENDS", d.zero, None)
+        assert cert.verify() and ref.verify()
+
+    @pytest.mark.parametrize("case", sorted(CERTIFICATE_CASES))
+    def test_every_order_matches_elimination(self, case):
+        for cert in CERTIFICATE_CASES[case]():
+            ref = solve_by_elimination(cert.differential, cert.order,
+                                       cert.cocycle)
+            assert evidence(cert) == evidence(ref)
+
+    def test_filiform6_classes_match_elimination(self):
+        mu = filiform(6)
+        _, reps = cohomology(mu, 2)
+        for rep in reps:
+            for cert in extend_series([mu, rep], 3)[1]:
+                ref = solve_by_elimination(cert.differential, cert.order,
+                                           cert.cocycle)
+                assert evidence(cert) == evidence(ref)
+
+    @pytest.mark.parametrize("rep", [6, 10])
+    def test_filiform6_obstructions(self, rep):
+        # two of the twelve classes of H^2(filiform_6) are obstructed at
+        # order 2, each with the witness e^{1,2,5} (x) e_4
+        mu = filiform(6)
+        _, reps = cohomology(mu, 2)
+        coeffs, certs = extend_series([mu, reps[rep]], 3)
+        assert len(coeffs) == 2
+        assert [(c.order, c.status) for c in certs] == [(2, "OBSTRUCTED")]
+        assert certs[0].witness == {((1, 2, 5), 4): 1}
+        assert certs[0].verify()
+
+    def test_basis_and_images_built_on_first_need(self, monkeypatch):
+        built = []
+        for name in ("_unit_cochains", "_delta_columns"):
+            def counted(*args, f=getattr(ld, name), name=name):
+                built.append(name)
+                return f(*args)
+            monkeypatch.setattr(ld, name, counted)
+        mu = filiform(6)
+        _, reps = cohomology(mu, 2)
+        # a nonzero R_2 needs the images, and its witness the basis
+        cert = extend_series([mu, reps[6]], 3)[1][-1]
+        assert built == ["_delta_columns"]
+        assert cert.verify()
+        assert built == ["_delta_columns", "_unit_cochains"]

@@ -25,6 +25,7 @@ from diracdeform.multilinear import (
     ce_differential,
     cm_bracket,
     cohomology,
+    cohomology_dims,
     form_generators,
     gerstenhaber_bracket,
     grassmann_L,
@@ -450,12 +451,78 @@ class TestSparseDelta:
     def test_filiform_pins(self, n, k, expected):
         mu = filiform(n)
         assert cohomology(mu, k)[0] == expected
+        assert cohomology_dims(mu, [k]) == [expected]
         # cross-check by floating-point rank: dim H^k = n_k - rk d^k -
         # rk d^{k-1}; the entries are small integers, so float rank is exact
         ranks = [np.linalg.matrix_rank(
             np.array(lie_oracles.delta_matrix(mu, j), dtype=float))
             for j in (k, k - 1)]
         assert len(ml._cochain_basis(k, n)) - sum(ranks) == expected
+
+
+@st.composite
+def lie_algebras(draw):
+    """Lie structures on up to 5 dimensions that satisfy Jacobi by
+    construction: a 2-step nilpotent one (brackets of the first p basis
+    vectors land in the span of the others, which are central), an
+    almost abelian one (ad e_0 a random matrix on the span of
+    e_1, ..., every other bracket 0), or a fixture."""
+    kind = draw(st.sampled_from(["nilpotent", "almost abelian", "fixture"]))
+    if kind == "fixture":
+        return draw(st.sampled_from(sorted(LIE_FIXTURES.items())))[1]
+    dim = draw(st.integers(1, 5))
+    entry = st.lists(small_frac, min_size=dim, max_size=dim)
+    if kind == "nilpotent":
+        p = draw(st.integers(0, dim))
+        pairs = draw(st.lists(st.sampled_from(
+            list(itertools.combinations(range(p), 2)) or [None]),
+            max_size=4))
+        c = {}
+        for pair in pairs:
+            if pair is not None:
+                vec = draw(entry)
+                c[pair] = tuple(v if t >= p else 0
+                                for t, v in enumerate(vec))
+        return MultiMap(2, dim, c)
+    return MultiMap(2, dim, {(0, i): (0,) + tuple(draw(entry))[1:]
+                             for i in range(1, dim)})
+
+
+class TestCohomologyDims:
+    @given(lie_algebras(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_ranks_match_the_full_computation(self, mu, data):
+        # unsorted and repeated degrees, with 0, dim and dim + 1 among
+        # them, next to the kernel basis and representatives of each
+        degrees = data.draw(st.lists(st.integers(0, mu.dim + 1),
+                                     max_size=4))
+        degrees += [mu.dim + 1, mu.dim, 0, degrees[0] if degrees else 1]
+        full = [cohomology(mu, k) for k in degrees]
+        assert cohomology_dims(mu, degrees) \
+            == lie_oracles.cohomology_dims(mu, degrees) \
+            == [h for h, _ in full] == [len(reps) for _, reps in full]
+
+    @pytest.mark.parametrize("n, expected", [(10, [36, 85]),
+                                             (12, [53, 156])])
+    def test_filiform_pins(self, n, expected):
+        assert cohomology_dims(filiform(n), [2, 3]) == expected
+
+    def test_each_delta_built_once(self, monkeypatch):
+        built = []
+        columns = ml._delta_columns
+
+        def counted(mu, k):
+            built.append(k)
+            return columns(mu, k)
+
+        monkeypatch.setattr(ml, "_delta_columns", counted)
+        assert cohomology_dims(filiform(6), [3, 1, 2, 1]) == [14, 6, 12, 6]
+        assert sorted(built) == [0, 1, 2, 3]
+
+    def test_not_lie(self):
+        with pytest.raises(NotLie):
+            cohomology_dims(MultiMap(2, 3, {(0, 1): (1, 0, 0),
+                                            (0, 2): (0, 0, 1)}), [1])
 
 
 class TestJSON:
