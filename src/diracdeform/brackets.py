@@ -259,53 +259,41 @@ def derived_diff(ctx, theta, x):
     return ctx.bracket(theta, x)
 
 
-def derived_identity_failures(ctx, theta, residual, elements):
+def derived_identity_failures(ctx, residual, elements):
     """Where the derived bracket [a, b] = {{a, theta}, b} and the pairing
-    <a, b> = {a, b} of a chi-degree-3 charge theta break the Courant
-    identities on the chi-degree-1 `elements` e_0, e_1, ...:
+    <a, b> = {a, b} of a chi-degree-3 charge theta with residual R =
+    {theta, theta} break the Courant identities on the chi-degree-1
+    `elements` e_0, e_1, ...:
 
     * "jacobi": [e1, [e2, e3]] - [[e1, e2], e3] - [e2, [e1, e3]], read
-      from residual = {theta, theta} as -1/2 {{{R, e1}, e2}, e3} (the
-      graded Jacobi identity of the bracket);
-    * "invariance": [e1, <e2, e3>] - <[e1, e2], e3> - <e2, [e1, e3]>,
-      with [e1, f] = {{e1, theta}, f} for a function f;
-    * "defect": [e1, e2] + [e2, e1] - {theta, <e1, e2>}.
+      as -1/2 {{{R, e1}, e2}, e3}; with R = 0 nothing is bracketed;
+    * "invariance": [e1, <e2, e3>] - <[e1, e2], e3> - <e2, [e1, e3]> and
+      "defect": [e1, e2] + [e2, e1] - {theta, <e1, e2>} are instances of
+      the Jacobi identity of the bracket itself, so they vanish for
+      every theta (Roytenberg 2002; Kosmann-Schwarzbach, Lett. Math.
+      Phys. 69, 2004), and their lists are empty.
 
     Returns {name: [(*indices, value)]} over the nonzero values, indices
-    in lexicographic order.  Every operand is differentiated once, and
-    each bracket {x, y} is contract(dX, lY) on the tabulated partials.
+    in lexicographic order.
     """
+    failures = {"jacobi": [], "invariance": [], "defect": []}
+    if not residual.terms:
+        return failures
     rp, lp, contract = ctx.right_partials, ctx.left_partials, ctx.contract
     n = len(elements)
-    dE, lE = [rp(e) for e in elements], [lp(e) for e in elements]
-    l_theta = lp(theta)
-    # D_i = {e_i, theta}, B_ij = [e_i, e_j] = {D_i, e_j}, P_ij = <e_i, e_j>
-    dD = [rp(contract(dE[i], l_theta)) for i in range(n)]
-    B = [[contract(dD[i], lE[j]) for j in range(n)] for i in range(n)]
-    dB = [[rp(b) for b in row] for row in B]
-    lB = [[lp(b) for b in row] for row in B]
-    lP = [[lp(contract(dE[i], lE[j])) for j in range(n)] for i in range(n)]
-    d_theta = rp(theta)
+    lE = [lp(e) for e in elements]
     d_R = rp(residual)
     dR1 = [rp(contract(d_R, lE[i])) for i in range(n)]
     minus_half = Fraction(-1, 2)
-    jac, inv, defect = [], [], []
+    jac = failures["jacobi"]
     for i1 in range(n):
         for i2 in range(n):
-            d = B[i1][i2] + B[i2][i1] - contract(d_theta, lP[i1][i2])
-            if d.terms:
-                defect.append((i1, i2, d))
             dR2 = rp(contract(dR1[i1], lE[i2]))
             for i3 in range(n):
                 j = contract(dR2, lE[i3])
                 if j.terms:
                     jac.append((i1, i2, i3, minus_half * j))
-                v = contract(dD[i1], lP[i2][i3]) \
-                    - contract(dB[i1][i2], lE[i3]) \
-                    - contract(dE[i2], lB[i1][i3])
-                if v.terms:
-                    inv.append((i1, i2, i3, v))
-    return {"jacobi": jac, "invariance": inv, "defect": defect}
+    return failures
 
 
 def master_residuals(ctx, theta):

@@ -409,8 +409,10 @@ def verify_courant(inp, degree=1, section_limit=None, raise_on_fail=False):
 
     Axioms are verified symbolically on frame sections times
     q-monomials of degree <= degree (Leibniz rules make this
-    generating).  Returns a report dict; with raise_on_fail=True a
-    violation raises AxiomViolation naming the identity.
+    generating); the Jacobiators are read from R = {Theta, Theta}
+    (brackets.derived_identity_failures).  Returns a report dict; with
+    raise_on_fail=True a violation raises AxiomViolation naming the
+    identity.
     """
     th = build_theta(inp)
     res = master_residuals(th.ctx, th.theta)
@@ -427,8 +429,7 @@ def verify_courant(inp, degree=1, section_limit=None, raise_on_fail=False):
         secs = secs[:section_limit]
     funs = _q_monomials(th.gens, th.input.m, degree)[:1 + th.input.m]
 
-    derived = derived_identity_failures(th.ctx, th.theta, res["total"],
-                                        secs)
+    derived = derived_identity_failures(th.ctx, res["total"], secs)
     failures = {name: [(*key, to_text(x)) for *key, x in derived[name][:3]]
                 for name in ("jacobi", "invariance", "defect")}
     failures["anchor_of_D"] = fail_rd = []

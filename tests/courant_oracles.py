@@ -5,6 +5,9 @@ oracles:
   explicitly, with the D/B/P/DB tables and six brackets per section
   triple, and the Jacobiator as [e1, [e2, e3]] - [[e1, e2], e3]
   - [e2, [e1, e3]] rather than read from the master residual;
+* the invariance and defect loop that `brackets.derived_identity_failures`
+  ran on every input, on tabulated partials, until it was dropped as a
+  consequence of the Jacobi identity of the bracket;
 * T_omega from its defining values on the frame, against
   `t_omega` = 1/6 [omega, omega, omega]_psi;
 * the three table completions (pairs, totally antisymmetric triples,
@@ -87,6 +90,44 @@ def verify_courant(inp, degree=1, section_limit=None):
     record("anchor_of_D", fail_rd)
     report["ok"] = report["ok"] and master_ok
     return report
+
+
+def invariance_defect_failures(ctx, theta, elements):
+    """Where the derived bracket [a, b] = {{a, theta}, b} and the pairing
+    <a, b> = {a, b} break, on the chi-degree-1 `elements` e_0, e_1, ...:
+
+    * "invariance": [e1, <e2, e3>] - <[e1, e2], e3> - <e2, [e1, e3]>,
+      with [e1, f] = {{e1, theta}, f} for a function f;
+    * "defect": [e1, e2] + [e2, e1] - {theta, <e1, e2>}.
+
+    Returns {name: [(*indices, value)]} over the nonzero values, indices
+    in lexicographic order.  Every operand is differentiated once, and
+    each bracket {x, y} is contract(dX, lY) on the tabulated partials.
+    """
+    rp, lp, contract = ctx.right_partials, ctx.left_partials, ctx.contract
+    n = len(elements)
+    dE, lE = [rp(e) for e in elements], [lp(e) for e in elements]
+    l_theta = lp(theta)
+    # D_i = {e_i, theta}, B_ij = [e_i, e_j] = {D_i, e_j}, P_ij = <e_i, e_j>
+    dD = [rp(contract(dE[i], l_theta)) for i in range(n)]
+    B = [[contract(dD[i], lE[j]) for j in range(n)] for i in range(n)]
+    dB = [[rp(b) for b in row] for row in B]
+    lB = [[lp(b) for b in row] for row in B]
+    lP = [[lp(contract(dE[i], lE[j])) for j in range(n)] for i in range(n)]
+    d_theta = rp(theta)
+    inv, defect = [], []
+    for i1 in range(n):
+        for i2 in range(n):
+            d = B[i1][i2] + B[i2][i1] - contract(d_theta, lP[i1][i2])
+            if d.terms:
+                defect.append((i1, i2, d))
+            for i3 in range(n):
+                v = contract(dD[i1], lP[i2][i3]) \
+                    - contract(dB[i1][i2], lE[i3]) \
+                    - contract(dE[i2], lB[i1][i3])
+                if v.terms:
+                    inv.append((i1, i2, i3, v))
+    return {"invariance": inv, "defect": defect}
 
 
 def _omega_apply(th, omega, a):

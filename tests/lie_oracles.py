@@ -1,18 +1,19 @@
 """Independent oracles for the Lie-side engine: the explicit
 Chevalley-Eilenberg formula that `ce_differential` replaced by
-(-1)^{n+1} [mu, f]_NR, the dense matrix of delta built from it, and the
-dense bodies that the sparse insertion of `multilinear` replaced: the
-NR diamond and the Gerstenhaber circle over every index tuple, the
-triple-by-triple Jacobi scan, and composition with a linear map; and
-the Crainic-Moerdijk bracket of multiderivations written out as shuffle
-sums on frame sections, which `cm_bracket` replaced by the commutator
-of Grassmann derivations; and the inverse of `iso_I` by an exact linear
-solve over candidate monomials, which `iso_I_inv` replaced by a direct
-formula; and cohomology dimensions from the full kernel and
-representative computation of each degree, which `cohomology_dims`
-replaced by one rank per delta.  `to_vector`/`from_vector` write a
-cochain on a list of coordinate keys and back, for tests that compare
-vectors."""
+(-1)^{n+1} [mu, f]_NR, the dense matrix of delta built from the same
+formula row by row (and, to check that, from one ce_differential per
+unit cochain), and the dense bodies that the sparse insertion of
+`multilinear` replaced: the NR diamond and the Gerstenhaber circle
+over every index tuple, the triple-by-triple Jacobi scan, and
+composition with a linear map; and the Crainic-Moerdijk bracket of
+multiderivations written out as shuffle sums on frame sections, which
+`cm_bracket` replaced by the commutator of Grassmann derivations; and
+the inverse of `iso_I` by an exact linear solve over candidate
+monomials, which `iso_I_inv` replaced by a direct formula; and
+cohomology dimensions from the full kernel and representative
+computation of each degree, which `cohomology_dims` replaced by one
+rank per delta.  `to_vector`/`from_vector` write a cochain on a list of
+coordinate keys and back, for tests that compare vectors."""
 
 import itertools
 from fractions import Fraction
@@ -196,10 +197,41 @@ def from_vector(vec, k, dim, basis):
 
 def delta_matrix(mu, k):
     """Dense matrix of the CE differential A^k -> A^{k+1} in the
-    canonical cochain bases (columns indexed by the domain basis), one
-    column per unit cochain from the explicit formula."""
+    canonical cochain bases (columns indexed by the domain basis), built
+    row by row from the explicit formula: the row of (X, t), X = (x_0 <
+    ... < x_k), holds the coefficient of e^X e_t in delta of each unit
+    cochain e^idx e_g,
+
+        sum_i (-1)^i [x_i, e_g]_t                        (idx = X - x_i)
+        + sum_{i<j} (-1)^{i+j} sign(m, rest) [x_i, x_j]_m   (g = t),
+
+    where rest = X - x_i - x_j and idx, sign(m, rest) sort (m, *rest)."""
     if not is_lie(mu):
         raise NotLie("mu does not satisfy the Jacobi identity")
+    dim = mu.dim
+    col = {key: n for n, key in enumerate(_cochain_basis(k, dim))}
+    rows = []
+    for X, t in _cochain_basis(k + 1, dim):
+        row = [Fraction(0)] * len(col)
+        for i, xi in enumerate(X):
+            rest = X[:i] + X[i + 1:]
+            for g in range(dim):
+                row[col[(rest, g)]] += (-1) ** i * mu.eval_indices((xi, g))[t]
+        for i, j in itertools.combinations(range(k + 1), 2):
+            br = mu.eval_indices((X[i], X[j]))
+            rest = tuple(x for n, x in enumerate(X) if n not in (i, j))
+            for m, v in enumerate(br):
+                if v and m not in rest:
+                    inv = sum(x < m for x in rest)
+                    idx = tuple(sorted((m, *rest)))
+                    row[col[(idx, t)]] += (-1) ** (i + j + inv) * v
+        rows.append(row)
+    return rows
+
+
+def delta_matrix_by_cochain(mu, k):
+    """delta_matrix with one column per unit cochain, each from
+    ce_differential over every index tuple."""
     cols = [ce_differential(mu, e).terms for e in _unit_cochains(k, mu.dim)]
     return [[col.get(key, Fraction(0)) for col in cols]
             for key in _cochain_basis(k + 1, mu.dim)]

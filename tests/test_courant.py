@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diracdeform import courant as co
-from diracdeform.brackets import master_residuals
+from diracdeform.brackets import BracketContext, master_residuals
 from diracdeform.lie_deform import (
     FormalSeries,
     ObstructionCertificate,
@@ -20,6 +20,12 @@ import courant_oracles
 import dirac_oracles as oracle
 
 EPS = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1}
+NONJACOBI_SO3 = co.CourantInput(0, 3, c={(0, 1, 2): 1, (1, 2, 0): 1,
+                                         (2, 0, 0): 1})
+# the anchors d/dq1 and q1 d/dq2 with Gamma(0, 1, 0) = q2, which meets
+# rho_00 and so survives in Theta; its curvature {p_1, p_2} is nonzero
+TWIST2 = co.CourantInput(2, 2, rho={(0, 0): 1, (1, 1): "1 q1"},
+                         gamma_conn={(0, 1, 0): "1 q2"})
 
 
 def base_poly(gens, rng, m, degree=2):
@@ -327,11 +333,82 @@ class TestVerifyOracle:
          2),
         (co.CourantInput(2, 2, rho={(0, 0): 1, (1, 1): "1 q1"},
                          c={(0, 1, 0): "1 q2"}), 1),
+        (TWIST2, 1),
     ])
     def test_failing_jacobi(self, inp, degree):
         rep = co.verify_courant(inp, degree=degree)
         assert not rep["identities"]["jacobi"]["ok"]
         assert rep == courant_oracles.verify_courant(inp, degree=degree)
+
+
+class TestDerivedIdentities:
+    """Invariance and defect are instances of the Jacobi identity of the
+    bracket, so they hold for every chi-degree-3 charge, square-zero or
+    not, and verify_courant brackets out only R = {Theta, Theta}."""
+
+    @given(small_charges())
+    @settings(max_examples=30, deadline=None)
+    def test_random_charges(self, inp):
+        th = co.build_theta(inp)
+        assert courant_oracles.invariance_defect_failures(
+            th.ctx, th.theta, co._section_family(th, 1)) \
+            == {"invariance": [], "defect": []}
+
+    @pytest.mark.parametrize("inp", [
+        TWIST2,
+        co.CourantInput(2, 2, rho={(0, 0): 1, (1, 1): "1 q1"},
+                        gamma_conn={(0, 0, 1): "1 q2", (1, 1, 0): 1}),
+        co.CourantInput(2, 2, rho={(0, 1): "1 q2"}, rho_bar={(1, 0): 1},
+                        c={(0, 1, 1): "1 q1"}, c_bar={(0, 1, 0): 2},
+                        gamma_conn={(0, 1, 0): "1 q2", (1, 0, 1): "1 q1",
+                                    (1, 1, 1): -1}),
+    ])
+    def test_curved_connections(self, inp):
+        th = co.build_theta(inp)
+        g = th.gens
+        assert not th.ctx.bracket(g.gen(g.even[2]), g.gen(g.even[3])) \
+            .is_zero()
+        assert courant_oracles.invariance_defect_failures(
+            th.ctx, th.theta, co._section_family(th, 1)) \
+            == {"invariance": [], "defect": []}
+
+    @staticmethod
+    def count_work(monkeypatch):
+        """{method: calls} of BracketContext.contract and right_partials
+        made inside derived_identity_failures."""
+        counts, inside = {"contract": 0, "right_partials": 0}, []
+        for name in counts:
+            def counted(self, *args, f=getattr(BracketContext, name),
+                        name=name):
+                if inside:
+                    counts[name] += 1
+                return f(self, *args)
+            monkeypatch.setattr(BracketContext, name, counted)
+
+        def failures(*args, f=co.derived_identity_failures):
+            inside.append(True)
+            try:
+                return f(*args)
+            finally:
+                inside.pop()
+        monkeypatch.setattr(co, "derived_identity_failures", failures)
+        return counts
+
+    def test_no_bracket_when_square_zero(self, monkeypatch):
+        counts = self.count_work(monkeypatch)
+        for degree in (1, 2):
+            assert co.verify_courant(co.standard_courant(2),
+                                     degree=degree)["ok"]
+        assert counts == {"contract": 0, "right_partials": 0}
+
+    def test_jacobiators_from_residual(self, monkeypatch):
+        counts = self.count_work(monkeypatch)
+        rep = co.verify_courant(NONJACOBI_SO3)
+        assert not rep["identities"]["jacobi"]["ok"]
+        n = len(co._section_family(co.build_theta(NONJACOBI_SO3), 1))
+        assert n == 6
+        assert counts == {"contract": n + n ** 2 + n ** 3,
+                          "right_partials": 1 + n + n ** 2}
 
 
 class TestSectionFamily:

@@ -488,6 +488,25 @@ def lie_algebras(draw):
                              for i in range(1, dim)})
 
 
+class TestDeltaMatrixOracle:
+    """lie_oracles.delta_matrix, built row by row, against the matrix of
+    one ce_differential per unit cochain."""
+
+    @staticmethod
+    def check(mu):
+        for k in range(mu.dim + 1):
+            assert lie_oracles.delta_matrix(mu, k) \
+                == lie_oracles.delta_matrix_by_cochain(mu, k)
+
+    @given(lie_algebras())
+    @settings(max_examples=40, deadline=None)
+    def test_random_lie_algebras(self, mu):
+        self.check(mu)
+
+    def test_filiform_5(self):
+        self.check(filiform(5))
+
+
 class TestCohomologyDims:
     @given(lie_algebras(), st.data())
     @settings(max_examples=60, deadline=None)
