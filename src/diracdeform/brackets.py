@@ -157,6 +157,7 @@ class BracketContext:
             return list(rows.items())
         q, p = range(m), range(m, 2 * m)
         lo, up = range(2 * m, 2 * m + k), range(2 * m + k, 2 * m + 2 * k)
+        curv = {}   # (i, j), i < j: the p_i p_j entry; R_ji = -R_ij
         for a in range(k):
             put(lo[a], up[a], 1)
             put(up[a], lo[a], 1)
@@ -173,11 +174,13 @@ class BracketContext:
                 put(p[i], up[a], rot_up)
                 put(up[a], p[i], -rot_up)
             for j in range(m):
-                if j != i:
-                    put(p[i], p[j], sum(
+                if j < i:
+                    put(p[i], p[j], -curv[j, i])
+                elif j > i:
+                    curv[i, j] = sum(
                         (conn.curvature(i, j, b, a) * g(lo[a]) * g(up[b])
-                         for a in range(k) for b in range(k)),
-                        zero))
+                         for a in range(k) for b in range(k)), zero)
+                    put(p[i], p[j], curv[i, j])
         return list(rows.items())
 
     # -- the bracket ----------------------------------------------------

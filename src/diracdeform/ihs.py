@@ -29,9 +29,7 @@ from fractions import Fraction
 from . import ratlin
 from .dirac_linear import (
     dirac_from_json,
-    dirac_to_json,
     flip,
-    from_bivector,
     intersect_V,
     lift,
     range_of,
@@ -427,29 +425,8 @@ class IHSystem:
 
 
 # ---------------------------------------------------------------------------
-# Stock structures and serialization
+# Trajectory text
 # ---------------------------------------------------------------------------
-
-def canonical_symplectic(d):
-    """Canonical structure on (q_1..q_d, p_1..p_d) with
-    xdot = (dH/dp, -dH/dq)."""
-    n = 2 * d
-    pi = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(d):
-        pi[i][d + i] = Fraction(1)
-        pi[d + i][i] = Fraction(-1)
-    return from_bivector(pi)
-
-
-def system_to_json(sys_):
-    return {
-        "n": sys_.n,
-        "L": dirac_to_json(sys_.L),
-        "H": [[list(e), str(c)] for (e, _), c in sorted(sys_.H.terms.items())],
-        "h": sys_.h,
-        "tol": sys_.tol,
-    }
-
 
 def trajectory_text(traj, head, sep, tail, between):
     """The ihs-run rows [t, x1..xn, H, residual], each written as head +
@@ -480,9 +457,9 @@ def _positive_number(obj, key, default):
 
 
 def system_from_json(obj):
-    """Inverse of system_to_json.  H is a list of [exponents, coeff]; a
-    repeated exponent vector keeps its last coefficient.  Errors are
-    InputErrors naming their JSON path."""
+    """{"n", "L", "H", "h", "tol"} as an IHSystem.  H is a list of
+    [exponents, coeff]; a repeated exponent vector keeps its last
+    coefficient.  Errors are InputErrors naming their JSON path."""
     fields(obj, "$", ("n", "L", "H"), ("h", "tol"))
     L = dirac_from_json(obj["L"], "$.L")
     n = obj["n"]

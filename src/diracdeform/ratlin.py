@@ -17,14 +17,6 @@ from fractions import Fraction
 from functools import cached_property
 
 
-class NotSubspace(Exception):
-    """Raised when a claimed subspace containment fails."""
-
-
-class DegeneratePairing(Exception):
-    """Raised when an operation requires a nondegenerate bilinear form."""
-
-
 def frac(x):
     return x if isinstance(x, Fraction) else Fraction(x)
 
@@ -146,10 +138,6 @@ class Echelon:
                 if c != p:
                     basis[c][p] = -x
         return list(basis.values())
-
-
-def rank(M):
-    return len(Echelon(map(sparse_row, M)))
 
 
 def kernel_basis(M, ncols=None):
@@ -280,75 +268,3 @@ class Subspace:
         return self.orthogonal().add(other.orthogonal()).orthogonal()
 
 
-def quotient_dim(A, B):
-    """dim(A/B) for B a subspace of A; raises NotSubspace otherwise."""
-    if not A.contains(B):
-        raise NotSubspace("second argument is not contained in the first")
-    return A.dim - B.dim
-
-
-def signature_normal_form(G):
-    """Congruence-diagonalize a symmetric form over Q.
-
-    Returns (n_pos, n_neg, n_zero, T) with T^T G T diagonal; the counts
-    are the numbers of positive/negative/zero diagonal entries.
-    """
-    n = len(G)
-    A = [[frac(G[i][j]) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if A[i][j] != A[j][i]:
-                raise ValueError("form is not symmetric")
-    T = identity(n)
-
-    def col_op(dst, src, f):
-        # column_dst += f * column_src, applied to A (congruently) and T
-        for i in range(n):
-            A[i][dst] += f * A[i][src]
-        for i in range(n):
-            A[dst][i] += f * A[src][i]
-        for i in range(n):
-            T[i][dst] += f * T[i][src]
-
-    def col_swap(i, j):
-        for r in range(n):
-            A[r][i], A[r][j] = A[r][j], A[r][i]
-        for r in range(n):
-            A[i][r], A[j][r] = A[j][r], A[i][r]
-        for r in range(n):
-            T[r][i], T[r][j] = T[r][j], T[r][i]
-
-    for k in range(n):
-        if A[k][k] == 0:
-            # find a later column with nonzero diagonal, or create one
-            found = False
-            for j in range(k + 1, n):
-                if A[j][j] != 0:
-                    col_swap(k, j)
-                    found = True
-                    break
-            if not found:
-                for j in range(k + 1, n):
-                    if A[k][j] != 0:
-                        col_op(k, j, Fraction(1))
-                        found = True
-                        break
-            if not found:
-                continue
-        d = A[k][k]
-        for j in range(k + 1, n):
-            if A[k][j] != 0:
-                col_op(j, k, -A[k][j] / d)
-    pos = sum(1 for k in range(n) if A[k][k] > 0)
-    neg = sum(1 for k in range(n) if A[k][k] < 0)
-    zero = n - pos - neg
-    return pos, neg, zero, T
-
-
-def annihilator(W, pairing):
-    """{v : pairing(v, w) = 0 for all w in W} for a nondegenerate pairing."""
-    n = W.ambient_dim
-    G = mat(pairing)
-    if rank(G) < n:
-        raise DegeneratePairing("pairing matrix is singular")
-    return Subspace(n, [mat_vec(G, list(w)) for w in W.basis]).orthogonal()

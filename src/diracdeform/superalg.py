@@ -17,10 +17,6 @@ class UnknownGenerator(Exception):
     pass
 
 
-class NotOddLinear(Exception):
-    pass
-
-
 class NotHomogeneous(Exception):
     pass
 
@@ -302,32 +298,6 @@ class SuperElement:
         return SuperElement(self.gens, terms)
 
 
-def _odd_linear_parts(s):
-    """Decompose an odd-linear element into [(odd_name, coeff)]."""
-    parts = []
-    for (e, o), c in s.terms.items():
-        if any(e) or len(o) != 1:
-            raise NotOddLinear(to_text(s))
-        parts.append((s.gens.odd[o[0]], c))
-    return parts
-
-
-def insert_left(s, phi):
-    """i(s): left insertion, a left odd derivative for each factor of s."""
-    out = phi.gens.zero()
-    for name, c in _odd_linear_parts(s):
-        out = out + phi.partial_odd(name, "left") * c
-    return out
-
-
-def insert_right(s, phi):
-    """j(s): right insertion; j(s)phi = -(-1)^l i(s)phi in odd degree l."""
-    out = phi.gens.zero()
-    for name, c in _odd_linear_parts(s):
-        out = out + phi.partial_odd(name, "right") * c
-    return out
-
-
 def bidegree(gens, monomial):
     """(epsilon, lambda) of a single monomial key (even, odd)."""
     e, o = monomial
@@ -344,33 +314,6 @@ def bidegree_components(a):
         key = bidegree(a.gens, m)
         comps.setdefault(key, {})[m] = c
     return {k: SuperElement(a.gens, t) for k, t in sorted(comps.items())}
-
-
-def ghost_degree(a):
-    """lambda - epsilon if uniform across monomials; NotHomogeneous else."""
-    ghs = {lam - eps for (eps, lam) in bidegree_components(a)}
-    if len(ghs) > 1:
-        raise NotHomogeneous("mixed ghost degrees")
-    return ghs.pop() if ghs else 0
-
-
-def euler_weight(a, fiber_even, conjugate_odd):
-    """Homogeneity degree for the Euler field of the fiber variables.
-
-    Weight of a monomial = total exponent of the designated even fiber
-    variables minus the number of odd factors conjugate to them.  Returns
-    the common weight, raising NotHomogeneous on mixed weights.
-    """
-    fe = {a.gens.even_index(n) for n in fiber_even}
-    co = {a.gens.odd_index(n) for n in conjugate_odd}
-    ws = set()
-    for (e, o) in a.terms:
-        w = sum(x for i, x in enumerate(e) if i in fe)
-        w -= sum(1 for i in o if i in co)
-        ws.add(w)
-    if len(ws) > 1:
-        raise NotHomogeneous("mixed fiber weights")
-    return ws.pop() if ws else 0
 
 
 # -- text grammar -------------------------------------------------------

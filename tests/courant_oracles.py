@@ -20,13 +20,13 @@ from itertools import combinations
 from diracdeform.brackets import master_residuals
 from diracdeform.courant import (
     ShapeError,
-    _psi_eval,
     _q_monomials,
     _section_family,
     anchor_apply,
     build_theta,
     d_fun,
 )
+from diracdeform.courant_theory import _psi_eval
 from diracdeform.superalg import to_text
 
 

@@ -5,7 +5,11 @@ instead of conjugating it by the flip (x, eta) -> (eta, x) or
 exchanging the summands.  Each half of the charge is written out in
 both its forms: with the Darboux momenta r_i (the form that
 `build_theta` computes) and with the plain momenta p_i and the torsion
-of the connection."""
+of the connection.  Canonical relations are a second path to
+`dirac_theory.forward_map` and `backward_map`: the relation of phi
+composed with that of L (`forward_via_relation`,
+`backward_via_relation`).  `dirac_to_json` writes the input that
+`dirac_linear.dirac_from_json` reads."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -14,9 +18,12 @@ from diracdeform import ratlin
 from diracdeform.brackets import BracketContext
 from diracdeform.dirac_linear import (
     LinearDirac,
+    NotDirac,
     ShapeMismatch,
     _check_antisymmetric,
+    subspace_to_json,
 )
+from diracdeform.dirac_theory import PairedSpace, _phi_t, _shape
 from diracdeform.ratlin import Subspace, frac
 from diracdeform.superalg import ConnectionData
 
@@ -202,3 +209,102 @@ def upper_charge(inp):
         if v is not None and not v.is_zero():
             phi_el = phi_el + v * aup[a] * aup[b] * aup[g]
     return gamma_el, gamma2, phi_el
+
+
+def dirac_to_json(L):
+    return {"n": L.n, "subspace": subspace_to_json(L.subspace)}
+
+
+class FactorMismatch(Exception):
+    pass
+
+
+class CanonicalRelation:
+    """Maximal isotropic subspace of E1 x bar(E2)."""
+
+    def __init__(self, n1, n2, subspace):
+        amb = 2 * n1 + 2 * n2
+        if subspace.ambient_dim != amb:
+            raise ShapeMismatch("relation has wrong ambient dimension")
+        if subspace.dim != n1 + n2:
+            raise NotDirac("relation is not middle-dimensional")
+        p1, p2 = PairedSpace(n1), PairedSpace(n2)
+        for u in subspace.basis:
+            for v in subspace.basis:
+                s = p1.pair(u[:2 * n1], v[:2 * n1]) \
+                    - p2.pair(u[2 * n1:], v[2 * n1:])
+                if s != 0:
+                    raise NotDirac("relation is not isotropic")
+        self.n1 = n1
+        self.n2 = n2
+        self.subspace = subspace
+
+    def __eq__(self, other):
+        return (isinstance(other, CanonicalRelation)
+                and (self.n1, self.n2) == (other.n1, other.n2)
+                and self.subspace == other.subspace)
+
+
+def relation_of_map(phi):
+    """The canonical relation of phi: {((phi x, eta), (x, phi* eta))}."""
+    nw, nv = _shape(phi)
+    phit = _phi_t(phi, nw, nv)
+    basis = []
+    for i in range(nv):  # parametrized by x = e_i
+        px = [frac(phi[j][i]) for j in range(nw)]
+        v = px + [Fraction(0)] * nw
+        v += [Fraction(1 if j == i else 0) for j in range(nv)]
+        v += [Fraction(0)] * nv
+        basis.append(v)
+    for a in range(nw):  # parametrized by eta = e^a
+        v = [Fraction(0)] * nw
+        v += [Fraction(1 if b == a else 0) for b in range(nw)]
+        v += [Fraction(0)] * nv
+        v += [phit[i][a] for i in range(nv)]
+        basis.append(v)
+    return CanonicalRelation(nw, nv, Subspace(2 * nw + 2 * nv, basis))
+
+
+def relation_of_dirac(L):
+    """L viewed as a relation from E to the zero space."""
+    return CanonicalRelation(L.n, 0, L.subspace)
+
+
+def dirac_of_relation(rel):
+    if rel.n2 != 0:
+        raise FactorMismatch("relation does not end at the zero space")
+    return LinearDirac(rel.n1, rel.subspace)
+
+
+def compose_relations(L1, L2):
+    """L1 o L2 = {(e1, e3) : exists e2 with (e1,e2) in L1, (e2,e3) in L2}."""
+    if L1.n2 != L2.n1:
+        raise FactorMismatch("middle factors do not match")
+    n1, n2, n3 = L1.n1, L1.n2, L2.n2
+    d1, d2, d3 = 2 * n1, 2 * n2, 2 * n3
+    # (e1, e2, e3) with (e1, e2) in L1 = ker C1 and (e2, e3) in L2 = ker C2
+    rows = [list(c) + [Fraction(0)] * d3
+            for c in L1.subspace.orthogonal().basis]
+    rows += [[Fraction(0)] * d1 + list(c)
+             for c in L2.subspace.orthogonal().basis]
+    ker = ratlin.kernel_basis(rows, d1 + d2 + d3).basis
+    out = [v[:d1] + v[d1 + d2:] for v in ker]
+    return CanonicalRelation(n1, n3, Subspace(d1 + d3, out))
+
+
+def forward_via_relation(phi, L):
+    return dirac_of_relation(
+        compose_relations(relation_of_map(phi), relation_of_dirac(L)))
+
+
+def backward_via_relation(phi, L):
+    nw = len(phi)
+    nv = len(phi[0]) if nw else 0
+    # transpose of the relation of phi: from E_V to E_W
+    rel = relation_of_map(phi)
+    d1, d2 = 2 * nw, 2 * nv
+    flipped = Subspace(d1 + d2,
+                       [list(v[d1:]) + list(v[:d1])
+                        for v in rel.subspace.basis])
+    relT = CanonicalRelation(nv, nw, flipped)
+    return dirac_of_relation(compose_relations(relT, relation_of_dirac(L)))

@@ -8,13 +8,16 @@ on numpy arrays.  Only the Hamiltonian's float evaluation (`sys_.dH`,
 
 `staged_integrate` is the RK4 loop that the generated step replaced: one
 `_solve` per stage, each checked as it is made.  The generated step must
-give the same floats and the same `LeftAdmissibleSet`."""
+give the same floats and the same `LeftAdmissibleSet`.
+
+`system_to_json` writes the input that `ihs.system_from_json` reads."""
 
 import math
 
 import numpy as np
 
 from diracdeform import ihs
+from dirac_oracles import dirac_to_json
 
 
 def float_parts(sys_):
@@ -143,3 +146,13 @@ def staged_integrate(sys_, x0, steps, h=None):
         raise ihs.LeftAdmissibleSet(steps, steps * h, x)
     drift = max(abs(e - e0) for e in energies)
     return ihs.Trajectory(times, points, energies, drift, max_res, residuals)
+
+
+def system_to_json(sys_):
+    return {
+        "n": sys_.n,
+        "L": dirac_to_json(sys_.L),
+        "H": [[list(e), str(c)] for (e, _), c in sorted(sys_.H.terms.items())],
+        "h": sys_.h,
+        "tol": sys_.tol,
+    }

@@ -13,27 +13,31 @@ monomials, which `iso_I_inv` replaced by a direct formula; and
 cohomology dimensions from the full kernel and representative
 computation of each degree, which `cohomology_dims` replaced by one
 rank per delta.  `to_vector`/`from_vector` write a cochain on a list of
-coordinate keys and back, for tests that compare vectors."""
+coordinate keys and back, for tests that compare vectors, and
+`structure_constants_to_json` writes the input that
+`multilinear.structure_constants_from_json` reads."""
 
 import itertools
 from fractions import Fraction
 
 from diracdeform import ratlin
-from diracdeform.multilinear import (
+from diracdeform.algebroid import (
     BundleMismatch,
     MultiDerivation,
+    _cohomology,
+    iso_I,
+    multivector_generators,
+)
+from diracdeform.multilinear import (
     MultiMap,
     NonSymMultiMap,
     NotLie,
     _cochain_basis,
-    _cohomology,
     _from_terms,
     _psign,
     _unit_cochains,
     _zvec,
     is_lie,
-    iso_I,
-    multivector_generators,
 )
 from diracdeform.superalg import NotHomogeneous
 
@@ -383,3 +387,12 @@ def iso_I_inv(D, base=None):
         if coeff:
             P = P + coeff * cand
     return P
+
+
+def structure_constants_to_json(mu):
+    rows = []
+    for (a, b), vec in sorted(mu.c.items()):
+        for g, v in enumerate(vec):
+            if v:
+                rows.append([a, b, g, str(v)])
+    return {"dim": mu.dim, "c": rows}

@@ -1,10 +1,14 @@
 """The dense elimination loops that `ratlin.Echelon` replaced, kept as
 independent oracles: fraction-free Bareiss elimination for the rank, the
 dense reduced row echelon form, and the solve that eliminates [M | b | I]
-so that an inconsistent row carries its own certificate."""
+so that an inconsistent row carries its own certificate.  `rank` is
+the rank by `Echelon` itself, for tests that read a dimension off a
+matrix."""
 
 from fractions import Fraction
 from math import gcd, lcm
+
+from diracdeform.ratlin import Echelon, sparse_row
 
 
 def _clear_row(row):
@@ -133,3 +137,7 @@ def solve(M, b):
     for i, pc in enumerate(pivots):
         x[pc] = aug[i][ncols]
     return ("SOLUTION", x)
+
+
+def rank(M):
+    return len(Echelon(map(sparse_row, M)))

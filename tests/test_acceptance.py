@@ -11,17 +11,15 @@ import pytest
 import lie_oracles
 from lie_oracles import jacobiator
 
+from diracdeform import algebroid as alg
 from diracdeform import courant as co
+from diracdeform import courant_theory as ct
 from diracdeform import dirac_linear as dl
+from diracdeform import dirac_theory as dt
 from diracdeform import ihs, numeric, ratlin
-from diracdeform import lie_deform as ld
 from diracdeform import multilinear as ml
-from diracdeform.brackets import BracketContext, master_residuals
-from diracdeform.lie_deform import FormalSeries
-from diracdeform.multilinear import (
-    MultiMap,
-    NonSymMultiMap,
-    base_gens,
+from diracdeform.algebroid import (
+    FormalSeries,
     ce_differential,
     cm_bracket,
     cohomology,
@@ -31,6 +29,12 @@ from diracdeform.multilinear import (
     iso_I,
     multiderivation_of_multimap,
     multivector_generators,
+)
+from diracdeform.brackets import BracketContext, master_residuals
+from diracdeform.multilinear import (
+    MultiMap,
+    NonSymMultiMap,
+    base_gens,
     nr_bracket,
     structure_constants_from_json,
 )
@@ -277,7 +281,7 @@ class TestRigidity:
         for v in ratlin.kernel_basis(M2).basis:
             status, _ = ratlin.solve(M1, list(v))
             assert status == "SOLUTION"
-        assert ld.rigidity_check(SO3) == ("RIGID", 0)
+        assert alg.rigidity_check(SO3) == ("RIGID", 0)
         assert time.time() - t0 < 5.0
 
 
@@ -303,20 +307,20 @@ class TestObstructionClosedness:
             mu0 = rng.choice([SO3, HEISENBERG])
             prefix = [mu0, self._random_cocycle(rng, mu0)]
             if rng.random() < 0.4:
-                cert = ld.extend_one_order(prefix)
+                cert = alg.extend_one_order(prefix)
                 if not cert.extends:
                     continue
                 prefix.append(cert.solution)
-            cert = ld.extend_one_order(prefix)
+            cert = alg.extend_one_order(prefix)
             assert cert.verify()
             assert ce_differential(mu0, cert.cocycle).is_zero()
             checked += 1
 
     def test_dirac_side(self):
         rng = random.Random(402)
-        models = [co.build_theta(co.so3_double()),
-                  co.build_theta(co.lie_bialgebra({}, EPS3, 3)),
-                  co.build_theta(co.lie_bialgebra(EPS3, {}, 3))]
+        models = [co.build_theta(ct.so3_double()),
+                  co.build_theta(ct.lie_bialgebra({}, EPS3, 3)),
+                  co.build_theta(ct.lie_bialgebra(EPS3, {}, 3))]
         checked = 0
         while checked < 25:
             th = rng.choice(models)
@@ -329,11 +333,11 @@ class TestObstructionClosedness:
                 continue
             prefix = [om]
             if rng.random() < 0.4:
-                cert = co.deform_extend_dirac(th, prefix)
+                cert = ct.deform_extend_dirac(th, prefix)
                 if not cert.extends:
                     continue
                 prefix.append(cert.solution)
-            cert = co.deform_extend_dirac(th, prefix)
+            cert = ct.deform_extend_dirac(th, prefix)
             assert co.d_L(th, cert.cocycle).is_zero()
             checked += 1
 
@@ -357,7 +361,7 @@ def rand_dirac(rng, n):
     for _ in range(rng.randint(0, n)):
         rows.append([Fraction(rng.randint(-2, 2)) for _ in range(n)])
     R = ratlin.Subspace(n, rows)
-    return dl.from_R_Omega(R, rand_antisym(rng, R.dim))
+    return dt.from_R_Omega(R, rand_antisym(rng, R.dim))
 
 
 class TestLinearDirac:
@@ -365,29 +369,29 @@ class TestLinearDirac:
         G = [[Fraction(x) for x in row]
              for row in [[1, 0, 0, 0], [0, -1, 0, 0],
                          [0, 0, -1, 0], [0, 0, 0, -1]]]
-        assert dl.max_isotropic_dimension(G) == 1
+        assert dt.max_isotropic_dimension(G) == 1
         W = ratlin.Subspace(4, [[Fraction(1), Fraction(1),
                                  Fraction(0), Fraction(0)]])
-        assert dl.extend_isotropic(G, W) == W
+        assert dt.extend_isotropic(G, W) == W
 
     def test_hyperbolic_completion_table(self):
         rng = random.Random(501)
         n = 3
-        G = dl.PairedSpace(n).pairing_matrix()
+        G = dt.PairedSpace(n).pairing_matrix()
         for _ in range(20):
             L = rand_dirac(rng, n)
             k = rng.randint(0, n)
             W = ratlin.Subspace(2 * n,
                                 [list(v) for v in L.subspace.basis[:k]])
-            vs, U = dl.hyperbolic_completion(G, W)
+            vs, U = dt.hyperbolic_completion(G, W)
             for i, vi in enumerate(vs):
                 for j, vj in enumerate(vs):
-                    assert dl._form_value(G, vi, vj) == 0
+                    assert dt._form_value(G, vi, vj) == 0
                 for j, wj in enumerate(W.basis):
-                    assert dl._form_value(G, list(wj), vi) == \
+                    assert dt._form_value(G, list(wj), vi) == \
                         (1 if i == j else 0)
                 for u in U.basis:
-                    assert dl._form_value(G, list(u), vi) == 0
+                    assert dt._form_value(G, list(u), vi) == 0
 
     def test_represent_round_trips(self):
         rng = random.Random(502)
@@ -395,8 +399,8 @@ class TestLinearDirac:
             n = rng.randint(1, 4)
             L = rand_dirac(rng, n)
             rep = dl.represent(L)
-            assert dl.from_R_Omega(rep["R"], rep["Omega"]) == L
-            assert dl.from_K_pi(rep["K"], rep["corange"], rep["pi"]) == L
+            assert dt.from_R_Omega(rep["R"], rep["Omega"]) == L
+            assert dt.from_K_pi(rep["K"], rep["corange"], rep["pi"]) == L
 
     def test_functoriality(self):
         rng = random.Random(503)
@@ -408,11 +412,11 @@ class TestLinearDirac:
                    for _ in range(n3)]
             L = rand_dirac(rng, n1)
             comp = ratlin.mat_mul(psi, phi)
-            assert dl.forward_map(psi, dl.forward_map(phi, L)) == \
-                dl.forward_map(comp, L)
+            assert dt.forward_map(psi, dt.forward_map(phi, L)) == \
+                dt.forward_map(comp, L)
             M = rand_dirac(rng, n3)
-            assert dl.backward_map(phi, dl.backward_map(psi, M)) == \
-                dl.backward_map(comp, M)
+            assert dt.backward_map(phi, dt.backward_map(psi, M)) == \
+                dt.backward_map(comp, M)
 
     def test_injective_surjective_identities(self):
         rng = random.Random(504)
@@ -422,9 +426,9 @@ class TestLinearDirac:
                [Fraction(0), Fraction(1), Fraction(0)]]
         for _ in range(25):
             L2 = rand_dirac(rng, 2)
-            assert dl.backward_map(inj, dl.forward_map(inj, L2)) == L2
+            assert dt.backward_map(inj, dt.forward_map(inj, L2)) == L2
             M2 = rand_dirac(rng, 2)
-            assert dl.forward_map(sur, dl.backward_map(sur, M2)) == M2
+            assert dt.forward_map(sur, dt.backward_map(sur, M2)) == M2
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +474,7 @@ class TestSuperDarboux:
 
 class TestDerivedBracketFidelity:
     def test_section_pairs(self):
-        th = co.build_theta(co.standard_courant(3))
+        th = co.build_theta(ct.standard_courant(3))
         g = th.gens
 
         def vec(fs):
@@ -521,7 +525,7 @@ class TestDerivedBracketFidelity:
         for (Xc, xic), (Yc, etac) in pairs:
             e1 = vec(Xc) + form(xic)
             e2 = vec(Yc) + form(etac)
-            assert co.courant_bracket(th, e1, e2) == \
+            assert ct.courant_bracket(th, e1, e2) == \
                 oracle(Xc, xic, Yc, etac)
 
 
@@ -531,11 +535,11 @@ class TestDerivedBracketFidelity:
 
 class TestMasterEquation:
     def test_square_zero_with_components(self):
-        bialg = co.lie_bialgebra(EPS3, {}, 3)
+        bialg = ct.lie_bialgebra(EPS3, {}, 3)
         assert co.verify_courant(bialg)["ok"]
-        for inp in (co.standard_courant(3),
-                    co.quadratic_lie_algebra(EPS3, 3),
-                    co.so3_double(),
+        for inp in (ct.standard_courant(3),
+                    ct.quadratic_lie_algebra(EPS3, 3),
+                    ct.so3_double(),
                     bialg):
             th = co.build_theta(inp)
             res = master_residuals(th.ctx, th.theta)
@@ -550,7 +554,7 @@ class TestMasterEquation:
 
 class TestDeformationEquation:
     def test_residual_iff_closed(self):
-        th = co.build_theta(co.standard_courant(3))
+        th = co.build_theta(ct.standard_courant(3))
         g = th.gens
 
         def de_rham(om):
@@ -570,7 +574,7 @@ class TestDeformationEquation:
                         f = g.scalar(Fraction(rng.randint(-2, 2)))
                     om = om + f * th.upper(a) * th.upper(b)
             series = FormalSeries(3, [th.zero(), om], th.zero())
-            res = co.mc_residual_dirac(th, series)
+            res = ct.mc_residual_dirac(th, series)
             closed = de_rham(om).is_zero()
             assert res.is_zero() == closed
             closed_seen += closed
@@ -585,10 +589,10 @@ class TestDeformationEquation:
 class TestUniversalIdentity:
     def test_fifty_random_forms(self):
         rng = random.Random(1001)
-        constant_models = [co.build_theta(co.so3_double()),
-                           co.build_theta(co.lie_bialgebra({}, EPS3, 3))]
-        poly_models = [co.build_theta(co.standard_courant(2)),
-                       co.build_theta(co.standard_courant(3))]
+        constant_models = [co.build_theta(ct.so3_double()),
+                           co.build_theta(ct.lie_bialgebra({}, EPS3, 3))]
+        poly_models = [co.build_theta(ct.standard_courant(2)),
+                       co.build_theta(ct.standard_courant(3))]
         non_solutions = 0
         for trial in range(50):
             if trial < 25:
@@ -611,7 +615,7 @@ class TestUniversalIdentity:
                 + co.mc_residual_one(th, [th.zero(), om], 3)
             if not mc.is_zero():
                 non_solutions += 1
-            assert co.universal_identity_check(th, om).is_zero()
+            assert ct.universal_identity_check(th, om).is_zero()
         assert non_solutions >= 10  # omega is not required to solve MC
 
 
@@ -650,7 +654,7 @@ def rand_multiderivation(rng, gens, m, k, degree):
         for idx in itertools.combinations(range(k), degree):
             symbol[idx] = tuple(rand_base_poly(rng, gens, m, 1)
                                 for _ in range(m))
-    return ml.MultiDerivation(gens, m, k, degree, frame, symbol)
+    return alg.MultiDerivation(gens, m, k, degree, frame, symbol)
 
 
 class TestIsomorphismTransport:
@@ -722,7 +726,7 @@ class TestNumericSuite:
             assert numeric.subspace_distance(tracked, P(1.0)) < 1e-6
 
     def test_harmonic_oscillator_drift(self):
-        sys_ = ihs.IHSystem(ihs.canonical_symplectic(1),
+        sys_ = ihs.IHSystem(dt.canonical_symplectic(1),
                             parse(base_gens(2), "1/2 x1^2 + 1/2 x2^2"))
         traj = sys_.integrate([1.0, 0.0], 1000, h=1e-3)
         assert traj.max_drift < 1e-6

@@ -391,6 +391,30 @@ def polynomial_connections(draw, max_m=3, max_k=3):
     return ConnectionData(gens, m, k, gamma)
 
 
+class TestCurvatureRows:
+    """The p_i p_j rows of the Rothstein table hold each curvature entry
+    once per pair, negated for (j, i); each equals its own sum over the
+    ordered pair."""
+
+    @given(polynomial_connections())
+    @settings(max_examples=40, deadline=None)
+    def test_rows_are_the_ordered_pair_sums(self, conn):
+        ctx = BracketContext.rothstein_on(conn)
+        gens, m, k = ctx.gens, conn.m, conn.k
+        lo = [gens.gen(gens.odd[a]) for a in range(k)]
+        up = [gens.gen(gens.odd[k + a]) for a in range(k)]
+        rows = {a: dict(entries) for a, entries in ctx._rows}
+        for i in range(m):
+            for j in range(m):
+                if i == j:
+                    continue
+                want = sum((conn.curvature(i, j, b, a) * lo[a] * up[b]
+                            for a in range(k) for b in range(k)),
+                           gens.zero())
+                got = rows.get(m + i, {}).get(m + j, gens.zero())
+                assert got == want
+
+
 class TestOracles:
     """`bracket` agrees with the five-term Rothstein body (covariant
     derivative plus curvature) and with the Schouten body assembled from

@@ -17,10 +17,20 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from diracdeform import cli, courant, ihs, jsonin, lie_deform, multilinear
+from diracdeform import (
+    cli,
+    courant,
+    courant_theory,
+    dirac_theory,
+    ihs,
+    jsonin,
+    lie_deform,
+    multilinear,
+)
 from diracdeform.dirac_linear import from_bivector
 from diracdeform.multilinear import base_gens, first_failing_triple
 from diracdeform.superalg import parse
+from ihs_oracles import system_to_json
 
 
 SO3 = {"dim": 3, "c": [[0, 1, 2, "1"], [1, 2, 0, "1"], [2, 0, 1, "1"]]}
@@ -28,11 +38,11 @@ NONJACOBI = {"dim": 3, "c": [[0, 1, 2, "1"], [1, 2, 0, "1"],
                              [2, 0, 0, "1"]]}
 FILIFORM_6 = {"dim": 6, "c": [[0, i, i + 1, "1"] for i in range(1, 5)]}
 EPS = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1}
-STD1 = courant.standard_courant(1).to_json()
-OSC = ihs.system_to_json(ihs.IHSystem(
-    ihs.canonical_symplectic(1), parse(base_gens(2), "1/2 x1^2 + 1/2 x2^2")))
+STD1 = courant_theory.standard_courant(1).to_json()
+OSC = system_to_json(ihs.IHSystem(
+    dirac_theory.canonical_symplectic(1), parse(base_gens(2), "1/2 x1^2 + 1/2 x2^2")))
 # xdot has coefficient 10^10 dH/dx2, which overflows a float for big H
-STIFF_L = ihs.system_to_json(ihs.IHSystem(
+STIFF_L = system_to_json(ihs.IHSystem(
     from_bivector([[0, 10 ** 10], [-10 ** 10, 0]]), base_gens(2).zero()))["L"]
 SUBPROCESS_ENV = dict(os.environ, PYTHONPATH=str(
     Path(__file__).resolve().parents[1] / "src"))
@@ -257,7 +267,7 @@ class TestDiracLinear:
 
 class TestCourantCommands:
     def test_verify_so3_double(self, tmp_path, capsys):
-        path = write(tmp_path, "c.json", courant.so3_double().to_json())
+        path = write(tmp_path, "c.json", courant_theory.so3_double().to_json())
         code, out, _ = run(["courant-verify", path], capsys)
         assert code == 0
         assert json.loads(out)["report"]["identities"]["master"]["ok"]
@@ -270,7 +280,7 @@ class TestCourantCommands:
         assert code == 1
 
     def test_theta_master(self, tmp_path, capsys):
-        path = write(tmp_path, "c.json", courant.so3_double().to_json())
+        path = write(tmp_path, "c.json", courant_theory.so3_double().to_json())
         code, out, _ = run(["theta-master", path], capsys)
         assert code == 0
         rep = json.loads(out)
@@ -279,7 +289,7 @@ class TestCourantCommands:
 
     def test_deform_dirac_extends(self, tmp_path, capsys):
         path = write(tmp_path, "dd.json",
-                     {"courant": courant.so3_double().to_json(),
+                     {"courant": courant_theory.so3_double().to_json(),
                       "prefix": ["1 a^1 a^2"]})
         code, out, _ = run(["deform-dirac", path, "--order", "3"], capsys)
         assert code == 0
@@ -287,7 +297,7 @@ class TestCourantCommands:
         assert all(r["status"] == "EXTENDS" for r in rows)
 
     def test_deform_dirac_obstruction(self, tmp_path, capsys):
-        inp = courant.lie_bialgebra({}, EPS, 3)
+        inp = courant_theory.lie_bialgebra({}, EPS, 3)
         path = write(tmp_path, "dd.json",
                      {"courant": inp.to_json(), "prefix": ["1 a^1 a^2"]})
         code, out, _ = run(["deform-dirac", path, "--order", "3"], capsys)
@@ -302,7 +312,7 @@ class TestCourantCommands:
                                                        capsys, order):
         # q3 a^1 a^2 is not d_L-closed, so the order-1 equation fails
         path = write(tmp_path, "dd.json",
-                     {"courant": courant.standard_courant(3).to_json(),
+                     {"courant": courant_theory.standard_courant(3).to_json(),
                       "prefix": ["q3 a^1 a^2"]})
         code, out, _ = run(["deform-dirac", path, "--order", order], capsys)
         assert code == 1
@@ -311,9 +321,9 @@ class TestCourantCommands:
 
 class TestIhsRun:
     def osc_path(self, tmp_path):
-        sys_ = ihs.IHSystem(ihs.canonical_symplectic(1),
+        sys_ = ihs.IHSystem(dirac_theory.canonical_symplectic(1),
                             parse(base_gens(2), "1/2 x1^2 + 1/2 x2^2"))
-        return write(tmp_path, "osc.json", ihs.system_to_json(sys_))
+        return write(tmp_path, "osc.json", system_to_json(sys_))
 
     def test_csv_output(self, tmp_path, capsys):
         path = self.osc_path(tmp_path)
@@ -336,9 +346,9 @@ class TestIhsRun:
         assert rep["report"]["max_drift"] < 1e-9
 
     def test_left_admissible_set(self, tmp_path, capsys):
-        from diracdeform.dirac_linear import space_V
+        from diracdeform.dirac_theory import space_V
         sys_ = ihs.IHSystem(space_V(2), parse(base_gens(2), "1 x1"))
-        path = write(tmp_path, "sys.json", ihs.system_to_json(sys_))
+        path = write(tmp_path, "sys.json", system_to_json(sys_))
         code, out, _ = run(["ihs-run", "--system", path, "--x0", "0,0",
                             "--steps", "5"], capsys)
         assert code == 1
@@ -397,8 +407,8 @@ def test_ihs_run_output_is_strict_json(tmp_path, capsys, system, extra):
     assert float(body["trajectory"][1][0]) == pytest.approx(h, rel=1e-11)
 
 
-QUARTIC = ihs.system_to_json(ihs.IHSystem(
-    ihs.canonical_symplectic(1), parse(base_gens(2), "x1^4 + x2^4")))
+QUARTIC = system_to_json(ihs.IHSystem(
+    dirac_theory.canonical_symplectic(1), parse(base_gens(2), "x1^4 + x2^4")))
 
 
 @pytest.mark.parametrize("system, x0, steps", [
@@ -616,6 +626,15 @@ class TestTableFormat:
     ("ce-cohomology", {"dim": 100000, "c": []}, [], "$.dim"),
     ("deform-lie", {"dim": 100000, "c": []}, [], "$.dim"),
     ("ce-cohomology", {"dim": 60, "c": []}, ["--degrees", "3"], "$.dim"),
+    # a prefix entry must be a 2-form in the upper generators: a 3-form
+    # and a 1-form were certified EXTENDS at orders 2 and 3
+    ("deform-dirac", {"courant": {"m": 0, "k": 3, "c": []},
+                      "prefix": ["a^1 a^2 a^3"]}, [], "$.prefix[0]"),
+    ("deform-dirac", {"courant": {"m": 1, "k": 1}, "prefix": ["a^1"]}, [],
+     "$.prefix[0]"),
+    ("deform-dirac", {"courant": {"m": 1, "k": 2},
+                      "prefix": ["a^1 a^2", "p_1 a^1 a^2"]}, [],
+     "$.prefix[1]"),
 ])
 def test_input_errors_exit_2_naming_path(tmp_path, command, data, extra,
                                         path):
@@ -674,7 +693,7 @@ def test_import_does_not_load_scipy():
     assert p.stdout.strip() == "False"
 
 
-SO3_DOUBLE = courant.so3_double().to_json()
+SO3_DOUBLE = courant_theory.so3_double().to_json()
 
 
 # one short job per subcommand
@@ -752,10 +771,10 @@ def test_commands_do_not_import_argparse(tmp_path, command, data, extra):
      "ad4474f9849ce494ef44197ee9839bba61c3817d046dceca36a940c956f03909"),
     ("deform-lie", FILIFORM_6, ["--order", "3"],
      "44c79b2d313bb28f4b5eeb95fa4046b82c2d418fcecb2f49c01ac0bb5532eab8"),
-    ("deform-dirac", {"courant": courant.so3_double().to_json(),
+    ("deform-dirac", {"courant": courant_theory.so3_double().to_json(),
                       "prefix": ["a^1 a^2"]}, ["--order", "3"],
      "6ad3f2c6cd1d2e1f0bdad38d10a61770b45858a3bbc9149ff9937b2ee8cabd09"),
-    ("deform-dirac", {"courant": courant.lie_bialgebra({}, EPS, 3).to_json(),
+    ("deform-dirac", {"courant": courant_theory.lie_bialgebra({}, EPS, 3).to_json(),
                       "prefix": ["a^1 a^2"]}, ["--order", "3"],
      "3d6e863b211379f801ebb4348180a3b712749ffe5f412d2b4ebe744bbb8ab80c"),
 ])
@@ -775,6 +794,11 @@ BROKEN_ANCHOR = {"m": 1, "k": 1, "rho": [[0, 0, "1"]],
                  "rho_bar": [[0, 0, "1 q1"]]}
 NONJACOBI_SO3 = courant.CourantInput(
     0, 3, c={(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 0): 1}).to_json()
+# anchors on both halves and a curved connection (R_{q1 q2} != 0): the
+# p_1 p_2 curvature row of the Rothstein table cancels a term of
+# {Theta, Theta} that is there without it
+CURVED_BOTH = {"m": 2, "k": 2, "rho": [[0, 0, "1"], [1, 1, "1"]],
+               "rho_bar": [[0, 0, "1"]], "gamma_conn": [[0, 0, 1, "1 q2"]]}
 DATA = Path(__file__).resolve().parent / "data"
 
 
@@ -783,6 +807,7 @@ DATA = Path(__file__).resolve().parent / "data"
     (BROKEN_ANCHOR, ["--degree", "2"], "courant_verify_broken_anchor.json"),
     (BROKEN_ANCHOR, ["--degree", "2", "--section-limit", "3"],
      "courant_verify_broken_anchor_limit3.json"),
+    (CURVED_BOTH, [], "courant_verify_curved_both_anchors.json"),
 ])
 def test_failing_courant_reports_pinned(tmp_path, capsys, data, extra,
                                         expected):

@@ -25,6 +25,7 @@ from referencing import Registry, Resource
 
 from diracdeform import cli
 from diracdeform import dirac_linear as dl
+from dirac_oracles import dirac_to_json
 
 SCHEMAS = Path(__file__).resolve().parents[1] / "docs" / "schemas"
 _DOCS = {p.name: json.loads(p.read_text())
@@ -86,10 +87,15 @@ def courant_input(draw, max_m=2):
     return doc
 
 
+# prefix entries that are not 2-forms q^e a^alpha a^beta: exit 2
+NOT_TWO_FORMS = {"a^1", "a^1 a^2 a^3", "a_1 a_2", "p_1 a^1 a^2"}
+
+
 @st.composite
 def deform_dirac(draw):
     prefix = st.sampled_from(["a^1 a^2", "-1 a^2 a^1", "1 q1 a^1 a^2", "0",
-                              "a^1", "a^1 a^3"])
+                              "a^1 a^3", "1 q1 a^1 a^2 + 1/2 a^2 a^3",
+                              *sorted(NOT_TWO_FORMS)])
     return {"courant": draw(courant_input(max_m=1)),
             "prefix": draw(st.lists(prefix, max_size=2))}
 
@@ -113,7 +119,7 @@ def linear_dirac(draw):
     form = draw(st.sampled_from(["subspace", "two_form", "bivector"]))
     if form == "subspace":
         try:
-            M = dl.dirac_to_json(dl.from_bivector(M))["subspace"]["basis"]
+            M = dirac_to_json(dl.from_bivector(M))["subspace"]["basis"]
         except dl.NotAntisymmetric:
             M = [row + row for row in M]
     return {"n": n, form: [[str(x) for x in row] for row in M]}
@@ -123,7 +129,7 @@ def linear_dirac(draw):
 def ihs_system(draw):
     n = draw(st.integers(0, 3))
     L = dl.from_bivector(antisymmetric(draw(square(n))))
-    doc = {"n": n, "L": dl.dirac_to_json(L),
+    doc = {"n": n, "L": dirac_to_json(L),
            "H": draw(rows([3] * n, rationals).map(
                lambda rs: [[r[:-1], r[-1]] for r in rs]) if n else
                st.just([]))}
@@ -206,6 +212,13 @@ def x0_for(doc):
     return "--x0=" + ",".join(["1"] * min(max(n, 1), 3))
 
 
+def not_two_form(doc):
+    """A deform-dirac document with a prefix entry that is not a 2-form."""
+    prefix = doc.get("prefix") if isinstance(doc, dict) else None
+    return isinstance(prefix, list) and any(
+        isinstance(p, str) and p in NOT_TWO_FORMS for p in prefix)
+
+
 IN = "<input>"
 # per schema: valid documents, and the commands that read them
 CASES = {
@@ -250,7 +263,7 @@ def test_exit_code_contract(schema, workdir):
         else:
             strict_json(out)
             assert run(argv) == (code, out, err)
-        if not check.is_valid(doc):
+        if not check.is_valid(doc) or not_two_form(doc):
             assert code == 2
             assert re.search(r": \$[^ ]*: ", err), err
 

@@ -8,12 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diracdeform import courant as co
+from diracdeform import courant_theory as ct
 from diracdeform.brackets import BracketContext, master_residuals
-from diracdeform.lie_deform import (
-    FormalSeries,
-    ObstructionCertificate,
-    PreconditionMC,
-)
+from diracdeform.algebroid import FormalSeries
+from diracdeform.lie_deform import ObstructionCertificate, PreconditionMC
 from diracdeform.superalg import phase_generators, to_text
 
 import courant_oracles
@@ -191,14 +189,14 @@ class TestBuildTheta:
         assert th.psi == psi
 
     def test_standard_charge(self):
-        th = co.build_theta(co.standard_courant(2))
+        th = co.build_theta(ct.standard_courant(2))
         g = th.gens
         p = [g.gen(g.even[2 + i]) for i in range(2)]
         assert th.theta == -p[0] * th.upper(0) - p[1] * th.upper(1)
         assert th.gamma.is_zero() and th.psi.is_zero() and th.phi.is_zero()
 
     def test_quadratic_lie_algebra_charge(self):
-        th = co.build_theta(co.quadratic_lie_algebra(EPS, 3))
+        th = co.build_theta(ct.quadratic_lie_algebra(EPS, 3))
         half = Fraction(-1, 2)
         expected = th.zero()
         for (a, b, g), v in co.CourantInput(0, 3, c=EPS).c.items():
@@ -208,9 +206,9 @@ class TestBuildTheta:
         assert th.gamma.is_zero()
 
     def test_bialgebra_has_both_components(self):
-        th = co.build_theta(co.lie_bialgebra(EPS, {}, 3))
+        th = co.build_theta(ct.lie_bialgebra(EPS, {}, 3))
         assert not th.mu.is_zero() and th.gamma.is_zero()
-        th2 = co.build_theta(co.lie_bialgebra({}, EPS, 3))
+        th2 = co.build_theta(ct.lie_bialgebra({}, EPS, 3))
         assert th2.mu.is_zero() and not th2.gamma.is_zero()
 
     def test_connection_consistency(self):
@@ -233,16 +231,16 @@ class TestBuildTheta:
         assert th.theta == th.mu + th.gamma + th.psi + th.phi
 
     def test_so3_double_master(self):
-        th = co.build_theta(co.so3_double())
+        th = co.build_theta(ct.so3_double())
         res = master_residuals(th.ctx, th.theta)
         assert res["total"].is_zero()
         for comp in res["components"].values():
             assert comp.is_zero()
 
     def test_master_components_for_stock_models(self):
-        for inp in (co.standard_courant(2),
-                    co.quadratic_lie_algebra(EPS, 3),
-                    co.lie_bialgebra(EPS, {}, 3)):
+        for inp in (ct.standard_courant(2),
+                    ct.quadratic_lie_algebra(EPS, 3),
+                    ct.lie_bialgebra(EPS, {}, 3)):
             th = co.build_theta(inp)
             res = master_residuals(th.ctx, th.theta)
             assert res["total"].is_zero()
@@ -250,15 +248,15 @@ class TestBuildTheta:
 
 class TestVerify:
     def test_standard_passes(self):
-        rep = co.verify_courant(co.standard_courant(2), degree=1)
+        rep = co.verify_courant(ct.standard_courant(2), degree=1)
         assert rep["ok"]
         assert all(v["ok"] for v in rep["identities"].values())
 
     def test_so3_double_passes(self):
-        assert co.verify_courant(co.so3_double())["ok"]
+        assert co.verify_courant(ct.so3_double())["ok"]
 
     def test_bialgebra_passes(self):
-        assert co.verify_courant(co.lie_bialgebra(EPS, {}, 3))["ok"]
+        assert co.verify_courant(ct.lie_bialgebra(EPS, {}, 3))["ok"]
 
     def test_non_jacobi_constants_fail(self):
         bad = co.CourantInput(0, 3, c={(0, 1, 2): 1, (1, 2, 0): 1,
@@ -397,7 +395,7 @@ class TestDerivedIdentities:
     def test_no_bracket_when_square_zero(self, monkeypatch):
         counts = self.count_work(monkeypatch)
         for degree in (1, 2):
-            assert co.verify_courant(co.standard_courant(2),
+            assert co.verify_courant(ct.standard_courant(2),
                                      degree=degree)["ok"]
         assert counts == {"contract": 0, "right_partials": 0}
 
@@ -428,7 +426,7 @@ class TestSectionFamily:
             "1 q1^2 q2", "1 q1 q2^2", "1 q2^3"]
 
     def test_sections_on_a_plane_at_degree_three(self):
-        th = co.build_theta(co.standard_courant(2))
+        th = co.build_theta(ct.standard_courant(2))
         assert len(co._section_family(th, 3)) == 40
         assert len(co._two_form_basis(th, 3)) == 10
 
@@ -438,7 +436,7 @@ class TestDerivedBracket:
     coordinate formula for vector-field-plus-one-form sections."""
 
     def setup_method(self):
-        self.th = co.build_theta(co.standard_courant(3))
+        self.th = co.build_theta(ct.standard_courant(3))
         self.g = self.th.gens
 
     def vec(self, fs):
@@ -474,7 +472,7 @@ class TestDerivedBracket:
             etac = [base_poly(self.g, rng, 3) for _ in range(3)]
             e1 = self.vec(Xc) + self.form(xic)
             e2 = self.vec(Yc) + self.form(etac)
-            got = co.courant_bracket(self.th, e1, e2)
+            got = ct.courant_bracket(self.th, e1, e2)
             assert got == self.oracle(Xc, xic, Yc, etac)
 
     def test_pairing_formula(self):
@@ -487,7 +485,7 @@ class TestDerivedBracket:
         e2 = self.vec(Yc) + self.form(etac)
         want = sum((Xc[a] * etac[a] + Yc[a] * xic[a] for a in range(3)),
                    self.g.zero())
-        assert co.pairing(self.th, e1, e2) == want
+        assert ct.pairing(self.th, e1, e2) == want
 
     def test_anchor_is_vector_part(self):
         rng = random.Random(9)
@@ -508,7 +506,7 @@ class TestDerivedBracket:
 
 class TestDifferential:
     def setup_method(self):
-        self.th = co.build_theta(co.standard_courant(3))
+        self.th = co.build_theta(ct.standard_courant(3))
         self.g = self.th.gens
 
     def de_rham(self, om):
@@ -525,8 +523,8 @@ class TestDifferential:
 
     def test_d_L_squares_to_zero(self):
         rng = random.Random(12)
-        for th in (self.th, co.build_theta(co.so3_double()),
-                   co.build_theta(co.lie_bialgebra(EPS, {}, 3))):
+        for th in (self.th, co.build_theta(ct.so3_double()),
+                   co.build_theta(ct.lie_bialgebra(EPS, {}, 3))):
             for _ in range(10):
                 om = random_two_form(th, rng)
                 assert co.d_L(th, co.d_L(th, om)).is_zero()
@@ -540,7 +538,7 @@ class TestDifferential:
                 # force a closed one: constant-coefficient forms
                 om = random_two_form(self.th, rng, polynomial=False)
             series = FormalSeries(3, [self.th.zero(), om], self.th.zero())
-            res = co.mc_residual_dirac(self.th, series)
+            res = ct.mc_residual_dirac(self.th, series)
             closed = self.de_rham(om).is_zero()
             assert res.is_zero() == closed
             seen_closed += closed
@@ -551,53 +549,53 @@ class TestDifferential:
 class TestTOmega:
     def test_two_code_paths_agree(self):
         rng = random.Random(17)
-        th = co.build_theta(co.so3_double())
+        th = co.build_theta(ct.so3_double())
         for _ in range(25):
             om = random_two_form(th, rng)
-            assert co.t_omega(th, om) == \
+            assert ct.t_omega(th, om) == \
                 courant_oracles.t_omega_direct(th, om)
 
     def test_vanishes_without_psi(self):
         rng = random.Random(18)
-        th = co.build_theta(co.lie_bialgebra(EPS, EPS and {}, 3))
+        th = co.build_theta(ct.lie_bialgebra(EPS, EPS and {}, 3))
         for _ in range(5):
             om = random_two_form(th, rng)
-            assert co.t_omega(th, om).is_zero()
+            assert ct.t_omega(th, om).is_zero()
 
     def test_rank_two_form_gives_zero(self):
         # a decomposable 2-form has rank 2; its cube annihilates psi
-        th = co.build_theta(co.so3_double())
+        th = co.build_theta(ct.so3_double())
         om = th.upper(0) * th.upper(1)
-        assert co.t_omega(th, om).is_zero()
+        assert ct.t_omega(th, om).is_zero()
 
 
 class TestUniversalIdentity:
     def test_constant_forms(self):
         rng = random.Random(19)
-        th = co.build_theta(co.so3_double())
+        th = co.build_theta(ct.so3_double())
         for _ in range(20):
             om = random_two_form(th, rng)
-            assert co.universal_identity_check(th, om).is_zero()
+            assert ct.universal_identity_check(th, om).is_zero()
 
     def test_polynomial_forms(self):
         rng = random.Random(20)
-        th = co.build_theta(co.standard_courant(2))
+        th = co.build_theta(ct.standard_courant(2))
         for _ in range(10):
             om = random_two_form(th, rng)
-            assert co.universal_identity_check(th, om).is_zero()
+            assert ct.universal_identity_check(th, om).is_zero()
 
     def test_non_solution_still_passes(self):
-        th = co.build_theta(co.standard_courant(3))
+        th = co.build_theta(ct.standard_courant(3))
         g = th.gens
         om = g.gen(g.even[2]) * th.upper(0) * th.upper(1)  # not closed
         series = FormalSeries(1, [th.zero(), om], th.zero())
-        assert not co.mc_residual_dirac(th, series).is_zero()
-        assert co.universal_identity_check(th, om).is_zero()
+        assert not ct.mc_residual_dirac(th, series).is_zero()
+        assert ct.universal_identity_check(th, om).is_zero()
 
 
 class TestDeform:
     def test_standard_closed_form_extends_trivially(self):
-        th = co.build_theta(co.standard_courant(3))
+        th = co.build_theta(ct.standard_courant(3))
         g = th.gens
         om = g.gen(g.even[2]) * th.upper(0) * th.upper(1) \
             - g.gen(g.even[0]) * th.upper(1) * th.upper(2)
@@ -606,22 +604,22 @@ class TestDeform:
         assert [c.status for c in certs] == ["EXTENDS"] * 3
         assert all(c.cocycle.is_zero() for c in certs)
         series = FormalSeries(4, [th.zero()] + coeffs, th.zero())
-        assert co.mc_residual_dirac(th, series).is_zero()
+        assert ct.mc_residual_dirac(th, series).is_zero()
 
     def test_so3_double_extends(self):
-        th = co.build_theta(co.so3_double())
+        th = co.build_theta(ct.so3_double())
         om = th.upper(0) * th.upper(1)
         coeffs, certs = co.deform_series_dirac(th, [om], 4)
         assert all(c.extends for c in certs)
         series = FormalSeries(4, [th.zero()] + coeffs, th.zero())
-        assert co.mc_residual_dirac(th, series).is_zero()
+        assert ct.mc_residual_dirac(th, series).is_zero()
 
     def test_obstructed_bialgebra(self):
         # trivial lower algebra, so(3) constants on the upper side: the
         # differential vanishes while the quadratic term does not
-        th = co.build_theta(co.lie_bialgebra({}, EPS, 3))
+        th = co.build_theta(ct.lie_bialgebra({}, EPS, 3))
         om = th.upper(0) * th.upper(1)
-        cert = co.deform_extend_dirac(th, [om])
+        cert = ct.deform_extend_dirac(th, [om])
         assert cert.status == "OBSTRUCTED"
         assert not cert.extends
         assert cert.order == 2
@@ -632,40 +630,40 @@ class TestDeform:
     def test_obstruction_matches_rank_oracle(self):
         # with mu = 0 the image of d_L is zero, so extendability is
         # exactly vanishing of the quadratic term
-        th = co.build_theta(co.lie_bialgebra({}, EPS, 3))
+        th = co.build_theta(ct.lie_bialgebra({}, EPS, 3))
         rng = random.Random(23)
         verdicts = set()
         for _ in range(10):
             om = random_two_form(th, rng)
-            cert = co.deform_extend_dirac(th, [om])
-            quad = co.dual_bracket(th, om, om)
+            cert = ct.deform_extend_dirac(th, [om])
+            quad = ct.dual_bracket(th, om, om)
             assert cert.extends == quad.is_zero()
             assert cert.verify()
             verdicts.add(cert.status)
         assert "OBSTRUCTED" in verdicts
 
     def test_precondition_checked(self):
-        th = co.build_theta(co.standard_courant(3))
+        th = co.build_theta(ct.standard_courant(3))
         g = th.gens
         om = g.gen(g.even[2]) * th.upper(0) * th.upper(1)
         with pytest.raises(PreconditionMC):
-            co.deform_extend_dirac(th, [om])
+            ct.deform_extend_dirac(th, [om])
 
     def test_obstruction_cocycle_closed(self):
         rng = random.Random(29)
-        for th in (co.build_theta(co.so3_double()),
-                   co.build_theta(co.lie_bialgebra({}, EPS, 3))):
+        for th in (co.build_theta(ct.so3_double()),
+                   co.build_theta(ct.lie_bialgebra({}, EPS, 3))):
             for _ in range(5):
                 om = random_two_form(th, rng)
                 if not co.d_L(th, om).is_zero():
                     continue
-                cert = co.deform_extend_dirac(th, [om])
+                cert = ct.deform_extend_dirac(th, [om])
                 assert co.d_L(th, cert.cocycle).is_zero()
 
     def test_certificate_exclusivity(self):
-        th = co.build_theta(co.so3_double())
+        th = co.build_theta(ct.so3_double())
         z = th.zero()
-        d = co.deform_extend_dirac(th, []).differential
+        d = ct.deform_extend_dirac(th, []).differential
         with pytest.raises(ValueError):
             ObstructionCertificate(d, 2, z)
         with pytest.raises(ValueError):
@@ -674,7 +672,7 @@ class TestDeform:
 
 class TestReparametrize:
     def setup_method(self):
-        self.th = co.build_theta(co.so3_double())
+        self.th = co.build_theta(ct.so3_double())
         om = self.th.upper(0) * self.th.upper(1)
         self.om = om
         self.series = FormalSeries(
@@ -683,52 +681,52 @@ class TestReparametrize:
         self.lam = self.th.lower(0) * self.th.lower(1)
 
     def test_zero_bivector_is_identity(self):
-        out = co.reparametrize_complement(self.th, self.th.zero(),
+        out = ct.reparametrize_complement(self.th, self.th.zero(),
                                           self.series)
         for i in range(4):
             assert out[i] == self.series[i]
 
     def test_neumann_terms(self):
         th, om, lam = self.th, self.om, self.lam
-        out = co.reparametrize_complement(th, lam, self.series)
+        out = ct.reparametrize_complement(th, lam, self.series)
         z = th.zero()
-        W = co._to_matrix(th, om, True, "omega", "a 2-form")
-        L = co._to_matrix(th, lam, False, "lam", "a bivector")
-        wLw = co._mat_mul_se(W, co._mat_mul_se(L, W, z), z)
-        wLwLw = co._mat_mul_se(W, co._mat_mul_se(L, wLw, z), z)
+        W = ct._to_matrix(th, om, True, "omega", "a 2-form")
+        L = ct._to_matrix(th, lam, False, "lam", "a bivector")
+        wLw = ct._mat_mul_se(W, ct._mat_mul_se(L, W, z), z)
+        wLwLw = ct._mat_mul_se(W, ct._mat_mul_se(L, wLw, z), z)
         assert out[1] == om
-        assert out[2] == -co._matrix_to_form(th, wLw)
-        assert out[3] == co._matrix_to_form(th, wLwLw)
+        assert out[2] == -ct._matrix_to_form(th, wLw)
+        assert out[3] == ct._matrix_to_form(th, wLwLw)
 
     def test_inverse_round_trip(self):
-        out = co.reparametrize_complement(self.th, self.lam, self.series)
-        back = co.reparametrize_complement(self.th, -self.lam, out)
+        out = ct.reparametrize_complement(self.th, self.lam, self.series)
+        back = ct.reparametrize_complement(self.th, -self.lam, out)
         for i in range(4):
             assert back[i] == self.series[i]
 
     def test_requires_order_zero_vanishing(self):
         bad = FormalSeries(1, [self.om, self.om], self.th.zero())
         with pytest.raises(co.ShapeError):
-            co.reparametrize_complement(self.th, self.lam, bad)
+            ct.reparametrize_complement(self.th, self.lam, bad)
 
 
 class TestQuasiLemma:
     def test_so3_double_passes(self):
-        rep = co.quasi_lemma_check(co.so3_double())
+        rep = ct.quasi_lemma_check(ct.so3_double())
         assert rep["ok"]
         assert set(rep["identities"]) == {"anchor_defect", "jacobiator",
                                           "psi_coherence"}
 
     def test_standard_passes(self):
-        assert co.quasi_lemma_check(co.standard_courant(2))["ok"]
+        assert ct.quasi_lemma_check(ct.standard_courant(2))["ok"]
 
     def test_bialgebra_passes(self):
-        assert co.quasi_lemma_check(co.lie_bialgebra(EPS, {}, 3))["ok"]
+        assert ct.quasi_lemma_check(ct.lie_bialgebra(EPS, {}, 3))["ok"]
 
     def test_non_jacobi_upper_fails(self):
         bad = co.CourantInput(0, 3, c_bar={(0, 1, 2): 1, (1, 2, 0): 1,
                                            (2, 0, 0): 1})
-        rep = co.quasi_lemma_check(bad)
+        rep = ct.quasi_lemma_check(bad)
         assert not rep["ok"]
         assert not rep["identities"]["jacobiator"]["ok"]
 
@@ -736,17 +734,17 @@ class TestQuasiLemma:
         bad = co.CourantInput(0, 3, c_bar={(0, 1, 2): 1, (1, 2, 0): 1,
                                            (2, 0, 0): 1})
         with pytest.raises(co.AxiomViolation):
-            co.quasi_lemma_check(bad, raise_on_fail=True)
+            ct.quasi_lemma_check(bad, raise_on_fail=True)
 
     def test_dual_bracket_jacobi_without_psi(self):
-        th = co.build_theta(co.lie_bialgebra({}, EPS, 3))
+        th = co.build_theta(ct.lie_bialgebra({}, EPS, 3))
         forms = [th.upper(a) for a in range(3)]
         for a in forms:
             for b in forms:
                 for c in forms:
-                    jac = co.dual_bracket(th, co.dual_bracket(th, a, b), c) \
-                        + co.dual_bracket(th, co.dual_bracket(th, b, c), a) \
-                        + co.dual_bracket(th, co.dual_bracket(th, c, a), b)
+                    jac = ct.dual_bracket(th, ct.dual_bracket(th, a, b), c) \
+                        + ct.dual_bracket(th, ct.dual_bracket(th, b, c), a) \
+                        + ct.dual_bracket(th, ct.dual_bracket(th, c, a), b)
                     assert jac.is_zero()
 
 
@@ -778,7 +776,7 @@ class TestSerialization:
 
     def test_json_is_plain_data(self):
         import json
-        obj = co.so3_double().to_json()
+        obj = ct.so3_double().to_json()
         again = json.loads(json.dumps(obj))
         back = co.CourantInput.from_json(again)
-        assert back.psi == co.so3_double().psi
+        assert back.psi == ct.so3_double().psi

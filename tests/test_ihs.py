@@ -14,17 +14,22 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from diracdeform import cli, ihs, ratlin
-from diracdeform.dirac_linear import (
-    LinearDirac,
-    from_bivector,
+from diracdeform.dirac_linear import LinearDirac, from_bivector, from_two_form
+from diracdeform.dirac_theory import (
+    canonical_symplectic,
     from_R_Omega,
-    from_two_form,
     space_V,
     space_V_star,
 )
 from diracdeform.multilinear import base_gens
 from diracdeform.superalg import SuperElement, parse
-from ihs_oracles import NumpySolver, float_parts, staged_integrate
+from ihs_oracles import (
+    NumpySolver,
+    float_parts,
+    staged_integrate,
+    system_to_json,
+)
+from ratlin_oracles import rank
 
 
 def poly(n, text):
@@ -32,7 +37,7 @@ def poly(n, text):
 
 
 def oscillator():
-    L = ihs.canonical_symplectic(1)
+    L = canonical_symplectic(1)
     H = poly(2, "1/2 x1^2 + 1/2 x2^2")
     return ihs.IHSystem(L, H)
 
@@ -229,7 +234,7 @@ class TestFactoredSolve:
     @given(systems(), st.data())
     @settings(max_examples=150, deadline=None)
     def test_matches_lstsq_oracle(self, sys_, data):
-        exact_rank = ratlin.rank([list(row)[sys_.n:]
+        exact_rank = rank([list(row)[sys_.n:]
                                   for row in sys_.L.subspace.basis])
         gauges = []
         for _ in range(3):
@@ -297,7 +302,7 @@ class TestFactoredSolve:
         # dH overflows to +-inf in one row while the other stays finite:
         # neither a later finite row nor inf <= tol * inf may let the
         # solve pass
-        L = ihs.canonical_symplectic(1) if L == "canonical" else space_V(2)
+        L = canonical_symplectic(1) if L == "canonical" else space_V(2)
         big = Fraction(8 * 10 ** 307)
         H = SuperElement(base_gens(2), {((2, 0), ()): big,
                                         ((0, 2), ()): big})
@@ -352,7 +357,7 @@ class TestCompiledMaps:
         residual = [a - c for a, c in zip(ratlin.mat_vec(M, xdot), b)]
         assert [exact_value(p, x) for p in sys_.field] == xdot
         assert [exact_value(p, x) for p in sys_.residual_map] == residual
-        if ratlin.rank(M) == n:
+        if rank(M) == n:
             assert all(p.is_zero() for p in sys_.residual_map)
 
 
@@ -421,7 +426,7 @@ class TestIntegrate:
         assert abs(p + math.sin(t)) < 1e-6
 
     def test_constant_hamiltonian_is_stationary(self):
-        sys_ = ihs.IHSystem(ihs.canonical_symplectic(1),
+        sys_ = ihs.IHSystem(canonical_symplectic(1),
                             poly(2, "7/2"))
         traj = sys_.integrate([1.0, 2.0], 50)
         assert np.allclose(traj.points[-1], [1.0, 2.0])
@@ -469,16 +474,16 @@ def stepped_systems(draw):
     if kind == "third":
         return third_system()
     if kind == "quartic":
-        return ihs.IHSystem(ihs.canonical_symplectic(1),
+        return ihs.IHSystem(canonical_symplectic(1),
                             poly(2, "x1^4 + x2^4"))
     if kind == "big":       # dH overflows to inf for |x| > 1
         big = Fraction(8 * 10 ** 307)
         return ihs.IHSystem(
-            rng.choice([ihs.canonical_symplectic(1), space_V(2)]),
+            rng.choice([canonical_symplectic(1), space_V(2)]),
             SuperElement(base_gens(2), {((2, 0), ()): big,
                                         ((0, 2), ()): big}))
     if kind == "sum":
-        return ihs.IHSystem(ihs.canonical_symplectic(1), SuperElement(
+        return ihs.IHSystem(canonical_symplectic(1), SuperElement(
             base_gens(2), {((0, 1), ()): Fraction(10 ** 308)}))
     if kind == "unit":      # rows of +-1.0 times powers of 1, or mixed
         if rng.random() < 0.5:
@@ -532,7 +537,7 @@ class TestGeneratedStep:
     def test_replay_continues_with_the_same_floats(self, monkeypatch):
         # the stage sum 1e308 + 2e308 overflows, so every step is
         # replayed, and x1 becomes inf while H = 1e308 x2 stays 0
-        sys_ = ihs.IHSystem(ihs.canonical_symplectic(1), SuperElement(
+        sys_ = ihs.IHSystem(canonical_symplectic(1), SuperElement(
             base_gens(2), {((0, 1), ()): Fraction(10 ** 308)}))
         replays = []
         staged = sys_._staged_step
@@ -548,7 +553,7 @@ class TestGeneratedStep:
         # with constraint rows, and without
         (kernel_structure(), "1/2 x1^2 + 1/2 x2^2 + 1/2 x2^2 x3^2",
          [0.3, -0.7, 1e-12]),
-        (ihs.canonical_symplectic(1), "1/2 x1^2 + 1/2 x2^2", [0.6, -0.8])])
+        (canonical_symplectic(1), "1/2 x1^2 + 1/2 x2^2", [0.6, -0.8])])
     def test_replay_in_mid_trajectory(self, monkeypatch, L, H, x0):
         # the generated loop stops once before step k, as at a step it
         # cannot commit: integrate replays k alone, then re-enters at k + 1
@@ -582,7 +587,7 @@ class TestGeneratedStep:
         ({(2, 0): 10 ** 300, (0, 1): 1}, [13407.0, 0.0], 1.0, 0, 1.0),
     ])
     def test_overflow_is_replayed_to_its_stage(self, H, x0, h, step, t):
-        sys_ = ihs.IHSystem(ihs.canonical_symplectic(1), SuperElement(
+        sys_ = ihs.IHSystem(canonical_symplectic(1), SuperElement(
             base_gens(2), {(e, ()): Fraction(c) for e, c in H.items()}))
         with pytest.raises(ihs.LeftAdmissibleSet) as err:
             sys_.integrate(x0, 5, h=h)
@@ -597,7 +602,7 @@ class TestGeneratedStep:
         H = SuperElement(base_gens(2), {
             ((i, j), ()): Fraction(1, i + j + 1)
             for i in range(101) for j in range(101 - i)})
-        sys_ = ihs.IHSystem(ihs.canonical_symplectic(1), H)
+        sys_ = ihs.IHSystem(canonical_symplectic(1), H)
         x0 = [0.3, -0.2]
         assert repr(vars(sys_.integrate(x0, 3))) == \
             repr(vars(staged_integrate(sys_, x0, 3)))
@@ -805,7 +810,7 @@ def test_reports_render_the_trajectory_as_its_rows(rows):
 class TestSerialization:
     def test_round_trip(self):
         sys_ = oscillator()
-        obj = json.loads(json.dumps(ihs.system_to_json(sys_)))
+        obj = json.loads(json.dumps(system_to_json(sys_)))
         back = ihs.system_from_json(obj)
         assert back.H == sys_.H
         assert back.L.subspace == sys_.L.subspace
@@ -813,7 +818,7 @@ class TestSerialization:
         assert np.allclose(r.xdot, [2.0, -1.0])
 
     def test_hamiltonian_terms(self):
-        obj = ihs.system_to_json(oscillator())
+        obj = system_to_json(oscillator())
         obj["H"] = [[[2, 0], "1"], [[0, 1], "0"], [[2, 0], "1/2"]]
         assert ihs.system_from_json(obj).H == poly(2, "1/2 x1^2")
         for bad in ([1, 0, 0], [-1, 2], [1.5, 0]):

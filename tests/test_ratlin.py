@@ -5,25 +5,25 @@ from hypothesis import given, settings, strategies as st
 
 import ratlin_oracles as oracle
 from diracdeform.ratlin import (
-    DegeneratePairing,
     Echelon,
-    NotSubspace,
     Subspace,
-    annihilator,
     identity,
     kernel_basis,
     mat,
     mat_mul,
     mat_vec,
     pseudo_inverse,
-    quotient_dim,
-    rank,
-    signature_normal_form,
     solve,
     solve_sparse,
     sparse_row,
     transpose,
 )
+from diracdeform.dirac_theory import (
+    DegeneratePairing,
+    annihilator,
+    signature_normal_form,
+)
+from ratlin_oracles import rank
 
 
 def F(a, b=1):
@@ -217,13 +217,6 @@ class TestSubspace:
         A = Subspace(n, va)
         B = Subspace(n, vb)
         assert A.add(B).dim + A.intersect(B).dim == A.dim + B.dim
-
-    def test_quotient_dim(self):
-        A = Subspace(3, [[1, 0, 0], [0, 1, 0]])
-        B = Subspace(3, [[1, 1, 0]])
-        assert quotient_dim(A, B) == 1
-        with pytest.raises(NotSubspace):
-            quotient_dim(B, A)
 
 
 class TestSignature:

@@ -12,18 +12,20 @@ from diracdeform.superalg import (
     GeneratorMismatch,
     GeneratorSet,
     NotHomogeneous,
-    NotOddLinear,
     ParseError,
     SuperElement,
     UnknownGenerator,
     bidegree_components,
-    euler_weight,
-    ghost_degree,
-    insert_left,
-    insert_right,
     parse,
     phase_generators,
     to_text,
+)
+from diracdeform.algebroid import euler_weight
+from diracdeform.courant_theory import (
+    NotOddLinear,
+    ghost_degree,
+    insert_left,
+    insert_right,
 )
 
 G = phase_generators(2, 2)  # q1 q2 p_1 p_2 ; a_1 a_2 a^1 a^2
