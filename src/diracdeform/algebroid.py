@@ -101,12 +101,13 @@ def cohomology(mu, k):
 def _cohomology(mu, k):
     """cohomology without the Jacobi check, for callers that have
     checked mu once."""
-    dim = mu.dim
+    dim, terms = mu.dim, mu.terms
     dom = _cochain_basis(k, dim)
-    ker = ratlin.Echelon(ratlin.Echelon(_delta_rows(mu, k)).kernel(len(dom)))
+    ker = ratlin.Echelon(ratlin.Echelon(_delta_rows(terms, dim, k))
+                         .kernel(len(dom)))
     pos = {key: i for i, key in enumerate(dom)}
-    im = ratlin.Echelon({pos[key]: v for key, v in col.items()}
-                        for col in (_delta_columns(mu, k - 1) if k else ()))
+    im = ratlin.Echelon({pos[key]: v for key, v in col.items()} for col in
+                        (_delta_columns(terms, dim, k - 1) if k else ()))
     hdim = len(ker) - len(im)
     reps = [_from_terms(MultiMap, k, dim,
                         {dom[j]: x for j, x in ker.rows[p].items()})

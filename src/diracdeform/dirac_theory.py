@@ -1,6 +1,9 @@
 """Linear Dirac structures on V + V*: what the CLI does not run, exact,
-in the conventions of `dirac_linear`.  `diracdeform.cli` does not import
-this module, so no job compiles it; `test_acceptance` pins its claims."""
+in the conventions of `dirac_linear`, and the admissible-function
+algebra of an `ihs.IHSystem` (the Poisson bracket on polynomials whose
+differential lies in the covector projection of its L).
+`diracdeform.cli` does not import this module, so no job compiles it;
+`test_acceptance` pins its claims."""
 
 import math
 from fractions import Fraction
@@ -14,8 +17,11 @@ from .dirac_linear import (
     flip,
     from_bivector,
     intersect_V,
+    lift,
+    range_of,
 )
 from .ratlin import Subspace, frac, identity, mat, mat_vec
+from .superalg import SuperElement
 
 
 # ---------------------------------------------------------------------------
@@ -362,3 +368,66 @@ def canonical_symplectic(d):
         pi[i][d + i] = Fraction(1)
         pi[d + i][i] = Fraction(-1)
     return from_bivector(pi)
+
+
+# ---------------------------------------------------------------------------
+# admissible functions of an implicit Hamiltonian system (exact)
+# ---------------------------------------------------------------------------
+
+class NotAdmissible(Exception):
+    pass
+
+
+def covector_projection(system):
+    """pr_{V*}(L) as an exact Subspace of Q^n: the range of flip(L)."""
+    return range_of(flip(system.L))
+
+
+def kernel_directions(system):
+    """L cap V: exact basis of the gauge directions."""
+    return [list(v) for v in intersect_V(system.L).basis]
+
+
+def _gradient_columns(system, f):
+    """(m, [coefficient of monomial m in df/dx_i]) over the sorted
+    monomials of df."""
+    grads = [f.partial_even(v).terms for v in system.gens.even]
+    for m in sorted({m for g in grads for m in g}):
+        yield m, [g.get(m, Fraction(0)) for g in grads]
+
+
+def is_admissible(system, f):
+    """Exact coefficient-wise membership of df in pr_{V*}(L)."""
+    W = covector_projection(system)
+    return all(W.contains_vector(c) for _, c in _gradient_columns(system, f))
+
+
+def hamiltonian_field(system, f):
+    """A polynomial vector field X_f with (X_f, df) in L pointwise.
+
+    The choice is unique up to kernel_directions(system); the induced
+    bracket does not depend on it.  Raises NotAdmissible if df leaves
+    the covector projection of L.
+    """
+    dual = flip(system.L)
+    field = [{} for _ in range(system.n)]
+    for m, c in _gradient_columns(system, f):
+        try:
+            u = lift(dual, c)
+        except ValueError:
+            raise NotAdmissible(
+                "differential leaves the covector projection") from None
+        for i, ui in enumerate(u):
+            if ui:
+                field[i][m] = ui
+    return [SuperElement(system.gens, t) for t in field]
+
+
+def admissible_bracket(system, f, g):
+    """{f, g} = X_f(g), exact on rational polynomials."""
+    if not is_admissible(system, g):
+        raise NotAdmissible("second argument is not admissible")
+    out = system.gens.zero()
+    for Xi, v in zip(hamiltonian_field(system, f), system.gens.even):
+        out = out + Xi * g.partial_even(v)
+    return out

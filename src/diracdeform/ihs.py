@@ -13,10 +13,8 @@ constraint rows and every residual is exactly 0.0.  Trajectories are
 integrated with classical RK4 on plain Python floats, without numpy,
 by one loop generated per system whose steps are straight-line Python;
 a step that is not finite or not admissible is replayed stage by stage,
-bit for bit, and the loop resumes after it.  The
-admissible-function algebra (the Poisson bracket on functions whose
-differential lies in the covector projection of L) is computed exactly
-on polynomials with rational coefficients.
+bit for bit, and the loop resumes after it.  The admissible-function
+algebra of a system is in `dirac_theory`.
 
 Polynomials are SuperElements over the even generators x1..xn
 (IHSystem.gens).
@@ -24,23 +22,12 @@ Polynomials are SuperElements over the even generators x1..xn
 
 import functools
 import math
-from fractions import Fraction
 
 from . import ratlin
-from .dirac_linear import (
-    dirac_from_json,
-    flip,
-    intersect_V,
-    lift,
-    range_of,
-)
+from .dirac_linear import dirac_from_json
 from .jsonin import InputError, array, fields, rational
 from .multilinear import base_gens
 from .superalg import SuperElement
-
-
-class NotAdmissible(Exception):
-    pass
 
 
 class LeftAdmissibleSet(Exception):
@@ -369,59 +356,6 @@ class IHSystem:
         if not math.isfinite(e):
             raise LeftAdmissibleSet(s, (s + 1) * h, y)
         return y, e, res if self._residual_terms else []
-
-    # -- admissible-function algebra (exact) ----------------------------
-
-    def covector_projection(self):
-        """pr_{V*}(L) as an exact Subspace of Q^n: the range of flip(L)."""
-        return range_of(flip(self.L))
-
-    def kernel_directions(self):
-        """L cap V: exact basis of the gauge directions."""
-        return [list(v) for v in intersect_V(self.L).basis]
-
-    def _gradient_columns(self, f):
-        """(m, [coefficient of monomial m in df/dx_i]) over the sorted
-        monomials of df."""
-        grads = [f.partial_even(v).terms for v in self.gens.even]
-        for m in sorted({m for g in grads for m in g}):
-            yield m, [g.get(m, Fraction(0)) for g in grads]
-
-    def is_admissible(self, f):
-        """Exact coefficient-wise membership of df in pr_{V*}(L)."""
-        W = self.covector_projection()
-        return all(W.contains_vector(c)
-                   for _, c in self._gradient_columns(f))
-
-    def hamiltonian_field(self, f):
-        """A polynomial vector field X_f with (X_f, df) in L pointwise.
-
-        The choice is unique up to kernel_directions(); the induced
-        bracket does not depend on it.  Raises NotAdmissible if df
-        leaves the covector projection of L.
-        """
-        dual = flip(self.L)
-        field = [{} for _ in range(self.n)]
-        for m, c in self._gradient_columns(f):
-            try:
-                u = lift(dual, c)
-            except ValueError:
-                raise NotAdmissible(
-                    "differential leaves the covector projection") from None
-            for i, ui in enumerate(u):
-                if ui:
-                    field[i][m] = ui
-        return [SuperElement(self.gens, t) for t in field]
-
-    def admissible_bracket(self, f, g):
-        """{f, g} = X_f(g), exact on rational polynomials."""
-        if not self.is_admissible(g):
-            raise NotAdmissible("second argument is not admissible")
-        X = self.hamiltonian_field(f)
-        out = self.gens.zero()
-        for Xi, v in zip(X, self.gens.even):
-            out = out + Xi * g.partial_even(v)
-        return out
 
 
 # ---------------------------------------------------------------------------

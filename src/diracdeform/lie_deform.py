@@ -189,7 +189,7 @@ def _lie_differential(mu0, k):
     return Differential(partial(_ce_differential, mu0),
                         partial(_unit_cochains, k, mu0.dim),
                         MultiMap.zero(k, mu0.dim), spans=True,
-                        images=partial(_delta_columns, mu0, k))
+                        images=partial(_delta_columns, mu0.terms, mu0.dim, k))
 
 
 def _lie_rhs(coeffs, n):

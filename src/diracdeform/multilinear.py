@@ -1,16 +1,18 @@
 """Antisymmetric multilinear maps over exact rationals.
 
 NonSymMultiMap holds multilinear maps V^n -> V on a finite-dimensional
-rational vector space (the full tensor), with the Gerstenhaber bracket;
-its subclass MultiMap holds the antisymmetric ones on strictly
-increasing index tuples, with the Nijenhuis-Richardson bracket.  The
-Chevalley-Eilenberg differential of a Lie structure mu is
-delta = (-1)^{n+1} [mu, .]_NR on n-cochains.  Both brackets, the Jacobi
-test, delta and its matrix columns (_delta_columns) are built from one
-sparse insertion of a map into a slot of another (_slots, _insert),
-which walks only the coordinates present.  Cohomology with
-representatives, multiderivations and Grassmann derivations are in
-`algebroid`.
+rational vector space (the full tensor); its subclass MultiMap holds
+the antisymmetric ones on strictly increasing index tuples, with the
+Nijenhuis-Richardson bracket.  The Chevalley-Eilenberg differential of
+a Lie structure mu is delta = (-1)^{n+1} [mu, .]_NR on n-cochains.  The
+bracket, the Jacobi test and the one builder of delta's columns
+(_delta_columns, from a coordinate dict of mu) come from one sparse
+insertion of a map into a slot of another (_slots, _insert), which
+walks only the coordinates present.  cohomology_dims feeds that builder
+mu scaled to integers and ranks the int rows without Fraction
+(ratlin.rank_of_rows); the solves feed it mu's Fractions.  Cohomology
+with representatives, the Gerstenhaber bracket, multiderivations and
+Grassmann derivations are in `algebroid`.
 """
 
 import itertools
@@ -269,22 +271,24 @@ def _unit_cochains(k, dim):
             for idx, g in _cochain_basis(k, dim)]
 
 
-def _delta_columns(mu, k):
-    """Columns of the CE differential A^k -> A^{k+1}, without a Jacobi
-    check: one dict per element (idx, g) of _cochain_basis(k), holding
-    the nonzero coordinates (keyed like MultiMap.terms) of
+def _delta_columns(terms, dim, k):
+    """Columns of the CE differential A^k -> A^{k+1} of the structure
+    with coordinates terms ({(idx, t): v}, as MultiMap.terms) on a space
+    of dimension dim, without a Jacobi check: one dict per element
+    (idx, g) of _cochain_basis(k, dim), holding the nonzero coordinates
+    (keyed like MultiMap.terms) of
 
         delta e = (-1)^{k+1} [mu, e]_NR
                 = (-1)^{k+1} mu <> e - e <> mu
 
-    for the unit cochain e = e^idx (x) e_g."""
-    mu_terms = mu.terms
-    mu_slots = _slots(mu_terms)
+    for the unit cochain e = e^idx (x) e_g.  Its entries are products of
+    signs and values of terms: ints for int terms."""
+    mu_slots = _slots(terms)
     cols = []
-    for idx, g in _cochain_basis(k, mu.dim):
+    for idx, g in _cochain_basis(k, dim):
         e = {(idx, g): 1}
         col = _insert(mu_slots, e, _psign(k + 1))
-        _insert(_slots(e), mu_terms, -1, col)
+        _insert(_slots(e), terms, -1, col)
         cols.append({key: v for key, v in col.items() if v})
     return cols
 
@@ -295,23 +299,30 @@ def cohomology_dims(mu, degrees):
 
         dim H^k = N_k - rank delta^k - rank delta^{k-1},
 
-    with N_k = C(dim, k) * dim the number of unit k-cochains.  Each
-    delta^j that the degrees need is built once, and its rank is the
-    length of a forward elimination of its rows: no back pass, no kernel
-    basis and no representatives (`cohomology` computes those)."""
+    with N_k = C(dim, k) * dim the number of unit k-cochains.  delta is
+    linear in mu, so it has the ranks of the integer structure D mu, D
+    the lcm of the denominators of mu.  Each delta^j that the degrees
+    need is built once from D mu, and its rank is a fraction-free
+    forward elimination of its integer rows (ratlin.rank_of_rows): no
+    Fraction, no back pass, no kernel basis and no representatives
+    (`cohomology` computes those)."""
     _require_lie(mu)
-    dim = mu.dim
+    dim, terms = mu.dim, mu.terms
+    D = math.lcm(*(v.denominator for v in terms.values()))
+    terms = {key: v.numerator * (D // v.denominator)
+             for key, v in terms.items()}
     needed = {j for k in degrees for j in (k - 1, k) if 0 <= j < dim}
-    ranks = {j: len(ratlin.Echelon(_delta_rows(mu, j))) for j in needed}
+    ranks = {j: ratlin.rank_of_rows(_delta_rows(terms, dim, j))
+             for j in needed}
     return [math.comb(dim, k) * dim - ranks.get(k, 0) - ranks.get(k - 1, 0)
             for k in degrees]
 
 
-def _delta_rows(mu, k):
+def _delta_rows(terms, dim, k):
     """The nonzero rows of delta^k, each a dict column index -> value
-    over the columns of _delta_columns(mu, k)."""
+    over the columns of _delta_columns(terms, dim, k)."""
     rows = {}
-    for j, col in enumerate(_delta_columns(mu, k)):
+    for j, col in enumerate(_delta_columns(terms, dim, k)):
         for key, v in col.items():
             rows.setdefault(key, {})[j] = v
     return rows.values()

@@ -1,20 +1,22 @@
 """Exact linear algebra over the rationals.
 
 Matrices are plain lists of rows, entries `fractions.Fraction` (helpers
-coerce ints).  One elimination routine, `Echelon`, serves rank, kernels,
+coerce ints).  One elimination routine, `Echelon`, serves kernels,
 solves, pseudo-inverses and subspaces; only this module knows its row
 format, a dict column -> Fraction.  Each insert is a forward pass, and
 one back-substitution pass, highest pivot first, gives the reduced row
 echelon form: canonical for a given column order, so kernel bases
 (sparse rows), solutions and Subspace bases do not depend on the order
 of the rows.  `solve_sparse` takes sparse columns keyed by any sortable
-coordinate keys; `solve` is its dense edge.
+coordinate keys; `solve` is its dense edge.  A rank alone is
+`rank_of_rows`: a forward pass over integer rows, with no Fraction.
 
 All values are immutable by convention: no function mutates its inputs.
 """
 
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 
 
 def frac(x):
@@ -138,6 +140,35 @@ class Echelon:
                 if c != p:
                     basis[c][p] = -x
         return list(basis.values())
+
+
+def rank_of_rows(rows):
+    """The rank over Q of sparse integer rows (dicts column -> nonzero
+    int), by fraction-free forward elimination (Bareiss, Math. Comp. 22,
+    1968).  A stored row is primitive (content 1) with a positive pivot;
+    clearing pivot p of v with stored row r sets
+
+        v <- (r[p] / g) v - (v[p] / g) r,    g = gcd(r[p], v[p]),
+
+    and a surviving row is divided by its content.  Rows go in shortest
+    first, as in Echelon."""
+    stored = {}
+    for row in sorted(rows, key=len):
+        v = dict(row)
+        while pivots := [c for c in v if c in stored]:
+            p = min(pivots)
+            r, x = stored[p], v.pop(p)
+            g = gcd(r[p], x)
+            a, b = r[p] // g, x // g
+            if a != 1:
+                for c in v:
+                    v[c] *= a
+            _sub_multiple(v, b, r, p)
+        if v:
+            p = min(v)
+            g = gcd(*v.values()) if v[p] > 0 else -gcd(*v.values())
+            stored[p] = {c: x // g for c, x in v.items()}
+    return len(stored)
 
 
 def kernel_basis(M, ncols=None):

@@ -419,7 +419,7 @@ class TestSparseDelta:
         mu = LIE_FIXTURES[name]
         for k in range(mu.dim + 1):
             units = ml._unit_cochains(k, mu.dim)
-            cols = ml._delta_columns(mu, k)
+            cols = ml._delta_columns(mu.terms, mu.dim, k)
             assert cols == [lie_oracles.ce_differential(mu, f).terms
                             for f in units]
             assert cols == [((-1) ** (k + 1) * nr_bracket(mu, f)).terms
@@ -431,8 +431,8 @@ class TestSparseDelta:
         for k in range(mu.dim):
             pos = {key: i for i, key in
                    enumerate(ml._cochain_basis(k + 1, mu.dim))}
-            nxt = ml._delta_columns(mu, k + 1)
-            for col in ml._delta_columns(mu, k):
+            nxt = ml._delta_columns(mu.terms, mu.dim, k + 1)
+            for col in ml._delta_columns(mu.terms, mu.dim, k):
                 out = {}
                 for key, v in col.items():
                     for key2, w in nxt[pos[key]].items():
@@ -532,13 +532,26 @@ class TestCohomologyDims:
         built = []
         columns = ml._delta_columns
 
-        def counted(mu, k):
+        def counted(terms, dim, k):
             built.append(k)
-            return columns(mu, k)
+            # the structure reaches the builder scaled to integers
+            assert all(type(v) is int for v in terms.values())
+            return columns(terms, dim, k)
 
         monkeypatch.setattr(ml, "_delta_columns", counted)
         assert cohomology_dims(filiform(6), [3, 1, 2, 1]) == [14, 6, 12, 6]
         assert sorted(built) == [0, 1, 2, 3]
+
+    @given(lie_algebras(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_scaling_mu_keeps_the_dims(self, mu, data):
+        # delta is linear in mu, so c mu has the ranks of mu for c != 0;
+        # a c with a large denominator exercises the integer scaling
+        c = data.draw(st.fractions(max_denominator=10 ** 12)
+                      .filter(lambda c: c != 0))
+        degrees = list(range(mu.dim + 2))
+        assert cohomology_dims(c * mu, degrees) \
+            == cohomology_dims(mu, degrees)
 
     def test_not_lie(self):
         with pytest.raises(NotLie):

@@ -13,6 +13,7 @@ from diracdeform.ratlin import (
     mat_mul,
     mat_vec,
     pseudo_inverse,
+    rank_of_rows,
     solve,
     solve_sparse,
     sparse_row,
@@ -112,6 +113,45 @@ class TestRank:
     @settings(max_examples=40, deadline=None)
     def test_rank_transpose(self, M):
         assert rank(M) == rank(transpose(M))
+
+
+@st.composite
+def integer_rows(draw):
+    """Up to 12 sparse integer rows over 12 columns, entries up to 10^30
+    in size: empty rows, repeats, multiples and sums of earlier rows."""
+    entry = st.one_of(st.integers(-3, 3),
+                      st.integers(-10 ** 30, 10 ** 30)).filter(bool)
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["new", "multiple", "sum"])) \
+            if rows else "new"
+        if kind == "new":
+            row = draw(st.dictionaries(st.integers(0, 11), entry,
+                                       max_size=12))
+        elif kind == "multiple":
+            c = draw(st.integers(-3, 3).filter(bool))
+            row = {j: c * x for j, x in draw(st.sampled_from(rows)).items()}
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            row = {j: a.get(j, 0) + b.get(j, 0) for j in {*a, *b}}
+            row = {j: x for j, x in row.items() if x}
+        rows.append(row)
+    return rows
+
+
+class TestRankOfRows:
+    def test_small(self):
+        assert rank_of_rows([]) == 0
+        assert rank_of_rows([{}, {}]) == 0
+        assert rank_of_rows([{0: 2, 1: 4}, {0: -3, 1: -6}]) == 1
+        assert rank_of_rows([{0: 2, 1: 4}, {0: 3, 1: 5}, {1: 7}]) == 2
+
+    @given(integer_rows())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_echelon(self, rows):
+        before = [dict(r) for r in rows]
+        assert rank_of_rows(rows) == len(Echelon(rows))
+        assert rows == before
 
 
 class TestKernel:
