@@ -82,6 +82,12 @@ def _require_positive(name, value):
 MAX_COCHAINS = 10 ** 5
 
 
+# most RK4 steps of an ihs-run, checked before the system is read.  At
+# 10**6 steps a 4-D system's JSON report is about 150 MB (its table 250
+# MB), and the process holds both the floats and the text: 0.6-1.5 GB
+MAX_STEPS = 10 ** 6
+
+
 def _require_cochains(dim, degrees):
     for k in degrees:
         if math.comb(dim, k) * dim > MAX_COCHAINS:
@@ -343,6 +349,8 @@ def cmd_rothstein_check(args):
 
 def cmd_ihs_run(args):
     _require_counts(("--steps", args.steps))
+    if args.steps > MAX_STEPS:
+        raise InputError("--steps", f"{args.steps} is more than {MAX_STEPS}")
     _require_positive("--h", args.h)
     data, digest = _load_json(args.input)
     sys_ = ihs.system_from_json(data)

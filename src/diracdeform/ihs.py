@@ -13,8 +13,13 @@ constraint rows and every residual is exactly 0.0.  Trajectories are
 integrated with classical RK4 on plain Python floats, without numpy,
 by one loop generated per system whose steps are straight-line Python;
 a step that is not finite or not admissible is replayed stage by stage,
-bit for bit, and the loop resumes after it.  The admissible-function
-algebra of a system is in `dirac_theory`.
+bit for bit, and the loop resumes after it.  A coordinate whose field
+row is empty is frozen: the loop computes its one stage value once a
+step, and a system without constraint rows commits no residual per
+step.  In the trajectory text, a column whose values all have one .12g
+text (a frozen coordinate, a conserved H, a residual of 0.0) is
+written once, into the row template.  The admissible-function algebra
+of a system is in `dirac_theory`.
 
 Polynomials are SuperElements over the even generators x1..xn
 (IHSystem.gens).
@@ -110,13 +115,23 @@ def _compile_step(n, field, residual, b, H):
     generated from float reprs and integers: one loop over the RK4 steps
     s .. steps - 1 from the point x, each step in the operations of
     _float_eval and IHSystem._staged_step.  A step commits its new point
-    through P, its energy through E and its k1 residual (0.0 without
-    constraint rows) through R, and takes its stage residuals into
-    max_res.  Returns (s, max_res) after the last step, or at the first
-    step s that it cannot commit, uncommitted: one that overflows, has a
-    stage row or the energy not finite (the sentinel z * 0.0 is then not
-    0.0), or has a stage residual above tol (1 + max |b|).  integrate
-    replays that one step and calls the loop again from s + 1.
+    through P and its energy through E; with constraint rows, it commits
+    its k1 residual through R and takes its stage residuals into max_res
+    (without them R is not called: every residual is 0.0).  Returns
+    (s, max_res) after the last step, or at the first step s that it
+    cannot commit, uncommitted: one that overflows, has a stage row or
+    the energy not finite (the sentinel z * 0.0 is then not 0.0), or has
+    a stage residual above tol (1 + max |b|).  integrate replays that one
+    step and calls the loop again from s + 1.
+
+    A field row with no terms is a frozen coordinate x{i}: its k rows
+    are 0.0, so they are left out, of z too, and its stage values
+    x{i} + c * 0.0 for c = h2, h, h6 are one value, y0_{i} = x{i} +
+    h * 0.0, written once a step.  c * 0.0 is a zero with the sign of h,
+    or NaN for an infinite or NaN h, for every h (h2 and h6 keep the sign
+    of h when they underflow), so y0_{i} is each stage's value bit for
+    bit; x{i} + 0.0 would turn x{i} = -0.0 into 0.0 for h < 0.  A row
+    whose coefficient rounds to 0.0 has terms, and stays.
 
     A term is written as _float_eval computes it, less what is exact for
     every float: y**1 is y, 1.0 * a is a, and v + (-1.0 * a) * b is
@@ -151,19 +166,20 @@ def _compile_step(n, field, residual, b, H):
             "h6 * (k0_{0} + 2 * k1_{0} + 2 * k2_{0} + k3_{0})")
     for j, inc in enumerate(incs):
         for tag, rows in (("k", field), ("r", residual), ("b", b)):
-            vals = [f"{tag}{j}_{i}" for i in range(len(rows))]
-            for v, t in zip(vals, rows):
-                body += row(v, t, y)
-            seen += vals
+            for i, t in enumerate(rows):
+                if t:           # residual and b rows are never empty
+                    body += row(f"{tag}{j}_{i}", t, y)
+                    seen.append(f"{tag}{j}_{i}")
         if residual:        # stage j's residual m{j}; then b != 0 too
             checks += [f"m{j} = {stage_max('r', j, residual)}",
                        f"if not m{j} <= tol * (1.0 + {stage_max('b', j, b)}):",
                        "    return s, max_res"]
-        y = [f"y{j}_{i}" for i in range(n)]
-        body += [f"{v} = x{i} + {inc.format(i)}" for i, v in enumerate(y)]
+        y = [f"y{j}_{i}" if t else f"y0_{i}" for i, t in enumerate(field)]
+        body += [f"{v} = x{i} + {inc.format(i) if field[i] else 'h * 0.0'}"
+                 for i, v in enumerate(y) if field[i] or not j]
     body += row("e", H, y) + total("z", "e", [f" + {v}" for v in seen])
     commit = ["R(m0)", "max_res = max(max_res, 0.0, m0, m1, m2, m3)"] \
-        if residual else ["R(0.0)"]
+        if residual else []
     commit += [f"P([{', '.join(y)}])", "E(e)"]
     if n:
         commit.append(f"{', '.join(x)} = {', '.join(y)}")
@@ -313,7 +329,9 @@ class IHSystem:
         residual; the final point gets one more solve.  The steps run in
         the generated loop (_compile_step); a step that it cannot commit
         is replayed by _staged_step, which raises at the stage at fault or
-        gives the same floats, and the loop resumes after it."""
+        gives the same floats, and the loop resumes after it.  Without
+        constraint rows, the residuals are not committed step by step:
+        after the final point's check they are [0.0] * (steps + 1)."""
         h = self.h if h is None else h
         h2, h6 = h / 2, h / 6
         x = [float(v) for v in x0]
@@ -326,7 +344,7 @@ class IHSystem:
         s, max_res = step(*x, h, h2, h6, 0, steps, tol, *commit, 0.0)
         while s < steps:
             x, e, res = self._staged_step(s, points[-1], h)
-            residuals.append(res[0] if res else 0.0)
+            residuals += res[:1]
             max_res = max(max_res, 0.0, *res)
             points.append(x)
             energies.append(e)
@@ -336,7 +354,10 @@ class IHSystem:
         residuals.append(self._solve(x)[1])
         if not math.isfinite(residuals[-1]):
             raise LeftAdmissibleSet(steps, steps * h, x)
-        drift = max(abs(e - e0) for e in energies)
+        if not self._residual_terms:
+            residuals = [0.0] * (steps + 1)
+        # rounding is monotone, so this is max |e - e0| over energies
+        drift = max(max(energies) - e0, e0 - min(energies))
         times = [0.0] + [s * h for s in range(1, steps + 1)]
         return Trajectory(times, points, energies, drift, max_res, residuals)
 
@@ -362,16 +383,42 @@ class IHSystem:
 # Trajectory text
 # ---------------------------------------------------------------------------
 
+def _one_text(col):
+    """The .12g text of every value in the sequence col if they all have
+    one, else None.  Only a zero is written 0 or -0: such a column must
+    hold zeros of one sign alone.  Otherwise, since '%.12g' is correctly
+    rounded, the values share the text of the smallest and the largest,
+    unless one is a NaN (min and max may pass over it; sum does not)."""
+    text = "%.12g" % col[0]
+    if text != "%.12g" % col[-1]:
+        return None
+    if text in ("0", "-0"):
+        same = col.count(0.0) == len(col) == abs(
+            sum(map(math.copysign, [1.0] * len(col), col)))
+    else:
+        total = sum(col)
+        same = total == total and "%.12g" % min(col) == text \
+            == "%.12g" % max(col)
+    return text if same else None
+
+
 def trajectory_text(traj, head, sep, tail, between):
     """The ihs-run rows [t, x1..xn, H, residual], each written as head +
     the .12g values joined by sep + tail, and joined by between: one %
-    format a row ('%.12g' % v is f'{v:.12g}').  A .12g value holds only
-    digits, '-', '+', '.', 'e', 'inf' or 'nan', so sep may quote it."""
-    k = len(traj.points[0]) + 3
+    format a row ('%.12g' % v is f'{v:.12g}').  A column whose values all
+    have one .12g text (_one_text: a frozen coordinate, a conserved H,
+    the residual of a system without constraint rows) is written once,
+    into the row template, and each row formats the other columns alone;
+    if every column is so, each of the len(traj.times) rows is the
+    template.  A .12g value holds only digits, '-', '+', '.', 'e', 'inf'
+    or 'nan', so sep may quote it."""
+    cols = [traj.times, *zip(*traj.points), traj.energies, traj.residuals]
     head, sep, tail = (s.replace("%", "%%") for s in (head, sep, tail))
-    fmt = head + sep.join(["%.12g"] * k) + tail
-    return between.join([fmt % (t, *x, e, r) for t, x, e, r in zip(
-        traj.times, traj.points, traj.energies, traj.residuals)])
+    texts = [_one_text(col) for col in cols]
+    fmt = head + sep.join([t or "%.12g" for t in texts]) + tail
+    live = [col for col, t in zip(cols, texts) if t is None]
+    rows = zip(*live) if live else [()] * len(traj.times)
+    return between.join(map(fmt.__mod__, rows))
 
 
 def trajectory_rows(traj):

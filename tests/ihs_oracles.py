@@ -10,6 +10,10 @@ on numpy arrays.  Only the Hamiltonian's float evaluation (`sys_.dH`,
 `_solve` per stage, each checked as it is made.  The generated step must
 give the same floats and the same `LeftAdmissibleSet`.
 
+`rowwise_trajectory_text` is the trajectory text that writing each
+column of one .12g text once replaced: every value of every row goes
+through its own '%.12g'.
+
 `system_to_json` writes the input that `ihs.system_from_json` reads."""
 
 import math
@@ -146,6 +150,15 @@ def staged_integrate(sys_, x0, steps, h=None):
         raise ihs.LeftAdmissibleSet(steps, steps * h, x)
     drift = max(abs(e - e0) for e in energies)
     return ihs.Trajectory(times, points, energies, drift, max_res, residuals)
+
+
+def rowwise_trajectory_text(traj, head, sep, tail, between):
+    """ihs.trajectory_text with one %.12g in the template per value."""
+    k = len(traj.points[0]) + 3
+    head, sep, tail = (s.replace("%", "%%") for s in (head, sep, tail))
+    fmt = head + sep.join(["%.12g"] * k) + tail
+    return between.join([fmt % (t, *x, e, r) for t, x, e, r in zip(
+        traj.times, traj.points, traj.energies, traj.residuals)])
 
 
 def system_to_json(sys_):

@@ -635,6 +635,9 @@ class TestTableFormat:
     ("deform-dirac", {"courant": {"m": 1, "k": 2},
                       "prefix": ["a^1 a^2", "p_1 a^1 a^2"]}, [],
      "$.prefix[1]"),
+    # more steps than MAX_STEPS: a report of more than about 150 MB
+    ("ihs-run", OSC, ["--x0", "0,0", "--steps", str(cli.MAX_STEPS + 1)],
+     "--steps"),
 ])
 def test_input_errors_exit_2_naming_path(tmp_path, command, data, extra,
                                         path):
@@ -674,6 +677,17 @@ def test_huge_decimal_exponents_exit_2_at_once(tmp_path, capsys, command,
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == ""
     assert f"{path}: not a rational (a decimal exponent beyond 4300" in err
+
+
+@pytest.mark.parametrize("steps", [cli.MAX_STEPS + 1, 10 ** 30])
+def test_steps_beyond_the_bound_exit_2_before_reading(tmp_path, capsys,
+                                                      steps):
+    # the system file does not exist: --steps is refused before it is read
+    code, out, err = run(["ihs-run", "--system", str(tmp_path / "none.json"),
+                          "--x0", "1,0", "--steps", str(steps)], capsys)
+    assert code == 2 and out == ""
+    assert err == f"input error: --steps: {steps} is more than " \
+                  f"{cli.MAX_STEPS}\n"
 
 
 @pytest.mark.parametrize("text, value", [

@@ -7,8 +7,10 @@ exits 0, 1 or 2 without a traceback; a report on stdout is strict JSON
 and the same bytes on a re-run; and every document the schema rejects
 exits 2 with a message naming a JSON path.  A schema-valid document may
 still exit 2 for a reason the schema cannot express (an index >= dim,
-n != L.n).  `main` runs in-process, with its output redirected, since
-hypothesis cannot use function-scoped fixtures such as capsys.
+n != L.n).  With a `--steps` beyond `cli.MAX_STEPS`, `ihs-run` exits 2
+naming `--steps`, whatever the document.  `main` runs in-process, with
+its output redirected, since hypothesis cannot use function-scoped
+fixtures such as capsys.
 """
 
 import copy
@@ -150,6 +152,8 @@ WRONG = [None, True, "x", "", "1/0", "--1", "1/2/3", 0.5, -1, [], {"a": 1},
 # a huge computation, which is not an input error.  A huge decimal
 # exponent is one, and must be refused before Fraction expands it.
 HUGE = [10 ** 30, -10 ** 30, "1e400", 1e308, "1e30000000", "-1E-30000000"]
+# ihs-run's --steps is a count with a bound, checked before the input
+HUGE_STEPS = [cli.MAX_STEPS + 1, 10 ** 30]
 
 
 def _nodes(doc, path=()):
@@ -246,10 +250,11 @@ def test_exit_code_contract(schema, workdir):
     check = validator(schema)
     path = workdir / schema.replace(".schema", "")
 
-    @given(doc=mutated(documents), pick=st.integers(0, 2))
+    @given(doc=mutated(documents), pick=st.integers(0, 2),
+           steps=st.sampled_from(HUGE_STEPS))
     @settings(max_examples=40, deadline=None, database=None,
               suppress_health_check=[HealthCheck.too_slow])
-    def contract(doc, pick):
+    def contract(doc, pick, steps):
         path.write_text(json.dumps(doc))
         argv = [str(path) if a == IN else a
                 for a in commands[pick % len(commands)]]
@@ -266,5 +271,9 @@ def test_exit_code_contract(schema, workdir):
         if not check.is_valid(doc) or not_two_form(doc):
             assert code == 2
             assert re.search(r": \$[^ ]*: ", err), err
+        if argv[0] == "ihs-run":
+            argv[argv.index("--steps") + 1] = str(steps)
+            assert run(argv) == (2, "", f"input error: --steps: {steps} "
+                                        f"is more than {cli.MAX_STEPS}\n")
 
     contract()

@@ -33,6 +33,7 @@ from diracdeform.superalg import SuperElement, parse
 from ihs_oracles import (
     NumpySolver,
     float_parts,
+    rowwise_trajectory_text,
     staged_integrate,
     system_to_json,
 )
@@ -47,6 +48,14 @@ def oscillator():
     L = canonical_symplectic(1)
     H = poly(2, "1/2 x1^2 + 1/2 x2^2")
     return ihs.IHSystem(L, H)
+
+
+def constrained_oscillator():
+    """Canonical on (x1, x3) = (q1, p1); (x2, x4) frozen."""
+    pi = [[0, 0, 1, 0], [0, 0, 0, 0],
+          [-1, 0, 0, 0], [0, 0, 0, 0]]
+    return ihs.IHSystem(from_bivector(ratlin.mat(pi)),
+                        poly(4, "1/2 x1^2 + 1/2 x2^2 + 1/2 x3^2"))
 
 
 def kernel_structure():
@@ -440,12 +449,7 @@ class TestIntegrate:
         assert traj.max_drift == 0.0
 
     def test_constrained_oscillator(self):
-        # canonical on (x1, x3) = (q1, p1); (x2, x4) frozen
-        pi = [[0, 0, 1, 0], [0, 0, 0, 0],
-              [-1, 0, 0, 0], [0, 0, 0, 0]]
-        L = from_bivector(ratlin.mat(pi))
-        H = poly(4, "1/2 x1^2 + 1/2 x2^2 + 1/2 x3^2")
-        sys_ = ihs.IHSystem(L, H)
+        sys_ = constrained_oscillator()
         traj = sys_.integrate([1.0, 0.5, 0.0, 0.25], 1000, h=1e-3)
         assert traj.max_drift < 1e-6
         # the constrained coordinates do not move
@@ -473,7 +477,8 @@ def stepped_systems(draw):
     tests."""
     rng = random.Random(draw(st.integers(0, 2 ** 16)))
     kind = draw(st.sampled_from(["kernel", "third", "quartic", "big",
-                                 "sum", "unit", "degree4", "random"]))
+                                 "sum", "unit", "degree4", "frozen",
+                                 "random"]))
     if kind == "kernel":
         H = rng.choice([poly(3, "1/2 x1^2 + 1/2 x2^2 + 1/2 x2^2 x3^2"),
                         rand_poly(rng, 3, degree=4)])
@@ -501,12 +506,20 @@ def stepped_systems(draw):
     if kind == "degree4":
         L = draw(lagrangians())
         return ihs.IHSystem(L, rand_poly(rng, L.n, degree=4))
+    if kind == "frozen":    # x2 and x4 frozen, no constraint rows
+        return constrained_oscillator()
     return draw(systems())
 
 
 # tiny entries keep a kernel coordinate admissible with a nonzero residual
 EXTREME = st.sampled_from([0.0, -0.0, 1e-12, -3e-11, 1e5, -1.2, 1e30, -1e30,
                            1e100, math.nan, math.inf, -math.inf])
+# a frozen coordinate x gets x + h * 0.0 at every stage: -0.0 + 0.0 is
+# 0.0, but -0.0 + -0.0 is -0.0, and inf * 0.0 is NaN
+FROZEN = st.sampled_from([-0.0, 0.0, math.inf, -math.inf, math.nan])
+STEP_SIZES = st.sampled_from([1e-3, 1e-2, 0.3, 1e200, -1e-3, -0.3, 5e-324,
+                              -5e-324, 0.0, -0.0, math.inf, -math.inf,
+                              math.nan])
 
 
 class TestGeneratedStep:
@@ -515,10 +528,11 @@ class TestGeneratedStep:
     def test_matches_staged_oracle(self, sys_, data):
         # repr compares floats bit for bit (it tells -0.0 from 0.0, and
         # a NaN from every number)
-        x0 = data.draw(st.lists(st.one_of(POINTS, EXTREME),
-                                min_size=sys_.n, max_size=sys_.n))
+        x0 = [data.draw(st.one_of(POINTS, EXTREME) if row else
+                        st.one_of(FROZEN, POINTS, EXTREME))
+              for row in sys_._field_terms]
         steps = data.draw(st.integers(0, 25))
-        h = data.draw(st.sampled_from([1e-3, 1e-2, 0.3, 1e200]))
+        h = data.draw(STEP_SIZES)
         got = trajectory_or_exit(sys_.integrate, x0, steps, h)
         want = trajectory_or_exit(
             lambda *a, h: staged_integrate(sys_, *a, h=h), x0, steps, h)
@@ -650,6 +664,44 @@ class TestGeneratedStep:
                                           "+", "-", "*", "**", "<", "<=",
                                           "!=", "+="}, tok.string
 
+    @pytest.mark.parametrize("sys_, x0, frozen", [
+        (constrained_oscillator(), [1.0, 0.5, 0.0, 0.25], [1, 3]),
+        (ihs.IHSystem(kernel_structure(), poly(
+            3, "1/2 x1^2 + 1/2 x2^2 + 1/2 x2^2 x3^2")), [0.3, -0.7, 1e-12],
+         [2])])
+    def test_frozen_coordinates_get_no_stage_rows(self, monkeypatch, sys_,
+                                                  x0, frozen):
+        # an empty field row has no k rows and one stage value, y0_i,
+        # written once per step; without constraint rows, no residual is
+        # committed per step
+        import re
+        sources = []
+        monkeypatch.setattr(ihs, "compile", lambda source, *args: (
+            sources.append(source) or compile(source, *args)), raising=False)
+        sys_.integrate(x0, 1)
+        [source] = sources
+        assert [i for i, row in enumerate(sys_._field_terms)
+                if not row] == frozen
+        for i in frozen:
+            assert not re.search(rf"\bk\d+_{i}\b", source)
+            assert not re.search(rf"\by[123]_{i}\b", source)
+            assert source.count(f"y0_{i} = ") == 1
+            assert f"y0_{i} = x{i} + h * 0.0" in source
+        assert ("R(" in source) == bool(sys_._residual_terms)
+
+    @pytest.mark.parametrize("h", [-1e-3, 1e-3, -0.0, math.inf])
+    @pytest.mark.parametrize("sys_, x0", [
+        (constrained_oscillator(), [0.6, -0.0, -0.8, 0.0]),
+        (ihs.IHSystem(kernel_structure(), poly(
+            3, "1/2 x1^2 + 1/2 x2^2 + 1/2 x2^2 x3^2")), [0.3, -0.7, -0.0])])
+    def test_frozen_zeros_take_the_sign_of_h_times_zero(self, sys_, x0, h):
+        # -0.0 + 0.0 is 0.0 and -0.0 + -0.0 is -0.0: a frozen -0.0 stays
+        # -0.0 only for h < 0, as it does stage by stage
+        got = trajectory_or_exit(sys_.integrate, x0, 3, h)
+        want = trajectory_or_exit(
+            lambda *a, h: staged_integrate(sys_, *a, h=h), x0, 3, h)
+        assert repr(vars(got)) == repr(vars(want))
+
     def test_unit_factors_are_left_out(self, monkeypatch):
         # the oscillator's field rows are x2 and -x1: a power of 1 is the
         # bare name, a coefficient of 1.0 is left out, and one of -1.0
@@ -768,6 +820,7 @@ class TestAdmissibleBracket:
 
 FORMAT_EDGES = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324,
                                 1e16, 1e-5])
+FORMAT_VALUES = st.one_of(st.floats(), FORMAT_EDGES)
 # rows [t, x1..xn, H, residual] of any floats, n from 0 to 12
 TRAJECTORY_ROWS = st.integers(0, 12).flatmap(lambda n: st.lists(
     st.lists(st.one_of(st.floats(), FORMAT_EDGES), min_size=n + 3,
@@ -788,20 +841,16 @@ def test_trajectory_rows_are_12g_of_every_value(rows):
         [[f"{v:.12g}" for v in r] for r in rows]
 
 
-@given(TRAJECTORY_ROWS)
-@settings(max_examples=300, deadline=None)
-def test_reports_render_the_trajectory_as_its_rows(rows):
-    # ihs-run's report holds the Trajectory itself; every format writes
-    # the text that it wrote for the report holding the rows as strings
-    traj = trajectory_of(rows)
-    strs = [[f"{v:.12g}" for v in r] for r in rows]
-
+def assert_reports_render(traj, strs):
+    """ihs-run's report holds the Trajectory itself; every format writes
+    the text that it wrote for the report holding the rows strs as
+    strings."""
     def report(trajectory):
         return {"command": "ihs-run", "ok": True,
-                "report": {"steps": len(rows) - 1, "trajectory": trajectory}}
+                "report": {"steps": len(strs) - 1, "trajectory": trajectory}}
 
     assert cli._json(traj) == json.dumps(strs, sort_keys=True, indent=2)
-    header = ["t"] + [f"x{i}" for i in range(1, len(rows[0]) - 2)]
+    header = ["t"] + [f"x{i}" for i in range(1, len(strs[0]) - 2)]
     want = {"json": json.dumps(report(strs), sort_keys=True, indent=2),
             "csv": "\n".join(",".join(row) for row in
                              [header + ["H", "residual"]] + strs),
@@ -812,6 +861,90 @@ def test_reports_render_the_trajectory_as_its_rows(rows):
             cli._emit(report(traj), argparse.Namespace(format=fmt,
                                                        output=None))
         assert out.getvalue() == text + "\n"
+
+
+@given(TRAJECTORY_ROWS)
+@settings(max_examples=300, deadline=None)
+def test_reports_render_the_trajectory_as_its_rows(rows):
+    assert_reports_render(trajectory_of(rows),
+                          [[f"{v:.12g}" for v in r] for r in rows])
+
+
+def neighbours(v, offsets):
+    """v moved by each offset in ulps (math.nextafter), where that keeps
+    the .12g text of v."""
+    col = []
+    for k in offsets:
+        w = v
+        for _ in range(abs(k)):
+            w = math.nextafter(w, math.copysign(math.inf, k))
+        col.append(w if f"{w:.12g}" == f"{v:.12g}" else v)
+    return col
+
+
+def constant_columns(size):
+    return FORMAT_VALUES.map(lambda v: [v] * size)
+
+
+def one_text_columns(size):
+    """Columns of size values that often share one .12g text: a repeated
+    value, nextafter neighbours, zeros of either sign, a NaN in an
+    otherwise constant column, infinities, or any floats."""
+    def column(values):
+        return st.lists(values, min_size=size, max_size=size)
+
+    return st.one_of(
+        constant_columns(size),
+        st.builds(neighbours, st.floats(allow_nan=False,
+                                        allow_infinity=False),
+                  column(st.integers(-3, 3))),
+        column(st.sampled_from([0.0, -0.0])),
+        st.builds(lambda v, i: [math.nan if j == i else v
+                                for j in range(size)],
+                  FORMAT_VALUES, st.integers(0, size - 1)),
+        column(st.sampled_from([math.inf, -math.inf])),
+        column(FORMAT_VALUES))
+
+
+@st.composite
+def column_rows(draw):
+    """Rows [t, x1..xn, H, residual], n from 0 to 4, drawn column by
+    column; sometimes every column is constant."""
+    n, size = draw(st.integers(0, 4)), draw(st.integers(1, 6))
+    columns = draw(st.sampled_from([one_text_columns, constant_columns]))
+    return [list(r) for r in zip(*[draw(columns(size))
+                                   for _ in range(n + 3)])]
+
+
+# the JSON and CSV templates, and one whose literal parts hold %
+TEMPLATES = [("", ",", "", "\n"), ('[\n  "', '",\n  "', '"\n]', ",\n"),
+             ("%", "%%s", "%d", "%")]
+
+
+@given(column_rows())
+@settings(max_examples=300, deadline=None)
+def test_one_text_columns_are_the_rowwise_text(rows):
+    traj = trajectory_of(rows)
+    for template in TEMPLATES:
+        assert ihs.trajectory_text(traj, *template) == \
+            rowwise_trajectory_text(traj, *template)
+    strs = [row.split("\0") for row in rowwise_trajectory_text(
+        traj, "", "\0", "", "\n").split("\n")]
+    assert ihs.trajectory_rows(traj) == strs
+    assert_reports_render(traj, strs)
+
+
+@pytest.mark.parametrize("col, text", [
+    ([0.3] * 4, "0.3"),
+    ([1.0, math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0)], "1"),
+    ([0.0, 0.0], "0"), ([-0.0, -0.0], "-0"), ([0.0, -0.0, 0.0], None),
+    ([-0.0, 0.0, -0.0], None), ([0.0, 5e-324, 0.0], None),
+    ([2.0, math.nan, 2.0], None), ([math.nan, math.nan], None),
+    ([math.inf] * 3, "inf"), ([-math.inf], "-inf"),
+    ([math.inf, -math.inf, math.inf], None), ([0.1, 0.2, 0.1], None),
+    ([-1e-5, 1e-5, -1e-5], None)])
+def test_one_text(col, text):
+    assert ihs._one_text(col) == text
 
 
 class TestSerialization:
