@@ -134,7 +134,7 @@ class BracketContext:
     def _table(self):
         """Rows [(a, [(b, P_ab)])] of the nonzero entries, keyed by flat
         generator index: even generator i is i, odd generator j is
-        n_even + j.  A constant P_ab is a Fraction, or None for 1; the
+        n_even + j.  A constant P_ab is an int, or None for 1; the
         connection entries are elements."""
         gens, m, k, conn = self.gens, self.m, self.k, self.connection
         zero, n_even = gens.zero(), len(gens.even)
@@ -145,7 +145,8 @@ class BracketContext:
 
         def put(a, b, value):
             if isinstance(value, int):
-                value = None if value == 1 else Fraction(value)
+                if value == 1:
+                    value = None
             elif value.is_zero():
                 return
             rows.setdefault(a, []).append((b, value))
@@ -158,6 +159,7 @@ class BracketContext:
         q, p = range(m), range(m, 2 * m)
         lo, up = range(2 * m, 2 * m + k), range(2 * m + k, 2 * m + 2 * k)
         curv = {}   # (i, j), i < j: the p_i p_j entry; R_ji = -R_ij
+        lo_up = [[g(lo[a]) * g(up[b]) for b in range(k)] for a in range(k)]
         for a in range(k):
             put(lo[a], up[a], 1)
             put(up[a], lo[a], 1)
@@ -178,7 +180,7 @@ class BracketContext:
                     put(p[i], p[j], -curv[j, i])
                 elif j > i:
                     curv[i, j] = sum(
-                        (conn.curvature(i, j, b, a) * g(lo[a]) * g(up[b])
+                        (conn.curvature(i, j, b, a) * lo_up[a][b]
                          for a in range(k) for b in range(k)), zero)
                     put(p[i], p[j], curv[i, j])
         return list(rows.items())
@@ -252,16 +254,6 @@ class BracketContext:
             gens.zero()) for i in range(m)]
 
 
-def derived_bracket(ctx, theta, x, y):
-    """{{x, theta}, y}."""
-    return ctx.bracket(ctx.bracket(x, theta), y)
-
-
-def derived_diff(ctx, theta, x):
-    """{theta, x}."""
-    return ctx.bracket(theta, x)
-
-
 def derived_identity_failures(ctx, residual, elements):
     """Where the derived bracket [a, b] = {{a, theta}, b} and the pairing
     <a, b> = {a, b} of a chi-degree-3 charge theta with residual R =
@@ -304,7 +296,8 @@ def master_residuals(ctx, theta):
 
     Theta must be chi-homogeneous of degree 3 (chi = epsilon + lambda);
     its bidegree parts are phi (0,3), mu (1,2), gamma (2,1), psi (3,0).
-    The returned components sum to {Theta, Theta}/2.
+    The returned components sum to {Theta, Theta}/2.  Nine brackets run
+    over five operands, and each operand is differentiated once.
     """
     gens = ctx.gens
     for mkey in theta.terms:
@@ -316,13 +309,46 @@ def master_residuals(ctx, theta):
     mu = parts.get((1, 2), gens.zero())
     gam = parts.get((2, 1), gens.zero())
     psi = parts.get((3, 0), gens.zero())
-    br = ctx.bracket
+    rp, lp, br = ctx.right_partials, ctx.left_partials, ctx.contract
+    r_mu, r_gam, r_phi = rp(mu), rp(gam), rp(phi)
+    l_mu, l_gam, l_phi, l_psi = lp(mu), lp(gam), lp(phi), lp(psi)
     half = Fraction(1, 2)
     components = {
-        (1, 3): half * br(mu, mu) + br(gam, phi),
-        (3, 1): half * br(gam, gam) + br(mu, psi),
-        (2, 2): br(mu, gam) + br(phi, psi),
-        (0, 4): br(mu, phi),
-        (4, 0): br(gam, psi),
+        (1, 3): half * br(r_mu, l_mu) + br(r_gam, l_phi),
+        (3, 1): half * br(r_gam, l_gam) + br(r_mu, l_psi),
+        (2, 2): br(r_mu, l_gam) + br(r_phi, l_psi),
+        (0, 4): br(r_mu, l_phi),
+        (4, 0): br(r_gam, l_psi),
     }
-    return {"total": br(theta, theta), "components": components}
+    return {"total": br(rp(theta), lp(theta)), "components": components}
+
+
+def darboux_residuals(ctx):
+    """{name: residual} of the super-Darboux relations of a ROTHSTEIN
+    context: {q_i, r_j} - delta_ij, {r_i, r_j}, {r_i, a_alpha},
+    {r_i, a^alpha} and {a^alpha, a_beta} - delta_alpha^beta, all 0 for
+    every connection.  Each operand is differentiated once."""
+    gens, m, k = ctx.gens, ctx.m, ctx.k
+    rp, lp, br = ctx.right_partials, ctx.left_partials, ctx.contract
+    one, zero = gens.one(), gens.zero()
+    gen = [gens.gen(x) for x in gens.even[:m] + gens.odd]
+    q, lower, upper = gen[:m], gen[m:m + k], gen[m + k:]
+    r = ctx.darboux_momenta()
+    r_r, l_r = [rp(x) for x in r], [lp(x) for x in r]
+    l_lower, l_upper = [lp(x) for x in lower], [lp(x) for x in upper]
+    out = {}
+    for i in range(m):
+        r_q = rp(q[i])
+        for j in range(m):
+            out[f"{{q{i+1},r{j+1}}}"] = br(r_q, l_r[j]) - (
+                one if i == j else zero)
+            out[f"{{r{i+1},r{j+1}}}"] = br(r_r[i], l_r[j])
+        for a in range(k):
+            out[f"{{r{i+1},a_{a+1}}}"] = br(r_r[i], l_lower[a])
+            out[f"{{r{i+1},a^{a+1}}}"] = br(r_r[i], l_upper[a])
+    for a in range(k):
+        r_up = rp(upper[a])
+        for b in range(k):
+            out[f"{{a^{a+1},a_{b+1}}}"] = br(r_up, l_lower[b]) - (
+                one if a == b else zero)
+    return out

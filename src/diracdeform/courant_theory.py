@@ -6,13 +6,11 @@ does not run, read off the charge Theta of `courant.build_theta`.
 from fractions import Fraction
 
 from .algebroid import FormalSeries
-from .brackets import derived_bracket
 from .courant import (
     CourantInput,
     ShapeError,
     _q_monomials,
     _report,
-    anchor_apply,
     build_theta,
     d_L,
     deform_series_dirac,
@@ -25,6 +23,26 @@ from .superalg import NotHomogeneous, bidegree_components, to_text
 # ---------------------------------------------------------------------------
 # derived operations
 # ---------------------------------------------------------------------------
+
+def derived_bracket(ctx, theta, x, y):
+    """{{x, theta}, y}."""
+    return ctx.bracket(ctx.bracket(x, theta), y)
+
+
+def derived_diff(ctx, theta, x):
+    """{theta, x}."""
+    return ctx.bracket(theta, x)
+
+
+def anchor_apply(th, e, f):
+    """rho(e) f = {{e, Theta}, f}."""
+    return derived_bracket(th.ctx, th.theta, e, f)
+
+
+def d_fun(th, f):
+    """The derivation-like element D f = {Theta, f}."""
+    return derived_diff(th.ctx, th.theta, f)
+
 
 def courant_bracket(th, e1, e2):
     """[e1, e2] = {{e1, Theta}, e2}."""

@@ -1,11 +1,15 @@
 """Free supercommutative algebra Q[even] (x) Lambda(odd).
 
-Elements are sparse maps {(even_exponents, odd_index_tuple): Fraction}.
+Elements are sparse maps {(even_exponents, odd_index_tuple): c}, where
+c is an int or a Fraction: a constant made by `scalar`, `gen` or `parse`
+is an int when it is integral, and int with int arithmetic stays int,
+so integral work builds no Fraction.  A coefficient is never a float.
 Odd index tuples are kept strictly increasing; the Koszul sign of every
 reordering is absorbed into the coefficient at construction time, so
 equality is plain dict comparison.
 """
 
+import numbers
 from fractions import Fraction
 
 
@@ -138,7 +142,13 @@ class GeneratorSet:
         return self.scalar(1)
 
     def scalar(self, c):
-        c = Fraction(c)
+        """The constant c, a rational number: stored as an int when it is
+        integral.  A float is a TypeError; exact code takes no float."""
+        if type(c) is not int:
+            if not isinstance(c, numbers.Rational):
+                raise TypeError("coefficient must be an int or a Fraction, "
+                                f"got {type(c).__name__}")
+            c = int(c.numerator) if c.denominator == 1 else Fraction(c)
         if c == 0:
             return self.zero()
         return SuperElement(self, {((0,) * self.n_even, ()): c})
@@ -148,10 +158,10 @@ class GeneratorSet:
         if name in self._even_index:
             e = [0] * self.n_even
             e[self._even_index[name]] = 1
-            return SuperElement(self, {(tuple(e), ()): Fraction(1)})
+            return SuperElement(self, {(tuple(e), ()): 1})
         if name in self._odd_index:
             e = (0,) * self.n_even
-            return SuperElement(self, {(e, (self._odd_index[name],)): Fraction(1)})
+            return SuperElement(self, {(e, (self._odd_index[name],)): 1})
         raise UnknownGenerator(name)
 
     def monomial(self, coeff, even_powers=None, odd_names=()):
@@ -223,11 +233,10 @@ class SuperElement:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if c == 0:
+            if other == 0:
                 return self.gens.zero()
             return SuperElement(self.gens,
-                                {m: cc * c for m, cc in self.terms.items()})
+                                {m: c * other for m, c in self.terms.items()})
         other = self._coerce(other)
         return SuperElement(self.gens,
                             add_product({}, self.terms, other.terms))
@@ -235,7 +244,7 @@ class SuperElement:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return self * (Fraction(1) / Fraction(other))
+        return self * Fraction(1, other)
 
     def __pow__(self, n):
         if n < 0:
@@ -432,7 +441,12 @@ class ConnectionData:
         qj = self.gens.even[j]
         val = (self.christoffel(j, alpha, beta).partial_even(qi)
                - self.christoffel(i, alpha, beta).partial_even(qj))
+        gamma = self.gamma      # a missing entry is 0, and so are its products
         for g in range(self.k):
-            val = val + self.christoffel(i, g, beta) * self.christoffel(j, alpha, g)
-            val = val - self.christoffel(j, g, beta) * self.christoffel(i, alpha, g)
+            x, y = gamma.get((i, g, beta)), gamma.get((j, alpha, g))
+            if x is not None and y is not None:
+                val = val + x * y
+            x, y = gamma.get((j, g, beta)), gamma.get((i, alpha, g))
+            if x is not None and y is not None:
+                val = val - x * y
         return val

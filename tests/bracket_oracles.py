@@ -1,9 +1,13 @@
 """The bracket bodies that `BracketContext.bracket` replaced, kept as
 independent oracles: the five-term Rothstein bracket built on the
 covariant derivative `nabla`, and the Schouten bracket assembled from
-odd-homogeneous components."""
+odd-homogeneous components.  Also the per-pair bodies that now share
+each operand's partials, with every bracket taken in full:
+`master_residuals` and `darboux_residuals`."""
 
-from diracdeform.superalg import SuperElement
+from fractions import Fraction
+
+from diracdeform.superalg import SuperElement, bidegree_components
 
 
 def split_odd(a):
@@ -34,7 +38,7 @@ def schouten(ctx, P, Q):
     out = ctx.gens.zero()
     for p, Pp in split_odd(P).items():
         for q, Qq in split_odd(Q).items():
-            sign = (-1) ** ((p - 1) * (q - 1))
+            sign = (-1) ** ((p - 1) * (q - 1) % 2)
             out = (out + _schouten_half(ctx, Pp, Qq)
                    - sign * _schouten_half(ctx, Qq, Pp))
     return out
@@ -95,3 +99,47 @@ def rothstein(ctx, phi, psi):
         if not jup.is_zero():
             out = out + jup * psi.partial_odd(lower, "left")
     return out
+
+
+def master_residuals(ctx, theta):
+    """{Theta, Theta} and its five bidegree components, one full
+    bracket each (brackets.master_residuals, without its degree check)."""
+    parts = bidegree_components(theta)
+    phi, mu, gam, psi = (parts.get(key, ctx.gens.zero())
+                         for key in ((0, 3), (1, 2), (2, 1), (3, 0)))
+    br = ctx.bracket
+    half = Fraction(1, 2)
+    components = {
+        (1, 3): half * br(mu, mu) + br(gam, phi),
+        (3, 1): half * br(gam, gam) + br(mu, psi),
+        (2, 2): br(mu, gam) + br(phi, psi),
+        (0, 4): br(mu, phi),
+        (4, 0): br(gam, psi),
+    }
+    return {"total": br(theta, theta), "components": components}
+
+
+def darboux_residuals(ctx):
+    """`brackets.darboux_residuals`, one full bracket per entry (the
+    table body of `rothstein-check` before it)."""
+    gens, m, k = ctx.gens, ctx.m, ctx.k
+    r = ctx.darboux_momenta()
+    g = gens.gen
+    residuals = {}
+    for i in range(m):
+        for j in range(m):
+            want = gens.scalar(1 if i == j else 0)
+            residuals[f"{{q{i+1},r{j+1}}}"] = \
+                ctx.bracket(g(gens.even[i]), r[j]) - want
+            residuals[f"{{r{i+1},r{j+1}}}"] = ctx.bracket(r[i], r[j])
+        for a in range(k):
+            residuals[f"{{r{i+1},a_{a+1}}}"] = \
+                ctx.bracket(r[i], g(gens.odd[a]))
+            residuals[f"{{r{i+1},a^{a+1}}}"] = \
+                ctx.bracket(r[i], g(gens.odd[k + a]))
+    for a in range(k):
+        for b in range(k):
+            want = gens.scalar(1 if a == b else 0)
+            residuals[f"{{a^{a+1},a_{b+1}}}"] = \
+                ctx.bracket(g(gens.odd[k + a]), g(gens.odd[b])) - want
+    return residuals

@@ -12,16 +12,16 @@ from diracdeform.brackets import (
     MissingConnection,
     WrongContext,
     WrongDegree,
-    derived_bracket,
-    derived_diff,
     master_residuals,
 )
+from diracdeform.courant_theory import derived_bracket, derived_diff
 from diracdeform.superalg import (
     ConnectionData,
     GeneratorMismatch,
     GeneratorSet,
     SuperElement,
     phase_generators,
+    to_text,
 )
 
 import bracket_oracles as oracle
@@ -163,7 +163,7 @@ class TestSchouten:
     def test_graded_antisymmetry(self, P, Q):
         for p, Pp in split_odd(P).items():
             for q, Qq in split_odd(Q).items():
-                sign = (-1) ** ((p - 1) * (q - 1))
+                sign = (-1) ** ((p - 1) * (q - 1) % 2)
                 assert SC.schouten(Pp, Qq) == -sign * SC.schouten(Qq, Pp)
 
     @given(multivectors(SG), multivectors(SG), multivectors(SG))
@@ -173,7 +173,7 @@ class TestSchouten:
             for q, Qq in split_odd(Q).items():
                 lhs = SC.schouten(Pp, Qq * R)
                 rhs = (SC.schouten(Pp, Qq) * R
-                       + (-1) ** ((p - 1) * q) * Qq * SC.schouten(Pp, R))
+                       + (-1) ** ((p - 1) * q % 2) * Qq * SC.schouten(Pp, R))
                 assert lhs == rhs
 
     @given(multivectors(SG, 2), multivectors(SG, 2), multivectors(SG, 2))
@@ -183,7 +183,7 @@ class TestSchouten:
             for q, Qq in split_odd(Q).items():
                 lhs = SC.schouten(Pp, SC.schouten(Qq, R))
                 rhs = (SC.schouten(SC.schouten(Pp, Qq), R)
-                       + (-1) ** ((p - 1) * (q - 1))
+                       + (-1) ** ((p - 1) * (q - 1) % 2)
                        * SC.schouten(Qq, SC.schouten(Pp, R)))
                 assert lhs == rhs
 
@@ -498,6 +498,45 @@ class TestOracles:
         assert ctx.bracket(g("dz"), g("x")) == PERM_GENS.one()
         assert ctx.bracket(g("x"), g("dz")) == -PERM_GENS.one()
         assert ctx.bracket(g("dx"), g("x")).is_zero()
+
+
+def fractions(x):
+    """x with every coefficient a Fraction."""
+    return SuperElement(x.gens, {m: Fraction(c) for m, c in x.terms.items()})
+
+
+class TestIntegralCoefficients:
+    """The table's constants are ints and the connection's integral
+    coefficients are ints; bracket then builds no float, keeps int
+    operands int, and gives the values and the text of the bracket of
+    all-Fraction copies, over an all-Fraction connection too."""
+
+    @given(st.sampled_from([SCHOUTEN, ROTHSTEIN, POINT_BIG]), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_bracket_like_fractions(self, kind, data):
+        if kind == SCHOUTEN:
+            ctx = twin = BracketContext(SCHOUTEN, PERM_GENS, conjugate=dict(
+                enumerate(data.draw(st.permutations(range(3))))))
+            elements = multivectors(ctx.gens, 4)
+        elif kind == ROTHSTEIN:
+            conn = data.draw(polynomial_connections())
+            ctx = BracketContext.rothstein_on(conn)
+            twin = BracketContext.rothstein_on(ConnectionData(
+                conn.gens, conn.m, conn.k,
+                {key: fractions(v) for key, v in conn.gamma.items()}))
+            elements = phase_elements(ctx.gens, 4)
+        else:
+            ctx = twin = BracketContext.point_big(data.draw(st.integers(1, 3)))
+            elements = phase_elements(ctx.gens, 4)
+        assert all(c is None or type(c) is int
+                   for _, cols in ctx._rows for _, c in cols
+                   if not isinstance(c, SuperElement))
+        f, g = data.draw(elements), data.draw(elements)
+        got, want = ctx.bracket(f, g), twin.bracket(fractions(f), fractions(g))
+        assert all(type(c) in (int, Fraction) for c in got.terms.values())
+        assert got == want and to_text(got) == to_text(want)
+        if all(type(c) is int for x in (f, g) for c in x.terms.values()):
+            assert all(type(c) is int for c in got.terms.values())
 
 
 class TestLayoutValidation:

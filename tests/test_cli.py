@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -27,9 +28,11 @@ from diracdeform import (
     lie_deform,
     multilinear,
 )
+from diracdeform.brackets import BracketContext, darboux_residuals
 from diracdeform.dirac_linear import from_bivector
 from diracdeform.multilinear import base_gens, first_failing_triple
-from diracdeform.superalg import parse
+from diracdeform.superalg import parse, phase_generators
+import bracket_oracles
 from ihs_oracles import system_to_json
 
 
@@ -638,6 +641,9 @@ class TestTableFormat:
     # more steps than MAX_STEPS: a report of more than about 150 MB
     ("ihs-run", OSC, ["--x0", "0,0", "--steps", str(cli.MAX_STEPS + 1)],
      "--steps"),
+    # more base coordinates or odd pairs than MAX_PHASE
+    ("rothstein-check", None, ["--m", str(cli.MAX_PHASE + 1)], "--m"),
+    ("rothstein-check", None, ["--k", str(cli.MAX_PHASE + 1)], "--k"),
 ])
 def test_input_errors_exit_2_naming_path(tmp_path, command, data, extra,
                                         path):
@@ -688,6 +694,47 @@ def test_steps_beyond_the_bound_exit_2_before_reading(tmp_path, capsys,
     assert code == 2 and out == ""
     assert err == f"input error: --steps: {steps} is more than " \
                   f"{cli.MAX_STEPS}\n"
+
+
+@pytest.mark.parametrize("option", ["--m", "--k"])
+def test_phase_counts_beyond_the_bound_exit_2_before_building(
+        capsys, monkeypatch, option):
+    def refuse(*args):
+        raise AssertionError("generators built")
+
+    argv = ["rothstein-check", "--m", str(cli.MAX_PHASE), "--k", "0"]
+    assert run(argv, capsys)[0] == 0
+    monkeypatch.setattr(cli, "phase_generators", refuse)
+    argv = ["rothstein-check", "--m", "1", "--k", "1"]
+    argv[argv.index(option) + 1] = str(10 ** 30)
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert err == f"input error: {option}: {10 ** 30} is more than " \
+                  f"{cli.MAX_PHASE}\n"
+
+
+@pytest.mark.parametrize("m, k", [(1, 1), (2, 2), (3, 3), (2, 3),
+                                  (3, 1), (0, 2), (2, 0)])
+def test_rothstein_table_matches_the_per_pair_oracle(m, k):
+    """The table of rothstein-check, each operand differentiated once,
+    against the per-pair body it replaced: on the Darboux momenta of
+    the command's connections, where every entry is 0, and on perturbed
+    momenta, where entries are not."""
+    for seed in range(4):
+        rng = random.Random(seed)
+        gens = phase_generators(m, k)
+        ctx = BracketContext.rothstein_on(
+            cli._random_connection(rng, gens, m, k))
+        assert darboux_residuals(ctx) \
+            == bracket_oracles.darboux_residuals(ctx)
+        factors = [gens.gen(x) for x in gens.even + gens.odd]
+        momenta = factors[m:2 * m] or factors
+        bumped = [r + rng.randint(1, 2) * rng.choice(momenta)
+                  * rng.choice(factors) for r in ctx.darboux_momenta()]
+        ctx.darboux_momenta = lambda: bumped
+        got = darboux_residuals(ctx)
+        assert got == bracket_oracles.darboux_residuals(ctx)
+        assert m == 0 or any(not v.is_zero() for v in got.values())
 
 
 @pytest.mark.parametrize("text, value", [

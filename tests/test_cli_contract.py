@@ -8,7 +8,9 @@ and the same bytes on a re-run; and every document the schema rejects
 exits 2 with a message naming a JSON path.  A schema-valid document may
 still exit 2 for a reason the schema cannot express (an index >= dim,
 n != L.n).  With a `--steps` beyond `cli.MAX_STEPS`, `ihs-run` exits 2
-naming `--steps`, whatever the document.  `main` runs in-process, with
+naming `--steps`, whatever the document, and with an `--m` or `--k`
+beyond `cli.MAX_PHASE`, `rothstein-check` exits 2 naming the option.
+`main` runs in-process, with
 its output redirected, since hypothesis cannot use function-scoped
 fixtures such as capsys.
 """
@@ -154,6 +156,9 @@ WRONG = [None, True, "x", "", "1/0", "--1", "1/2/3", 0.5, -1, [], {"a": 1},
 HUGE = [10 ** 30, -10 ** 30, "1e400", 1e308, "1e30000000", "-1E-30000000"]
 # ihs-run's --steps is a count with a bound, checked before the input
 HUGE_STEPS = [cli.MAX_STEPS + 1, 10 ** 30]
+# and so are rothstein-check's --m and --k, checked before the generators
+# are built
+HUGE_PHASE = [cli.MAX_PHASE + 1, 10 ** 30]
 
 
 def _nodes(doc, path=()):
@@ -277,3 +282,17 @@ def test_exit_code_contract(schema, workdir):
                                         f"is more than {cli.MAX_STEPS}\n")
 
     contract()
+
+
+@given(small=st.integers(0, 2), huge=st.sampled_from(HUGE_PHASE),
+       option=st.sampled_from(["--m", "--k"]), seed=st.integers(0, 9))
+@settings(max_examples=20, deadline=None, database=None)
+def test_rothstein_check_counts(small, huge, option, seed):
+    argv = ["rothstein-check", "--m", str(small), "--k", str(small),
+            "--seed", str(seed)]
+    code, out, err = run(argv)
+    assert (code, err) == (0, "")
+    strict_json(out)
+    argv[argv.index(option) + 1] = str(huge)
+    assert run(argv) == (2, "", f"input error: {option}: {huge} is more "
+                                f"than {cli.MAX_PHASE}\n")

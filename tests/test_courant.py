@@ -14,6 +14,7 @@ from diracdeform.algebroid import FormalSeries
 from diracdeform.lie_deform import ObstructionCertificate, PreconditionMC
 from diracdeform.superalg import phase_generators, to_text
 
+import bracket_oracles
 import courant_oracles
 import dirac_oracles as oracle
 
@@ -339,6 +340,46 @@ class TestVerifyOracle:
         assert rep == courant_oracles.verify_courant(inp, degree=degree)
 
 
+class TestPartialsOnce:
+    """master_residuals and the anchor_of_D loop differentiate each
+    operand once; they match the per-pair bodies they replaced
+    (tests/bracket_oracles.py, tests/courant_oracles.py)."""
+
+    @given(courant_inputs())
+    @settings(max_examples=40, deadline=None)
+    def test_master_residuals(self, inp):
+        th = co.build_theta(inp)
+        got = master_residuals(th.ctx, th.theta)
+        want = bracket_oracles.master_residuals(th.ctx, th.theta)
+        assert got["total"] == want["total"]
+        assert got["components"] == want["components"]
+
+    @given(courant_inputs(), st.integers(1, 2))
+    @settings(max_examples=30, deadline=None)
+    def test_anchor_of_D(self, inp, degree):
+        th = co.build_theta(inp)
+        funs = co._q_monomials(th.gens, inp.m, degree)
+        assert co._anchor_of_D_failures(th, funs) \
+            == courant_oracles.anchor_of_D_failures(th, funs)
+
+    @pytest.mark.parametrize("inp", [
+        TWIST2, NONJACOBI_SO3,
+        # all four bidegree parts: {phi, psi} != 0 in the (2, 2) component
+        co.CourantInput(0, 3, c=EPS, c_bar=EPS, psi={(0, 1, 2): 1},
+                        phi={(0, 1, 2): "1/2"}),
+    ])
+    def test_failing_inputs(self, inp):
+        th = co.build_theta(inp)
+        funs = co._q_monomials(th.gens, inp.m, 2)
+        got = co._anchor_of_D_failures(th, funs)
+        assert got == courant_oracles.anchor_of_D_failures(th, funs)
+        res = master_residuals(th.ctx, th.theta)
+        want = bracket_oracles.master_residuals(th.ctx, th.theta)
+        assert not res["total"].is_zero()
+        assert res["total"] == want["total"]
+        assert res["components"] == want["components"]
+
+
 class TestDerivedIdentities:
     """Invariance and defect are instances of the Jacobi identity of the
     bracket, so they hold for every chi-degree-3 charge, square-zero or
@@ -495,13 +536,13 @@ class TestDerivedBracket:
         e = self.vec(Xc) + self.form(xic)
         want = sum((Xc[i] * f.partial_even(self.g.even[i])
                     for i in range(3)), self.g.zero())
-        assert co.anchor_apply(self.th, e, f) == want
+        assert ct.anchor_apply(self.th, e, f) == want
 
     def test_d_fun_is_exterior_derivative_of_function(self):
         f = self.g.gen(self.g.even[0]) * self.g.gen(self.g.even[1])
         want = self.form([self.g.gen(self.g.even[1]),
                           self.g.gen(self.g.even[0]), self.g.zero()])
-        assert co.d_fun(self.th, f) == want
+        assert ct.d_fun(self.th, f) == want
 
 
 class TestDifferential:

@@ -229,6 +229,105 @@ class TestAgainstOracles:
                 op(other, a)
 
 
+def exact(x):
+    """Every coefficient of x is an int or a Fraction."""
+    return all(type(c) in (int, Fraction) for c in x.terms.values())
+
+
+def integral(x):
+    return all(type(c) is int for c in x.terms.values())
+
+
+def mixed_elements(gens, max_terms=4, max_pow=2):
+    """(a, f): an element whose coefficients are ints and Fractions,
+    integral ones among them, and its copy f with every coefficient a
+    Fraction."""
+    ne, no = len(gens.even), len(gens.odd)
+
+    def build(draws):
+        terms = {}
+        for c, as_int, evens, odds in draws:
+            key = (tuple(evens), tuple(sorted(odds)))
+            terms[key] = c.numerator if as_int and c.denominator == 1 else c
+        return (SuperElement(gens, terms),
+                SuperElement(gens, {m: Fraction(c)
+                                    for m, c in terms.items()}))
+
+    term = st.tuples(small_frac.filter(bool), st.booleans(),
+                     st.lists(st.integers(0, max_pow), min_size=ne,
+                              max_size=ne),
+                     st.sets(st.integers(0, no - 1)))
+    return st.lists(term, max_size=max_terms).map(build)
+
+
+class TestIntegralCoefficients:
+    """Integral constants are ints, int with int arithmetic stays int,
+    and mixing ints with Fractions gives the values and the text that
+    all-Fraction coefficients give.  No coefficient is ever a float."""
+
+    @staticmethod
+    def same(got, want):
+        assert exact(got)
+        assert got == want
+        assert to_text(got) == to_text(want)
+
+    @given(mixed_elements(G), mixed_elements(G), small_frac,
+           st.integers(-3, 3), st.integers(0, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_mixed_like_fractions(self, a, b, c, n, power):
+        (a, fa), (b, fb) = a, b
+        for op in (operator.add, operator.sub, operator.mul):
+            self.same(op(a, b), op(fa, fb))
+        self.same(-a, -fa)
+        for s in (c, n):
+            self.same(a * s, fa * Fraction(s))
+            self.same(s * a, Fraction(s) * fa)
+            self.same(a + s, fa + Fraction(s))
+            self.same(s - a, Fraction(s) - fa)
+        self.same(a ** power, fa ** power)
+        for i in range(len(G.even)):
+            self.same(a.partial_even_at(i), fa.partial_even_at(i))
+        for i in range(len(G.odd)):
+            for left in (True, False):
+                self.same(a.partial_odd_at(i, left),
+                          fa.partial_odd_at(i, left))
+        self.same(parse(G, to_text(a)), fa)
+
+    @given(random_elements(G), random_elements(G), st.integers(-3, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_int_with_int_stays_int(self, a, b, n):
+        a = SuperElement(G, {m: c.numerator for m, c in a.terms.items()
+                             if c.numerator})
+        b = SuperElement(G, {m: c.numerator for m, c in b.terms.items()
+                             if c.numerator})
+        results = [a + b, a - b, a * b, -a, a * n, n - a, a ** 2,
+                   parse(G, to_text(a))]
+        results += [a.partial_even_at(i) for i in range(len(G.even))]
+        results += [a.partial_odd_at(i, left) for i in range(len(G.odd))
+                    for left in (True, False)]
+        assert all(integral(x) for x in results)
+
+    def test_integral_constants_are_ints(self):
+        for x in (g("q1"), g("a^2"), G.one(), G.scalar(3),
+                  G.scalar(Fraction(6, 3)), G.scalar(True),
+                  G.monomial(Fraction(-4, 2), {"q1": 2}, ["a_1"]),
+                  parse(G, "2 q1 + -3 a_1 a^1"), g("q1") * 2,
+                  ConnectionData(G, 2, 2, {(0, 0, 1): g("q2")})
+                  .curvature(0, 1, 0, 1)):
+            assert integral(x)
+        half = G.scalar(Fraction(1, 2))
+        assert list(half.terms.values()) == [Fraction(1, 2)]
+
+    def test_floats_are_refused(self):
+        x = g("q1")
+        for make in (lambda: G.scalar(0.1), lambda: x * 0.1,
+                     lambda: 0.1 * x, lambda: x + 0.5, lambda: 0.5 - x,
+                     lambda: x / 0.5, lambda: G.monomial(0.5, {"q1": 1}),
+                     lambda: G.scalar("1/2")):
+            with pytest.raises(TypeError):
+                make()
+
+
 class TestInsertions:
     def test_insert_left(self):
         assert insert_left(g("a_1"), g("a_1") * g("a_2")) == g("a_2")
