@@ -255,7 +255,7 @@ class MultiDerivation:
         return self + (-other)
 
     def __mul__(self, scalar):
-        scalar = Fraction(scalar)
+        scalar = ratlin.frac(scalar)
         return MultiDerivation(
             self.gens, self.m, self.k, self.degree,
             {i: tuple(scalar * v for v in vec)
@@ -460,7 +460,7 @@ class GrassmannDerivation:
         return self + (-other)
 
     def __mul__(self, scalar):
-        scalar = Fraction(scalar)
+        scalar = ratlin.frac(scalar)
         return GrassmannDerivation(self.fgens, self.m, self.k, self.kdeg,
                                    [scalar * f for f in self.fx],
                                    [scalar * f for f in self.fe])
@@ -806,7 +806,7 @@ class FormalSeries:
         return FormalSeries(self.order, [-c for c in self.coeffs], self.zero)
 
     def scale(self, scalar):
-        scalar = Fraction(scalar)
+        scalar = ratlin.frac(scalar)
         return FormalSeries(self.order,
                             [scalar * c for c in self.coeffs], self.zero)
 

@@ -1,8 +1,7 @@
 """Linear Dirac structures on V + V*.
 
-Everything here is exact, over Q (Fraction).  The double-precision
-routines (compatible structure, frame transport, projector, subspace
-distance) live in `diracdeform.numeric`.
+Everything here is exact, over Q (Fraction); a float entry is a
+TypeError (`ratlin.frac`).
 
 Conventions.  Elements of V + V* are row vectors (x_1..x_n, eta_1..eta_n).
 The symmetric pairing is <(x,eta),(y,mu)> = eta(y) + mu(x); the graph of a

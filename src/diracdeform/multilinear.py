@@ -22,6 +22,7 @@ from fractions import Fraction
 
 from . import ratlin
 from .jsonin import InputError, array, fields, natural, rational
+from .ratlin import frac
 from .superalg import GeneratorSet, merge_monomials
 
 
@@ -85,7 +86,7 @@ class NonSymMultiMap:
             if not all(0 <= i < dim for i in idx):
                 raise ValueError(f"index tuple {idx} leaves range({dim})")
             self._check_key(idx)
-            vec = tuple(Fraction(v) for v in vec)
+            vec = tuple(frac(v) for v in vec)
             if len(vec) != dim:
                 raise ValueError("value vector has wrong length")
             if any(vec):
@@ -130,7 +131,7 @@ class NonSymMultiMap:
         return self + (-other)
 
     def __mul__(self, scalar):
-        scalar = Fraction(scalar)
+        scalar = frac(scalar)
         return type(self)(self.n, self.dim,
                           {i: tuple(scalar * v for v in vec)
                            for i, vec in self.c.items()})

@@ -1,26 +1,34 @@
 """Exact linear algebra over the rationals.
 
 Matrices are plain lists of rows, entries `fractions.Fraction` (helpers
-coerce ints).  One elimination routine, `Echelon`, serves kernels,
-solves, pseudo-inverses and subspaces; only this module knows its row
-format, a dict column -> Fraction.  Each insert is a forward pass, and
-one back-substitution pass, highest pivot first, gives the reduced row
-echelon form: canonical for a given column order, so kernel bases
-(sparse rows), solutions and Subspace bases do not depend on the order
-of the rows.  `solve_sparse` takes sparse columns keyed by any sortable
-coordinate keys; `solve` is its dense edge.  A rank alone is
-`rank_of_rows`: a forward pass over integer rows, with no Fraction.
+coerce ints and refuse floats).  One elimination routine, `Echelon`,
+serves kernels, solves, pseudo-inverses and subspaces; only this module
+knows its row format, a dict column -> Fraction.  Each insert is a
+forward pass, and one back-substitution pass, highest pivot first, gives
+the reduced row echelon form: canonical for a given column order, so
+kernel bases (sparse rows), solutions and Subspace bases do not depend
+on the order of the rows.  `solve_sparse` takes sparse columns keyed by
+any sortable coordinate keys; `solve` is its dense edge.  A rank alone
+is `rank_of_rows`: a forward pass over integer rows, with no Fraction.
 
 All values are immutable by convention: no function mutates its inputs.
 """
 
+import numbers
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
 
 
 def frac(x):
-    return x if isinstance(x, Fraction) else Fraction(x)
+    """x, a rational number, as a Fraction.  A float is a TypeError;
+    exact code takes no float."""
+    if isinstance(x, Fraction):
+        return x
+    if type(x) is not int and not isinstance(x, numbers.Rational):
+        raise TypeError("coefficient must be an int or a Fraction, "
+                        f"got {type(x).__name__}")
+    return Fraction(x)
 
 
 def mat(rows):

@@ -1,13 +1,12 @@
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from diracdeform import dirac_linear as dl
 from diracdeform import dirac_theory as dt
-from diracdeform import numeric, ratlin
+from diracdeform import ratlin
 from diracdeform.ratlin import Subspace
 
 import dirac_oracles as oracle
@@ -150,6 +149,13 @@ class TestBasics:
     def test_not_antisymmetric(self):
         with pytest.raises(dl.NotAntisymmetric):
             dl.from_two_form([[Fraction(1)]])
+
+    def test_floats_are_refused(self):
+        with pytest.raises(TypeError):
+            dl.from_two_form([[0, 0.1], [-0.1, 0]])
+        assert dl.from_two_form([[0, 1], [-1, 0]]) == \
+            dl.from_two_form([[Fraction(0), Fraction(1)],
+                              [Fraction(-1), Fraction(0)]])
 
     def test_not_dirac_rejected(self):
         with pytest.raises(dl.NotDirac):
@@ -488,87 +494,6 @@ class TestGauge:
             u = [Fraction(rng.randint(-3, 3)) for _ in range(2 * n)]
             v = [Fraction(rng.randint(-3, 3)) for _ in range(2 * n)]
             assert ps.pair(tau(u), tau(v)) == ps.pair(u, v)
-
-
-class TestNumeric:
-    def test_diagonal_case(self):
-        G = np.diag([1.0, 1.0, -1.0, -1.0])
-        J, g = numeric.numeric_compatible_structure(G, np.eye(4))
-        assert np.allclose(J, G, atol=1e-12)
-        assert np.allclose(g, np.eye(4), atol=1e-12)
-
-    def test_canonical_pairing(self):
-        n = 3
-        G = np.asarray(
-            [[float(x) for x in row]
-             for row in dt.PairedSpace(n).pairing_matrix()])
-        J, g = numeric.numeric_compatible_structure(G, np.eye(2 * n))
-        assert np.allclose(J, G, atol=1e-12)
-
-    def test_random_congruence(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            n = rng.integers(1, 4)
-            G0 = np.block([[np.zeros((n, n)), np.eye(n)],
-                           [np.eye(n), np.zeros((n, n))]])
-            T = np.eye(2 * n) + 0.3 * rng.standard_normal((2 * n, 2 * n))
-            G = T.T @ G0 @ T
-            S = 0.3 * rng.standard_normal((2 * n, 2 * n))
-            k = np.eye(2 * n) + S @ S.T
-            J, g = numeric.numeric_compatible_structure(G, k)
-            assert np.linalg.norm(J @ J - np.eye(2 * n)) < 1e-9
-            assert np.linalg.norm(J.T @ G @ J - G) < 1e-9
-            assert np.allclose(g, g.T, atol=1e-9)
-            assert np.min(np.linalg.eigvalsh((g + g.T) / 2)) > 0
-
-    def test_ill_conditioned(self):
-        with pytest.raises(numeric.IllConditioned):
-            numeric.numeric_compatible_structure(np.zeros((2, 2)) + 1e-15,
-                                            np.eye(2))
-
-    def test_constant_projector(self):
-        P0 = np.diag([1.0, 0.0])
-        out = numeric.numeric_transport(lambda t: P0, 0.0, 1.0, h=1e-2)
-        t, U = out[-1]
-        assert abs(t - 1.0) < 1e-12
-        assert np.allclose(U, np.eye(2), atol=1e-12)
-
-    def test_rotation_family(self):
-        P0 = np.diag([1.0, 0.0])
-
-        def R(t):
-            c, s = np.cos(t), np.sin(t)
-            return np.array([[c, -s], [s, c]])
-
-        def P(t):
-            return R(t) @ P0 @ R(t).T
-
-        out = numeric.numeric_transport(P, 0.0, 1.0, h=1e-3)
-        for t, U in out[::100]:
-            res = np.linalg.norm(U @ P0 @ np.linalg.inv(U) - P(t))
-            assert res < 1e-6
-
-    def test_graph_path_tracking(self):
-        w = np.array([[0.0, 1.0], [-1.0, 0.0]])
-
-        def basis(t):
-            return [[1, 0, t * w[0][0], t * w[1][0]],
-                    [0, 1, t * w[0][1], t * w[1][1]]]
-
-        def P(t):
-            return numeric.projector_onto(basis(t), 4)
-
-        out = numeric.numeric_transport(P, 0.0, 1.0, h=1e-3)
-        t, U = out[-1]
-        tracked = U @ P(0.0) @ np.linalg.inv(U)
-        assert numeric.subspace_distance(tracked, P(1.0)) < 1e-6
-
-    def test_step_too_large(self):
-        def P(t):
-            return np.diag([1.0, 0.0]) if t < 0.5 else np.diag([0.0, 1.0])
-
-        with pytest.raises(numeric.StepTooLarge):
-            numeric.numeric_transport(P, 0.0, 1.0, h=1e-1)
 
 
 class TestSerialization:

@@ -6,7 +6,8 @@ cli.py and every module-level statement of those modules, and adds each
 top-level def or class whose name appears as a Name or an Attribute in
 what it has reached.  Any name match counts as a use, so the closure is
 conservative.  A definition outside it belongs in a library module that
-the CLI does not import (`LIBRARY`), or in tests/*_oracles.py.
+the CLI does not import (`LIBRARY`), or in tests/*_oracles.py.  Every
+module of the package imports only the standard library.
 """
 
 import ast
@@ -20,7 +21,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 LIBRARY = ["diracdeform.algebroid", "diracdeform.courant_theory",
-           "diracdeform.dirac_theory", "diracdeform.numeric"]
+           "diracdeform.dirac_theory"]
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
@@ -75,6 +76,24 @@ def test_every_definition_the_cli_loads_is_reachable(loaded):
 
 def test_library_modules_and_numpy_stay_out(loaded):
     assert [m for m in LIBRARY + ["numpy"] if m in loaded] == []
+
+
+def test_the_package_imports_only_the_standard_library():
+    # every absolute import, function-local ones too (argparse in
+    # build_parser), on every module whether or not the CLI loads it
+    allowed = sys.stdlib_module_names | {"diracdeform"}
+    outside = []
+    for path in sorted((SRC / "diracdeform").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [f"{path.name}: {name}" for name in names
+                        if name.split(".")[0] not in allowed]
+    assert outside == []
 
 
 def test_closure_names_what_no_root_reaches():

@@ -25,6 +25,7 @@ from diracdeform.multilinear import (
 from diracdeform.algebroid import (
     AnchorNotSurjective,
     BundleMismatch,
+    FormalSeries,
     GrassmannDerivation,
     MultiDerivation,
     algebraic_decompose,
@@ -881,6 +882,40 @@ class TestGrassmann:
         assert lhs == rhs
 
 
+class TestExactScalars:
+    """A scalar is a rational number: MultiMap and the algebroid
+    scalings coerce it through ratlin.frac, which refuses a float (and
+    an element, whose degree the scaled object would not record)."""
+
+    def objects(self):
+        D = random_md(random.Random(3), base_gens(2), 2, 2, 1)
+        zero = MultiMap.zero(2, 3)
+        return (so3(), D, grassmann_L(D, form_generators(2, 2)),
+                FormalSeries(1, [zero, so3()], zero))
+
+    def test_floats_are_refused(self):
+        mu, D, L, series = self.objects()
+        for make in (lambda: MultiMap(2, 2, {(0, 1): (0.1, 0)}),
+                     lambda: NonSymMultiMap(0, 2, {(): (1, 0.5)}),
+                     lambda: mu * 0.5, lambda: 0.5 * mu,
+                     lambda: D * 0.5, lambda: 0.5 * D,
+                     lambda: L * 0.5, lambda: 0.5 * L,
+                     lambda: series.scale(0.5),
+                     lambda: L * L.fgens.gen("e1"),
+                     lambda: D * D.gens.gen("x1")):
+            with pytest.raises(TypeError):
+                make()
+
+    def test_int_scalars_match_fractions(self):
+        mu, D, L, series = self.objects()
+        for c in (-2, 0, 3):
+            for x in (mu, D, L):
+                assert x * c == x * Fraction(c) == Fraction(c) * x == c * x
+            assert series.scale(c) == series.scale(Fraction(c))
+        assert MultiMap(2, 2, {(0, 1): (1, 0)}) == \
+            MultiMap(2, 2, {(0, 1): (Fraction(1), Fraction(0))})
+
+
 class TestAlgebraicDecompose:
     def test_d_itself(self):
         fgens = form_generators(2, 2)
@@ -1046,7 +1081,7 @@ class TestIsoI:
             if P.is_zero() or Q.is_zero():
                 continue
             PQ = ctx.schouten(P, Q)
-            sign = (-1) ** ((p - 1) * (q - 1))
+            sign = -1 if (p - 1) * (q - 1) % 2 else 1
             rhs = sign * cm_bracket(iso_I(P, m, k), iso_I(Q, m, k))
             if PQ.is_zero():
                 assert rhs.is_zero()

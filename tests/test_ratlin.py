@@ -7,6 +7,7 @@ import ratlin_oracles as oracle
 from diracdeform.ratlin import (
     Echelon,
     Subspace,
+    frac,
     identity,
     kernel_basis,
     mat,
@@ -334,6 +335,17 @@ def test_bareiss_matches_rref_pivots():
     _, piv_r = oracle.rref(M)
     assert piv_b == piv_r == list(Subspace(3, M).pivots)
     assert rank(M) == len(piv_b)
+
+
+def test_floats_are_refused():
+    for make in (lambda: frac(0.1), lambda: frac("1/2"),
+                 lambda: mat([[1, 0.5]]), lambda: sparse_row([0, 0.5])):
+        with pytest.raises(TypeError):
+            make()
+    for x in (-2, 0, 3, True):
+        assert type(frac(x)) is Fraction and frac(x) == Fraction(x)
+    half = F(1, 2)
+    assert frac(half) is half
 
 
 # -- the one elimination routine against the dense oracles --------------------
