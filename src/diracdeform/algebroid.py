@@ -49,8 +49,8 @@ from .multilinear import (
     _ce_differential,
     _cochain_basis,
     _delta_columns,
-    _delta_rows,
     _from_terms,
+    _integer_terms,
     _psign,
     _require_lie,
     _slots,
@@ -100,17 +100,16 @@ def cohomology(mu, k):
 
 def _cohomology(mu, k):
     """cohomology without the Jacobi check, for callers that have
-    checked mu once."""
-    dim, terms = mu.dim, mu.terms
+    checked mu once.  delta is that of D mu (_integer_terms): mu's kernel
+    and image, as k-cochains keyed like MultiMap.terms."""
+    dim, terms = mu.dim, _integer_terms(mu)
     dom = _cochain_basis(k, dim)
-    ker = ratlin.Echelon(ratlin.Echelon(_delta_rows(terms, dim, k))
-                         .kernel(len(dom)))
-    pos = {key: i for i, key in enumerate(dom)}
-    im = ratlin.Echelon({pos[key]: v for key, v in col.items()} for col in
-                        (_delta_columns(terms, dim, k - 1) if k else ()))
+    delta = ratlin.Echelon.of_columns(_delta_columns(terms, dim, k))
+    ker = ratlin.Echelon({dom[j]: x for j, x in v.items()}
+                         for v in delta.kernel(len(dom)))
+    im = ratlin.Echelon(_delta_columns(terms, dim, k - 1) if k else ())
     hdim = len(ker) - len(im)
-    reps = [_from_terms(MultiMap, k, dim,
-                        {dom[j]: x for j, x in ker.rows[p].items()})
+    reps = [_from_terms(MultiMap, k, dim, ker.rows[p])
             for p in sorted(ker.rows) if im.insert(ker.rows[p])]
     assert len(reps) == hdim
     return hdim, reps
@@ -1033,7 +1032,8 @@ def linear_poisson_deform(prefix, k, order=None):
     def rhs(coeffs, n):
         R = gens.zero()
         for i in range(1, n):
-            R = R + ctx.schouten(coeffs[i], coeffs[n - i])
+            if not (coeffs[i].is_zero() or coeffs[n - i].is_zero()):
+                R = R + ctx.schouten(coeffs[i], coeffs[n - i])
         return Fraction(-1, 2) * R
 
     return mc_extend(d, rhs, prefix,

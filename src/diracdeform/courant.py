@@ -271,22 +271,20 @@ def psi_triple(th, a, b, c):
 
 def mc_residual_one(th, omega_list, n):
     """Order-n residual of the graph deformation equation for the
-    series with coefficients omega_list (index = order, omega_0 = 0)."""
+    series with coefficients omega_list (index = order, omega_0 = 0).
+    Only terms whose coefficients are all nonzero are bracketed."""
     br = th.ctx.bracket
-    half = Fraction(1, 2)
-    sixth = Fraction(1, 6)
-
-    def om(i):
-        return omega_list[i] if 0 <= i < len(omega_list) else th.zero()
-
-    res = br(th.mu, om(n))
-    for i in range(1, n):
-        res = res + half * br(br(om(i), th.gamma), om(n - i))
-    for i in range(1, n - 1):
-        for j in range(1, n - i):
-            kk = n - i - j
-            if kk >= 1:
-                res = res + sixth * psi_triple(th, om(i), om(j), om(kk))
+    om = {i: w for i, w in enumerate(omega_list[1:n + 1], 1)
+          if not w.is_zero()}
+    res = br(th.mu, om[n]) if n in om else th.zero()
+    for i in om:
+        if n - i in om:
+            res = res + Fraction(1, 2) * br(br(om[i], th.gamma), om[n - i])
+    for i in om:
+        for j in om:
+            if n - i - j in om:
+                res = res + Fraction(1, 6) * psi_triple(
+                    th, om[i], om[j], om[n - i - j])
     return res
 
 

@@ -193,10 +193,12 @@ def _lie_differential(mu0, k):
 
 
 def _lie_rhs(coeffs, n):
-    """R_n = 1/2 sum_{i=1}^{n-1} [mu_i, mu_{n-i}]_NR."""
+    """R_n = 1/2 sum_{i=1}^{n-1} [mu_i, mu_{n-i}]_NR, bracketing only
+    pairs of nonzero coefficients: from mu_0 alone no pair is bracketed."""
     R = MultiMap.zero(3, coeffs[0].dim)
     for i in range(1, n):
-        R = R + nr_bracket(coeffs[i], coeffs[n - i])
+        if not (coeffs[i].is_zero() or coeffs[n - i].is_zero()):
+            R = R + nr_bracket(coeffs[i], coeffs[n - i])
     return Fraction(1, 2) * R
 
 

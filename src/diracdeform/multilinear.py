@@ -8,9 +8,11 @@ a Lie structure mu is delta = (-1)^{n+1} [mu, .]_NR on n-cochains.  The
 bracket, the Jacobi test and the one builder of delta's columns
 (_delta_columns, from a coordinate dict of mu) come from one sparse
 insertion of a map into a slot of another (_slots, _insert), which
-walks only the coordinates present.  cohomology_dims feeds that builder
-mu scaled to integers and ranks the int rows without Fraction
-(ratlin.rank_of_rows); the solves feed it mu's Fractions.  Cohomology
+walks only the coordinates present.  Both cohomology questions feed
+that builder the integer structure D mu (_integer_terms) and hand its
+int columns to `ratlin.Echelon.of_columns`: cohomology_dims reads off a
+rank with no Fraction, `algebroid.cohomology` a kernel and an image.
+The solves of `lie_deform` feed it mu's Fractions.  Cohomology
 with representatives, the Gerstenhaber bracket, multiderivations and
 Grassmann derivations are in `algebroid`.
 """
@@ -294,39 +296,30 @@ def _delta_columns(terms, dim, k):
     return cols
 
 
+def _integer_terms(mu):
+    """The int coordinates of D mu, D the lcm of mu's denominators.
+    delta is linear in mu: D mu's has mu's kernel and image."""
+    terms = mu.terms
+    D = math.lcm(*(v.denominator for v in terms.values()))
+    return {key: v.numerator * (D // v.denominator)
+            for key, v in terms.items()}
+
+
 def cohomology_dims(mu, degrees):
     """[dim H^k for k in degrees], after one Jacobi check for all of
-    them, by rank-nullity:
-
-        dim H^k = N_k - rank delta^k - rank delta^{k-1},
-
-    with N_k = C(dim, k) * dim the number of unit k-cochains.  delta is
-    linear in mu, so it has the ranks of the integer structure D mu, D
-    the lcm of the denominators of mu.  Each delta^j that the degrees
-    need is built once from D mu, and its rank is a fraction-free
-    forward elimination of its integer rows (ratlin.rank_of_rows): no
-    Fraction, no back pass, no kernel basis and no representatives
-    (`cohomology` computes those)."""
+    them: dim H^k = N_k - rank delta^k - rank delta^{k-1}, with N_k =
+    C(dim, k) * dim the number of unit k-cochains.  Each delta^j that
+    the degrees need is built once from the integer structure D mu
+    (_integer_terms); its rank is the length of the fraction-free
+    `ratlin.Echelon` of its int columns: no Fraction, no back pass and
+    no representatives (`cohomology` computes those)."""
     _require_lie(mu)
-    dim, terms = mu.dim, mu.terms
-    D = math.lcm(*(v.denominator for v in terms.values()))
-    terms = {key: v.numerator * (D // v.denominator)
-             for key, v in terms.items()}
+    dim, terms = mu.dim, _integer_terms(mu)
     needed = {j for k in degrees for j in (k - 1, k) if 0 <= j < dim}
-    ranks = {j: ratlin.rank_of_rows(_delta_rows(terms, dim, j))
+    ranks = {j: len(ratlin.Echelon.of_columns(_delta_columns(terms, dim, j)))
              for j in needed}
     return [math.comb(dim, k) * dim - ranks.get(k, 0) - ranks.get(k - 1, 0)
             for k in degrees]
-
-
-def _delta_rows(terms, dim, k):
-    """The nonzero rows of delta^k, each a dict column index -> value
-    over the columns of _delta_columns(terms, dim, k)."""
-    rows = {}
-    for j, col in enumerate(_delta_columns(terms, dim, k)):
-        for key, v in col.items():
-            rows.setdefault(key, {})[j] = v
-    return rows.values()
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,14 @@
 
 Matrices are plain lists of rows, entries `fractions.Fraction` (helpers
 coerce ints and refuse floats).  One elimination routine, `Echelon`,
-serves kernels, solves, pseudo-inverses and subspaces; only this module
-knows its row format, a dict column -> Fraction.  Each insert is a
-forward pass, and one back-substitution pass, highest pivot first, gives
+serves ranks, kernels, solves, pseudo-inverses and subspaces; only this
+module knows its row format, a dict column -> number, and only
+`Echelon.of_columns` transposes sparse columns into it.  The forward
+pass is fraction-free, so a rank takes no Fraction; one back pass gives
 the reduced row echelon form: canonical for a given column order, so
 kernel bases (sparse rows), solutions and Subspace bases do not depend
 on the order of the rows.  `solve_sparse` takes sparse columns keyed by
-any sortable coordinate keys; `solve` is its dense edge.  A rank alone
-is `rank_of_rows`: a forward pass over integer rows, with no Fraction.
+any sortable keys; `solve` is its dense edge.
 
 All values are immutable by convention: no function mutates its inputs.
 """
@@ -17,7 +17,9 @@ All values are immutable by convention: no function mutates its inputs.
 import numbers
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from itertools import chain
+from math import gcd, lcm
+from operator import attrgetter
 
 
 def frac(x):
@@ -45,13 +47,8 @@ def identity(n):
 
 
 def mat_mul(A, B):
-    rb = len(B)
-    cb = len(B[0]) if rb else 0
-    out = []
-    for row in A:
-        out.append([sum((row[k] * B[k][j] for k in range(rb)), Fraction(0))
-                    for j in range(cb)])
-    return out
+    Bt = transpose(B)
+    return [mat_vec(Bt, row) for row in A]
 
 
 def mat_vec(A, v):
@@ -59,8 +56,6 @@ def mat_vec(A, v):
 
 
 def transpose(A):
-    if not A:
-        return []
     return [list(col) for col in zip(*A)]
 
 
@@ -81,56 +76,102 @@ def _sub_multiple(v, f, row, skip):
                 del v[c]
 
 
+_INT, _RATIONAL = frozenset((int,)), frozenset((int, Fraction))
+_denominator = attrgetter("denominator")
+
+
+def _integer_row(row):
+    """row, a dict column -> nonzero rational, times the lcm of its
+    denominators: a dict column -> int."""
+    if not _RATIONAL.issuperset(map(type, row.values())):
+        row = {c: frac(x) for c, x in row.items()}
+    den = lcm(*map(_denominator, row.values()))
+    return {c: x.numerator * (den // x.denominator) for c, x in row.items()}
+
+
 class Echelon:
     """Row echelon form of a row space, built one row at a time.
 
-    A row is a dict column -> nonzero number.  A stored row has pivot
-    entry 1 and is zero at the earlier pivots; in `rows`, the reduced
-    echelon form, it is zero at every other pivot.  That form is unique
-    for a given column order, whatever order the rows came in.
+    A row is a dict column -> nonzero rational; columns are mutually
+    comparable keys (0..ncols-1 for `kernel`).  The forward pass is
+    fraction-free (Bareiss, Math. Comp. 22, 1968): a row enters scaled
+    to integers, and clearing pivot p of v with the stored row r sets
+    v <- (r[p] / g) v - (v[p] / g) r, g = gcd(r[p], v[p]).  A stored row
+    is primitive, with a positive pivot, and zero at earlier pivots; so
+    `len`, the rank, takes no Fraction.  `rows`, the reduced echelon
+    form, is unique for a given column order, whatever the row order.
     """
 
     __slots__ = ("_forward", "_rref")
 
     def __init__(self, rows=()):
         self._forward, self._rref = {}, {}
+        rows = list(rows)
+        # one pass over all entries: int rows need no scaling
+        if not _INT.issuperset(map(type, chain.from_iterable(
+                map(dict.values, rows)))):
+            rows = map(_integer_row, rows)
         # short rows first: they fill fewer columns of the later ones
-        for row in sorted(rows, key=len):
-            self.insert(row)
+        self._eliminate(sorted(rows, key=len), True)
+
+    @classmethod
+    def of_columns(cls, columns):
+        """The Echelon of the matrix whose j-th column is the dict key ->
+        number columns[j]: one row j -> entry per key with a nonzero entry."""
+        rows = {}
+        for j, col in enumerate(columns):
+            for key, x in col.items():
+                if x:
+                    rows.setdefault(key, {})[j] = x
+        return cls(rows.values())
 
     def __len__(self):
         return len(self._forward)
 
-    def reduce(self, row):
-        """row minus the combination of stored rows that clears its pivot
-        columns; empty iff row lies in the span."""
-        v = dict(row)
+    def _eliminate(self, rows, store):
+        """Reduce each int row against the stored rows, and store what
+        is left of it if `store`; return what is left of the last."""
         stored = self._forward
-        # a stored row only reaches columns after its pivot, so clearing
-        # pivots in increasing order clears each one once
-        while pivots := [c for c in v if c in stored]:
-            p = min(pivots)
-            _sub_multiple(v, v.pop(p), stored[p], p)
+        v = {}
+        for v in rows:
+            v = dict(v)
+            # a stored row only reaches columns after its pivot, so
+            # clearing pivots in increasing order clears each one once
+            while pivots := [c for c in v if c in stored]:
+                p = min(pivots)
+                r, x = stored[p], v.pop(p)
+                g = gcd(r[p], x)
+                a = r[p] // g
+                if a != 1:
+                    for c in v:
+                        v[c] *= a
+                _sub_multiple(v, x // g, r, p)
+            if store and v:
+                p = min(v)
+                g = gcd(*v.values()) if v[p] > 0 else -gcd(*v.values())
+                stored[p] = {c: x // g for c, x in v.items()} if g != 1 else v
+                self._rref = None
         return v
+
+    def reduce(self, row):
+        """c (row - s), int, for an int c > 0 and the s in the span that
+        clears every pivot column: empty iff row lies in the span."""
+        return self._eliminate([_integer_row(row)], False)
 
     def insert(self, row):
         """Add row to the span; True iff it was independent."""
-        v = self.reduce(row)
-        if not v:
-            return False
-        p = min(v)
-        inv = frac(v[p])
-        self._forward[p] = {c: x / inv for c, x in v.items()}
-        self._rref = None
-        return True
+        return bool(self._eliminate([_integer_row(row)], True))
 
     @property
     def rows(self):
-        """pivot column -> row of the reduced echelon form."""
+        """pivot column -> row of the reduced echelon form (Fractions)."""
         if self._rref is None:
             rref = {}
             for p in sorted(self._forward, reverse=True):
-                v = dict(self._forward[p])
+                r = self._forward[p]
+                piv = r[p]
+                v = ({c: Fraction(x) for c, x in r.items()} if piv == 1 else
+                     {c: Fraction(x, piv) for c, x in r.items()})
                 for c in [c for c in v if c != p and c in rref]:
                     _sub_multiple(v, v.pop(c), rref[c], c)
                 rref[p] = v
@@ -150,35 +191,6 @@ class Echelon:
         return list(basis.values())
 
 
-def rank_of_rows(rows):
-    """The rank over Q of sparse integer rows (dicts column -> nonzero
-    int), by fraction-free forward elimination (Bareiss, Math. Comp. 22,
-    1968).  A stored row is primitive (content 1) with a positive pivot;
-    clearing pivot p of v with stored row r sets
-
-        v <- (r[p] / g) v - (v[p] / g) r,    g = gcd(r[p], v[p]),
-
-    and a surviving row is divided by its content.  Rows go in shortest
-    first, as in Echelon."""
-    stored = {}
-    for row in sorted(rows, key=len):
-        v = dict(row)
-        while pivots := [c for c in v if c in stored]:
-            p = min(pivots)
-            r, x = stored[p], v.pop(p)
-            g = gcd(r[p], x)
-            a, b = r[p] // g, x // g
-            if a != 1:
-                for c in v:
-                    v[c] *= a
-            _sub_multiple(v, b, r, p)
-        if v:
-            p = min(v)
-            g = gcd(*v.values()) if v[p] > 0 else -gcd(*v.values())
-            stored[p] = {c: x // g for c, x in v.items()}
-    return len(stored)
-
-
 def kernel_basis(M, ncols=None):
     """The null space of M in Q^ncols (by default M's row length)."""
     if ncols is None:
@@ -195,17 +207,12 @@ def solve_sparse(columns, b):
     the kernel basis of M^T that pairs nonzero with b.
     """
     n = len(columns)
-    keys = sorted({key for col in columns for key in col} | set(b))
-    pos = {key: i for i, key in enumerate(keys)}
-    rows = {}
-    for j, col in enumerate([*columns, b]):
-        for key, x in col.items():
-            if x:
-                rows.setdefault(pos[key], {})[j] = frac(x)
-    aug = Echelon(rows.values())
+    aug = Echelon.of_columns([*columns, b])
     if n not in aug.rows:
         return ("SOLUTION", [aug.rows.get(j, {}).get(n, Fraction(0))
                              for j in range(n)])
+    keys = sorted({key for col in [*columns, b] for key in col})
+    pos = {key: i for i, key in enumerate(keys)}
     ker = Echelon({pos[key]: x for key, x in col.items() if x}
                   for col in columns).kernel(len(keys))
     y = next(y for y in ker
@@ -218,9 +225,8 @@ def solve(M, b):
     x and the certificate y (yT M = 0, yT b != 0) as dense lists."""
     status, w = solve_sparse([dict(enumerate(col)) for col in zip(*M)],
                              dict(enumerate(b)))
-    if status == "SOLUTION":
-        return status, w
-    return status, [w.get(i, Fraction(0)) for i in range(len(M))]
+    return status, (w if status == "SOLUTION" else
+                    [w.get(i, Fraction(0)) for i in range(len(M))])
 
 
 def pseudo_inverse(M):

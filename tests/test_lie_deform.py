@@ -7,6 +7,7 @@ import lie_oracles
 from hypothesis import given, settings, strategies as st
 
 from diracdeform import courant as co
+from diracdeform import courant_theory as ct
 from diracdeform import lie_deform as ld
 from diracdeform import multilinear as ml
 from diracdeform import ratlin
@@ -38,6 +39,7 @@ from diracdeform.lie_deform import (
     PreconditionMC,
     extend_series,
 )
+from diracdeform.brackets import BracketContext
 from diracdeform.multilinear import MultiMap, nr_bracket
 from ratlin_oracles import rank
 from diracdeform.superalg import parse
@@ -581,3 +583,69 @@ class TestDifferential:
         assert built == ["_delta_columns"]
         assert cert.verify()
         assert built == ["_delta_columns", "_unit_cochains"]
+
+
+class TestZeroCoefficientsAreNotBracketed:
+    """The three Maurer-Cartan right-hand sides bracket only terms whose
+    coefficients are all nonzero, so a run from the order-0 structure
+    alone brackets nothing and is linear in the order."""
+
+    def test_lie_from_mu_alone(self, monkeypatch):
+        calls = []
+        bracket = ld.nr_bracket
+
+        def counted(f, g):
+            calls.append((f.is_zero(), g.is_zero()))
+            return bracket(f, g)
+
+        monkeypatch.setattr(ld, "nr_bracket", counted)
+        coeffs, certs = extend_series([so3()], order=40)
+        assert len(certs) == 40 and all(c.extends for c in certs)
+        assert calls == []
+        # with a nonzero prefix: one bracket per pair of nonzero orders
+        prefix = exact_lie_prefix(FIL4, 0)
+        coeffs, _ = extend_series(prefix, order=4)
+        live = [not c.is_zero() for c in coeffs]
+        pairs = sum(live[i] and live[n - i]
+                    for n in range(2, 5) for i in range(1, n))
+        assert len(calls) == pairs and not any(map(any, calls))
+
+    def test_linear_poisson_from_pi0_alone(self, monkeypatch):
+        # d brackets pi_0 with each R_n; the right-hand side brackets
+        # coefficients of order >= 1, none of which is nonzero here
+        firsts = []
+        schouten = BracketContext.schouten
+
+        def counted(self, P, Q):
+            firsts.append(P.is_zero())
+            return schouten(self, P, Q)
+
+        monkeypatch.setattr(BracketContext, "schouten", counted)
+        coeffs, certs = linear_poisson_deform([lie_to_poisson(so3())], 3,
+                                              order=20)
+        assert all(c.extends for c in certs)
+        assert firsts and not any(firsts)
+
+    def test_dirac_residual(self):
+        th = co.build_theta(ct.so3_double())
+        omega = parse(th.gens, "a^1 a^2")
+        zero = th.zero()
+        want = [co.mc_residual_one(th, [zero, omega, zero, zero], n)
+                for n in range(1, 4)]
+        calls = []
+        bracket = th.ctx.bracket
+
+        class Counted:
+            def bracket(self, f, g):
+                calls.append(1)
+                return bracket(f, g)
+
+        th.ctx = Counted()
+        counts = []
+        for n in range(1, 8):
+            del calls[:]
+            got = co.mc_residual_one(th, [zero, omega] + [zero] * n, n)
+            assert got == (want[n - 1] if n <= 3 else zero)
+            counts.append(len(calls))
+        # {mu, omega_1}; {{omega_1, gamma}, omega_1}; the psi triple
+        assert counts == [1, 2, 3, 0, 0, 0, 0]

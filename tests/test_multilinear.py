@@ -450,6 +450,25 @@ class TestSparseDelta:
                 == greedy_representatives(mu, k)
             assert hdim == len(reps)
 
+    def test_representatives_use_the_integer_delta(self, monkeypatch):
+        # cohomology ranks and reduces the delta of D mu, D the lcm of
+        # mu's denominators: it has mu's kernel and image, so the same
+        # representatives, and int columns
+        from diracdeform import algebroid
+        seen = []
+        columns = algebroid._delta_columns
+
+        def recorded(terms, dim, k):
+            seen.append({type(v) for v in terms.values()})
+            return columns(terms, dim, k)
+
+        mu = filiform(6)
+        want = [cohomology(mu, k) for k in range(4)]
+        monkeypatch.setattr(algebroid, "_delta_columns", recorded)
+        assert [cohomology(Fraction(3, 2) * mu, k) for k in range(4)] \
+            == want
+        assert seen and all(types == {int} for types in seen)
+
     @pytest.mark.parametrize("n, k, expected", [(8, 3, 40), (9, 2, 29)])
     def test_filiform_pins(self, n, k, expected):
         mu = filiform(n)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +15,6 @@ from diracdeform.ratlin import (
     mat_mul,
     mat_vec,
     pseudo_inverse,
-    rank_of_rows,
     solve,
     solve_sparse,
     sparse_row,
@@ -116,6 +116,19 @@ class TestRank:
         assert rank(M) == rank(transpose(M))
 
 
+def shaped_matrices(max_dim=6):
+    """Rational matrices with 0..max_dim rows and columns (a 0-row matrix
+    is []), either dense or mostly zero."""
+    def build(r, c, sparse):
+        entry = (st.one_of(st.just(Fraction(0)), st.just(Fraction(0)),
+                           st.just(Fraction(0)), small_frac)
+                 if sparse else small_frac)
+        return st.lists(st.lists(entry, min_size=c, max_size=c),
+                        min_size=r, max_size=r)
+    return st.tuples(st.integers(0, max_dim), st.integers(0, max_dim),
+                     st.booleans()).flatmap(lambda s: build(*s))
+
+
 @st.composite
 def integer_rows(draw):
     """Up to 12 sparse integer rows over 12 columns, entries up to 10^30
@@ -140,19 +153,51 @@ def integer_rows(draw):
     return rows
 
 
-class TestRankOfRows:
+class TestFractionFreeRank:
+    """The rank is len(Echelon): the fraction-free forward pass, checked
+    against the dense Bareiss oracle."""
+
     def test_small(self):
-        assert rank_of_rows([]) == 0
-        assert rank_of_rows([{}, {}]) == 0
-        assert rank_of_rows([{0: 2, 1: 4}, {0: -3, 1: -6}]) == 1
-        assert rank_of_rows([{0: 2, 1: 4}, {0: 3, 1: 5}, {1: 7}]) == 2
+        assert len(Echelon([])) == 0
+        assert len(Echelon([{}, {}])) == 0
+        assert len(Echelon([{0: 2, 1: 4}, {0: -3, 1: -6}])) == 1
+        assert len(Echelon([{0: 2, 1: 4}, {0: 3, 1: 5}, {1: 7}])) == 2
 
     @given(integer_rows())
     @settings(max_examples=150, deadline=None)
-    def test_matches_echelon(self, rows):
+    def test_matches_bareiss(self, rows):
         before = [dict(r) for r in rows]
-        assert rank_of_rows(rows) == len(Echelon(rows))
+        ech = Echelon(rows)
+        assert len(ech) == oracle.bareiss_rank(
+            [[r.get(c, 0) for c in range(12)] for r in rows])
         assert rows == before
+        # each stored row is primitive, with a positive int pivot
+        for p, r in ech._forward.items():
+            assert p == min(r) and r[p] > 0
+            assert all(type(x) is int for x in r.values())
+            assert gcd(*r.values()) == 1
+
+    @given(integer_rows())
+    @settings(max_examples=100, deadline=None)
+    def test_fraction_entries_are_scaled_back(self, rows):
+        ech = Echelon(rows)
+        as_fractions = Echelon([{c: Fraction(x, 1) for c, x in r.items()}
+                                for r in rows])
+        assert len(as_fractions) == len(ech)
+        assert as_fractions.rows == ech.rows
+
+    @given(shaped_matrices(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_row_scaling_is_invisible(self, M, data):
+        # rows times nonzero rationals span the same space
+        rows = [sparse_row(r) for r in M]
+        scales = data.draw(st.lists(small_frac.filter(bool),
+                                    min_size=len(rows), max_size=len(rows)))
+        ech = Echelon(rows)
+        scaled = Echelon([{c: s * x for c, x in r.items()}
+                          for s, r in zip(scales, rows)])
+        assert len(scaled) == len(ech)
+        assert scaled.rows == ech.rows
 
 
 class TestKernel:
@@ -338,8 +383,14 @@ def test_bareiss_matches_rref_pivots():
 
 
 def test_floats_are_refused():
+    # the Echelon entry scales a row to integers: a float must still be
+    # frac's TypeError there, not an AttributeError on .denominator
     for make in (lambda: frac(0.1), lambda: frac("1/2"),
-                 lambda: mat([[1, 0.5]]), lambda: sparse_row([0, 0.5])):
+                 lambda: mat([[1, 0.5]]), lambda: sparse_row([0, 0.5]),
+                 lambda: Echelon([{0: 0.5}]),
+                 lambda: Echelon([{0: 1}]).insert({1: 2, 2: 0.5}),
+                 lambda: solve_sparse([{0: 0.5}], {0: 1}),
+                 lambda: solve([[0.5]], [1])):
         with pytest.raises(TypeError):
             make()
     for x in (-2, 0, 3, True):
@@ -349,19 +400,6 @@ def test_floats_are_refused():
 
 
 # -- the one elimination routine against the dense oracles --------------------
-
-def shaped_matrices(max_dim=6):
-    """Rational matrices with 0..max_dim rows and columns (a 0-row matrix
-    is []), either dense or mostly zero."""
-    def build(r, c, sparse):
-        entry = (st.one_of(st.just(Fraction(0)), st.just(Fraction(0)),
-                           st.just(Fraction(0)), small_frac)
-                 if sparse else small_frac)
-        return st.lists(st.lists(entry, min_size=c, max_size=c),
-                        min_size=r, max_size=r)
-    return st.tuples(st.integers(0, max_dim), st.integers(0, max_dim),
-                     st.booleans()).flatmap(lambda s: build(*s))
-
 
 def ncols_of(M):
     return len(M[0]) if M else 0
