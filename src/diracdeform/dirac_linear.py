@@ -16,11 +16,9 @@ V*-side construction here is its V-side twin conjugated by the flip.
 """
 
 from fractions import Fraction
-from operator import mul
 
-from . import ratlin
 from .jsonin import InputError, array, fields, natural, rational
-from .ratlin import Subspace, frac
+from .ratlin import Echelon, Subspace, frac
 
 
 class NotAntisymmetric(Exception):
@@ -45,6 +43,12 @@ def _check_antisymmetric(M):
                 raise NotAntisymmetric("matrix is not antisymmetric")
 
 
+def _pairing(n, u, v):
+    """<u, v> = eta_u(x_v) + eta_v(x_u) for sparse rows of V + V*."""
+    return (sum(x * v.get(c - n, 0) for c, x in u.items() if c >= n)
+            + sum(x * u.get(c - n, 0) for c, x in v.items() if c >= n))
+
+
 class LinearDirac:
     """A maximal isotropic subspace of V + V*."""
 
@@ -53,11 +57,11 @@ class LinearDirac:
             raise ShapeMismatch("subspace does not live in V + V*")
         if subspace.dim != n:
             raise NotDirac(f"dimension {subspace.dim}, expected {n}")
-        # <u_a, u_b> = eta_a(x_b) + eta_b(x_a): isotropic iff the
-        # matrix eta_a(x_b) of the basis is antisymmetric
-        basis = subspace.basis
-        M = [[sum(map(mul, u[n:], v[:n])) for v in basis] for u in basis]
-        if any(M[a][b] + M[b][a] for a in range(n) for b in range(a, n)):
+        # isotropic iff <u, v> = 0 for each pair u <= v of a basis: here
+        # the integer echelon rows
+        rows = list(subspace.echelon.integer_rows.values())
+        if any(_pairing(n, u, v)
+               for a, u in enumerate(rows) for v in rows[a:]):
             raise NotDirac("subspace is not isotropic")
         self.n = n
         self.subspace = subspace
@@ -74,13 +78,15 @@ class LinearDirac:
 
 
 def flip(L):
-    """The image of L under (x, eta) -> (eta, x).  The flip preserves
-    the pairing, so the image is Dirac and is not checked again."""
+    """The image of L under (x, eta) -> (eta, x): its integer echelon
+    rows with the halves exchanged.  The flip preserves the pairing, so
+    the image is Dirac and is not checked again."""
     n = L.n
     F = object.__new__(LinearDirac)
     F.n = n
-    F.subspace = Subspace(2 * n, [list(v[n:]) + list(v[:n])
-                                  for v in L.subspace.basis])
+    F.subspace = Subspace(2 * n, Echelon(
+        {c - n if c >= n else c + n: x for c, x in r.items()}
+        for r in L.subspace.echelon.integer_rows.values()))
     return F
 
 
@@ -100,55 +106,23 @@ def from_bivector(pi):
 
 
 def range_of(L):
-    """Subspace of V spanned by the x-parts of L (its range)."""
+    """Subspace of V spanned by the x-parts of L (its range): the x-parts
+    of the integer echelon rows of L with a pivot in V; the other rows
+    have none."""
     n = L.n
-    return Subspace(n, [list(v[:n]) for v in L.subspace.basis])
-
-
-def lift(L, x):
-    """Some eta with (x, eta) in L; requires x in the range of L."""
-    n = L.n
-    basis = L.subspace.basis
-    status, c = ratlin.solve(ratlin.transpose([v[:n] for v in basis]),
-                             list(x))
-    if status != "SOLUTION":
-        raise ValueError("vector is not in the range of the structure")
-    return ratlin.mat_vec(ratlin.transpose([v[n:] for v in basis]), c)
+    return Subspace(n, Echelon(
+        {c: x for c, x in r.items() if c < n}
+        for p, r in L.subspace.echelon.integer_rows.items() if p < n))
 
 
 def intersect_V(L):
-    """L cap V, as a subspace of V."""
+    """L cap V, as a subspace of V.  In the echelon form of L with the
+    eta columns first, which is that of flip(L), a row with a pivot in
+    V has no eta part, and these rows span L cap V."""
     n = L.n
-    inter = L.subspace.intersect(Subspace(2 * n, ratlin.identity(2 * n)[:n]))
-    return Subspace(n, [list(v[:n]) for v in inter.basis])
-
-
-def _range_form(L):
-    """Range R of L and the form Omega[a][b] = eta_a(r_b) on its canonical
-    basis, for any lifts (r_a, eta_a) in L (they differ by L cap V*,
-    which annihilates R)."""
-    R = range_of(L)
-    etas = [lift(L, r) for r in R.basis]
-    Omega = [[sum(e[i] * frac(r2[i]) for i in range(L.n))
-              for r2 in R.basis] for e in etas]
-    return R, Omega
-
-
-def represent(L):
-    """Both classifications of a linear Dirac structure.
-
-    Returns a dict with:
-      R      range subspace of V,
-      Omega  antisymmetric dim(R) x dim(R) matrix in the canonical basis of R,
-      K      kernel subspace L cap V,
-      pi     antisymmetric matrix on the canonical basis of K-annihilator
-             covectors (the corange of L), pi[a][b] = w_b(x_a) for lifts
-             (x_a, w_a) in L: the range and form of flip(L).
-    """
-    R, Omega = _range_form(L)
-    W, pi = _range_form(flip(L))
-    return {"R": R, "Omega": Omega, "K": intersect_V(L), "corange": W,
-            "pi": pi}
+    return Subspace(n, Echelon(
+        {c - n: x for c, x in r.items()}
+        for p, r in flip(L).subspace.echelon.integer_rows.items() if p >= n))
 
 
 # ---------------------------------------------------------------------------

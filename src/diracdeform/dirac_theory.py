@@ -17,11 +17,14 @@ from .dirac_linear import (
     flip,
     from_bivector,
     intersect_V,
-    lift,
     range_of,
 )
-from .ratlin import Subspace, frac, identity, mat, mat_vec
+from .ratlin import Subspace, frac, mat, mat_vec
 from .superalg import SuperElement
+
+
+def identity(n):
+    return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +184,45 @@ def from_K_pi(K, corange, pi):
     return L
 
 
+def lift(L, x):
+    """Some eta with (x, eta) in L; requires x in the range of L."""
+    n = L.n
+    basis = L.subspace.basis
+    status, c = ratlin.solve(ratlin.transpose([v[:n] for v in basis]),
+                             list(x))
+    if status != "SOLUTION":
+        raise ValueError("vector is not in the range of the structure")
+    return ratlin.mat_vec(ratlin.transpose([v[n:] for v in basis]), c)
+
+
+def _range_form(L):
+    """Range R of L and the form Omega[a][b] = eta_a(r_b) on its canonical
+    basis, for any lifts (r_a, eta_a) in L (they differ by L cap V*,
+    which annihilates R)."""
+    R = range_of(L)
+    etas = [lift(L, r) for r in R.basis]
+    Omega = [[sum(e[i] * frac(r2[i]) for i in range(L.n))
+              for r2 in R.basis] for e in etas]
+    return R, Omega
+
+
+def represent(L):
+    """Both classifications of a linear Dirac structure.
+
+    Returns a dict with:
+      R      range subspace of V,
+      Omega  antisymmetric dim(R) x dim(R) matrix in the canonical basis of R,
+      K      kernel subspace L cap V,
+      pi     antisymmetric matrix on the canonical basis of K-annihilator
+             covectors (the corange of L), pi[a][b] = w_b(x_a) for lifts
+             (x_a, w_a) in L: the range and form of flip(L).
+    """
+    R, Omega = _range_form(L)
+    W, pi = _range_form(flip(L))
+    return {"R": R, "Omega": Omega, "K": intersect_V(L), "corange": W,
+            "pi": pi}
+
+
 # ---------------------------------------------------------------------------
 # Dirac maps
 # ---------------------------------------------------------------------------
@@ -305,7 +347,7 @@ def extend_isotropic(G, W):
     while len(ws) < target:
         span = Subspace(n, ws) if ws else Subspace(n, [])
         vs, U = hyperbolic_completion(G, span) if ws else ([], Subspace(
-            n, ratlin.identity(n)))
+            n, identity(n)))
         # restricted form on U in its canonical basis
         k = U.dim
         Gu = [[_form_value(G, U.basis[a], U.basis[b]) for b in range(k)]

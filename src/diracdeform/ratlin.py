@@ -42,10 +42,6 @@ def zeros(r, c):
     return [[Fraction(0)] * c for _ in range(r)]
 
 
-def identity(n):
-    return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-
-
 def mat_mul(A, B):
     Bt = transpose(B)
     return [mat_vec(Bt, row) for row in A]
@@ -127,6 +123,13 @@ class Echelon:
 
     def __len__(self):
         return len(self._forward)
+
+    @property
+    def integer_rows(self):
+        """pivot column -> row of an echelon form that is not reduced:
+        a dict column -> int, primitive, with a positive pivot; the rows
+        the forward pass stored, with no Fraction."""
+        return self._forward
 
     def _eliminate(self, rows, store):
         """Reduce each int row against the stored rows, and store what
@@ -298,18 +301,5 @@ class Subspace:
         """The vectors orthogonal to every vector of this subspace."""
         n = self.ambient_dim
         return Subspace(n, Echelon(self.echelon.kernel(n)))
-
-    def add(self, other):
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        return Subspace(self.ambient_dim, Echelon(
-            [*self.echelon.rows.values(), *other.echelon.rows.values()]))
-
-    def intersect(self, other):
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        # the dot product is nondegenerate, so A = (A^perp)^perp and
-        # A cap B = (A^perp + B^perp)^perp
-        return self.orthogonal().add(other.orthogonal()).orthogonal()
 
 

@@ -8,11 +8,15 @@ both its forms: with the Darboux momenta r_i (the form that
 of the connection.  Canonical relations are a second path to
 `dirac_theory.forward_map` and `backward_map`: the relation of phi
 composed with that of L (`forward_via_relation`,
-`backward_via_relation`).  `dirac_to_json` writes the input that
-`dirac_linear.dirac_from_json` reads."""
+`backward_via_relation`).  `intersect_V` and `check_dirac` are the
+Fraction bodies that the integer echelon rows of `dirac_linear`
+replaced: L cap V through orthogonal complements, and isotropy through
+the dense matrix eta_a(x_b) of the reduced basis.  `dirac_to_json`
+writes the input that `dirac_linear.dirac_from_json` reads."""
 
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 from diracdeform import ratlin
 from diracdeform.brackets import BracketContext
@@ -26,6 +30,7 @@ from diracdeform.dirac_linear import (
 from diracdeform.dirac_theory import PairedSpace, _phi_t, _shape
 from diracdeform.ratlin import Subspace, frac
 from diracdeform.superalg import ConnectionData
+from ratlin_oracles import intersect
 
 
 def space_V_star(n):
@@ -45,13 +50,35 @@ def from_bivector(pi):
     return LinearDirac(n, Subspace(2 * n, basis))
 
 
+def intersect_V(L):
+    """L cap V, as a subspace of V."""
+    n = L.n
+    amb = Subspace(2 * n, [[Fraction(1 if j == i else 0)
+                            for j in range(2 * n)] for i in range(n)])
+    inter = intersect(L.subspace, amb)
+    return Subspace(n, [list(v[:n]) for v in inter.basis])
+
+
 def intersect_V_star(L):
     """L cap V*, as a subspace of V*."""
     n = L.n
     amb = Subspace(2 * n, [[Fraction(1 if j == n + i else 0)
                             for j in range(2 * n)] for i in range(n)])
-    inter = L.subspace.intersect(amb)
+    inter = intersect(L.subspace, amb)
     return Subspace(n, [list(v[n:]) for v in inter.basis])
+
+
+def check_dirac(n, subspace):
+    """Raise NotDirac, with the message of `LinearDirac`, unless the
+    subspace of Q^2n is n-dimensional and isotropic: <u_a, u_b> =
+    eta_a(x_b) + eta_b(x_a), so isotropic iff the matrix eta_a(x_b) of
+    the basis is antisymmetric."""
+    if subspace.dim != n:
+        raise NotDirac(f"dimension {subspace.dim}, expected {n}")
+    basis = subspace.basis
+    M = [[sum(map(mul, u[n:], v[:n])) for v in basis] for u in basis]
+    if any(M[a][b] + M[b][a] for a in range(n) for b in range(a, n)):
+        raise NotDirac("subspace is not isotropic")
 
 
 def _lift_vector(L, eta):

@@ -1,14 +1,15 @@
 """The dense elimination loops that `ratlin.Echelon` replaced, kept as
 independent oracles: fraction-free Bareiss elimination for the rank, the
 dense reduced row echelon form, and the solve that eliminates [M | b | I]
-so that an inconsistent row carries its own certificate.  `rank` is
-the rank by `Echelon` itself, for tests that read a dimension off a
-matrix."""
+so that an inconsistent row carries its own certificate; and the sum
+and intersection of subspaces that `Subspace` carried, the intersection
+through orthogonal complements.  `rank` is the rank by `Echelon`
+itself, for tests that read a dimension off a matrix."""
 
 from fractions import Fraction
 from math import gcd, lcm
 
-from diracdeform.ratlin import Echelon, sparse_row
+from diracdeform.ratlin import Echelon, Subspace, sparse_row
 
 
 def _clear_row(row):
@@ -141,3 +142,16 @@ def solve(M, b):
 
 def rank(M):
     return len(Echelon(map(sparse_row, M)))
+
+
+def subspace_sum(A, B):
+    """A + B, for subspaces of the same Q^n."""
+    if A.ambient_dim != B.ambient_dim:
+        raise ValueError("ambient dimension mismatch")
+    return Subspace(A.ambient_dim, [*A.basis, *B.basis])
+
+
+def intersect(A, B):
+    """A cap B = (A^perp + B^perp)^perp: the dot product is
+    nondegenerate, so A = (A^perp)^perp."""
+    return subspace_sum(A.orthogonal(), B.orthogonal()).orthogonal()

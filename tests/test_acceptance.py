@@ -397,7 +397,7 @@ class TestLinearDirac:
         for _ in range(100):
             n = rng.randint(1, 4)
             L = rand_dirac(rng, n)
-            rep = dl.represent(L)
+            rep = dt.represent(L)
             assert dt.from_R_Omega(rep["R"], rep["Omega"]) == L
             assert dt.from_K_pi(rep["K"], rep["corange"], rep["pi"]) == L
 

@@ -29,8 +29,9 @@ from diracdeform import (
     multilinear,
 )
 from diracdeform.brackets import BracketContext, darboux_residuals
-from diracdeform.dirac_linear import from_bivector
+from diracdeform.dirac_linear import from_bivector, subspace_to_json
 from diracdeform.multilinear import base_gens, first_failing_triple
+from diracdeform.ratlin import Subspace
 from diracdeform.superalg import parse, phase_generators
 import bracket_oracles
 from ihs_oracles import system_to_json
@@ -266,6 +267,31 @@ class TestDiracLinear:
         path = write(tmp_path, "d.json", {"n": 2})
         code, _, err = run(["dirac-linear", path], capsys)
         assert code == 2
+
+    def test_range_and_kernel_are_those_of_represent(self, tmp_path, capsys):
+        # the report reads R and L cap V off L directly, and
+        # dirac_theory.represent classifies L in full: they must agree
+        rng = random.Random(8)
+        for _ in range(40):
+            n = rng.randint(0, 4)
+            R = Subspace(n, [[rng.randint(-2, 2) for _ in range(n)]
+                             for _ in range(rng.randint(0, n))])
+            Omega = [[0] * R.dim for _ in range(R.dim)]
+            for a in range(R.dim):
+                for b in range(a + 1, R.dim):
+                    Omega[a][b] = Fraction(rng.randint(-3, 3), 2)
+                    Omega[b][a] = -Omega[a][b]
+            L = dirac_theory.from_R_Omega(R, Omega)
+            path = write(tmp_path, "d.json", {"n": n, "subspace": (
+                subspace_to_json(L.subspace)["basis"])})
+            code, out, _ = run(["dirac-linear", path], capsys)
+            assert code == 0
+            body = json.loads(out)["report"]
+            rep = dirac_theory.represent(L)
+            assert body["range"] == subspace_to_json(rep["R"])
+            assert body["kernel"] == subspace_to_json(rep["K"])
+            assert (body["range_dim"], body["kernel_dim"]) == \
+                (rep["R"].dim, rep["K"].dim)
 
 
 class TestCourantCommands:
@@ -644,6 +670,10 @@ class TestTableFormat:
     # more base coordinates or odd pairs than MAX_PHASE
     ("rothstein-check", None, ["--m", str(cli.MAX_PHASE + 1)], "--m"),
     ("rothstein-check", None, ["--k", str(cli.MAX_PHASE + 1)], "--k"),
+    # more orders than MAX_ORDER
+    ("deform-lie", SO3, ["--order", str(cli.MAX_ORDER + 1)], "--order"),
+    ("deform-dirac", {"courant": STD1, "prefix": []},
+     ["--order", str(cli.MAX_ORDER + 1)], "--order"),
 ])
 def test_input_errors_exit_2_naming_path(tmp_path, command, data, extra,
                                         path):
@@ -694,6 +724,32 @@ def test_steps_beyond_the_bound_exit_2_before_reading(tmp_path, capsys,
     assert code == 2 and out == ""
     assert err == f"input error: --steps: {steps} is more than " \
                   f"{cli.MAX_STEPS}\n"
+
+
+@pytest.mark.parametrize("command", ["deform-lie", "deform-dirac"])
+@pytest.mark.parametrize("order", [cli.MAX_ORDER + 1, 10 ** 30])
+def test_order_beyond_the_bound_exits_2_before_reading(tmp_path, capsys,
+                                                       command, order):
+    # the input file does not exist: --order is refused before it is read
+    code, out, err = run([command, str(tmp_path / "none.json"), "--order",
+                          str(order)], capsys)
+    assert code == 2 and out == ""
+    assert err == f"input error: --order: {order} is more than " \
+                  f"{cli.MAX_ORDER}\n"
+
+
+def test_order_at_the_bound_is_accepted(tmp_path, capsys, monkeypatch):
+    orders = []
+
+    def series(coeffs, order):
+        orders.append(order)
+        return coeffs, []
+
+    monkeypatch.setattr(cli, "extend_series", series)
+    path = write(tmp_path, "so3.json", SO3)
+    code, _, _ = run(["deform-lie", path, "--order", str(cli.MAX_ORDER)],
+                     capsys)
+    assert code == 0 and orders == [cli.MAX_ORDER]
 
 
 @pytest.mark.parametrize("option", ["--m", "--k"])

@@ -8,8 +8,10 @@ and the same bytes on a re-run; and every document the schema rejects
 exits 2 with a message naming a JSON path.  A schema-valid document may
 still exit 2 for a reason the schema cannot express (an index >= dim,
 n != L.n).  With a `--steps` beyond `cli.MAX_STEPS`, `ihs-run` exits 2
-naming `--steps`, whatever the document, and with an `--m` or `--k`
-beyond `cli.MAX_PHASE`, `rothstein-check` exits 2 naming the option.
+naming `--steps`, whatever the document; so do `deform-lie` and
+`deform-dirac` naming `--order` beyond `cli.MAX_ORDER`; and with an
+`--m` or `--k` beyond `cli.MAX_PHASE`, `rothstein-check` exits 2 naming
+the option.
 `main` runs in-process, with
 its output redirected, since hypothesis cannot use function-scoped
 fixtures such as capsys.
@@ -156,6 +158,8 @@ WRONG = [None, True, "x", "", "1/0", "--1", "1/2/3", 0.5, -1, [], {"a": 1},
 HUGE = [10 ** 30, -10 ** 30, "1e400", 1e308, "1e30000000", "-1E-30000000"]
 # ihs-run's --steps is a count with a bound, checked before the input
 HUGE_STEPS = [cli.MAX_STEPS + 1, 10 ** 30]
+# and --order of deform-lie and deform-dirac
+HUGE_ORDER = [cli.MAX_ORDER + 1, 10 ** 30]
 # and so are rothstein-check's --m and --k, checked before the generators
 # are built
 HUGE_PHASE = [cli.MAX_PHASE + 1, 10 ** 30]
@@ -256,10 +260,11 @@ def test_exit_code_contract(schema, workdir):
     path = workdir / schema.replace(".schema", "")
 
     @given(doc=mutated(documents), pick=st.integers(0, 2),
-           steps=st.sampled_from(HUGE_STEPS))
+           steps=st.sampled_from(HUGE_STEPS),
+           order=st.sampled_from(HUGE_ORDER))
     @settings(max_examples=40, deadline=None, database=None,
               suppress_health_check=[HealthCheck.too_slow])
-    def contract(doc, pick, steps):
+    def contract(doc, pick, steps, order):
         path.write_text(json.dumps(doc))
         argv = [str(path) if a == IN else a
                 for a in commands[pick % len(commands)]]
@@ -280,6 +285,10 @@ def test_exit_code_contract(schema, workdir):
             argv[argv.index("--steps") + 1] = str(steps)
             assert run(argv) == (2, "", f"input error: --steps: {steps} "
                                         f"is more than {cli.MAX_STEPS}\n")
+        if "--order" in argv:
+            argv[argv.index("--order") + 1] = str(order)
+            assert run(argv) == (2, "", f"input error: --order: {order} "
+                                        f"is more than {cli.MAX_ORDER}\n")
 
     contract()
 

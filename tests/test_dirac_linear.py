@@ -65,9 +65,36 @@ def dirac_structures(draw, n=None):
     return dt.from_R_Omega(R, draw(antisymmetric(R.dim)))
 
 
+@st.composite
+def middle_subspaces(draw):
+    """(n, an n-dimensional subspace of Q^2n), n in 0..4: the basis of a
+    Dirac structure, perhaps with one entry changed, or n random rows."""
+    n = draw(st.integers(0, 4))
+    if draw(st.booleans()):
+        rows = [list(v) for v in draw(dirac_structures(n)).subspace.basis]
+        if n and draw(st.booleans()):
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, 2 * n - 1))
+            rows[i][j] += draw(st.sampled_from([-1, Fraction(1, 2), 2]))
+    else:
+        rows = draw(matrices(n, 2 * n))
+    S = Subspace(2 * n, rows)
+    assume(S.dim == n)
+    return n, S
+
+
+def verdict(check, *args):
+    """The NotDirac message that check(*args) raises, or None."""
+    try:
+        check(*args)
+    except dl.NotDirac as e:
+        return str(e)
+    return None
+
+
 class TestAgainstOracles:
     """The flip-derived V*-side constructions against their written-out
-    twins in dirac_oracles."""
+    twins in dirac_oracles, and the integer echelon rows against the
+    Fraction bodies they replaced."""
 
     @given(dirac_structures())
     @settings(max_examples=60, deadline=None)
@@ -75,7 +102,31 @@ class TestAgainstOracles:
         F = dl.flip(L)
         assert dl.LinearDirac(F.n, F.subspace) == F and F.n == L.n
         assert dl.flip(F) == L
+        assert F.subspace == Subspace(2 * L.n, [
+            v[L.n:] + v[:L.n] for v in L.subspace.basis])
         assert dl.range_of(F) == oracle.corange_pi(L)[0]
+
+    @given(dirac_structures())
+    @settings(max_examples=60, deadline=None)
+    def test_range_and_intersect_V(self, L):
+        assert dl.range_of(L) == Subspace(L.n, [v[:L.n]
+                                                for v in L.subspace.basis])
+        assert dl.intersect_V(L) == oracle.intersect_V(L)
+
+    @given(st.integers(0, 4))
+    def test_intersect_V_of_V_and_V_star(self, n):
+        V, V_star = dt.space_V(n), dt.space_V_star(n)
+        assert dl.intersect_V(V) == oracle.intersect_V(V) == \
+            Subspace(n, dt.identity(n))
+        assert dl.intersect_V(V_star) == oracle.intersect_V(V_star)
+        assert dl.intersect_V(V_star).dim == 0
+
+    @given(middle_subspaces())
+    @settings(max_examples=200, deadline=None)
+    def test_isotropy_check(self, nS):
+        n, S = nS
+        assert verdict(dl.LinearDirac, n, S) == verdict(oracle.check_dirac,
+                                                        n, S)
 
     @given(st.integers(0, 4))
     def test_space_V_star(self, n):
@@ -94,7 +145,7 @@ class TestAgainstOracles:
     @given(dirac_structures())
     @settings(max_examples=60, deadline=None)
     def test_corange_half_of_represent(self, L):
-        rep = dl.represent(L)
+        rep = dt.represent(L)
         assert (rep["corange"], rep["pi"]) == oracle.corange_pi(L)
         assert dt.from_K_pi(rep["K"], rep["corange"], rep["pi"]) == \
             oracle.from_K_pi(rep["K"], rep["corange"], rep["pi"]) == L
@@ -102,7 +153,7 @@ class TestAgainstOracles:
     @given(dirac_structures(), st.data())
     @settings(max_examples=60, deadline=None)
     def test_from_K_pi_rejects_a_wrong_kernel(self, L, data):
-        rep = dl.represent(L)
+        rep = dt.represent(L)
         n = L.n
         K = Subspace(n, data.draw(matrices(data.draw(st.integers(0, n)), n)))
         assume(K != rep["K"])
@@ -182,8 +233,8 @@ class TestRepresent:
         for n in (2, 3):
             w = rand_antisym(rng, n)
             L = dl.from_two_form(w)
-            rep = dl.represent(L)
-            assert rep["R"] == Subspace(n, ratlin.identity(n))
+            rep = dt.represent(L)
+            assert rep["R"] == Subspace(n, dt.identity(n))
             # Omega in the standard basis equals the defining form
             assert [[rep["Omega"][a][b] for b in range(n)]
                     for a in range(n)] == \
@@ -202,24 +253,24 @@ class TestRepresent:
         n = 3
         p = rand_antisym(rng, n)
         L = dl.from_bivector(p)
-        rep = dl.represent(L)
+        rep = dt.represent(L)
         assert rep["K"].dim == 0
         im = Subspace(n, [[p[j][i] for j in range(n)] for i in range(n)])
         assert rep["R"] == im
 
     def test_space_V(self):
         n = 3
-        rep = dl.represent(dt.space_V(n))
-        assert rep["R"] == Subspace(n, ratlin.identity(n))
+        rep = dt.represent(dt.space_V(n))
+        assert rep["R"] == Subspace(n, dt.identity(n))
         assert all(all(x == 0 for x in row) for row in rep["Omega"])
-        assert rep["K"] == Subspace(n, ratlin.identity(n))
+        assert rep["K"] == Subspace(n, dt.identity(n))
 
     def test_round_trips_random(self):
         rng = random.Random(3)
         for _ in range(100):
             n = rng.randint(1, 4)
             L = rand_dirac(rng, n)
-            rep = dl.represent(L)
+            rep = dt.represent(L)
             assert dt.from_R_Omega(rep["R"], rep["Omega"]) == L
             assert dt.from_K_pi(rep["K"], rep["corange"], rep["pi"]) == L
 
@@ -229,14 +280,14 @@ class TestRepresent:
         for _ in range(30):
             n = rng.randint(1, 4)
             L = rand_dirac(rng, n)
-            rep = dl.represent(L)
+            rep = dt.represent(L)
             rows = [list(r) for r in rep["R"].basis]
             ann = ratlin.kernel_basis(rows) if rows else \
-                Subspace(n, ratlin.identity(n))
+                Subspace(n, dt.identity(n))
             assert ann == dt.intersect_V_star(L)
             rows = [list(r) for r in rep["corange"].basis]
             ann = ratlin.kernel_basis(rows) if rows else \
-                Subspace(n, ratlin.identity(n))
+                Subspace(n, dt.identity(n))
             assert ann == dl.intersect_V(L)
 
 
@@ -246,7 +297,7 @@ class TestDiracMaps:
         for _ in range(10):
             n = rng.randint(1, 3)
             L = rand_dirac(rng, n)
-            phi = ratlin.identity(n)
+            phi = dt.identity(n)
             assert dt.forward_map(phi, L) == L
             assert dt.backward_map(phi, L) == L
 
@@ -346,7 +397,7 @@ class TestRelations:
     def test_identity_relation_neutral(self):
         rng = random.Random(12)
         n = 3
-        idrel = oracle.relation_of_map(ratlin.identity(n))
+        idrel = oracle.relation_of_map(dt.identity(n))
         L = rand_dirac(rng, n)
         assert oracle.dirac_of_relation(
             oracle.compose_relations(idrel, oracle.relation_of_dirac(L))) == L
@@ -363,8 +414,8 @@ class TestRelations:
             assert lhs == rhs
 
     def test_factor_mismatch(self):
-        r1 = oracle.relation_of_map(ratlin.identity(2))
-        r2 = oracle.relation_of_map(ratlin.identity(3))
+        r1 = oracle.relation_of_map(dt.identity(2))
+        r2 = oracle.relation_of_map(dt.identity(3))
         with pytest.raises(oracle.FactorMismatch):
             oracle.compose_relations(r1, r2)
 
@@ -394,7 +445,7 @@ class TestHyperbolic:
         G = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(-1)]]
         vs, U = dt.hyperbolic_completion(G, Subspace(2, []))
         assert vs == []
-        assert U == Subspace(2, ratlin.identity(2))
+        assert U == Subspace(2, dt.identity(2))
 
     def test_pairing_table_random(self):
         rng = random.Random(14)
