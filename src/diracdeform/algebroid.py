@@ -1029,11 +1029,12 @@ def linear_poisson_deform(prefix, k, order=None):
                      partial(_linear_multivector_basis, gens, k, 2),
                      gens.zero(), spans=True)
 
-    def rhs(coeffs, n):
+    def rhs(live, n):
         R = gens.zero()
-        for i in range(1, n):
-            if not (coeffs[i].is_zero() or coeffs[n - i].is_zero()):
-                R = R + ctx.schouten(coeffs[i], coeffs[n - i])
+        for i, P in live.items():
+            Q = live.get(n - i)
+            if Q is not None:
+                R = R + ctx.schouten(P, Q)
         return Fraction(-1, 2) * R
 
     return mc_extend(d, rhs, prefix,

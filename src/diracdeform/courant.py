@@ -269,13 +269,13 @@ def psi_triple(th, a, b, c):
     return br(br(br(th.psi, a), b), c)
 
 
-def mc_residual_one(th, omega_list, n):
+def mc_residual_one(th, om, n):
     """Order-n residual of the graph deformation equation for the
-    series with coefficients omega_list (index = order, omega_0 = 0).
-    Only terms whose coefficients are all nonzero are bracketed."""
+    series whose nonzero coefficients are om, a dict order i >= 1 ->
+    omega_i in increasing order, as `mc_extend` keeps them.  Only the
+    orders present are bracketed, and an order above n never meets
+    others that sum to n, so one om serves every n."""
     br = th.ctx.bracket
-    om = {i: w for i, w in enumerate(omega_list[1:n + 1], 1)
-          if not w.is_zero()}
     res = br(th.mu, om[n]) if n in om else th.zero()
     for i in om:
         if n - i in om:
@@ -402,7 +402,7 @@ def deform_series_dirac(inp_or_theta, prefix, order, degree_cap=2):
     prefix = [omega_1, ..., omega_N] (2-forms, order = position + 1) must
     satisfy the deformation equation through order N; PreconditionMC is
     raised otherwise.  Order n solves d_L omega_n = R_n, with
-    R_n = -mc_residual_one(th, [0, omega_1, ..., omega_{n-1}], n), over
+    R_n = -mc_residual_one(th, {i: omega_i != 0, i < n}, n), over
     q-polynomial 2-forms of degree <= degree_cap: the basis spans every
     2-form, and a failed solve certifies an obstruction, only when m = 0.
     A prefix entry outside the span of those 2-forms (any degree) raises
@@ -421,6 +421,6 @@ def deform_series_dirac(inp_or_theta, prefix, order, degree_cap=2):
                      partial(_two_form_basis, th, degree_cap), th.zero(),
                      spans=m == 0)
     coeffs, certs = mc_extend(
-        d, lambda coeffs, n: -mc_residual_one(th, coeffs, n),
+        d, lambda live, n: -mc_residual_one(th, live, n),
         [th.zero()] + list(prefix), order, AxiomViolation)
     return coeffs[1:], certs

@@ -80,8 +80,9 @@ def mc_residual_dirac(th, omega_series):
     + 1/6 {{{psi, w}, w}, w} as a FormalSeries of 3-forms."""
     if not omega_series[0].is_zero():
         raise ShapeError("omega_series", "must start at order one")
-    coeffs = [omega_series[i] for i in range(omega_series.order + 1)]
-    out = [mc_residual_one(th, coeffs, n)
+    om = {i: omega_series[i] for i in range(1, omega_series.order + 1)
+          if not omega_series[i].is_zero()}
+    out = [mc_residual_one(th, om, n)
            for n in range(omega_series.order + 1)]
     return FormalSeries(omega_series.order, out, th.zero())
 
@@ -102,9 +103,9 @@ def d_omega_operator(th, omega):
 def universal_identity_check(th, omega):
     """d_omega applied to the deformation expression vanishes for every
     2-form omega, solution or not.  Returns the residual."""
-    mc = mc_residual_one(th, [th.zero(), omega], 1) \
-        + mc_residual_one(th, [th.zero(), omega], 2) \
-        + mc_residual_one(th, [th.zero(), omega], 3)
+    mc = mc_residual_one(th, {1: omega}, 1) \
+        + mc_residual_one(th, {1: omega}, 2) \
+        + mc_residual_one(th, {1: omega}, 3)
     return d_omega_operator(th, omega)(mc)
 
 

@@ -148,23 +148,30 @@ def mc_extend(d, rhs, prefix, order, not_closed):
     """Extend the coefficients x_0..x_{N-1} in `prefix` order by order up
     to the truncation `order`.
 
-    At order n the equation is d x_n = rhs(coeffs[:n], n).  The prefix
-    is checked once, on entry (PreconditionMC); a right-hand side that is
-    not d-closed means the order-0 structure is broken and raises
-    `not_closed`.  Each order is solved by `d.solve`, which answers
-    R_n = 0 with x_n = 0 and no elimination: from a prefix of x_0 alone
-    every R_n is 0, so such a run never builds d's basis or images.
-    Returns (coefficients, certificates) and stops at the first order
-    that does not extend.
+    At order n the equation is d x_n = rhs(live, n), where live maps
+    each order 1 <= i < n whose coefficient is nonzero to x_i, in
+    increasing order.  It is kept as the orders are solved, so each
+    coefficient is tested for zero once and a right-hand side visits
+    only the nonzero ones.  The prefix is checked once, on entry
+    (PreconditionMC); a right-hand side that is not d-closed means the
+    order-0 structure is broken and raises `not_closed`.  Each order is
+    solved by `d.solve`, which answers R_n = 0 with x_n = 0 and no
+    elimination: from a prefix of x_0 alone every R_n is 0, so such a
+    run never builds d's basis or images, and its cost is linear in the
+    order.  Returns (coefficients, certificates) and stops at the first
+    order that does not extend.
     """
+    live = {}
     for j in range(1, len(prefix)):
-        if not (d.op(prefix[j]) - rhs(prefix[:j], j)).is_zero():
+        if not (d.op(prefix[j]) - rhs(live, j)).is_zero():
             raise PreconditionMC(f"deformation equation fails at order {j}")
+        if not prefix[j].is_zero():
+            live[j] = prefix[j]
     coeffs = list(prefix)
     certs = []
     while len(coeffs) <= order:
         n = len(coeffs)
-        R = rhs(coeffs, n)
+        R = rhs(live, n)
         if not d.op(R).is_zero():
             raise not_closed(f"right-hand side of order {n} is not "
                              "closed; the order-0 structure is not "
@@ -174,6 +181,8 @@ def mc_extend(d, rhs, prefix, order, not_closed):
         if not cert.extends:
             break
         coeffs.append(cert.solution)
+        if not cert.solution.is_zero():
+            live[n] = cert.solution
     return coeffs, certs
 
 
@@ -192,13 +201,15 @@ def _lie_differential(mu0, k):
                         images=partial(_delta_columns, mu0.terms, mu0.dim, k))
 
 
-def _lie_rhs(coeffs, n):
-    """R_n = 1/2 sum_{i=1}^{n-1} [mu_i, mu_{n-i}]_NR, bracketing only
-    pairs of nonzero coefficients: from mu_0 alone no pair is bracketed."""
-    R = MultiMap.zero(3, coeffs[0].dim)
-    for i in range(1, n):
-        if not (coeffs[i].is_zero() or coeffs[n - i].is_zero()):
-            R = R + nr_bracket(coeffs[i], coeffs[n - i])
+def _lie_rhs(zero, live, n):
+    """R_n = 1/2 sum_{i=1}^{n-1} [mu_i, mu_{n-i}]_NR over the pairs of
+    nonzero coefficients in live (see mc_extend), starting from the zero
+    3-cochain: from mu_0 alone no pair is bracketed."""
+    R = zero
+    for i, f in live.items():
+        g = live.get(n - i)
+        if g is not None:
+            R = R + nr_bracket(f, g)
     return Fraction(1, 2) * R
 
 
@@ -209,5 +220,6 @@ def extend_series(prefix, order=DEFAULT_ORDER):
     obstruction."""
     if not prefix:
         raise ValueError("need at least mu_0")
-    return mc_extend(_lie_differential(prefix[0], 2), _lie_rhs, prefix,
-                     order, Order0NotLie)
+    return mc_extend(_lie_differential(prefix[0], 2),
+                     partial(_lie_rhs, MultiMap.zero(3, prefix[0].dim)),
+                     prefix, order, Order0NotLie)

@@ -5,10 +5,12 @@ rational vector space (the full tensor); its subclass MultiMap holds
 the antisymmetric ones on strictly increasing index tuples, with the
 Nijenhuis-Richardson bracket.  The Chevalley-Eilenberg differential of
 a Lie structure mu is delta = (-1)^{n+1} [mu, .]_NR on n-cochains.  The
-bracket, the Jacobi test and the one builder of delta's columns
-(_delta_columns, from a coordinate dict of mu) come from one sparse
-insertion of a map into a slot of another (_slots, _insert), which
-walks only the coordinates present.  Both cohomology questions feed
+bracket of two maps and the Jacobi test come from one sparse insertion
+of a map into a slot of another (_slots, _insert), which walks only the
+coordinates present.  The one builder of delta's columns
+(_delta_columns, from a coordinate dict of mu) indexes mu's coordinates
+once, by slot and by output, with index sets as bit masks, and inserts
+each unit cochain by mask arithmetic.  Both cohomology questions feed
 that builder the integer structure D mu (_integer_terms) and hand its
 int columns to `ratlin.Echelon.of_columns`: cohomology_dims reads off a
 rank with no Fraction, `algebroid.cohomology` a kernel and an image.
@@ -274,25 +276,102 @@ def _unit_cochains(k, dim):
             for idx, g in _cochain_basis(k, dim)]
 
 
+def _mask(idx):
+    """The index set idx as a bit mask."""
+    m = 0
+    for i in idx:
+        m |= 1 << i
+    return m
+
+
 def _delta_columns(terms, dim, k):
     """Columns of the CE differential A^k -> A^{k+1} of the structure
     with coordinates terms ({(idx, t): v}, as MultiMap.terms) on a space
     of dimension dim, without a Jacobi check: one dict per element
-    (idx, g) of _cochain_basis(k, dim), holding the nonzero coordinates
+    (I, g) of _cochain_basis(k, dim), holding the nonzero coordinates
     (keyed like MultiMap.terms) of
 
         delta e = (-1)^{k+1} [mu, e]_NR
                 = (-1)^{k+1} mu <> e - e <> mu
 
-    for the unit cochain e = e^idx (x) e_g.  Its entries are products of
-    signs and values of terms: ints for int terms."""
-    mu_slots = _slots(terms)
+    for the unit cochain e = e^I (x) e_g.  Its entries are values of
+    terms up to sign, and their sums: ints for int terms.
+
+    mu's coordinates are indexed once, with each index set as a bit
+    mask: by slot (mu <> e puts e into the slot g of mu) and by output
+    (e <> mu puts mu into a slot s of e), each with its value under both
+    signs.  Against a unit cochain, a repeated index is a nonzero
+    I & rest; the Koszul sign of merging two index sets counts, for each
+    index of mu's side, the indices of the other side on the wrong side
+    of it (int.bit_count); and a merged key comes from a mask -> sorted
+    tuple dict.  e <> mu has e's output g, so its coordinates are found
+    once per I and shared by the dim columns of I."""
+    by_slot, by_output = {}, {}
+    for (idx, t), v in terms.items():
+        mask = _mask(idx)
+        by_output.setdefault(t, []).append(
+            (mask, idx, tuple((1 << a) - 1 for a in idx), (-v, v)))
+        for pos, s in enumerate(idx):
+            rest = idx[:pos] + idx[pos + 1:]
+            by_slot.setdefault(s, []).append(
+                (mask ^ (1 << s), rest, tuple(b + 1 for b in rest), t,
+                 (-v, v) if (pos + k) & 1 == 0 else (v, -v)))
+    slots = [by_slot.get(g, ()) for g in range(dim)]
+    sorted_of = {}
     cols = []
-    for idx, g in _cochain_basis(k, dim):
-        e = {(idx, g): 1}
-        col = _insert(mu_slots, e, _psign(k + 1))
-        _insert(_slots(e), terms, -1, col)
-        cols.append({key: v for key, v in col.items() if v})
+    for I in itertools.combinations(range(dim), k):
+        imask = _mask(I)
+        # -e <> mu: the coordinate (J, s) of mu meets the slot s of e, at
+        # position p of I, and J merges with R = I \ s; sign (-1)^{p+1}
+        # times the count of pairs a in J, b in R with a > b
+        right = []
+        for p, s in enumerate(I):
+            R = imask ^ (1 << s)
+            for jmask, J, lows, vals in by_output.get(s, ()):
+                if jmask & R:
+                    continue
+                odd = p
+                for low in lows:
+                    odd += (R & low).bit_count()
+                m = jmask | R
+                key = sorted_of.get(m)
+                if key is None:
+                    key = sorted_of[m] = tuple(sorted(J + I[:p] + I[p + 1:]))
+                right.append((key, vals[odd & 1]))
+        for g in range(dim):
+            # (-1)^{k+1} mu <> e: e meets the slot g of mu, at position
+            # pos, and I merges with the rest of mu's index; sign
+            # (-1)^{k+1+pos} times the count of pairs a in I, b in rest
+            # with a > b
+            col = {}
+            summed = False
+            for rmask, rest, shifts, t, vals in slots[g]:
+                if imask & rmask:
+                    continue
+                odd = 0
+                for shift in shifts:
+                    odd += (imask >> shift).bit_count()
+                m = imask | rmask
+                key = sorted_of.get(m)
+                if key is None:
+                    key = sorted_of[m] = tuple(sorted(I + rest))
+                key = (key, t)
+                old = col.get(key)
+                if old is None:
+                    col[key] = vals[odd & 1]
+                else:
+                    col[key] = old + vals[odd & 1]
+                    summed = True
+            for key, w in right:
+                key = (key, g)
+                old = col.get(key)
+                if old is None:
+                    col[key] = w
+                else:
+                    col[key] = old + w
+                    summed = True
+            cols.append({key: v for key, v in col.items() if v}
+                        if summed else col)
     return cols
 
 

@@ -5,11 +5,13 @@ formula row by row (and, to check that, from one ce_differential per
 unit cochain), and the dense bodies that the sparse insertion of
 `multilinear` replaced: the NR diamond and the Gerstenhaber circle
 over every index tuple, the triple-by-triple Jacobi scan, and
-composition with a linear map; and the Crainic-Moerdijk bracket of
-multiderivations written out as shuffle sums on frame sections, which
-`cm_bracket` replaced by the commutator of Grassmann derivations; and
-the inverse of `iso_I` by an exact linear solve over candidate
-monomials, which `iso_I_inv` replaced by a direct formula; and
+composition with a linear map; the columns of delta by two generic
+sparse insertions per unit cochain, which `_delta_columns` replaced by
+insertions from mu's tables on bit masks; and the Crainic-Moerdijk
+bracket of multiderivations written out as shuffle sums on frame
+sections, which `cm_bracket` replaced by the commutator of Grassmann
+derivations; and the inverse of `iso_I` by an exact linear solve over
+candidate monomials, which `iso_I_inv` replaced by a direct formula; and
 cohomology dimensions from the full kernel and representative
 computation of each degree, which `cohomology_dims` replaced by one
 rank per delta.  `to_vector`/`from_vector` write a cochain on a list of
@@ -34,7 +36,9 @@ from diracdeform.multilinear import (
     NotLie,
     _cochain_basis,
     _from_terms,
+    _insert,
     _psign,
+    _slots,
     _unit_cochains,
     _zvec,
     is_lie,
@@ -231,6 +235,21 @@ def delta_matrix(mu, k):
                     row[col[(idx, t)]] += (-1) ** (i + j + inv) * v
         rows.append(row)
     return rows
+
+
+def delta_columns(terms, dim, k):
+    """The columns of delta^k that `multilinear._delta_columns` builds
+    from mu's tables on bit masks, here by two generic sparse insertions
+    per unit cochain e = e^idx (x) e_g:
+    (-1)^{k+1} mu <> e - e <> mu."""
+    mu_slots = _slots(terms)
+    cols = []
+    for idx, g in _cochain_basis(k, dim):
+        e = {(idx, g): 1}
+        col = _insert(mu_slots, e, _psign(k + 1))
+        _insert(_slots(e), terms, -1, col)
+        cols.append({key: v for key, v in col.items() if v})
+    return cols
 
 
 def delta_matrix_by_cochain(mu, k):

@@ -609,9 +609,9 @@ class TestUniversalIdentity:
                     else:
                         f = th.gens.scalar(Fraction(rng.randint(-2, 2)))
                     om = om + f * th.upper(a) * th.upper(b)
-            mc = co.mc_residual_one(th, [th.zero(), om], 1) \
-                + co.mc_residual_one(th, [th.zero(), om], 2) \
-                + co.mc_residual_one(th, [th.zero(), om], 3)
+            mc = co.mc_residual_one(th, {1: om}, 1) \
+                + co.mc_residual_one(th, {1: om}, 2) \
+                + co.mc_residual_one(th, {1: om}, 3)
             if not mc.is_zero():
                 non_solutions += 1
             assert ct.universal_identity_check(th, om).is_zero()

@@ -30,9 +30,9 @@ from diracdeform import (
 )
 from diracdeform.brackets import BracketContext, darboux_residuals
 from diracdeform.dirac_linear import from_bivector, subspace_to_json
-from diracdeform.multilinear import base_gens, first_failing_triple
+from diracdeform.multilinear import MultiMap, base_gens, first_failing_triple
 from diracdeform.ratlin import Subspace
-from diracdeform.superalg import parse, phase_generators
+from diracdeform.superalg import SuperElement, parse, phase_generators
 import bracket_oracles
 from ihs_oracles import system_to_json
 
@@ -750,6 +750,38 @@ def test_order_at_the_bound_is_accepted(tmp_path, capsys, monkeypatch):
     code, _, _ = run(["deform-lie", path, "--order", str(cli.MAX_ORDER)],
                      capsys)
     assert code == 0 and orders == [cli.MAX_ORDER]
+
+
+@pytest.mark.parametrize("command, data, cls", [
+    ("deform-lie", SO3, MultiMap),
+    ("deform-dirac", {"courant": courant_theory.so3_double().to_json(),
+                      "prefix": ["a^1 a^2"]}, SuperElement)])
+def test_zero_tests_grow_linearly_with_the_order(tmp_path, capsys,
+                                                 monkeypatch, command, data,
+                                                 cls):
+    # every R_n from order 3 on is 0 here.  Each coefficient is tested
+    # for zero once, when it is solved, and a right-hand side visits only
+    # the nonzero ones, so each order adds the same number of is_zero
+    # calls; testing the earlier orders at each order would make the
+    # count quadratic in the order
+    calls = []
+    is_zero = cls.is_zero
+
+    def counted(self):
+        calls.append(1)
+        return is_zero(self)
+
+    monkeypatch.setattr(cls, "is_zero", counted)
+    path = write(tmp_path, "in.json", data)
+    counts = []
+    for order in (100, 200, 400):
+        del calls[:]
+        code, _, _ = run([command, path, "--order", str(order)], capsys)
+        assert code == 0
+        counts.append(len(calls))
+    per_order = (counts[1] - counts[0]) / 100
+    assert counts[2] - counts[1] == 200 * per_order
+    assert 0 < per_order <= 4
 
 
 @pytest.mark.parametrize("option", ["--m", "--k"])

@@ -610,6 +610,27 @@ class TestZeroCoefficientsAreNotBracketed:
                     for n in range(2, 5) for i in range(1, n))
         assert len(calls) == pairs and not any(map(any, calls))
 
+    @pytest.mark.parametrize("prefix", [
+        [so3(), MultiMap.zero(2, 3)], exact_lie_prefix(FIL4, 0)])
+    def test_rhs_sees_the_nonzero_orders_below_n(self, prefix):
+        # mc_extend hands each right-hand side, in the prefix check and
+        # at every order, the orders 1 <= i < n whose coefficient is
+        # nonzero, in increasing order
+        seen = []
+        zero = MultiMap.zero(3, prefix[0].dim)
+
+        def recorded(live, n):
+            seen.append((n, list(live.items())))
+            return ld._lie_rhs(zero, live, n)
+
+        coeffs, certs = ld.mc_extend(ld._lie_differential(prefix[0], 2),
+                                     recorded, prefix, 5, ld.Order0NotLie)
+        assert [n for n, _ in seen] == list(range(1, len(prefix)
+                                                  + len(certs)))
+        for n, live in seen:
+            assert live == [(i, c) for i, c in enumerate(coeffs[:n])
+                            if i and not c.is_zero()]
+
     def test_linear_poisson_from_pi0_alone(self, monkeypatch):
         # d brackets pi_0 with each R_n; the right-hand side brackets
         # coefficients of order >= 1, none of which is nonzero here
@@ -630,8 +651,7 @@ class TestZeroCoefficientsAreNotBracketed:
         th = co.build_theta(ct.so3_double())
         omega = parse(th.gens, "a^1 a^2")
         zero = th.zero()
-        want = [co.mc_residual_one(th, [zero, omega, zero, zero], n)
-                for n in range(1, 4)]
+        want = [co.mc_residual_one(th, {1: omega}, n) for n in range(1, 4)]
         calls = []
         bracket = th.ctx.bracket
 
@@ -644,7 +664,7 @@ class TestZeroCoefficientsAreNotBracketed:
         counts = []
         for n in range(1, 8):
             del calls[:]
-            got = co.mc_residual_one(th, [zero, omega] + [zero] * n, n)
+            got = co.mc_residual_one(th, {1: omega}, n)
             assert got == (want[n - 1] if n <= 3 else zero)
             counts.append(len(calls))
         # {mu, omega_1}; {{omega_1, gamma}, omega_1}; the psi triple

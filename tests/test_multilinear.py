@@ -529,6 +529,27 @@ class TestDeltaMatrixOracle:
         self.check(filiform(5))
 
 
+class TestDeltaColumnsOracle:
+    """_delta_columns, built from mu's tables on bit masks, against two
+    generic sparse insertions per unit cochain (lie_oracles)."""
+
+    @given(lie_algebras())
+    @settings(max_examples=80, deadline=None)
+    def test_random_lie_algebras(self, mu):
+        # mu's Fractions, as the solves of lie_deform pass them, and the
+        # ints of D mu, as both cohomology questions do; every degree
+        # from 0 to dim + 1, where the columns are empty
+        for terms in (mu.terms, ml._integer_terms(mu)):
+            for k in range(mu.dim + 2):
+                cols = ml._delta_columns(terms, mu.dim, k)
+                want = lie_oracles.delta_columns(terms, mu.dim, k)
+                assert cols == want
+                assert [{key: type(v) for key, v in col.items()}
+                        for col in cols] \
+                    == [{key: type(v) for key, v in col.items()}
+                        for col in want]
+
+
 class TestCohomologyDims:
     @given(lie_algebras(), st.data())
     @settings(max_examples=60, deadline=None)
@@ -544,7 +565,8 @@ class TestCohomologyDims:
             == [h for h, _ in full] == [len(reps) for _, reps in full]
 
     @pytest.mark.parametrize("n, expected", [(10, [36, 85]),
-                                             (12, [53, 156])])
+                                             (12, [53, 156]),
+                                             (14, [72, 257])])
     def test_filiform_pins(self, n, expected):
         assert cohomology_dims(filiform(n), [2, 3]) == expected
 
