@@ -49,12 +49,10 @@ from .multilinear import (
     _ce_differential,
     _cochain_basis,
     _delta_columns,
-    _from_terms,
     _integer_terms,
     _psign,
     _require_lie,
     _slots,
-    _zvec,
     base_gens,
     is_lie,
     nr_bracket,
@@ -109,7 +107,7 @@ def _cohomology(mu, k):
                          for v in delta.kernel(len(dom)))
     im = ratlin.Echelon(_delta_columns(terms, dim, k - 1) if k else ())
     hdim = len(ker) - len(im)
-    reps = [_from_terms(MultiMap, k, dim, ker.rows[p])
+    reps = [MultiMap.of_terms(k, dim, ker.rows[p])
             for p in sorted(ker.rows) if im.insert(ker.rows[p])]
     assert len(reps) == hdim
     return hdim, reps
@@ -129,7 +127,7 @@ def gerstenhaber_bracket(f, g):
             for pos, rest, t, v in a_slots.get(s, ()):
                 key = (rest[:pos] + J + rest[pos:], t)
                 out[key] = out.get(key, 0) + _psign(pos * (n - 1)) * w * v
-        return _from_terms(NonSymMultiMap, max(a.n + n - 1, 0), a.dim, out)
+        return NonSymMultiMap.of_terms(max(a.n + n - 1, 0), a.dim, out)
 
     sign = _psign((f.n - 1) * (g.n - 1))
     return circ(f, g) - sign * circ(g, f)
@@ -336,19 +334,18 @@ def multiderivation_of_multimap(f, gens=None):
     multiderivation over an empty base (m = 0)."""
     if gens is None:
         gens = base_gens(0)
-    frame = {idx: tuple(gens.scalar(v) for v in vec)
-             for idx, vec in f.c.items()}
+    frame = {}
+    for (idx, t), v in f.terms.items():
+        frame.setdefault(idx, [0] * f.dim)[t] = v
     return MultiDerivation(gens, 0, f.dim, f.n - 1, frame)
 
 
 def multimap_of_multiderivation(D):
     if D.m != 0:
         raise BundleMismatch("only point-case multiderivations are multimaps")
-    c = {}
-    for idx, vec in D.frame.items():
-        c[idx] = tuple(next(iter(v.terms.values())) if v.terms else Fraction(0)
-                       for v in vec)
-    return MultiMap(D.degree + 1, D.k, c)
+    return MultiMap.of_terms(D.degree + 1, D.k, {
+        (idx, t): next(iter(v.terms.values()), 0)
+        for idx, vec in D.frame.items() for t, v in enumerate(vec)})
 
 
 def tm_bracket_structure(m, gens=None):
@@ -891,23 +888,20 @@ def invert_series(phi, dim):
 def _pre_compose2(f, phi_a, phi_b):
     """f(phi_a x, phi_b y) antisymmetrized, for a 2-ary MultiMap f."""
     dim = f.dim
-    c = {}
+    terms = {}
     for a, b in itertools.combinations(range(dim), 2):
         va = phi_a.eval_indices((a,))
         vb = phi_b.eval_indices((b,))
-        out = list(_zvec(dim))
         for i, ca in enumerate(va):
             if ca == 0:
                 continue
             for j, cb in enumerate(vb):
                 if cb == 0:
                     continue
-                val = f.eval_indices((i, j))
-                for t in range(dim):
-                    out[t] += ca * cb * val[t]
-        if any(out):
-            c[(a, b)] = tuple(out)
-    return MultiMap(2, dim, c)
+                for t, v in enumerate(f.eval_indices((i, j))):
+                    key = ((a, b), t)
+                    terms[key] = terms.get(key, 0) + ca * cb * v
+    return MultiMap.of_terms(2, dim, terms)
 
 
 # ---------------------------------------------------------------------------

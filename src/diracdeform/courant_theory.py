@@ -109,9 +109,9 @@ def universal_identity_check(th, omega):
     return d_omega_operator(th, omega)(mc)
 
 
-def deform_extend_dirac(inp_or_theta, prefix, degree_cap=2):
+def deform_extend_dirac(th, prefix, degree_cap=2):
     """The certificate of order len(prefix) + 1 (see deform_series_dirac)."""
-    return deform_series_dirac(inp_or_theta, prefix, len(prefix) + 1,
+    return deform_series_dirac(th, prefix, len(prefix) + 1,
                                degree_cap=degree_cap)[1][-1]
 
 
@@ -119,7 +119,7 @@ def deform_extend_dirac(inp_or_theta, prefix, degree_cap=2):
 # the quasi-Lie lemma
 # ---------------------------------------------------------------------------
 
-def quasi_lemma_check(inp, raise_on_fail=False):
+def quasi_lemma_check(inp):
     """The three structure identities of the split charge, verified on
     frame 1-forms (upper generators), with one q-weighted variant."""
     th = build_theta(inp)
@@ -193,7 +193,7 @@ def quasi_lemma_check(inp, raise_on_fail=False):
                         fail3.append(to_text(lhs))
 
     return _report({}, {"anchor_defect": fail1, "jacobiator": fail2,
-                        "psi_coherence": fail3}, raise_on_fail)
+                        "psi_coherence": fail3})
 
 
 # ---------------------------------------------------------------------------

@@ -154,12 +154,13 @@ def mc_extend(d, rhs, prefix, order, not_closed):
     coefficient is tested for zero once and a right-hand side visits
     only the nonzero ones.  The prefix is checked once, on entry
     (PreconditionMC); a right-hand side that is not d-closed means the
-    order-0 structure is broken and raises `not_closed`.  Each order is
-    solved by `d.solve`, which answers R_n = 0 with x_n = 0 and no
-    elimination: from a prefix of x_0 alone every R_n is 0, so such a
-    run never builds d's basis or images, and its cost is linear in the
-    order.  Returns (coefficients, certificates) and stops at the first
-    order that does not extend.
+    order-0 structure is broken and raises `not_closed`, and a zero one
+    is closed without applying d.  Each order is solved by `d.solve`,
+    which answers R_n = 0 with x_n = 0 and no elimination: from a prefix
+    of x_0 alone every R_n is 0, so such a run never applies d nor
+    builds its basis or images, and its cost is linear in the order.
+    Returns (coefficients, certificates) and stops at the first order
+    that does not extend.
     """
     live = {}
     for j in range(1, len(prefix)):
@@ -172,7 +173,8 @@ def mc_extend(d, rhs, prefix, order, not_closed):
     while len(coeffs) <= order:
         n = len(coeffs)
         R = rhs(live, n)
-        if not d.op(R).is_zero():
+        # d is linear: a zero R_n is closed without applying d
+        if not R.is_zero() and not d.op(R).is_zero():
             raise not_closed(f"right-hand side of order {n} is not "
                              "closed; the order-0 structure is not "
                              "square-zero")

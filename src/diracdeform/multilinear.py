@@ -3,26 +3,29 @@
 NonSymMultiMap holds multilinear maps V^n -> V on a finite-dimensional
 rational vector space (the full tensor); its subclass MultiMap holds
 the antisymmetric ones on strictly increasing index tuples, with the
-Nijenhuis-Richardson bracket.  The Chevalley-Eilenberg differential of
-a Lie structure mu is delta = (-1)^{n+1} [mu, .]_NR on n-cochains.  The
-bracket of two maps and the Jacobi test come from one sparse insertion
-of a map into a slot of another (_slots, _insert), which walks only the
-coordinates present.  The one builder of delta's columns
-(_delta_columns, from a coordinate dict of mu) indexes mu's coordinates
-once, by slot and by output, with index sets as bit masks, and inserts
-each unit cochain by mask arithmetic.  Both cohomology questions feed
-that builder the integer structure D mu (_integer_terms) and hand its
-int columns to `ratlin.Echelon.of_columns`: cohomology_dims reads off a
-rank with no Fraction, `algebroid.cohomology` a kernel and an image.
-The solves of `lie_deform` feed it mu's Fractions.  Cohomology
-with representatives, the Gerstenhaber bracket, multiderivations and
-Grassmann derivations are in `algebroid`.
+Nijenhuis-Richardson bracket.  A map stores one format, its sparse
+coordinates `terms` {(index tuple, output): nonzero value}, which every
+algorithm reads; the literal {index tuple: value vector} of the
+constructor is input only, and results are built by `of_terms`.  The
+Chevalley-Eilenberg differential of a Lie structure mu is
+delta = (-1)^{n+1} [mu, .]_NR on n-cochains.  The bracket of two maps
+and the Jacobi test come from one sparse insertion of a map into a slot
+of another (_slots, _insert), which walks only the coordinates present.
+The one builder of delta's columns (_delta_columns, from a coordinate
+dict of mu) indexes mu's coordinates once, by slot and by output, with
+index sets as bit masks, and inserts each unit cochain by mask
+arithmetic.  Both cohomology questions feed that builder the integer
+structure D mu (_integer_terms) and hand its int columns to
+`ratlin.Echelon.of_columns`: cohomology_dims reads off a rank with no
+Fraction, `algebroid.cohomology` a kernel and an image.  The solves of
+`lie_deform` feed it mu's Fractions.  Cohomology with representatives,
+the Gerstenhaber bracket, multiderivations and Grassmann derivations
+are in `algebroid`.
 """
 
 import itertools
 import json
 import math
-from fractions import Fraction
 
 from . import ratlin
 from .jsonin import InputError, array, fields, natural, rational
@@ -68,21 +71,20 @@ def _sort_sign(idx):
 # MultiMap
 # ---------------------------------------------------------------------------
 
-def _zvec(dim):
-    return (Fraction(0),) * dim
-
-
 class NonSymMultiMap:
     """Plain (non-symmetrized) n-linear map V^n -> V, dim V = dim, over Q:
     the full tensor, keyed by index tuples over range(dim).  n = 0
-    encodes an element of V."""
+    encodes an element of V.
 
-    __slots__ = ("n", "dim", "c")
+    `terms` holds the nonzero coordinates {(index tuple, output index):
+    value}, the shape of SuperElement.terms; values are ints or
+    Fractions.  The constructor reads the literal {index tuple: value
+    vector} and checks it; `of_terms` takes coordinates unchecked."""
+
+    __slots__ = ("n", "dim", "terms")
 
     def __init__(self, n, dim, c=None):
-        self.n = n
-        self.dim = dim
-        store = {}
+        terms = {}
         for idx, vec in (c or {}).items():
             idx = tuple(idx)
             if len(idx) != n:
@@ -90,12 +92,22 @@ class NonSymMultiMap:
             if not all(0 <= i < dim for i in idx):
                 raise ValueError(f"index tuple {idx} leaves range({dim})")
             self._check_key(idx)
-            vec = tuple(frac(v) for v in vec)
+            vec = [frac(v) for v in vec]
             if len(vec) != dim:
                 raise ValueError("value vector has wrong length")
-            if any(vec):
-                store[idx] = vec
-        self.c = store
+            for t, v in enumerate(vec):
+                if v:
+                    terms[(idx, t)] = v
+        self.n, self.dim, self.terms = n, dim, terms
+
+    @classmethod
+    def of_terms(cls, n, dim, terms):
+        """The map with coordinates terms ({(idx, t): value}, keyed like
+        `terms`), unchecked; zero values are dropped."""
+        self = cls.__new__(cls)
+        self.n, self.dim = n, dim
+        self.terms = {key: v for key, v in terms.items() if v}
+        return self
 
     @staticmethod
     def _check_key(idx):
@@ -104,54 +116,51 @@ class NonSymMultiMap:
     # -- basics --
 
     def is_zero(self):
-        return not self.c
-
-    @property
-    def terms(self):
-        """Nonzero coordinates keyed by (index tuple, output index), the
-        shape of SuperElement.terms."""
-        return {(idx, t): v for idx, vec in self.c.items()
-                for t, v in enumerate(vec) if v}
+        return not self.terms
 
     def __eq__(self, other):
         return (type(other) is type(self) and self.n == other.n
-                and self.dim == other.dim and self.c == other.c)
+                and self.dim == other.dim and self.terms == other.terms)
 
     __hash__ = None
 
     def __add__(self, other):
         if self.n != other.n or self.dim != other.dim:
             raise DimMismatch("adding maps of different shape")
-        c = dict(self.c)
-        for idx, vec in other.c.items():
-            cur = c.get(idx, _zvec(self.dim))
-            c[idx] = tuple(a + b for a, b in zip(cur, vec))
-        return type(self)(self.n, self.dim, c)
+        terms = dict(self.terms)
+        for key, v in other.terms.items():
+            terms[key] = terms.get(key, 0) + v
+        return self.of_terms(self.n, self.dim, terms)
 
     def __neg__(self):
-        return self * Fraction(-1)
+        return self * -1
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, scalar):
         scalar = frac(scalar)
-        return type(self)(self.n, self.dim,
-                          {i: tuple(scalar * v for v in vec)
-                           for i, vec in self.c.items()})
+        return self.of_terms(self.n, self.dim, {
+            key: scalar * v for key, v in self.terms.items()})
 
     __rmul__ = __mul__
 
     def __repr__(self):
-        return f"{type(self).__name__}(n={self.n}, dim={self.dim}, c={self.c})"
+        return (f"{type(self).__name__}(n={self.n}, dim={self.dim}, "
+                f"terms={self.terms})")
 
     def eval_indices(self, idx):
-        """Value on basis vectors e_{idx[0]}, ..., e_{idx[n-1]}."""
-        return self.c.get(tuple(idx), _zvec(self.dim))
+        """Value on basis vectors e_{idx[0]}, ..., e_{idx[n-1]}, as a
+        tuple of dim coordinates."""
+        return self._value(tuple(idx), 1)
+
+    def _value(self, idx, sign):
+        get = self.terms.get
+        return tuple(sign * get((idx, t), 0) for t in range(self.dim))
 
     @classmethod
     def zero(cls, n, dim):
-        return cls(n, dim, {})
+        return cls.of_terms(n, dim, {})
 
 
 class MultiMap(NonSymMultiMap):
@@ -166,13 +175,8 @@ class MultiMap(NonSymMultiMap):
             raise ValueError(f"index tuple {idx} not strictly increasing")
 
     def eval_indices(self, idx):
-        key, sign = _sort_sign(idx)
-        if key is None:
-            return _zvec(self.dim)
-        vec = self.c.get(key)
-        if vec is None:
-            return _zvec(self.dim)
-        return tuple(sign * v for v in vec)
+        # a repeated index has sign 0: the zero vector
+        return self._value(*_sort_sign(idx))
 
 
 # ---------------------------------------------------------------------------
@@ -211,22 +215,13 @@ def _insert(f_slots, g_terms, scale=1, out=None):
     return out
 
 
-def _from_terms(cls, n, dim, terms):
-    """The map of class cls with the given coordinates {(idx, t): v}."""
-    c = {}
-    for (idx, t), v in terms.items():
-        if v:
-            c.setdefault(idx, [0] * dim)[t] = v
-    return cls(n, dim, c)
-
-
 def nr_diamond(f, g):
     """The shuffle insertion f <> g: insert g into the first slot of f and
     sum over (arity(g), arity(f)-1)-shuffles of the arguments."""
     if f.dim != g.dim:
         raise DimMismatch("maps over different spaces")
-    return _from_terms(MultiMap, max(f.n + g.n - 1, 0), f.dim,
-                       _insert(_slots(f.terms), g.terms))
+    return MultiMap.of_terms(max(f.n + g.n - 1, 0), f.dim,
+                             _insert(_slots(f.terms), g.terms))
 
 
 def nr_bracket(f, g):
@@ -240,7 +235,7 @@ def first_failing_triple(mu):
     """The first basis triple x < y < z (lexicographic) with a nonzero
     Jacobiator, or None: on an increasing triple, (mu <> mu)(x, y, z) is
     the Jacobiator."""
-    return min(nr_diamond(mu, mu).c, default=None)
+    return min((idx for idx, _ in nr_diamond(mu, mu).terms), default=None)
 
 
 def is_lie(mu):
@@ -271,9 +266,8 @@ def _cochain_basis(k, dim):
 def _unit_cochains(k, dim):
     """The k-cochains with a single coefficient 1, in _cochain_basis
     order."""
-    return [MultiMap(k, dim, {idx: tuple(Fraction(int(t == g))
-                                         for t in range(dim))})
-            for idx, g in _cochain_basis(k, dim)]
+    return [MultiMap.of_terms(k, dim, {key: 1})
+            for key in _cochain_basis(k, dim)]
 
 
 def _mask(idx):
@@ -416,7 +410,7 @@ def structure_constants_from_json(data):
         data = json.loads(data)
     fields(data, "$", ("dim", "c"))
     dim = natural(data["dim"], "$.dim")
-    entries = {}
+    terms = {}
     for r, row in enumerate(array(data["c"], "$.c")):
         path = f"$.c[{r}]"
         alpha, beta, gamma = (natural(x, f"{path}[{j}]", below=dim)
@@ -427,17 +421,12 @@ def structure_constants_from_json(data):
                 raise InputError(path, "nonzero diagonal structure "
                                        "constant")
             continue
-        key = (min(alpha, beta), max(alpha, beta), gamma)
+        idx = (min(alpha, beta), max(alpha, beta))
         signed = value if alpha < beta else -value
-        if key in entries and entries[key] != signed:
-            raise InputError(path, f"antisymmetry conflict at {key}")
-        entries[key] = signed
-    c = {}
-    for (a, b, g), v in entries.items():
-        vec = list(c.get((a, b), _zvec(dim)))
-        vec[g] = v
-        c[(a, b)] = tuple(vec)
-    return MultiMap(2, dim, c)
+        if terms.setdefault((idx, gamma), signed) != signed:
+            raise InputError(path, "antisymmetry conflict at "
+                                   f"{(*idx, gamma)}")
+    return MultiMap.of_terms(2, dim, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from diracdeform.superalg import to_text
 
 
 def verify_courant(inp, degree=1, section_limit=None):
-    """The report of `courant.verify_courant` (without raise_on_fail)."""
+    """The report of `courant.verify_courant`."""
     th = build_theta(inp)
     br = th.ctx.bracket
     report = {"ok": True, "identities": {}}

@@ -35,12 +35,10 @@ from diracdeform.multilinear import (
     NonSymMultiMap,
     NotLie,
     _cochain_basis,
-    _from_terms,
     _insert,
     _psign,
     _slots,
     _unit_cochains,
-    _zvec,
     is_lie,
 )
 from diracdeform.superalg import NotHomogeneous
@@ -59,7 +57,7 @@ def shuffles(first, second):
 def eval_first_vector(f, vec, rest):
     """Value of the MultiMap f with an arbitrary vector in the first
     slot and basis indices in the remaining slots."""
-    out = list(_zvec(f.dim))
+    out = [Fraction(0)] * f.dim
     for g, coeff in enumerate(vec):
         if coeff == 0:
             continue
@@ -72,7 +70,7 @@ def eval_first_vector(f, vec, rest):
 def jacobiator(mu, x, y, z):
     """[[x,y],z] + [[y,z],x] + [[z,x],y] for basis indices x, y, z."""
     dim = mu.dim
-    out = list(_zvec(dim))
+    out = [Fraction(0)] * dim
     for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
         inner = mu.eval_indices((a, b))
         val = eval_first_vector(mu, inner, (c,))
@@ -100,7 +98,7 @@ def nr_diamond(f, g):
     dim = f.dim
     out = {}
     for idx in itertools.combinations(range(dim), m + n - 1):
-        acc = list(_zvec(dim))
+        acc = [Fraction(0)] * dim
         for pos_g, pos_rest, sign in shuffles(n, m - 1):
             inner = g.eval_indices(tuple(idx[p] for p in pos_g))
             if not any(inner):
@@ -121,7 +119,7 @@ def gerstenhaber_circ(a, b):
     dim, r = a.dim, max(m + n - 1, 0)
     out = {}
     for idx in itertools.product(range(dim), repeat=r):
-        acc = list(_zvec(dim))
+        acc = [Fraction(0)] * dim
         for i in range(1, m + 1):
             inner = b.eval_indices(idx[i - 1:i - 1 + n])
             if not any(inner):
@@ -147,18 +145,11 @@ def gerstenhaber_bracket(f, g):
 
 def compose_linear(lm, f):
     """lm(f(...)) for a linear map lm and an n-ary MultiMap f."""
-    c = {}
-    for idx, vec in f.c.items():
-        out = list(_zvec(f.dim))
-        for g, coeff in enumerate(vec):
-            if coeff == 0:
-                continue
-            val = lm.eval_indices((g,))
-            for t in range(f.dim):
-                out[t] += coeff * val[t]
-        if any(out):
-            c[idx] = tuple(out)
-    return MultiMap(f.n, f.dim, c)
+    out = {}
+    for (idx, g), coeff in f.terms.items():
+        for t, v in enumerate(lm.eval_indices((g,))):
+            out[(idx, t)] = out.get((idx, t), 0) + coeff * v
+    return MultiMap.of_terms(f.n, f.dim, out)
 
 
 def ce_differential(mu, f):
@@ -168,7 +159,7 @@ def ce_differential(mu, f):
     n, dim = f.n, f.dim
     out = {}
     for idx in itertools.combinations(range(dim), n + 1):
-        acc = list(_zvec(dim))
+        acc = [Fraction(0)] * dim
         for i in range(n + 1):
             rest = idx[:i] + idx[i + 1:]
             inner = f.eval_indices(rest)
@@ -200,7 +191,7 @@ def to_vector(f, basis):
 
 def from_vector(vec, k, dim, basis):
     """The k-cochain with coordinates vec on the keys of basis."""
-    return _from_terms(MultiMap, k, dim, dict(zip(basis, vec)))
+    return MultiMap.of_terms(k, dim, dict(zip(basis, vec)))
 
 
 def delta_matrix(mu, k):
@@ -409,9 +400,5 @@ def iso_I_inv(D, base=None):
 
 
 def structure_constants_to_json(mu):
-    rows = []
-    for (a, b), vec in sorted(mu.c.items()):
-        for g, v in enumerate(vec):
-            if v:
-                rows.append([a, b, g, str(v)])
-    return {"dim": mu.dim, "c": rows}
+    return {"dim": mu.dim, "c": [[a, b, g, str(v)] for ((a, b), g), v
+                                 in sorted(mu.terms.items())]}

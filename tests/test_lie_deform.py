@@ -1,5 +1,6 @@
 import itertools
 import random
+from functools import partial
 from fractions import Fraction
 
 import pytest
@@ -631,8 +632,25 @@ class TestZeroCoefficientsAreNotBracketed:
             assert live == [(i, c) for i, c in enumerate(coeffs[:n])
                             if i and not c.is_zero()]
 
+    @pytest.mark.parametrize("prefix", [[so3()], exact_lie_prefix(FIL4, 0)])
+    def test_d_is_applied_to_nonzero_rhs_only(self, prefix):
+        # d is linear, so a zero R_n is closed: from mu alone mc_extend
+        # never applies d
+        applied = []
+        d = ld._lie_differential(prefix[0], 2)
+        op = d.op
+        d.op = lambda f: applied.append(f) or op(f)
+        zero = MultiMap.zero(3, prefix[0].dim)
+        ld.mc_extend(d, partial(ld._lie_rhs, zero), prefix, 4,
+                     ld.Order0NotLie)
+        if len(prefix) == 1:
+            assert applied == []
+        else:
+            assert applied and not any(f.is_zero() for f in applied)
+
     def test_linear_poisson_from_pi0_alone(self, monkeypatch):
-        # d brackets pi_0 with each R_n; the right-hand side brackets
+        # the one Schouten bracket is the Poisson test of pi_0: d is not
+        # applied to a zero R_n, and the right-hand side brackets
         # coefficients of order >= 1, none of which is nonzero here
         firsts = []
         schouten = BracketContext.schouten
@@ -645,7 +663,7 @@ class TestZeroCoefficientsAreNotBracketed:
         coeffs, certs = linear_poisson_deform([lie_to_poisson(so3())], 3,
                                               order=20)
         assert all(c.extends for c in certs)
-        assert firsts and not any(firsts)
+        assert firsts == [False]
 
     def test_dirac_residual(self):
         th = co.build_theta(ct.so3_double())

@@ -294,7 +294,7 @@ class TestMalformed:
         v = NonSymMultiMap(0, 2, {(): (0, 1)})
         br = gerstenhaber_bracket(mu, v)
         assert br == NonSymMultiMap(1, 2, {(0,): (Fraction(-1, 3), 0)})
-        assert all(type(x) is Fraction for vec in br.c.values() for x in vec)
+        assert all(type(x) is Fraction for x in br.terms.values())
 
 
 class TestCE:
@@ -508,6 +508,43 @@ def lie_algebras(draw):
         return MultiMap(2, dim, c)
     return MultiMap(2, dim, {(0, i): (0,) + tuple(draw(entry))[1:]
                              for i in range(1, dim)})
+
+
+class TestCanonicalTerms:
+    """A multimap stores only its nonzero coordinates, so maps that are
+    equal have equal `terms` however they were built."""
+
+    @given(lie_algebras(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_random_lie_algebras(self, f, data):
+        dim = f.dim
+        pairs = list(itertools.combinations(range(dim), 2))
+        chosen = data.draw(st.lists(st.sampled_from(pairs), max_size=3)
+                           if pairs else st.just([]))
+        vector = st.lists(small_frac, min_size=dim, max_size=dim)
+        g = MultiMap(2, dim, {pair: data.draw(vector) for pair in chosen})
+        assert (f - f).terms == {}
+        assert f + g - g == f
+        # a 3-cochain, for permutations of both signs
+        for h in (f, g, nr_bracket(f, g)):
+            assert MultiMap.of_terms(h.n, dim, h.terms) == h
+            # the vector literal and the coordinates of every index
+            # tuple, zeros included, give the same map
+            idxs = list(itertools.combinations(range(dim), h.n))
+            literal = {idx: h.eval_indices(idx) for idx in idxs}
+            coords = {(idx, t): v for idx, vec in literal.items()
+                      for t, v in enumerate(vec)}
+            assert MultiMap(h.n, dim, literal).terms \
+                == MultiMap.of_terms(h.n, dim, coords).terms == h.terms
+            assert all(h.terms.values())
+            for idx in idxs:
+                for perm in itertools.permutations(range(h.n)):
+                    sign = (-1) ** sum(a > b for a, b in
+                                       itertools.combinations(perm, 2))
+                    assert h.eval_indices(tuple(idx[p] for p in perm)) \
+                        == tuple(sign * v for v in literal[idx])
+                # a repeated index gives the zero vector
+                assert h.eval_indices(idx[:1] * h.n) == (0,) * dim
 
 
 class TestDeltaMatrixOracle:
