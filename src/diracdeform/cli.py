@@ -8,15 +8,17 @@ stdout when the report cannot be written there.  `_read` reads a job's
 argv straight from the SUBCOMMANDS table; argparse is imported only for
 help, abbreviations and errors.  `_json` writes the text of
 json.dumps(report, sort_keys=True, indent=2) in a fraction of its time.
-An ihs-run report holds the ihs.Trajectory itself: JSON and CSV write
-its .12g rows with one ihs.trajectory_text, the table through
-ihs.trajectory_rows.
+An ihs-run report holds the ihs.Trajectory itself, and `_emit` writes
+it a piece at a time, never as one text: JSON (`_json_pieces`) and CSV
+take its .12g rows from ihs.trajectory_text a block at a time, the
+table from ihs.trajectory_rows.  Every other report is one text.
 Reports are deterministic (byte-identical for equal inputs and seeds)
 and embed the input hash and engine version.  JSON schemas for the input
 files live in docs/schemas.
 """
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -99,7 +101,10 @@ MAX_ORDER = 10 ** 4
 
 # most RK4 steps of an ihs-run, checked before the system is read.  At
 # 10**6 steps a 4-D system's JSON report is about 150 MB (its table 250
-# MB), and the process holds both the floats and the text: 0.6-1.5 GB
+# MB).  The text is written a block of rows at a time, so the process
+# holds the trajectory's floats alone: the bench's constrained 4-D
+# system peaks at 44-45 MB (VmHWM) at 10**5 steps and 264 MB at 10**6,
+# in each of JSON, CSV and table (Python 3.11)
 MAX_STEPS = 10 ** 6
 
 
@@ -118,28 +123,29 @@ def _require_cochains(dim, degrees):
 
 
 def _render_table(obj, prefix=""):
+    """The table of obj as pieces of text, each of whole lines: a line a
+    piece, and the rows of an ihs.Trajectory a block of them a piece."""
     if isinstance(obj, ihs.Trajectory):
-        return [f"{prefix}{i}.{j} = {v}"
-                for i, row in enumerate(ihs.trajectory_rows(obj))
-                for j, v in enumerate(row)]
-    lines = []
-    if isinstance(obj, dict):
+        i = 0
+        for rows in ihs.trajectory_rows(obj):
+            yield "".join([f"{prefix}{i + r}.{j} = {v}\n"
+                           for r, row in enumerate(rows)
+                           for j, v in enumerate(row)])
+            i += len(rows)
+    elif isinstance(obj, dict):
         for k in sorted(obj):
-            lines.extend(_render_table(obj[k], f"{prefix}{k}."))
+            yield from _render_table(obj[k], f"{prefix}{k}.")
     elif isinstance(obj, list):
         for i, v in enumerate(obj):
-            lines.extend(_render_table(v, f"{prefix}{i}."))
+            yield from _render_table(v, f"{prefix}{i}.")
     else:
-        lines.append(f"{prefix[:-1]} = {obj}")
-    return lines
+        yield f"{prefix[:-1]} = {obj}\n"
 
 
 def _json(o, indent="\n"):
     """json.dumps(o, sort_keys=True, indent=2), byte for byte, for dict
-    keys that are str, where an ihs.Trajectory stands for the list of its
-    trajectory_rows.  Under indent, json.dumps encodes in pure Python;
-    here a list of strings is one join, and a Trajectory one
-    ihs.trajectory_text whose template holds the quotes and indents."""
+    keys that are str.  Under indent, json.dumps encodes in pure Python;
+    here a list of strings is one join."""
     if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
@@ -158,11 +164,6 @@ def _json(o, indent="\n"):
         ) + indent + "}"
     if isinstance(o, str):
         return _str(o)
-    if isinstance(o, ihs.Trajectory):
-        inner, row = indent + "  ", indent + "    "
-        return "[" + inner + ihs.trajectory_text(
-            o, "[" + row + '"', '",' + row + '"', '"' + inner + "]",
-            "," + inner) + indent + "]"
     if o is None or isinstance(o, bool):
         return {None: "null", True: "true", False: "false"}[o]
     if isinstance(o, int):
@@ -173,26 +174,56 @@ def _json(o, indent="\n"):
     raise TypeError(f"{type(o).__name__} is not JSON serializable")
 
 
+def _json_pieces(o, indent="\n"):
+    """The text of _json(o) as pieces, where an ihs.Trajectory stands for
+    the list of its trajectory rows: a dict's key is one piece, and the
+    trajectory a block of rows a piece, from ihs.trajectory_text with a
+    template that holds the quotes and indents."""
+    if isinstance(o, ihs.Trajectory):
+        inner, row = indent + "  ", indent + "    "
+        yield "[" + inner
+        yield from ihs.trajectory_text(
+            o, "[" + row + '"', '",' + row + '"', '"' + inner + "]",
+            "," + inner)
+        yield indent + "]"
+    elif isinstance(o, dict) and o:
+        inner, lead = indent + "  ", "{"
+        for k in sorted(o):
+            yield lead + inner + _str(k) + ": "
+            yield from _json_pieces(o[k], inner)
+            lead = ","
+        yield indent + "}"
+    else:
+        yield _json(o, indent)
+
+
 def _emit(report, args):
     """Write the report as JSON, as a table, or (ihs-run) as the CSV of a
     passing report's trajectory: a header, then the rows of
-    ihs.trajectory_text."""
+    ihs.trajectory_text.  A report that holds an ihs.Trajectory (a passing
+    ihs-run) is written a piece at a time, its rows a block at a time, so
+    that the text never stands whole in memory; any other JSON report is
+    one _json text.  A write that fails, even after some pieces went out,
+    is an InputError naming --output or stdout."""
     if args.format == "table":
-        text = "\n".join(_render_table(report)) + "\n"
-    elif args.format == "csv" and report["ok"]:
+        pieces = _render_table(report)
+    elif report["ok"] and report["command"] == "ihs-run":
         traj = report["report"]["trajectory"]
-        n = len(traj.points[0])
-        header = ["t"] + [f"x{i + 1}" for i in range(n)] + ["H", "residual"]
-        text = ",".join(header) + "\n" + ihs.trajectory_text(
-            traj, "", ",", "", "\n") + "\n"
+        if args.format == "csv":
+            header = ["t"] + [f"x{i + 1}" for i in range(len(traj.columns))]
+            pieces = itertools.chain(
+                [",".join(header + ["H", "residual"]) + "\n"],
+                ihs.trajectory_text(traj, "", ",", "\n", ""))
+        else:
+            pieces = itertools.chain(_json_pieces(report), ["\n"])
     else:
-        text = _json(report) + "\n"
+        pieces = [_json(report) + "\n"]
     try:
         if args.output:
             with open(args.output, "w") as fh:
-                fh.write(text)
+                fh.writelines(pieces)
         else:
-            sys.stdout.write(text)
+            sys.stdout.writelines(pieces)
             sys.stdout.flush()
     except OSError as e:
         if args.output:

@@ -101,8 +101,8 @@ class NumpySolver:
         if not math.isfinite(residuals[-1]):
             raise ihs.LeftAdmissibleSet(steps, steps * h, x)
         drift = max(abs(e - e0) for e in energies)
-        return ihs.Trajectory(times, points, energies, drift, max_res,
-                              residuals)
+        return ihs.Trajectory(times, [list(c) for c in zip(*points)],
+                              energies, drift, max_res, residuals)
 
 
 def staged_integrate(sys_, x0, steps, h=None):
@@ -149,7 +149,8 @@ def staged_integrate(sys_, x0, steps, h=None):
     if not math.isfinite(residuals[-1]):
         raise ihs.LeftAdmissibleSet(steps, steps * h, x)
     drift = max(abs(e - e0) for e in energies)
-    return ihs.Trajectory(times, points, energies, drift, max_res, residuals)
+    return ihs.Trajectory(times, [list(c) for c in zip(*points)], energies,
+                          drift, max_res, residuals)
 
 
 def rowwise_trajectory_text(traj, head, sep, tail, between):

@@ -160,6 +160,30 @@ class TestDeterminism:
         assert p.stderr.startswith("input error: stdout: cannot write (")
         assert p.stderr.count("\n") == 1       # no traceback, nothing ignored
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs /dev/full")
+    @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+    @pytest.mark.parametrize("where", ["stdout", "unbuffered", "--output"])
+    def test_unwritable_ihs_run_exits_2(self, tmp_path, where, fmt):
+        # 5,000 steps are several blocks of rows, written one at a time:
+        # the write fails after some of them went out, and still exits 2
+        env = {k: v for k, v in SUBPROCESS_ENV.items()
+               if k != "PYTHONUNBUFFERED"}
+        if where == "unbuffered":
+            env["PYTHONUNBUFFERED"] = "1"
+        argv = [sys.executable, "-m", "diracdeform.cli", "ihs-run",
+                "--system", write(tmp_path, "osc.json", OSC), "--x0", "1,0",
+                "--steps", "5000", "--format", fmt]
+        if where == "--output":
+            argv += ["--output", "/dev/full"]
+        with open("/dev/full", "w") as full:
+            p = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE,
+                               text=True, env=env, timeout=60)
+        named = "--output" if where == "--output" else "stdout"
+        assert p.returncode == 2
+        assert p.stderr.startswith(f"input error: {named}: cannot write (")
+        assert p.stderr.count("\n") == 1
+
 
 class TestCohomologyAndDeform:
     def test_so3_cohomology(self, tmp_path, capsys):

@@ -2,10 +2,12 @@
 admissible-function algebra."""
 
 import argparse
+import hashlib
 import io
 import json
 import math
 import random
+import tracemalloc
 from contextlib import redirect_stdout
 from fractions import Fraction
 from functools import partial
@@ -649,8 +651,8 @@ class TestGeneratedStep:
         assert len(sources) == 2
         # the loop's fixed vocabulary, then the generated variables
         name = re.compile(r"(def|step|return|max|abs|while|if|not|try"
-                          r"|except|OverflowError|s|steps|tol|P|E|R|max_res"
-                          r"|e|z|h|h2|h6|x\d+|m\d+|[kyrb]\d+_\d+)$")
+                          r"|except|OverflowError|s|steps|tol|C\d+|E|R"
+                          r"|max_res|e|z|h|h2|h6|x\d+|m\d+|[kyrb]\d+_\d+)$")
         for source in sources:
             for tok in tokenize.generate_tokens(
                     io.StringIO(source).readline):
@@ -828,39 +830,48 @@ TRAJECTORY_ROWS = st.integers(0, 12).flatmap(lambda n: st.lists(
 
 
 def trajectory_of(rows):
-    return ihs.Trajectory([r[0] for r in rows], [r[1:-2] for r in rows],
+    columns = [[r[i] for r in rows] for i in range(1, len(rows[0]) - 2)]
+    return ihs.Trajectory([r[0] for r in rows], columns,
                           [r[-2] for r in rows], 0.0, 0.0,
                           [r[-1] for r in rows])
+
+
+def rows_of(traj):
+    """The rows of ihs.trajectory_rows, whose blocks are lists of rows."""
+    return [row for block in ihs.trajectory_rows(traj) for row in block]
 
 
 @given(TRAJECTORY_ROWS)
 @settings(max_examples=300, deadline=None)
 def test_trajectory_rows_are_12g_of_every_value(rows):
     # rows of up to 15 values: split() preallocates 12 at most
-    assert ihs.trajectory_rows(trajectory_of(rows)) == \
+    assert rows_of(trajectory_of(rows)) == \
         [[f"{v:.12g}" for v in r] for r in rows]
 
 
 def assert_reports_render(traj, strs):
     """ihs-run's report holds the Trajectory itself; every format writes
     the text that it wrote for the report holding the rows strs as
-    strings."""
+    strings.  Returns that text by format."""
     def report(trajectory):
         return {"command": "ihs-run", "ok": True,
                 "report": {"steps": len(strs) - 1, "trajectory": trajectory}}
 
-    assert cli._json(traj) == json.dumps(strs, sort_keys=True, indent=2)
+    assert "".join(cli._json_pieces(traj)) == json.dumps(
+        strs, sort_keys=True, indent=2)
     header = ["t"] + [f"x{i}" for i in range(1, len(strs[0]) - 2)]
-    want = {"json": json.dumps(report(strs), sort_keys=True, indent=2),
-            "csv": "\n".join(",".join(row) for row in
-                             [header + ["H", "residual"]] + strs),
-            "table": "\n".join(cli._render_table(report(strs)))}
+    want = {"json": json.dumps(report(strs), sort_keys=True, indent=2)
+            + "\n",
+            "csv": "".join(",".join(row) + "\n" for row in
+                           [header + ["H", "residual"]] + strs),
+            "table": "".join(cli._render_table(report(strs)))}
     for fmt, text in want.items():
         out = io.StringIO()
         with redirect_stdout(out):
             cli._emit(report(traj), argparse.Namespace(format=fmt,
                                                        output=None))
-        assert out.getvalue() == text + "\n"
+        assert out.getvalue() == text
+    return want
 
 
 @given(TRAJECTORY_ROWS)
@@ -926,12 +937,76 @@ TEMPLATES = [("", ",", "", "\n"), ('[\n  "', '",\n  "', '"\n]', ",\n"),
 def test_one_text_columns_are_the_rowwise_text(rows):
     traj = trajectory_of(rows)
     for template in TEMPLATES:
-        assert ihs.trajectory_text(traj, *template) == \
+        assert "".join(ihs.trajectory_text(traj, *template)) == \
             rowwise_trajectory_text(traj, *template)
     strs = [row.split("\0") for row in rowwise_trajectory_text(
         traj, "", "\0", "", "\n").split("\n")]
-    assert ihs.trajectory_rows(traj) == strs
+    assert rows_of(traj) == strs
     assert_reports_render(traj, strs)
+
+
+# steps around the blocks of ihs.trajectory_text: steps + 1 rows
+BLOCK_STEPS = [0, 1, ihs.BLOCK - 1, ihs.BLOCK, ihs.BLOCK + 1,
+               2 * ihs.BLOCK + 3]
+
+
+# SHA-256 of each format's reports at BLOCK_STEPS in turn, for BLOCK =
+# 1024: the text of the writer that formatted each row into one string
+@pytest.mark.parametrize("system, x0, digests", [
+    (oscillator, [0.6, -0.8], {
+        "json":
+            "d913d2ae9133b8b3330c54d8d12ec973e868084eb5eb3a14ee9be043f39bc944",
+        "csv":
+            "efb17ba3c5c6ef103d46bee775c7cbbf3f07f3e1561aa4b8661dfb1bf7f78338",
+        "table":
+            "aecc7fd6846366f07813fc3f5765f3e7dd5fede015ff31cc2d78c1695cab655d"}),
+    (constrained_oscillator, [0.3, 0.5, -0.7, 0.25], {
+        "json":
+            "83d2784a3e9dfcd4bea91ee2731b310c8cd5fdbe6f117632bac4e4c0ef3d52f6",
+        "csv":
+            "cebee7395e6f6ffe613850fa417b1fc90676a8dc918dfceeebbcf19e1a86724e",
+        "table":
+            "856644f87505f2eef349a634ae89952864e3fde69023286d9a1ba633b309899a"}),
+    (lambda: ihs.IHSystem(space_V(0), poly(0, "3/2")), [], {
+        "json":
+            "807c8a0314311808319bbccf40832f522503700d2a37f5863cbbcbc23430dcc9",
+        "csv":
+            "97a67568e804f0256ceeedddf4b042cd93c3e9930222555bd374d4aed54dd98f",
+        "table":
+            "d97ad965f14891ebd997a7c4a4f592947fabb404fb9c91faf13c67fa30f614b8"})],
+    ids=["oscillator", "constrained", "zero"])
+def test_reports_across_blocks_are_the_rowwise_text(system, x0, digests):
+    sys_, got = system(), {fmt: hashlib.sha256() for fmt in digests}
+    for steps in BLOCK_STEPS:
+        traj = sys_.integrate(x0, steps)
+        strs = [row.split("\0") for row in rowwise_trajectory_text(
+            traj, "", "\0", "", "\n").split("\n")]
+        assert len(strs) == steps + 1
+        for fmt, text in assert_reports_render(traj, strs).items():
+            got[fmt].update(text.encode())
+    assert {fmt: h.hexdigest() for fmt, h in got.items()} == digests
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+def test_emit_memory_does_not_grow_with_the_report(tmp_path, fmt):
+    # the rows are formatted and written a block at a time: what _emit
+    # allocates is the same at 10**4 and 4 * 10**4 steps, and under 2 KiB
+    # a row of a block (a table row of 7 values takes about 1.4 KiB)
+    sys_, peaks = constrained_oscillator(), []
+    for steps in (10 ** 4, 4 * 10 ** 4):
+        report = {"command": "ihs-run", "ok": True, "report": {
+            "steps": steps,
+            "trajectory": sys_.integrate([0.3, 0.5, -0.7, 0.25], steps)}}
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            cli._emit(report, argparse.Namespace(
+                format=fmt, output=str(tmp_path / "report")))
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 64 * 1024
+    assert max(peaks) <= 2048 * ihs.BLOCK
 
 
 @pytest.mark.parametrize("col, text", [
